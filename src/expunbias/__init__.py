@@ -27,8 +27,8 @@ from .laplace import (InversionConfig, InversionMethod, TransferFunction,
                       generic_unbiased_estimate, invert_gaver_stehfest,
                       invert_talbot)
 from .montecarlo import (McConfig, McSummary, asymptotic_variance, clt_check,
-                         empirical_bias, sample_exponential,
-                         variance_comparison)
+                         clt_replicates, clt_summary, empirical_bias,
+                         sample_exponential, variance_comparison)
 from .oracle import (VerificationReport, expectation, gamma_mean_density,
                      tate_estimate, tate_expected_value, verify_tate_bias,
                      verify_unbiasedness)
@@ -58,5 +58,6 @@ __all__ = [
     "log_gamma", "gamma_ratio", "lower_incomplete_gamma_int",
     # monte carlo
     "McConfig", "McSummary", "sample_exponential", "empirical_bias",
-    "variance_comparison", "asymptotic_variance", "clt_check",
+    "variance_comparison", "asymptotic_variance", "clt_replicates",
+    "clt_summary", "clt_check",
 ]

@@ -33,7 +33,8 @@ from .errors import (DomainError, ExpunbiasError, InversionError,
                      QuadratureError, RangeError, SpecError)
 from .estimators import (FunctionalSpec, Kind, Sample, estimate,
                          target_value)
-from .montecarlo import McConfig, clt_check, variance_comparison
+from .montecarlo import (McConfig, clt_replicates, clt_summary,
+                         variance_comparison)
 from .oracle import verify_tate_bias, verify_unbiasedness
 
 EXIT_OK = 0
@@ -302,7 +303,8 @@ def _cmd_clt(args) -> int:
     spec = _spec_from_args(args)
     config = McConfig(args.reps, args.n, getattr(args, "lambda"), args.seed,
                       parallel_chunks=args.jobs)
-    summary = clt_check(spec, config)
+    z = clt_replicates(spec, config)
+    summary = clt_summary(z)
     manifest = RunManifest("clt", {
         "kind": args.kind, **spec.params(), "n": args.n,
         "lambda": getattr(args, "lambda"), "reps": args.reps,
@@ -319,20 +321,12 @@ def _cmd_clt(args) -> int:
     }]
     _emit(_render(manifest, rows), args.out)
     if args.hist:
-        _emit(_histogram_csv(spec, config, args.hist_bins), args.hist)
+        _emit(_histogram_csv(z, args.hist_bins), args.hist)
     return EXIT_OK
 
 
-def _histogram_csv(spec: FunctionalSpec, config: McConfig, bins: int) -> str:
+def _histogram_csv(z: np.ndarray, bins: int) -> str:
     # binned standardized replicates on fixed [-6, 6] edges for plotting
-    from .estimators import phi_function
-    from .montecarlo import _collect, asymptotic_variance
-
-    sigma2 = asymptotic_variance(spec, config.n, config.lam)
-    xi = target_value(spec, config.lam)
-    phi = phi_function(spec, config.n)
-    scale = math.sqrt(config.n / sigma2)
-    z, = _collect(config, lambda x: ((phi(x.mean(axis=1)) - xi) * scale,), 1)
     edges = np.linspace(-6.0, 6.0, bins + 1)
     counts, _ = np.histogram(z, bins=edges)
     buf = io.StringIO()

@@ -204,9 +204,20 @@ def _check_positive(name: str, value) -> float:
 # target values xi(lambda)
 # ---------------------------------------------------------------------------
 
-def target_value(spec: FunctionalSpec, lam) -> float:
-    """Population value of the functional at rate ``lam``."""
-    lam = _check_positive("lambda", lam)
+def target_value(spec: FunctionalSpec, lam):
+    """Population value of the functional at rate ``lam``.
+
+    A scalar ``lam`` gives a ``float`` computed with ``math``; an ndarray of
+    rates gives an ndarray computed elementwise with numpy.  numpy's
+    exp/expm1/log1p can differ from ``math``'s in the last ulp, so scalars
+    keep the ``math`` path.
+    """
+    if np.ndim(lam) == 0:
+        xp, lam = math, _check_positive("lambda", lam)
+    else:
+        xp, lam = np, np.asarray(lam, dtype=float)
+        if not (np.all(np.isfinite(lam)) and np.all(lam > 0.0)):
+            raise DomainError("lambda must be finite and strictly positive")
     k = spec.kind
     if k is Kind.RATE_POWER:
         return lam ** spec.p
@@ -215,23 +226,26 @@ def target_value(spec: FunctionalSpec, lam) -> float:
     if k is Kind.MOMENT:
         return math.exp(log_gamma(spec.p + 1.0)) / lam ** spec.p
     if k is Kind.SURVIVAL:
-        return math.exp(-lam * spec.t)
+        return xp.exp(-lam * spec.t)
     if k is Kind.MAX_CDF_POWER:
-        return (-math.expm1(-lam * spec.t)) ** spec.m
+        return (-xp.expm1(-lam * spec.t)) ** spec.m
     if k is Kind.MIN_SURVIVAL:
-        return math.exp(-lam * spec.m * spec.t)
+        return xp.exp(-lam * spec.m * spec.t)
     if k is Kind.PDF:
-        return lam * math.exp(-lam * spec.t)
+        return lam * xp.exp(-lam * spec.t)
     if k is Kind.MEAN_PAST_LIFETIME:
-        return spec.t / (-math.expm1(-lam * spec.t)) - 1.0 / lam
+        return spec.t / (-xp.expm1(-lam * spec.t)) - 1.0 / lam
     if k is Kind.MGF:
-        if spec.t >= lam:
+        if np.any(spec.t >= lam):
             raise DomainError("MGF target requires t < lambda")
         return lam / (lam - spec.t)
     if k is Kind.EXPECTED_SHORTFALL:
         return (-math.log1p(-spec.p) + 1.0) / lam
     if k is Kind.CUSTOM:
-        return float(spec.custom_transform.eval_real(lam))
+        xi = spec.custom_transform.eval_real
+        if xp is math:
+            return float(xi(lam))
+        return np.vectorize(lambda v: float(xi(v)), otypes=[float])(lam)
     raise SpecError(f"unknown kind {k!r}")
 
 

@@ -5,6 +5,13 @@ seeded with s draws from a counter-based Philox stream keyed (s, b).  The
 draw for replication r therefore depends only on (seed, block r // 2**14,
 row r % 2**14), never on how blocks are distributed over workers, which
 makes chunked-parallel and serial runs bit-identical.
+
+The sample mean is sufficient and mean ~ Gamma(n, n*lambda), so paths whose
+estimators read only the mean (closed form, Tate, the MLE plug-in outside
+the moment kind, and the CLT replicates) draw one Gamma(n) variate per
+replication.  Full n-observation samples are drawn only where observations
+are used: ``variance_comparison`` and the MLE arm of the pth moment,
+(1/n) sum X_i^p.
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ from .special import log_gamma
 
 __all__ = [
     "McConfig", "McSummary", "sample_exponential", "empirical_bias",
-    "variance_comparison", "asymptotic_variance", "clt_check",
-    "BLOCK_SIZE",
+    "variance_comparison", "asymptotic_variance", "clt_replicates",
+    "clt_summary", "clt_check", "BLOCK_SIZE",
 ]
 
 BLOCK_SIZE = 1 << 14
@@ -80,9 +87,28 @@ def _draw_block(seed: int, block_index: int, rows: int, n: int, lam: float) -> n
     return -np.log(u) / lam
 
 
+def _draw_means(seed: int, block_index: int, rows: int, n: int, lam: float) -> np.ndarray:
+    """Replicate sample means of one block, one Gamma(n) variate per row.
+
+    The standard gamma draw is floored at ``_U_FLOOR`` before scaling by
+    1/(n*lam): at n = 1 it is numpy's ziggurat exponential, which can
+    return exactly 0.0, and a zero mean is outside every estimator's
+    domain.  The floor equals the smallest draw -ln(U) of the
+    inverse-CDF path; it binds with probability about 2**-53 at n = 1 and
+    about 2**(-53 n) / n! at larger n.
+    """
+    gen = np.random.Generator(np.random.Philox(key=[seed, block_index]))
+    return np.maximum(gen.standard_gamma(n, rows), _U_FLOOR) / (n * lam)
+
+
 def _collect(config: McConfig, row_stat: Callable[[np.ndarray], tuple[np.ndarray, ...]],
-             n_outputs: int) -> tuple[np.ndarray, ...]:
-    """Per-replication statistics over all blocks; block-index deterministic."""
+             n_outputs: int, draw: Callable[..., np.ndarray] = _draw_block
+             ) -> tuple[np.ndarray, ...]:
+    """Per-replication statistics over all blocks; block-index deterministic.
+
+    ``draw`` makes one block: ``_draw_block`` (rows x n observations, the
+    default) or ``_draw_means`` (the rows' sample means only).
+    """
     reps = config.replications
     outs = tuple(np.empty(reps) for _ in range(n_outputs))
     n_blocks = (reps + BLOCK_SIZE - 1) // BLOCK_SIZE
@@ -90,8 +116,7 @@ def _collect(config: McConfig, row_stat: Callable[[np.ndarray], tuple[np.ndarray
     def run_block(b: int) -> None:
         start = b * BLOCK_SIZE
         stop = min(start + BLOCK_SIZE, reps)
-        x = _draw_block(config.seed, b, stop - start, config.n, config.lam)
-        stats = row_stat(x)
+        stats = row_stat(draw(config.seed, b, stop - start, config.n, config.lam))
         for out, stat in zip(outs, stats):
             out[start:stop] = stat
 
@@ -120,29 +145,22 @@ def empirical_bias(spec: FunctionalSpec, config: McConfig,
     """
     n = config.n
     if estimator_family is Family.CLOSED_FORM_UNBIASED:
-        phi = phi_function(spec, n)
-        values, = _collect(config, lambda x: (phi(x.mean(axis=1)),), 1)
+        estimator = phi_function(spec, n)
     elif estimator_family is Family.TATE_BIASED:
-        phi = tate_phi_function(spec, n)
-        values, = _collect(config, lambda x: (phi(x.mean(axis=1)),), 1)
+        estimator = tate_phi_function(spec, n)
     elif estimator_family is Family.MLE_PLUGIN:
         if spec.kind is Kind.MOMENT:
+            # the moment MLE (1/n) sum X_i^p needs the observations
             p = spec.p
             values, = _collect(config, lambda x: (np.mean(x ** p, axis=1),), 1)
-        else:
-            plug = _mle_plugin_function(spec, n)
-            values, = _collect(config, lambda x: (plug(x.mean(axis=1)),), 1)
+            return _summary(values)
+
+        def estimator(xbar):
+            return target_value(spec, 1.0 / xbar)
     else:
         raise DomainError(f"no Monte Carlo path for family {estimator_family!r}")
+    values, = _collect(config, lambda xbar: (estimator(xbar),), 1, _draw_means)
     return _summary(values)
-
-
-def _mle_plugin_function(spec: FunctionalSpec, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    # xi(1/mean), vectorized; only used for kinds with elementary xi
-    def plug(xbar: np.ndarray) -> np.ndarray:
-        lam_hat = 1.0 / np.asarray(xbar, dtype=float)
-        return np.array([target_value(spec, lv) for lv in np.atleast_1d(lam_hat)])
-    return plug
 
 
 def variance_comparison(p: float, config: McConfig
@@ -285,22 +303,22 @@ def _ks_statistic(z: np.ndarray) -> float:
     return float(max(d_plus, d_minus))
 
 
-def clt_check(spec: FunctionalSpec, config: McConfig) -> McSummary:
-    """Standardized replicates of the estimator against the normal limit.
+def clt_replicates(spec: FunctionalSpec, config: McConfig) -> np.ndarray:
+    """Standardized replicates Z_r = sqrt(n) (phi(mean_r) - xi(lambda)) / sigma_n.
 
-    Z_r = sqrt(n) (phi(mean_r) - xi(lambda)) / sigma_n with sigma_n^2 the
-    delta-method variance; reports the one-sample Kolmogorov-Smirnov
-    statistic against N(0,1) plus sample skewness and excess kurtosis.
+    sigma_n^2 is the delta-method variance (see :func:`asymptotic_variance`,
+    whose errors propagate).
     """
     sigma2 = asymptotic_variance(spec, config.n, config.lam)
     xi = target_value(spec, config.lam)
     phi = phi_function(spec, config.n)
     scale = math.sqrt(config.n / sigma2)
+    z, = _collect(config, lambda xbar: ((phi(xbar) - xi) * scale,), 1, _draw_means)
+    return z
 
-    def stat(x: np.ndarray) -> tuple[np.ndarray]:
-        return ((phi(x.mean(axis=1)) - xi) * scale,)
 
-    z, = _collect(config, stat, 1)
+def clt_summary(z: np.ndarray) -> McSummary:
+    """Mean, variance, KS distance to N(0,1), skewness and excess kurtosis of z."""
     m = z.mean()
     c = z - m
     m2 = float(np.mean(c ** 2))
@@ -308,3 +326,13 @@ def clt_check(spec: FunctionalSpec, config: McConfig) -> McSummary:
     exkurt = float(np.mean(c ** 4)) / m2 ** 2 - 3.0
     return _summary(z, ks_statistic=_ks_statistic(z),
                     standardized_moments=(skew, exkurt))
+
+
+def clt_check(spec: FunctionalSpec, config: McConfig) -> McSummary:
+    """Standardized replicates of the estimator against the normal limit.
+
+    Reports the one-sample Kolmogorov-Smirnov statistic of
+    :func:`clt_replicates` against N(0,1) plus sample skewness and excess
+    kurtosis.
+    """
+    return clt_summary(clt_replicates(spec, config))

@@ -1,17 +1,22 @@
 """Monte Carlo harness tests: determinism, statistical sanity at reduced
-replication counts, the delta-method variance table and the CLT diagnostics.
+replication counts, the direct Gamma(n) draw of the mean, the vectorised
+target, the delta-method variance table and the CLT diagnostics.
 The full 1e6-replication sweeps live in the acceptance suite."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from expunbias import cli, montecarlo
 from expunbias.errors import (DegenerateError, DomainError,
                               NondifferentiableError)
-from expunbias.estimators import Family, FunctionalSpec, Kind, target_value
-from expunbias.montecarlo import (BLOCK_SIZE, McConfig, McSummary,
-                                  asymptotic_variance, clt_check,
+from expunbias.estimators import (Family, FunctionalSpec, Kind, phi_function,
+                                  target_value)
+from expunbias.laplace import TransferFunction
+from expunbias.montecarlo import (BLOCK_SIZE, McConfig, McSummary, _collect,
+                                  _draw_means, asymptotic_variance, clt_check,
                                   empirical_bias, sample_exponential,
                                   variance_comparison)
 
@@ -211,3 +216,118 @@ class TestCltCheck:
         spec = FunctionalSpec(Kind.QUANTILE, q=0.5)
         cfg = McConfig(10 ** 4, 50, 1.0, 77, parallel_chunks=3)
         assert clt_check(spec, cfg) == clt_check(spec, cfg)
+
+
+class TestMeanDrawer:
+    """The x-bar paths draw the replicate means directly from Gamma(n, n*lam)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 30, 200])
+    def test_matches_gamma_law(self, n):
+        lam = 1.5
+        means = _draw_means(2024, 0, BLOCK_SIZE, n, lam)
+        law = stats.gamma(n, scale=1.0 / (n * lam))
+        # a false alarm on correct code has probability 1e-3 per case
+        assert stats.kstest(means, law.cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("n", [1, 30])
+    def test_prefix_and_block_key(self, n):
+        full = _draw_means(5, 3, BLOCK_SIZE, n, 1.0)
+        for rows in (1, 17, 5000):
+            assert np.array_equal(_draw_means(5, 3, rows, n, 1.0), full[:rows])
+        assert not np.array_equal(_draw_means(5, 4, 17, n, 1.0), full[:17])
+        assert not np.array_equal(_draw_means(6, 3, 17, n, 1.0), full[:17])
+
+    def test_collect_rows_follow_block_keys(self):
+        reps = BLOCK_SIZE + 100
+        cfg = McConfig(reps, 7, 2.0, 13, parallel_chunks=2)
+        means, = _collect(cfg, lambda xbar: (xbar,), 1, _draw_means)
+        assert np.array_equal(means[:BLOCK_SIZE], _draw_means(13, 0, BLOCK_SIZE, 7, 2.0))
+        assert np.array_equal(means[BLOCK_SIZE:], _draw_means(13, 1, 100, 7, 2.0))
+
+    def test_zero_gamma_draw_is_floored(self, monkeypatch):
+        # numpy's exponential (standard_gamma at shape 1) can return 0.0
+        class ZeroDraws:
+            def __init__(self, bit_generator):
+                pass
+
+            def standard_gamma(self, shape, size):
+                return np.zeros(size)
+
+        monkeypatch.setattr(np.random, "Generator", ZeroDraws)
+        means = _draw_means(1, 0, 8, 1, 1.0)
+        assert np.all(means > 0.0)
+        spec = FunctionalSpec(Kind.QUANTILE, q=0.5)
+        assert empirical_bias(spec, McConfig(8, 1, 1.0, 1)).mean > 0.0
+
+    @pytest.mark.parametrize("spec", [
+        FunctionalSpec(Kind.SURVIVAL, t=1.0),
+        FunctionalSpec(Kind.RATE_POWER, p=0.5),
+    ])
+    def test_agrees_with_full_draw_path(self, spec):
+        cfg = McConfig(2 * 10 ** 5, 5, 1.0, 15)
+        phi = phi_function(spec, cfg.n)
+        full, = _collect(cfg, lambda x: (phi(x.mean(axis=1)),), 1)
+        direct = empirical_bias(spec, cfg)
+        se = math.sqrt(np.var(full, ddof=1) / full.size + direct.std_error ** 2)
+        assert abs(full.mean() - direct.mean) < 5.0 * se
+
+
+_MLE_SPECS = [
+    FunctionalSpec(Kind.RATE_POWER, p=0.5),
+    FunctionalSpec(Kind.RATE_POWER, p=-2.0, allow_negative_integer_p=True),
+    FunctionalSpec(Kind.QUANTILE, q=0.3),
+    FunctionalSpec(Kind.MOMENT, p=2.5),
+    FunctionalSpec(Kind.SURVIVAL, t=0.7),
+    FunctionalSpec(Kind.MAX_CDF_POWER, t=0.7, m=3),
+    FunctionalSpec(Kind.MIN_SURVIVAL, t=0.7, m=2),
+    FunctionalSpec(Kind.PDF, t=0.7),
+    FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=0.7),
+    FunctionalSpec(Kind.MGF, t=0.005),
+    FunctionalSpec(Kind.EXPECTED_SHORTFALL, p=0.9),
+    FunctionalSpec(Kind.CUSTOM, custom_transform=TransferFunction(lambda s: s / (s + 1.0))),
+]
+
+
+class TestVectorTarget:
+    @pytest.mark.parametrize("spec", _MLE_SPECS, ids=lambda s: s.kind.value)
+    def test_array_matches_scalar(self, spec):
+        lams = np.logspace(-2.0, 2.0, 201)
+        vec = target_value(spec, lams)
+        scalar = np.array([target_value(spec, float(v)) for v in lams])
+        assert isinstance(vec, np.ndarray) and vec.shape == lams.shape
+        # numpy and math agree to an ulp or so; the mean-past-lifetime
+        # difference t/(1-e^{-lam t}) - 1/lam cancels up to ~400x on this grid
+        np.testing.assert_allclose(vec, scalar, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("spec", _MLE_SPECS, ids=lambda s: s.kind.value)
+    def test_scalars_stay_float(self, spec):
+        for lam in (1.25, np.float64(1.25), np.array(1.25), 2):
+            assert type(target_value(spec, lam)) is float
+
+    def test_array_domain(self):
+        spec = FunctionalSpec(Kind.SURVIVAL, t=1.0)
+        for bad in ([1.0, 0.0], [1.0, np.inf], [np.nan]):
+            with pytest.raises(DomainError):
+                target_value(spec, np.array(bad))
+        with pytest.raises(DomainError):
+            target_value(FunctionalSpec(Kind.MGF, t=1.0), np.array([2.0, 0.5]))
+
+
+class TestCltHistogram:
+    def test_simulates_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_collect(*args, **kwargs):
+            calls.append(args[0])
+            return _collect(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_collect", counting_collect)
+        hist = tmp_path / "hist.csv"
+        reps = 3000
+        code = cli.main(["clt", "--kind", "survival", "--t", "0.5", "--n", "30",
+                         "--lambda", "1", "--reps", str(reps), "--seed", "4",
+                         "--out", str(tmp_path / "out.json"), "--hist", str(hist)])
+        assert code == 0
+        assert len(calls) == 1
+        counts = [int(r.split(",")[2]) for r in hist.read_text().splitlines()[1:]]
+        assert sum(counts) == reps

@@ -234,7 +234,7 @@ def target_value(spec: FunctionalSpec, lam):
     if k is Kind.PDF:
         return lam * xp.exp(-lam * spec.t)
     if k is Kind.MEAN_PAST_LIFETIME:
-        return spec.t / (-xp.expm1(-lam * spec.t)) - 1.0 / lam
+        return _mean_past_lifetime_target(spec.t, lam, xp)
     if k is Kind.MGF:
         if np.any(spec.t >= lam):
             raise DomainError("MGF target requires t < lambda")
@@ -247,6 +247,30 @@ def target_value(spec: FunctionalSpec, lam):
             return float(xi(lam))
         return np.vectorize(lambda v: float(xi(v)), otypes=[float])(lam)
     raise SpecError(f"unknown kind {k!r}")
+
+
+# below this lam*t the mean-past-lifetime target uses its series form
+_MPL_SERIES_CUTOFF = 0.1
+
+
+def _mean_past_lifetime_target(t: float, lam, xp):
+    # t/(1 - e^{-u}) - 1/lam with u = lam t cancels as u -> 0 (relative error
+    # about 2 eps/u).  Below the cutoff use the Bernoulli series
+    # (1/lam)(u/2 + u^2/12 - u^4/720 + u^6/30240 - u^8/1209600) = t(1/2 + ...);
+    # its first omitted term, u^10/47900160, is under 1e-16 of the sum there.
+    def series(u):
+        v = u * u
+        return t * (0.5 + u * (1.0 / 12.0 + v * (-1.0 / 720.0 + v * (
+            1.0 / 30240.0 - v / 1209600.0))))
+
+    u = lam * t
+    if xp is math:
+        if u < _MPL_SERIES_CUTOFF:
+            return series(u)
+        return t / (-math.expm1(-lam * t)) - 1.0 / lam
+    with np.errstate(all="ignore"):  # the series replaces what overflows here
+        direct = t / (-np.expm1(-lam * t)) - 1.0 / lam
+    return np.where(u < _MPL_SERIES_CUTOFF, series(np.minimum(u, _MPL_SERIES_CUTOFF)), direct)
 
 
 # ---------------------------------------------------------------------------
@@ -346,20 +370,41 @@ def pdf_at(sample_mean, n, t):
 def mean_past_lifetime(sample_mean, n, t):
     """Unbiased estimate of E[t - X | X <= t].
 
-    t * sum_{k=0}^{K} (1 - tk/(n mean))^{n-1} - mean, truncated exactly at
-    K = floor(n mean / t): all later indicator terms vanish.
+    t * sum_k 1{mean >= tk/n} (1 - tk/(n mean))^{n-1} - mean.  Indicator
+    terms vanish beyond floor(n mean / t); for n >= 2 the sum is also cut
+    per point where its remaining tail falls below 2^-60 of the k = 0 term,
+    which is below double precision, so the work per point is bounded
+    independently of n.  Memory is O(points).
     """
     n = _check_n(n)
     t = _check_positive("t", t)
     x, scalar = _mean_array(sample_mean)
-    xa = np.atleast_1d(x)
-    k_max = int(np.floor(n * float(np.max(xa)) / t))
-    k = np.arange(0, k_max + 1, dtype=float)
-    a = t * k / n  # indicator thresholds
-    ind = xa[:, None] >= a[None, :]
-    base = np.where(ind, 1.0 - a[None, :] / xa[:, None], 0.0)
-    terms = np.where(ind, base ** (n - 1), 0.0)
-    val = t * terms.sum(axis=1) - xa
+    if x.size == 0:
+        return np.empty(x.shape)
+    order = np.argsort(x, axis=None, kind="stable")
+    xs = x.reshape(-1)[order]
+    k_hi = int(math.floor(n * float(xs[-1]) / t))
+    if n > 1:
+        # Term k is at most e^{-ck} with c = (n-1)t/(n mean), so the tail
+        # after K is at most e^{-c(K+1)}/(1 - e^{-c}) <= e^{-c(K+1)}(1+c)/c.
+        # That is below 2^-60 (60 ln 2 = 41.59 nats) once
+        # c(K+1) >= 41.59 + ln(1 + 1/c), which K = ceil((42 + ln(1 + 1/c))/c)
+        # satisfies.  K grows with the mean, so for each k the points that
+        # still need term k form a suffix of the sorted means.
+        c = (n - 1) * t / (n * xs)
+        k_tail = np.ceil((42.0 + np.log1p(1.0 / c)) / c)
+        k_hi = min(k_hi, int(k_tail[-1]))
+    ks = np.arange(1, k_hi + 1)
+    a = t * ks / n
+    lo = np.searchsorted(xs, a)  # first point with x >= a_k
+    if n > 1:
+        lo = np.maximum(lo, np.searchsorted(k_tail, ks))
+    total = np.zeros_like(xs)
+    # smallest terms first, so each point's sum is added from its tail up
+    for s, a_k in zip(lo[::-1].tolist(), a[::-1].tolist()):
+        total[s:] += (1.0 - a_k / xs[s:]) ** (n - 1)
+    val = np.empty_like(xs)
+    val[order] = t * (1.0 + total) - xs
     return _ret(val.reshape(x.shape), scalar)
 
 

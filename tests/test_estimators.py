@@ -6,7 +6,9 @@ test_oracle.py and the acceptance suite.
 """
 
 import math
+import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -88,6 +90,22 @@ class TestTargetValue:
         with pytest.raises(DomainError):
             target_value(spec, 1.0)
         assert target_value(spec, 4.0) == pytest.approx(2.0, rel=1e-14)
+
+    def test_mean_past_lifetime_small_rate_against_mpmath(self):
+        # t/(1 - e^{-u}) - 1/lam cancels as u = lam t -> 0; scalar and array
+        # paths must both keep full precision across the cutoff
+        t = 0.7
+        spec = FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=t)
+        lams = np.geomspace(1e-12, 50.0, 181) / t
+        vec = target_value(spec, lams)
+        with mp.workdps(40):
+            for lam, v in zip(lams, vec):
+                lm = mp.mpf(float(lam))
+                ref = float(t / (1 - mp.exp(-lm * t)) - 1 / lm)
+                scalar = target_value(spec, float(lam))
+                assert type(scalar) is float
+                assert scalar == pytest.approx(ref, rel=1e-13, abs=0.0)
+                assert v == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 class TestRatePower:
@@ -230,6 +248,58 @@ class TestMeanPastLifetime:
             for k in range(k_hi + 1) if xb >= t * k / n
         ) - xb
         assert base == pytest.approx(manual, rel=1e-13)
+
+    @staticmethod
+    def _reference(x, n, t):
+        # the sum in 40 digits, the indicator x >= tk/n in double as stated
+        with mp.workdps(40):
+            xm, total, k = mp.mpf(x), mp.mpf(0), 0
+            while x >= t * k / n:
+                term = (1 - mp.mpf(t) * k / (n * xm)) ** (n - 1)
+                total += term
+                if n > 1 and term < mp.mpf(10) ** -36 * total:
+                    break
+                k += 1
+            return float(t * total - xm)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 30, 200, 1000])
+    @pytest.mark.parametrize("t", [0.05, 0.5, 3.0])
+    def test_accuracy_against_mpmath(self, n, t):
+        # below the first kink, between kinks, around the mean and far in the
+        # tail of the sample-mean law (no mean sits on a kink, where n = 1
+        # leaves a value that is pure rounding)
+        xs = np.array([0.37 * t / n, 2.5 * t / n, 0.4137, 0.9713, 1.7319, 4.3211, 12.577])
+        got = mean_past_lifetime(xs, n, t)
+        for x, g in zip(xs, got):
+            assert g == pytest.approx(self._reference(float(x), n, t), rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    def test_array_matches_scalar_in_input_order_and_shape(self, n):
+        t = 0.3
+        xs = np.random.default_rng(4).gamma(n, 1.0 / n, 24) + 1e-3
+        grid = xs.reshape(4, 6)
+        got = mean_past_lifetime(grid, n, t)
+        assert got.shape == (4, 6)
+        scalars = np.array([mean_past_lifetime(float(x), n, t) for x in xs])
+        assert all(type(mean_past_lifetime(float(x), n, t)) is float for x in xs[:3])
+        np.testing.assert_array_equal(got.reshape(-1), scalars)
+        flipped = mean_past_lifetime(xs[::-1], n, t)
+        np.testing.assert_array_equal(flipped, scalars[::-1])
+
+    def test_empty_input(self):
+        assert mean_past_lifetime(np.array([]), 5, 0.5).shape == (0,)
+
+    def test_memory_is_linear_in_points(self):
+        # a points x floor(n max/t) matrix would need tens of GiB here
+        x = np.random.default_rng(0).permutation(np.linspace(1e-3, 1.3, 200_000))
+        tracemalloc.start()
+        try:
+            out = mean_past_lifetime(x, 1000, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * x.nbytes
+        assert np.all(np.isfinite(out))
 
 
 class TestMgf:

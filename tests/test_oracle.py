@@ -98,6 +98,12 @@ class TestVerifyUnbiasedness:
         assert pts[0] == pytest.approx(0.1)
         assert len(pts) == math.ceil(5 * 8.0 / 0.5)
 
+    def test_mean_past_lifetime_large_n(self):
+        # about 13000 kinks, each integrand call a few hundred thousand points
+        spec = FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=0.1)
+        rep = verify_unbiasedness(spec, 1000, 1.0)
+        assert rep.rel_bias < 1e-9
+
 
 class TestTateEstimators:
     def test_rate_power_indicator_boundary(self):

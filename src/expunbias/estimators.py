@@ -401,8 +401,14 @@ def mean_past_lifetime(sample_mean, n, t):
         lo = np.maximum(lo, np.searchsorted(k_tail, ks))
     total = np.zeros_like(xs)
     # smallest terms first, so each point's sum is added from its tail up
-    for s, a_k in zip(lo[::-1].tolist(), a[::-1].tolist()):
-        total[s:] += (1.0 - a_k / xs[s:]) ** (n - 1)
+    if xs.size == 1:
+        # one point: its terms in one vector, accumulated in the same order
+        terms = (1.0 - a[lo == 0] / xs) ** (n - 1)
+        if terms.size:
+            total[0] = np.cumsum(terms[::-1])[-1]
+    else:
+        for s, a_k in zip(lo[::-1].tolist(), a[::-1].tolist()):
+            total[s:] += (1.0 - a_k / xs[s:]) ** (n - 1)
     val = np.empty_like(xs)
     val[order] = t * (1.0 + total) - xs
     return _ret(val.reshape(x.shape), scalar)

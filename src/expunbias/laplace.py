@@ -14,7 +14,9 @@ and equivalently the Riemann-Liouville convolution of invL{xi(s/n)} against
   drown the result in rounding noise.  The estimator path escalates the
   order automatically until two consecutive orders agree, since the
   composed transform's original grows like x^{n-1} and needs high orders
-  for large n.
+  for large n.  The abscissae do not depend on the order, so the ladder
+  evaluates each one once, at the precision of its top order, and every
+  order sums a prefix of the same values.
 * Fixed Talbot: deformed Bromwich contour, double-precision complex
   arithmetic; requires a complex evaluator.
 * Convolution quadrature: pointwise inversion of xi(s/n) fed through the
@@ -152,29 +154,53 @@ def _eval_mp(fn: Callable, s):
     return mp.mpf(float(val))
 
 
-def _gs_sum_mp(fn: Callable, t: float, order: int, sigma: float = 0.0) -> float:
-    """One Gaver-Stehfest evaluation at extended precision.
+@lru_cache(maxsize=None)
+def _stehfest_weights_mp(order: int, dps: int) -> tuple:
+    # rounded to ``dps`` digits once per process
+    with mp.workdps(dps):
+        return tuple(mp.mpf(w.numerator) / mp.mpf(w.denominator)
+                     for w in _stehfest_weight_fractions(order))
+
+
+def _gs_ladder(fn: Callable, t: float, orders: list[int], sigma: float = 0.0) -> float:
+    """Gaver-Stehfest inversion at extended precision, climbing ``orders``.
 
     Returns invL{ F(sigma + .) }(t) * e^{sigma t}, i.e. the inversion of F
-    shifted so its singularities sit left of every sample point.
+    shifted so its singularities sit left of every sample point.  The
+    abscissae sigma + k ln2/t do not depend on the order, so each is
+    evaluated once, at the precision of the last order (2.2 digits per
+    order + 15), and every order sums a prefix of the same values.  The
+    climb stops at the first order that agrees with the one before to 5e-9
+    relative; if the last two still differ by more than 1e-3 it raises.  A
+    single order is the plain fixed-order sum.
     """
-    dps = int(2.2 * order) + 15
+    dps = int(2.2 * orders[-1]) + 15
     with mp.workdps(dps):
         ln2_t = mp.ln(2) / mp.mpf(t)
         sig = mp.mpf(sigma)
-        fracs = _stehfest_weight_fractions(order)
-        total = mp.mpf(0)
-        for k in range(1, order + 1):
-            fk = _eval_mp(fn, sig + k * ln2_t)
-            if not mp.isfinite(fk):
-                raise InversionError(
-                    "transform evaluated non-finite on the Gaver-Stehfest abscissae",
-                    {"method": "gaver-stehfest", "order": order, "t": t,
-                     "abscissa": float(sig + k * ln2_t)})
-            w = mp.mpf(fracs[k - 1].numerator) / mp.mpf(fracs[k - 1].denominator)
-            total += w * fk
-        total *= ln2_t * mp.e ** (sig * mp.mpf(t))
-        return float(total)
+        factor = ln2_t * mp.e ** (sig * mp.mpf(t))
+        fvals = []
+        values = []
+        for order in orders:
+            for k in range(len(fvals) + 1, order + 1):
+                fk = _eval_mp(fn, sig + k * ln2_t)
+                if not mp.isfinite(fk):
+                    raise InversionError(
+                        "transform evaluated non-finite on the Gaver-Stehfest abscissae",
+                        {"method": "gaver-stehfest", "order": order, "t": t,
+                         "abscissa": float(sig + k * ln2_t)})
+                fvals.append(fk)
+            val = float(mp.fdot(_stehfest_weights_mp(order, dps), fvals) * factor)
+            if values:
+                prev = values[-1]
+                if abs(val - prev) <= 5e-9 * max(abs(val), abs(prev), 1e-300):
+                    return val
+            values.append(val)
+    if len(values) >= 2 and abs(values[-1] - values[-2]) > 1e-3 * max(abs(values[-1]), 1e-300):
+        raise InversionError(
+            "Gaver-Stehfest results kept oscillating beyond tolerance",
+            {"method": "gaver-stehfest", "orders": list(orders), "values": values, "t": t})
+    return values[-1]
 
 
 def invert_gaver_stehfest(transform: TransferFunction, t: float, order: int = 16) -> float:
@@ -187,7 +213,7 @@ def invert_gaver_stehfest(transform: TransferFunction, t: float, order: int = 16
         raise DomainError("inversion time t must be finite and positive")
     if order % 2 != 0 or not 8 <= order <= 20:
         raise ConfigurationError("Gaver-Stehfest order must be even and in [8, 20]")
-    return _gs_sum_mp(transform.eval_real, float(t), int(order))
+    return _gs_ladder(transform.eval_real, float(t), [int(order)])
 
 
 def _gs_sum_double(fn: Callable[[float], float], t: float, order: int,
@@ -283,29 +309,10 @@ def _gs_direct_escalating(xi: TransferFunction, n: int, xbar: float,
     relative; diverging results raise with diagnostics.  Transforms that
     evaluate in double precision only are capped at order 20.
     """
-    sigma = _shift_for(xi, n)
-    G = _composed_real(xi, n)
     orders = [start_order] + [o for o in _GS_LADDER if o > start_order]
     if not mp_capable:
         orders = [o for o in orders if o <= 20] or [start_order]
-    values = []
-    prev = None
-    for order in orders:
-        val = _gs_sum_mp(G, xbar, order, sigma=sigma)
-        values.append((order, val))
-        if prev is not None:
-            scale = max(abs(val), abs(prev), 1e-300)
-            if abs(val - prev) <= 5e-9 * scale:
-                return val
-        prev = val
-    last = values[-1][1]
-    scale = max(abs(last), 1e-300)
-    if len(values) >= 2 and abs(last - values[-2][1]) > 1e-3 * scale:
-        raise InversionError(
-            "Gaver-Stehfest results kept oscillating beyond tolerance",
-            {"method": "gaver-stehfest", "orders": [o for o, _ in values],
-             "values": [v for _, v in values], "t": xbar})
-    return last
+    return _gs_ladder(_composed_real(xi, n), xbar, orders, sigma=_shift_for(xi, n))
 
 
 def _phi_value(xi: TransferFunction, n: int, xbar: float,

@@ -119,7 +119,9 @@ def _kummer_series(n: int, x: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         log_mag = n * np.log(np.abs(x)) - x + np.log(total)
     sign = np.where((x < 0.0) & (n % 2 == 1), -1.0, 1.0)
-    return sign * np.exp(log_mag)
+    # overflow becomes inf, which the caller reports as RangeError
+    with np.errstate(over="ignore"):
+        return sign * np.exp(log_mag)
 
 
 def _closed_sum(n: int, x: np.ndarray) -> np.ndarray:
@@ -135,9 +137,15 @@ def _closed_sum(n: int, x: np.ndarray) -> np.ndarray:
         t = s + y
         comp = (t - s) - y
         s = t
+    try:
+        gamma_n = math.exp(log_gamma(n))
+    except OverflowError:
+        # (n-1)! leaves double range from n = 172 on; the caller's
+        # finiteness check turns the inf into RangeError
+        gamma_n = math.inf
     with np.errstate(over="ignore"):
         factor = 1.0 - np.exp(-x) * s
-        return math.exp(log_gamma(n)) * factor if n > 1 else factor
+        return gamma_n * factor if n > 1 else factor
 
 
 def lower_incomplete_gamma_int(n, x):

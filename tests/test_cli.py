@@ -197,3 +197,14 @@ class TestClt:
         assert main(args + ["--jobs", "1", "--out", str(out1)]) == EXIT_OK
         assert main(args + ["--jobs", "4", "--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestVerifyOverflow:
+    @pytest.mark.parametrize("lam", ["1.0", "2.0"])
+    def test_mgf_large_n_is_a_numerical_failure(self, lam, capsys):
+        # the n = 200 MGF estimator overflows inside the incomplete gamma;
+        # both rates must end in the typed numerical-failure exit
+        code, _, err = run(["verify", "--kinds", "mgf", "--n", "200",
+                            "--lambda", lam], capsys)
+        assert code == EXIT_NUMERICAL
+        assert "overflowed" in err

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from expunbias.errors import (ConfigurationError, DomainError,
+from expunbias.errors import (ConfigurationError, DomainError, InversionError,
                               UnsupportedTransformError)
 from expunbias.estimators import (FunctionalSpec, Family, Kind, Sample, mgf,
                                   moment, quantile, rate_power)
@@ -200,3 +200,77 @@ class TestGenericPathUnbiasedness:
         phi = np.vectorize(generic_phi(xi, 3, _GS), otypes=[float])
         value, _ = expectation(phi, 3, 1.0, rel_tol=1e-6)
         assert value == pytest.approx(2.0, rel=1e-5)
+
+
+# (transform, real-only, n, xbar, order the ladder stops at, result as
+# float.hex); the results are those of the per-order sums that evaluated
+# the transform afresh at every order, which the shared-abscissa ladder
+# must reproduce bit for bit
+_LADDER_CASES = {
+    "moment-p0.5": (builtin_transfer_function(FunctionalSpec(Kind.MOMENT, p=0.5)),
+                    False, 5, 1.3, 32, "0x1.0936b93f862cfp+0"),
+    "user-real": (TransferFunction(eval_real=lambda lam: lam / (lam + 1.0)),
+                  True, 10, 0.8, 40, "0x1.16bb419113493p-1"),
+    "mgf-t0.5": (builtin_transfer_function(FunctionalSpec(Kind.MGF, t=0.5)),
+                 False, 2, 0.7, 26, "0x1.72be6cc6e1b25p+0"),
+}
+
+
+def _counting_phi(xi, real_only, n):
+    calls = []
+
+    def fn(lam):
+        calls.append(lam)
+        return xi.eval_real(lam)
+    counted = TransferFunction(eval_real=fn,
+                               largest_real_singularity=xi.largest_real_singularity)
+    phi = generic_phi(counted, n, None if real_only else _GS)
+    calls.clear()  # drop the precision probe made while building phi
+    return phi, calls
+
+
+class TestGaverStehfestLadder:
+    @pytest.mark.parametrize("case", sorted(_LADDER_CASES))
+    def test_one_evaluation_per_abscissa(self, case):
+        xi, real_only, n, xbar, stop, _ = _LADDER_CASES[case]
+        phi, calls = _counting_phi(xi, real_only, n)
+        phi(xbar)
+        assert len(calls) == stop <= 40
+        # the calls are xi((sigma + k ln2/xbar)/n) for k = 1..stop, each once
+        sigma = n * (xi.largest_real_singularity or 0.0)
+        got = [float(lam) * n for lam in calls]
+        want = [sigma + k * math.log(2.0) / xbar for k in range(1, stop + 1)]
+        assert got == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("case", sorted(_LADDER_CASES))
+    def test_results_unchanged(self, case):
+        xi, real_only, n, xbar, _, expected = _LADDER_CASES[case]
+        assert generic_phi(xi, n, None if real_only else _GS)(xbar).hex() == expected
+
+    @pytest.mark.parametrize("case,closed", [("moment-p0.5", lambda x, n: moment(x, n, 0.5)),
+                                             ("mgf-t0.5", lambda x, n: mgf(x, n, 0.5))])
+    def test_recorded_results_match_closed_forms(self, case, closed):
+        _, _, n, xbar, _, expected = _LADDER_CASES[case]
+        assert float.fromhex(expected) == pytest.approx(closed(xbar, n), rel=1e-8)
+
+    def test_non_finite_abscissa_raises_with_diagnostics(self):
+        # inf at the 17th abscissa: the first order (16) passes, the second
+        # (20) meets it
+        bad = 17 * math.log(2.0)
+
+        def fn(s):
+            return math.inf if abs(float(s) - bad) < 1e-9 else 1.0 / s
+        with pytest.raises(InversionError) as info:
+            generic_phi(TransferFunction(eval_real=fn), 1, _GS)(1.0)
+        diag = info.value.diagnostics
+        assert set(diag) == {"method", "order", "t", "abscissa"}
+        assert diag["method"] == "gaver-stehfest" and diag["order"] == 20
+        assert diag["t"] == 1.0 and diag["abscissa"] == pytest.approx(bad, rel=1e-14)
+
+    def test_fixed_order_non_finite_raises(self):
+        bad = 3 * math.log(2.0) / 2.0
+        fn = lambda s: math.inf if abs(float(s) - bad) < 1e-9 else 1.0 / s
+        with pytest.raises(InversionError) as info:
+            invert_gaver_stehfest(_tf(fn), 2.0, 16)
+        assert set(info.value.diagnostics) == {"method", "order", "t", "abscissa"}
+        assert info.value.diagnostics["order"] == 16

@@ -5,6 +5,7 @@ scipy's independent implementations.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,3 +150,18 @@ class TestLowerIncompleteGamma:
     def test_non_integer_order_rejected(self):
         with pytest.raises(DomainError):
             lower_incomplete_gamma_int(2.5, 1.0)
+
+
+class TestOverflowIsTyped:
+    # (n-1)! leaves double range at n = 172 (closed-sum branch, |x| >= n);
+    # x^n e^{-x} does at n = 200, x = 60 (series branch, |x| < n)
+    @pytest.mark.parametrize("n,x", [(172, 206.4), (200, 60.0)])
+    def test_range_error_without_warning(self, n, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError):
+                lower_incomplete_gamma_int(n, x)
+
+    def test_just_below_the_limit_is_finite(self):
+        got = lower_incomplete_gamma_int(171, 206.4)
+        assert got == pytest.approx(sp.gammainc(171, 206.4) * math.gamma(171), rel=1e-10)

@@ -23,7 +23,7 @@ class SpecError(DomainError):
 
 class RangeError(ExpunbiasError, ArithmeticError):
     """A value is representable in principle but not at working precision
-    (overflow, or a guard such as |x| > 700 in the incomplete gamma sum)."""
+    (overflow, or a guard such as |x| > 700 in the incomplete gamma)."""
 
 
 class ConfigurationError(ExpunbiasError, ValueError):

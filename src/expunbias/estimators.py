@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.special import hyp1f1
 
 from .errors import DomainError, RangeError, SpecError
-from .special import log_gamma, lower_incomplete_gamma_int
+from .special import _log_gamma_ratio, log_gamma
 
 __all__ = [
     "Kind", "Family", "FunctionalSpec", "Sample", "EstimateResult",
@@ -290,7 +291,7 @@ def rate_power(sample_mean, n, p):
     if p >= n:
         raise DomainError(f"rate-power needs p < n (got p={p}, n={n})")
     x, scalar = _mean_array(sample_mean)
-    coef = math.exp(log_gamma(n) - p * math.log(n) - log_gamma(n - p))
+    coef = math.exp(-_log_gamma_ratio(n, -p) - p * math.log(n))
     return _ret(coef * x ** (-p), scalar)
 
 
@@ -310,7 +311,7 @@ def moment(sample_mean, n, p):
     if p <= -1.0:
         raise DomainError("moment exponent requires p > -1")
     x, scalar = _mean_array(sample_mean)
-    coef = math.exp(log_gamma(p + 1.0) + log_gamma(n) + p * math.log(n) - log_gamma(p + n))
+    coef = math.exp(log_gamma(p + 1.0) + p * math.log(n) - _log_gamma_ratio(n, p))
     return _ret(coef * x ** p, scalar)
 
 
@@ -417,9 +418,8 @@ def mean_past_lifetime(sample_mean, n, t):
 def mgf(sample_mean, n, t):
     """Unbiased estimate of E[e^{tX}].
 
-    e^{w} gamma(n, w) / w^{n-1} + 1 with w = n t mean; computed through
-    logs so the e^{w} factor cannot overflow before the estimate itself
-    does.  t = 0 short-circuits to 1.
+    Kummer's function M(1, n, w) with w = n t mean, which equals
+    e^{w} gamma(n, w) / w^{n-1} + 1 (DLMF 8.5.1).  t = 0 short-circuits to 1.
     """
     n = _check_n(n)
     t = float(t)
@@ -428,16 +428,10 @@ def mgf(sample_mean, n, t):
     x, scalar = _mean_array(sample_mean)
     if t == 0.0:
         return _ret(np.ones(np.shape(x)) if not scalar else np.float64(1.0), scalar)
-    xa = np.atleast_1d(x)
-    w = n * t * xa
-    g = np.atleast_1d(np.asarray(lower_incomplete_gamma_int(n, w), dtype=float))
-    sign = np.sign(g) * np.where((w < 0) & ((n - 1) % 2 == 1), -1.0, 1.0)
-    with np.errstate(divide="ignore"):
-        log_mag = w + np.log(np.abs(g)) - (n - 1) * np.log(np.abs(w))
-    val = 1.0 + sign * np.exp(log_mag)
+    val = hyp1f1(1.0, n, n * t * x)
     if not np.all(np.isfinite(val)):
         raise RangeError("MGF estimate overflowed double precision")
-    return _ret(val.reshape(x.shape), scalar)
+    return _ret(val, scalar)
 
 
 def expected_shortfall(sample_mean, p_level):
@@ -527,7 +521,7 @@ def closed_form_variance_unbiased(p, n, lam) -> float:
     lam = _check_positive("lambda", lam)
     if p <= -n / 2.0:
         raise DomainError(f"variance formula requires p > -n/2 (got p={p}, n={n})")
-    bracket = math.expm1(log_gamma(n) + log_gamma(2.0 * p + n) - 2.0 * log_gamma(p + n))
+    bracket = math.expm1(_log_gamma_ratio(n, 2.0 * p) - 2.0 * _log_gamma_ratio(n, p))
     return math.exp(2.0 * log_gamma(p + 1.0)) * lam ** (-2.0 * p) * bracket
 
 

@@ -27,10 +27,9 @@ from scipy import special as _sp
 from .errors import DegenerateError, DomainError, NondifferentiableError
 from .estimators import (Family, FunctionalSpec, Kind, Sample,
                          closed_form_variance_mle,
-                         closed_form_variance_unbiased, mgf, phi_function,
-                         target_value)
+                         closed_form_variance_unbiased, moment, phi_function,
+                         rate_power, target_value)
 from .oracle import tate_phi_function
-from .special import log_gamma
 
 __all__ = [
     "McConfig", "McSummary", "sample_exponential", "empirical_bias",
@@ -176,12 +175,9 @@ def variance_comparison(p: float, config: McConfig
     if p <= -0.5 or p == 0.0:
         raise DomainError("variance comparison requires p > -1/2 and nonzero")
     n = config.n
-    coef = math.exp(log_gamma(p + 1.0) + log_gamma(n) + p * math.log(n)
-                    - log_gamma(p + n))
 
     def stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        xbar = x.mean(axis=1)
-        return coef * xbar ** p, np.mean(x ** p, axis=1)
+        return moment(x.mean(axis=1), n, p), np.mean(x ** p, axis=1)
 
     unbiased_vals, mle_vals = _collect(config, stats, 2)
     return (_summary(unbiased_vals), _summary(mle_vals),
@@ -201,16 +197,11 @@ def _phi_prime_analytic(spec: FunctionalSpec, n: int, mu: float) -> float:
     """d/d mean of the closed-form estimator, evaluated away from kinks."""
     k = spec.kind
     if k is Kind.RATE_POWER:
-        p = spec.p
-        coef = math.exp(log_gamma(n) - p * math.log(n) - log_gamma(n - p))
-        return -p * coef * mu ** (-p - 1.0)
+        return -spec.p * rate_power(mu, n, spec.p) / mu
     if k is Kind.QUANTILE:
         return -math.log1p(-spec.q)
     if k is Kind.MOMENT:
-        p = spec.p
-        coef = math.exp(log_gamma(p + 1.0) + log_gamma(n) + p * math.log(n)
-                        - log_gamma(p + n))
-        return p * coef * mu ** (p - 1.0)
+        return spec.p * moment(mu, n, spec.p) / mu
     if k is Kind.SURVIVAL:
         a = spec.t / n
         return (n - 1.0) * _gated_power(mu, a, n - 2) * a / mu ** 2
@@ -239,12 +230,8 @@ def _phi_prime_analytic(spec: FunctionalSpec, n: int, mu: float) -> float:
             total += spec.t * (n - 1.0) * _gated_power(mu, a, n - 2) * a / mu ** 2
         return total
     if k is Kind.MGF:
-        t = spec.t
-        if t == 0.0:
-            return 0.0
-        w = n * t * mu
-        tail = float(mgf(mu, n, t)) - 1.0  # e^w gamma(n,w) / w^{n-1}
-        return n * t * (tail * (1.0 + (1.0 - n) / w) + 1.0)
+        # d/dw M(1, n, w) = M(2, n+1, w)/n (DLMF 13.3.15), w = n t mean
+        return spec.t * float(_sp.hyp1f1(2.0, n + 1.0, n * spec.t * mu))
     if k is Kind.EXPECTED_SHORTFALL:
         return 1.0 - math.log1p(-spec.p)
     raise DomainError(f"no derivative table entry for kind {k.value!r}")

@@ -440,3 +440,49 @@ class TestVarianceFormulas:
             closed_form_variance_mle(-0.5, 5, 1.0)
         with pytest.raises(DomainError):
             closed_form_variance_unbiased(-1.0, 2, 1.0)
+
+
+_LARGE_N = [1, 2, 5, 30, 200, 1000, 10_000]
+
+
+class TestGammaKernelAgainstMpmath:
+    # 50-digit references; the Gamma-ratio coefficients must not lose digits
+    # as n grows (log-gamma differences lose about eps * n ln n)
+    @pytest.mark.parametrize("n,p", [(n, p) for n in _LARGE_N for p in (-0.9, 3.7) if p < n])
+    def test_rate_power(self, n, p):
+        with mp.workdps(50):
+            for x in (0.3, 1.7):
+                ref = mp.gamma(n) / (mp.mpf(n) ** p * mp.gamma(n - mp.mpf(p))) \
+                    * mp.mpf(x) ** -mp.mpf(p)
+                assert rate_power(x, n, p) == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n", _LARGE_N)
+    @pytest.mark.parametrize("p", [-0.9, 3.7])
+    def test_moment(self, n, p):
+        with mp.workdps(50):
+            pm = mp.mpf(p)
+            for x in (0.3, 1.7):
+                ref = mp.gamma(pm + 1) * mp.gamma(n) * mp.mpf(n) ** pm \
+                    / mp.gamma(pm + n) * mp.mpf(x) ** pm
+                assert moment(x, n, p) == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n", _LARGE_N)
+    @pytest.mark.parametrize("t", [-3.0, -0.5, 0.5, 0.9])
+    def test_mgf_is_finite_and_accurate_or_raises(self, n, t):
+        # M(1, n, n t mean); where the true value leaves double range the
+        # estimator must raise RangeError instead of returning a number
+        for x in (0.3, 1.0, 1.7, 10.0):
+            with mp.workdps(50):
+                ref = mp.hyp1f1(1, n, mp.mpf(n) * mp.mpf(t) * mp.mpf(x), maxterms=10 ** 6)
+            if ref > 1e300:
+                with pytest.raises(RangeError):
+                    mgf(x, n, t)
+            else:
+                assert mgf(x, n, t) == pytest.approx(float(ref), rel=1e-10, abs=0.0)
+
+    def test_mgf_array_matches_scalar(self):
+        xs = np.array([[0.3, 1.0], [1.7, 2.2]])
+        got = mgf(xs, 200, 0.5)
+        assert got.shape == xs.shape
+        assert all(type(mgf(float(x), 200, 0.5)) is float for x in xs.ravel())
+        np.testing.assert_array_equal(got.ravel(), [mgf(float(x), 200, 0.5) for x in xs.ravel()])

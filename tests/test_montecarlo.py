@@ -185,6 +185,19 @@ class TestAsymptoticVariance:
         with pytest.raises(DegenerateError):
             asymptotic_variance(spec, 5, 1.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 30, 200, 1000, 10_000])
+    @pytest.mark.parametrize("t", [-2.0, 0.5])
+    def test_mgf_against_mpmath(self, n, t):
+        # phi'(mean) = t M(2, n+1, n t mean); the reference is 50-digit
+        # mpmath (which needs more than its default terms at n = 10^4)
+        import mpmath as mp
+        lam = 1.0
+        with mp.workdps(50):
+            deriv = t * mp.hyp1f1(2, n + 1, n * mp.mpf(t) / lam, maxterms=10 ** 6)
+            ref = float((deriv / lam) ** 2)
+        got = asymptotic_variance(FunctionalSpec(Kind.MGF, t=t), n, lam)
+        assert got == pytest.approx(ref, rel=1e-13)
+
 
 class TestCltCheck:
     def test_moment_p1_pilot(self):

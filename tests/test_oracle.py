@@ -34,6 +34,29 @@ class TestGammaMeanDensity:
         out = gamma_mean_density(xs, 3, 1.0)
         assert out.shape == xs.shape
 
+    @pytest.mark.parametrize("n", [2, 200, 10_000])
+    @pytest.mark.parametrize("lam", [1.0, 0.37])
+    def test_against_mpmath_from_zero_to_far_tail(self, n, lam):
+        # the log density carries (n-1) ln y and n (y-1) with y = lam x, so
+        # its rounding error is a few eps times their size: the reference
+        # bound is set from that, not from the n ln n of the log-gammas
+        import mpmath as mp
+        ys = np.concatenate([np.geomspace(1e-9, 0.9, 25),
+                             1.0 + np.linspace(-6.0, 40.0, 24) / math.sqrt(n),
+                             np.geomspace(1.1, 60.0, 20)])
+        for y in ys[ys > 0.0]:
+            x = float(y) / lam
+            with mp.workdps(50):
+                rate = n * mp.mpf(lam)
+                ref = rate ** n * mp.mpf(x) ** (n - 1) * mp.exp(-rate * x) / mp.gamma(n)
+            got = gamma_mean_density(x, n, lam)
+            if ref < 1e-300:
+                assert got < 1e-290
+                continue
+            y = lam * x
+            bound = 4e-16 * (20.0 + (n - 1) * abs(math.log(y)) + n * abs(y - 1.0))
+            assert got == pytest.approx(float(ref), rel=bound, abs=0.0)
+
 
 class TestExpectation:
     def test_constant(self):
@@ -97,6 +120,21 @@ class TestVerifyUnbiasedness:
         pts = kink_points(spec, 5, 8.0)
         assert pts[0] == pytest.approx(0.1)
         assert len(pts) == math.ceil(5 * 8.0 / 0.5)
+
+    @pytest.mark.parametrize("n", [1000, 5000, 10_000])
+    @pytest.mark.parametrize("spec", [
+        FunctionalSpec(Kind.QUANTILE, q=0.5),
+        FunctionalSpec(Kind.MOMENT, p=0.5),
+        FunctionalSpec(Kind.RATE_POWER, p=1.5),
+        FunctionalSpec(Kind.EXPECTED_SHORTFALL, p=0.9),
+        FunctionalSpec(Kind.MAX_CDF_POWER, t=1.0, m=2),
+        FunctionalSpec(Kind.MGF, t=0.5),
+        FunctionalSpec(Kind.SURVIVAL, t=1.0),
+    ], ids=lambda s: s.kind.value)
+    def test_large_n_certifies_to_near_rounding(self, spec, n):
+        # neither the density's normaliser nor the Gamma-ratio coefficients
+        # may lose digits as n grows
+        assert verify_unbiasedness(spec, n, 1.0).rel_bias <= 1e-13
 
     def test_mean_past_lifetime_large_n(self):
         # about 13000 kinks, each integrand call a few hundred thousand points

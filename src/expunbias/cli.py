@@ -23,7 +23,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,7 +31,7 @@ import numpy as np
 from . import __version__
 from .errors import (DomainError, ExpunbiasError, InversionError,
                      QuadratureError, RangeError, SpecError)
-from .estimators import (FunctionalSpec, Kind, Sample, estimate,
+from .estimators import (_CATALOGUE, FunctionalSpec, Kind, Sample, estimate,
                          target_value)
 from .montecarlo import (McConfig, clt_replicates, clt_summary,
                          variance_comparison)
@@ -104,25 +103,18 @@ def read_observations(path: str) -> list[float]:
 
 def _spec_from_args(args) -> FunctionalSpec:
     kind = _KIND_NAMES[args.kind]
-    kwargs = {}
-    if kind in (Kind.RATE_POWER, Kind.MOMENT, Kind.EXPECTED_SHORTFALL):
-        if args.p is None:
-            raise SpecError(f"{args.kind} requires --p")
-        kwargs["p"] = args.p
-    if kind is Kind.QUANTILE:
-        if args.q is None:
-            raise SpecError("quantile requires --q")
-        kwargs["q"] = args.q
-    if kind in (Kind.SURVIVAL, Kind.MAX_CDF_POWER, Kind.MIN_SURVIVAL,
-                Kind.PDF, Kind.MEAN_PAST_LIFETIME, Kind.MGF):
-        if args.t is None:
-            raise SpecError(f"{args.kind} requires --t")
-        kwargs["t"] = args.t
-    if kind in (Kind.MAX_CDF_POWER, Kind.MIN_SURVIVAL):
-        if args.m is None:
-            raise SpecError(f"{args.kind} requires --m")
-        kwargs["m"] = args.m
-    return FunctionalSpec(kind, **kwargs)
+    params = _CATALOGUE[kind].params
+    for name in params:
+        if getattr(args, name) is None:
+            raise SpecError(f"{args.kind} requires --{name}")
+    return FunctionalSpec(kind, **{name: getattr(args, name) for name in params})
+
+
+def _number_list(text: str, convert, option: str) -> list:
+    try:
+        return [convert(v) for v in text.split(",")]
+    except ValueError:
+        raise _InputError(f"{option} expects comma-separated numbers, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -190,27 +182,14 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-_DEFAULT_VERIFY_KINDS = [k.value for k in Kind if k is not Kind.CUSTOM]
-_TATE_KIND_NAMES = ["rate-power", "quantile", "max-cdf-power"]
-
-
-def _verify_specs(kind: Kind, args) -> list[FunctionalSpec]:
-    if kind is Kind.RATE_POWER:
-        return [FunctionalSpec(kind, p=args.p)]
-    if kind is Kind.MOMENT:
-        return [FunctionalSpec(kind, p=args.moment_p)]
-    if kind is Kind.EXPECTED_SHORTFALL:
-        return [FunctionalSpec(kind, p=args.q)]
-    if kind is Kind.QUANTILE:
-        return [FunctionalSpec(kind, q=args.q)]
-    if kind in (Kind.SURVIVAL, Kind.PDF, Kind.MEAN_PAST_LIFETIME, Kind.MGF):
-        return [FunctionalSpec(kind, t=args.t)]
-    return [FunctionalSpec(kind, t=args.t, m=args.m)]
+_DEFAULT_VERIFY_KINDS = list(_KIND_NAMES)
+_TATE_KIND_NAMES = [name for name, kind in _KIND_NAMES.items()
+                    if _CATALOGUE[kind].tate_phi is not None]
 
 
 def _cmd_verify(args) -> int:
-    n_grid = [int(v) for v in args.n.split(",")]
-    lam_grid = [float(v) for v in getattr(args, "lambda").split(",")]
+    n_grid = _number_list(args.n, int, "--n")
+    lam_grid = _number_list(getattr(args, "lambda"), float, "--lambda")
     kinds = args.kinds.split(",") if args.kinds else (
         _TATE_KIND_NAMES if args.tate else _DEFAULT_VERIFY_KINDS)
     for name in kinds:
@@ -219,20 +198,18 @@ def _cmd_verify(args) -> int:
 
     cells = []
     for name in kinds:
-        kind = _KIND_NAMES[name]
+        row = _CATALOGUE[_KIND_NAMES[name]]
         if args.tate and name not in _TATE_KIND_NAMES:
             raise SpecError(f"--tate supports only {', '.join(_TATE_KIND_NAMES)}")
-        for spec in _verify_specs(kind, args):
-            for n in n_grid:
-                if kind is Kind.PDF and n < 2:
-                    continue
-                if args.tate and n < 2:
-                    continue
-                if kind is Kind.RATE_POWER and spec.p >= (n - 1 if args.tate else n):
-                    continue
-                for lam in lam_grid:
-                    if kind is Kind.MGF and spec.t >= lam:
-                        continue
+        spec = FunctionalSpec(_KIND_NAMES[name], **{
+            param: getattr(args, option)
+            for param, option in zip(row.params, row.verify_args or row.params)})
+        for n in n_grid:
+            if args.tate and n < 2:
+                continue
+            for lam in lam_grid:
+                # the 1959 forms put n - 1 where the corrected ones have n
+                if not row.skip(spec, n - 1 if args.tate else n, lam):
                     cells.append((name, spec, n, lam))
 
     def run_cell(cell):
@@ -260,11 +237,7 @@ def _cmd_verify(args) -> int:
             row["tate_minus_corrected"] = delta
         return row
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(run_cell, cells))
-    else:
-        rows = [run_cell(c) for c in cells]
+    rows = [run_cell(c) for c in cells]
 
     manifest = RunManifest("verify", {
         "kinds": ",".join(kinds), "n": args.n, "lambda": getattr(args, "lambda"),
@@ -301,6 +274,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_clt(args) -> int:
+    if args.hist_bins < 1:
+        raise _InputError(f"--hist-bins must be at least 1, got {args.hist_bins}")
     spec = _spec_from_args(args)
     config = McConfig(args.reps, args.n, getattr(args, "lambda"), args.seed,
                       parallel_chunks=args.jobs)
@@ -355,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility; results do not depend on it")
 
     p_est = sub.add_parser("estimate", help="estimate a functional from data")
     p_est.add_argument("--kind", required=True, choices=sorted(_KIND_NAMES))
@@ -425,6 +401,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise _InputError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,10 +10,17 @@ function of the minimum of m copies, the density, the mean past lifetime,
 the moment generating function and expected shortfall.  Alongside each
 unbiased form, plug-in maximum-likelihood estimates and exact variance
 formulas for the moment estimators are provided for comparison studies.
+
+Every per-kind fact -- parameters and their checks, target, estimator and
+its derivative, indicator kinks, transfer function and the Tate (1959) form
+where one exists -- is one row of the ``_CATALOGUE`` table at the end of
+this module; the dispatching functions here and in the other modules look
+rows up instead of branching on the kind.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 import numbers
@@ -24,7 +31,7 @@ import numpy as np
 from scipy.special import hyp1f1
 
 from .errors import DomainError, RangeError, SpecError
-from .special import _log_gamma_ratio, log_gamma
+from .special import _log_gamma_ratio, _log_variance_ratio, log_gamma
 
 __all__ = [
     "Kind", "Family", "FunctionalSpec", "Sample", "EstimateResult",
@@ -56,26 +63,6 @@ class Family(enum.Enum):
     TATE_BIASED = "tate-biased"
 
 
-# parameters each kind requires (all others must stay unset)
-_REQUIRED_PARAMS = {
-    Kind.RATE_POWER: ("p",),
-    Kind.QUANTILE: ("q",),
-    Kind.MOMENT: ("p",),
-    Kind.SURVIVAL: ("t",),
-    Kind.MAX_CDF_POWER: ("t", "m"),
-    Kind.MIN_SURVIVAL: ("t", "m"),
-    Kind.PDF: ("t",),
-    Kind.MEAN_PAST_LIFETIME: ("t",),
-    Kind.MGF: ("t",),
-    Kind.EXPECTED_SHORTFALL: ("p",),
-    Kind.CUSTOM: ("custom_transform",),
-}
-
-
-def _is_nonpositive_integer(p: float) -> bool:
-    return p <= 0.0 and float(p).is_integer()
-
-
 @dataclass(frozen=True)
 class FunctionalSpec:
     """Tagged description of the target functional of the rate parameter.
@@ -99,46 +86,22 @@ class FunctionalSpec:
     def __post_init__(self):
         if not isinstance(self.kind, Kind):
             raise SpecError(f"kind must be a Kind, got {self.kind!r}")
-        required = _REQUIRED_PARAMS[self.kind]
+        row = _CATALOGUE[self.kind]
         for name in ("p", "q", "t", "m", "custom_transform"):
             val = getattr(self, name)
-            if name in required:
+            if name in row.params:
                 if val is None:
                     raise SpecError(f"{self.kind.value} requires parameter {name!r}")
             elif val is not None:
                 raise SpecError(f"{self.kind.value} does not take parameter {name!r}")
-        if self.kind in (Kind.RATE_POWER, Kind.MOMENT):
-            if not math.isfinite(self.p):
-                raise SpecError("exponent p must be finite")
-        if self.kind is Kind.RATE_POWER:
-            if self.p == 0.0:
-                raise SpecError("rate-power exponent p = 0 is excluded")
-            if _is_nonpositive_integer(self.p) and not self.allow_negative_integer_p:
-                raise SpecError(
-                    "negative integer rate-power exponents need allow_negative_integer_p=True")
-        if self.kind is Kind.MOMENT and self.p <= -1.0:
-            raise SpecError("moment exponent requires p > -1")
-        if self.kind in (Kind.QUANTILE,) and not (0.0 < self.q < 1.0):
-            raise SpecError("quantile level q must lie in (0, 1)")
-        if self.kind is Kind.EXPECTED_SHORTFALL and not (0.0 < self.p < 1.0):
-            raise SpecError("expected-shortfall level p must lie in (0, 1)")
-        if self.kind in (Kind.SURVIVAL, Kind.MAX_CDF_POWER, Kind.MIN_SURVIVAL,
-                         Kind.PDF, Kind.MEAN_PAST_LIFETIME):
-            if not (self.t > 0.0 and math.isfinite(self.t)):
-                raise SpecError(f"{self.kind.value} requires t > 0")
-        if self.kind is Kind.MGF and not math.isfinite(self.t):
-            raise SpecError("mgf requires finite t")
-        if self.kind in (Kind.MAX_CDF_POWER, Kind.MIN_SURVIVAL):
-            if not (isinstance(self.m, numbers.Integral) and self.m >= 1):
-                raise SpecError("m must be a positive integer")
+        for ok, message in row.checks:
+            if not ok(self):
+                raise SpecError(message.format(kind=self.kind.value))
 
     def params(self) -> dict:
         """Parameters actually carried by this spec, for reports."""
-        out = {}
-        for name in _REQUIRED_PARAMS[self.kind]:
-            if name != "custom_transform":
-                out[name] = getattr(self, name)
-        return out
+        return {name: getattr(self, name) for name in _CATALOGUE[self.kind].params
+                if name != "custom_transform"}
 
 
 @dataclass(frozen=True)
@@ -219,35 +182,7 @@ def target_value(spec: FunctionalSpec, lam):
         xp, lam = np, np.asarray(lam, dtype=float)
         if not (np.all(np.isfinite(lam)) and np.all(lam > 0.0)):
             raise DomainError("lambda must be finite and strictly positive")
-    k = spec.kind
-    if k is Kind.RATE_POWER:
-        return lam ** spec.p
-    if k is Kind.QUANTILE:
-        return -math.log1p(-spec.q) / lam
-    if k is Kind.MOMENT:
-        return math.exp(log_gamma(spec.p + 1.0)) / lam ** spec.p
-    if k is Kind.SURVIVAL:
-        return xp.exp(-lam * spec.t)
-    if k is Kind.MAX_CDF_POWER:
-        return (-xp.expm1(-lam * spec.t)) ** spec.m
-    if k is Kind.MIN_SURVIVAL:
-        return xp.exp(-lam * spec.m * spec.t)
-    if k is Kind.PDF:
-        return lam * xp.exp(-lam * spec.t)
-    if k is Kind.MEAN_PAST_LIFETIME:
-        return _mean_past_lifetime_target(spec.t, lam, xp)
-    if k is Kind.MGF:
-        if np.any(spec.t >= lam):
-            raise DomainError("MGF target requires t < lambda")
-        return lam / (lam - spec.t)
-    if k is Kind.EXPECTED_SHORTFALL:
-        return (-math.log1p(-spec.p) + 1.0) / lam
-    if k is Kind.CUSTOM:
-        xi = spec.custom_transform.eval_real
-        if xp is math:
-            return float(xi(lam))
-        return np.vectorize(lambda v: float(xi(v)), otypes=[float])(lam)
-    raise SpecError(f"unknown kind {k!r}")
+    return _CATALOGUE[spec.kind].target(spec, lam, xp)
 
 
 # below this lam*t the mean-past-lifetime target uses its series form
@@ -272,6 +207,19 @@ def _mean_past_lifetime_target(t: float, lam, xp):
     with np.errstate(all="ignore"):  # the series replaces what overflows here
         direct = t / (-np.expm1(-lam * t)) - 1.0 / lam
     return np.where(u < _MPL_SERIES_CUTOFF, series(np.minimum(u, _MPL_SERIES_CUTOFF)), direct)
+
+
+def _mgf_target(spec: FunctionalSpec, lam, xp):
+    if np.any(spec.t >= lam):
+        raise DomainError("MGF target requires t < lambda")
+    return lam / (lam - spec.t)
+
+
+def _custom_target(spec: FunctionalSpec, lam, xp):
+    xi = spec.custom_transform.eval_real
+    if xp is math:
+        return float(xi(lam))
+    return np.vectorize(lambda v: float(xi(v)), otypes=[float])(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +286,17 @@ def max_cdf_power(sample_mean, n, t, m):
     if not (isinstance(m, numbers.Integral) and m >= 1):
         raise DomainError("m must be a positive integer")
     x, scalar = _mean_array(sample_mean)
+    return _ret(_cdf_power_sum(x, n, t, m, n - 1), scalar)
+
+
+def _cdf_power_sum(x: np.ndarray, n: int, t: float, m: int, exponent: int) -> np.ndarray:
+    # 1 + sum_k C(m, k) (-1)^k (1 - kt/(n x))^exponent on {x >= kt/n}
     xa = np.atleast_1d(x)
     total = np.ones(xa.shape)
     for k in range(1, int(m) + 1):
-        total = total + math.comb(int(m), k) * (-1) ** k * _indicator_power(xa, k * t / n, n - 1)
-    return _ret(total.reshape(x.shape), scalar)
+        total = total + math.comb(int(m), k) * (-1) ** k * _indicator_power(
+            xa, k * t / n, exponent)
+    return total.reshape(np.shape(x))
 
 
 def min_survival(sample_mean, n, t, m):
@@ -454,31 +408,11 @@ def phi_function(spec: FunctionalSpec, n: int) -> Callable[[np.ndarray], np.ndar
     Monte Carlo harness maps over replications.
     """
     n = _check_n(n)
-    k = spec.kind
-    if k is Kind.RATE_POWER:
-        if spec.p >= n:
-            raise DomainError(f"rate-power needs p < n (got p={spec.p}, n={n})")
-        return lambda x: rate_power(x, n, spec.p)
-    if k is Kind.QUANTILE:
-        return lambda x: quantile(x, spec.q)
-    if k is Kind.MOMENT:
-        return lambda x: moment(x, n, spec.p)
-    if k is Kind.SURVIVAL:
-        return lambda x: survival(x, n, spec.t)
-    if k is Kind.MAX_CDF_POWER:
-        return lambda x: max_cdf_power(x, n, spec.t, spec.m)
-    if k is Kind.MIN_SURVIVAL:
-        return lambda x: min_survival(x, n, spec.t, spec.m)
-    if k is Kind.PDF:
-        return lambda x: pdf_at(x, n, spec.t)
-    if k is Kind.MEAN_PAST_LIFETIME:
-        return lambda x: mean_past_lifetime(x, n, spec.t)
-    if k is Kind.MGF:
-        return lambda x: mgf(x, n, spec.t)
-    if k is Kind.EXPECTED_SHORTFALL:
-        return lambda x: expected_shortfall(x, spec.p)
-    raise SpecError(f"no closed form for kind {k.value!r};"
-                    " use the Laplace inversion engine")
+    row = _CATALOGUE[spec.kind]
+    if row.phi is None:
+        raise SpecError(f"no closed form for kind {spec.kind.value!r};"
+                        " use the Laplace inversion engine")
+    return row.phi(spec, n)
 
 
 def estimate(spec: FunctionalSpec, sample: Sample) -> EstimateResult:
@@ -513,15 +447,16 @@ def closed_form_variance_unbiased(p, n, lam) -> float:
     """Exact variance of the unbiased pth-moment estimator.
 
     Gamma^2(p+1)/lambda^{2p} * [Gamma(n)Gamma(2p+n)/Gamma^2(p+n) - 1],
-    valid for p > -n/2; the bracket is computed with expm1 of the log-ratio
-    so near-equality (small |p|) keeps full precision.
+    valid for p > -n/2; the bracket is expm1 of a log-ratio of size p^2/n
+    that is formed without cancelling its p ln n parts, so it keeps full
+    precision for small |p| and large n.
     """
     n = _check_n(n)
     p = float(p)
     lam = _check_positive("lambda", lam)
     if p <= -n / 2.0:
         raise DomainError(f"variance formula requires p > -n/2 (got p={p}, n={n})")
-    bracket = math.expm1(_log_gamma_ratio(n, 2.0 * p) - 2.0 * _log_gamma_ratio(n, p))
+    bracket = math.expm1(_log_variance_ratio(n, p))
     return math.exp(2.0 * log_gamma(p + 1.0)) * lam ** (-2.0 * p) * bracket
 
 
@@ -538,3 +473,228 @@ def closed_form_variance_mle(p, n, lam) -> float:
         raise DomainError(f"variance formula requires p > -1/2 (got p={p})")
     bracket = math.expm1(log_gamma(2.0 * p + 1.0) - 2.0 * log_gamma(p + 1.0))
     return math.exp(2.0 * log_gamma(p + 1.0)) * lam ** (-2.0 * p) * bracket / n
+
+
+# ---------------------------------------------------------------------------
+# the catalogue: one row per kind
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _KindRow:
+    """Everything the package knows about one kind of functional.
+
+    ``params``: the spec fields the kind requires (all others stay unset);
+    ``checks``: (predicate on the spec, error message) pairs;
+    ``target(spec, lam, xp)``: xi(lam), ``xp`` being ``math`` for a scalar
+    rate and numpy for an array; ``phi(spec, n)``: the unbiased estimator of
+    the mean; ``phi_prime(spec, n, mu)``: its derivative away from kinks;
+    ``kinks(spec, n, upper)``: its indicator boundaries below ``upper``;
+    ``transform(spec)``: xi as one expression for floats, complexes and
+    mpmath floats, constants bound once as default arguments, described by
+    ``domain_note`` (``{pole}`` is filled in), ``delta_content`` (estimator
+    from Dirac sifting) and ``pole(spec)`` (xi's largest real singularity);
+    ``verify_args``: the ``verify`` options read for ``params`` (default:
+    ``params``); ``skip(spec, n, lam)``: the ``verify`` grid cells outside
+    the domain; ``tate_phi``, ``tate_mean``: the biased 1959 estimator and
+    its exact expectation.
+    """
+
+    params: tuple[str, ...]
+    target: Callable
+    transform: Optional[Callable]
+    domain_note: str = ""
+    checks: tuple = ()
+    phi: Optional[Callable] = None
+    phi_prime: Optional[Callable] = None
+    kinks: Callable = lambda spec, n, upper: []
+    delta_content: bool = False
+    pole: Callable = lambda spec: 0.0
+    verify_args: Optional[tuple[str, ...]] = None
+    skip: Callable = lambda spec, n, lam: False
+    tate_phi: Optional[Callable] = None
+    tate_mean: Optional[Callable] = None
+
+
+_FINITE_P = (lambda s: math.isfinite(s.p), "exponent p must be finite")
+_POSITIVE_T = (lambda s: s.t > 0.0 and math.isfinite(s.t), "{kind} requires t > 0")
+_COPIES = (lambda s: isinstance(s.m, numbers.Integral) and s.m >= 1,
+           "m must be a positive integer")
+
+
+def _exp_any(s):
+    # exp for what the inversion engines pass in: complex on the Talbot
+    # contour, mpmath floats on the Gaver-Stehfest ladder, floats otherwise
+    if isinstance(s, complex):
+        return cmath.exp(s)
+    import mpmath as mp  # only the Gaver-Stehfest ladder needs it
+    if isinstance(s, mp.mpf):
+        return mp.e ** s
+    return math.exp(s)
+
+
+def _rate_power_phi(spec: FunctionalSpec, n: int):
+    if spec.p >= n:
+        raise DomainError(f"rate-power needs p < n (got p={spec.p}, n={n})")
+    return lambda x: rate_power(x, n, spec.p)
+
+
+def _indicator_terms_prime(total: float, terms, mu: float, n: int) -> float:
+    # total + sum of c * d/dmu (1 - a/mu)^{n-1} 1{mu > a} over (c, a) in terms
+    for c, a in terms:
+        if mu > a:
+            total += c * (n - 1.0) * (1.0 - a / mu) ** (n - 2) * a / mu ** 2
+    return total
+
+
+def _pdf_prime(spec: FunctionalSpec, n: int, mu: float) -> float:
+    a = spec.t / n
+    if mu <= a:
+        return 0.0
+    u = 1.0 - a / mu
+    return ((n - 1.0) / n) * (-u ** (n - 2) / mu ** 2
+                              + (n - 2.0) * u ** (n - 3) * a / mu ** 3)
+
+
+def _mean_past_lifetime_kinks(spec: FunctionalSpec, n: int, upper: float) -> list[float]:
+    k_max = int(math.ceil(n * upper / spec.t))
+    return [j * spec.t / n for j in range(1, k_max + 1)]
+
+
+def _tate_rate_power_phi(spec: FunctionalSpec, n: int):
+    p = spec.p
+    if p >= n - 1:
+        raise DomainError(f"Tate rate-power needs p < n-1 (got p={p}, n={n})")
+    coef = math.exp(-_log_gamma_ratio(n - 1, -p) - p * math.log(n))
+    return lambda x: coef * np.asarray(x, dtype=float) ** (-p)
+
+
+def _tate_quantile_phi(spec: FunctionalSpec, n: int):
+    c = -math.log1p(-spec.q) * n / (n - 1.0)
+    return lambda x: c * np.asarray(x, dtype=float)
+
+
+_CATALOGUE: dict[Kind, _KindRow] = {
+    Kind.RATE_POWER: _KindRow(
+        params=("p",),
+        checks=(_FINITE_P,
+                (lambda s: s.p != 0.0, "rate-power exponent p = 0 is excluded"),
+                (lambda s: s.allow_negative_integer_p
+                 or not (s.p < 0.0 and float(s.p).is_integer()),
+                 "negative integer rate-power exponents need allow_negative_integer_p=True")),
+        target=lambda s, lam, xp: lam ** s.p,
+        phi=_rate_power_phi,
+        phi_prime=lambda s, n, mu: -s.p * rate_power(mu, n, s.p) / mu,
+        transform=lambda s: lambda v, p=float(s.p): v ** p,
+        domain_note="branch point at 0",
+        skip=lambda s, n, lam: s.p >= n,
+        tate_phi=_tate_rate_power_phi,
+        # 1{p < n-1} in the expectation table
+        tate_mean=lambda s, n, lam: (0.0 if s.p >= n - 1
+                                     else (1.0 - s.p / (n - 1.0)) * lam ** s.p)),
+    Kind.QUANTILE: _KindRow(
+        params=("q",),
+        checks=((lambda s: 0.0 < s.q < 1.0, "quantile level q must lie in (0, 1)"),),
+        target=lambda s, lam, xp: -math.log1p(-s.q) / lam,
+        phi=lambda s, n: lambda x: quantile(x, s.q),
+        phi_prime=lambda s, n, mu: -math.log1p(-s.q),
+        transform=lambda s: lambda v, c=-math.log1p(-s.q): c / v,
+        domain_note="pole at 0",
+        tate_phi=_tate_quantile_phi,
+        tate_mean=lambda s, n, lam: (n / (n - 1.0)) * (-math.log1p(-s.q) / lam)),
+    Kind.MOMENT: _KindRow(
+        params=("p",),
+        checks=(_FINITE_P, (lambda s: s.p > -1.0, "moment exponent requires p > -1")),
+        target=lambda s, lam, xp: math.exp(log_gamma(s.p + 1.0)) / lam ** s.p,
+        phi=lambda s, n: lambda x: moment(x, n, s.p),
+        phi_prime=lambda s, n, mu: s.p * moment(mu, n, s.p) / mu,
+        transform=lambda s: (lambda v, p=float(s.p), g=math.exp(log_gamma(float(s.p) + 1.0)):
+                             g * v ** (-p)),
+        domain_note="branch point at 0",
+        verify_args=("moment_p",)),
+    Kind.SURVIVAL: _KindRow(
+        params=("t",),
+        checks=(_POSITIVE_T,),
+        target=lambda s, lam, xp: xp.exp(-lam * s.t),
+        phi=lambda s, n: lambda x: survival(x, n, s.t),
+        phi_prime=lambda s, n, mu: _indicator_terms_prime(0.0, [(1, s.t / n)], mu, n),
+        kinks=lambda s, n, upper: [s.t / n],
+        transform=lambda s: lambda v, t=float(s.t): _exp_any(-t * v),
+        domain_note="Dirac original",
+        delta_content=True),
+    Kind.MAX_CDF_POWER: _KindRow(
+        params=("t", "m"),
+        checks=(_POSITIVE_T, _COPIES),
+        target=lambda s, lam, xp: (-xp.expm1(-lam * s.t)) ** s.m,
+        phi=lambda s, n: lambda x: max_cdf_power(x, n, s.t, s.m),
+        phi_prime=lambda s, n, mu: _indicator_terms_prime(
+            0.0, [(math.comb(s.m, j) * (-1) ** j, j * s.t / n) for j in range(1, s.m + 1)],
+            mu, n),
+        kinks=lambda s, n, upper: [j * s.t / n for j in range(1, s.m + 1)],
+        transform=lambda s: (lambda v, t=float(s.t), m=int(s.m):
+                             (1.0 - _exp_any(-t * v)) ** m),
+        domain_note="Dirac comb original",
+        delta_content=True,
+        # the 1959 form carries exponent n-2 where n-1 belongs
+        tate_phi=lambda s, n: lambda x: _cdf_power_sum(
+            np.asarray(x, dtype=float), n, s.t, s.m, n - 2),
+        tate_mean=lambda s, n, lam: (
+            (lam * s.m * s.t / ((n - 1.0) * (1.0 - math.exp(lam * s.t))) + 1.0)
+            * (-math.expm1(-lam * s.t)) ** s.m)),
+    Kind.MIN_SURVIVAL: _KindRow(
+        params=("t", "m"),
+        checks=(_POSITIVE_T, _COPIES),
+        target=lambda s, lam, xp: xp.exp(-lam * s.m * s.t),
+        phi=lambda s, n: lambda x: min_survival(x, n, s.t, s.m),
+        phi_prime=lambda s, n, mu: _indicator_terms_prime(0.0, [(1, s.m * s.t / n)], mu, n),
+        kinks=lambda s, n, upper: [s.m * s.t / n],
+        transform=lambda s: lambda v, a=float(s.t) * int(s.m): _exp_any(-a * v),
+        domain_note="Dirac original",
+        delta_content=True),
+    Kind.PDF: _KindRow(
+        params=("t",),
+        checks=(_POSITIVE_T,),
+        target=lambda s, lam, xp: lam * xp.exp(-lam * s.t),
+        phi=lambda s, n: lambda x: pdf_at(x, n, s.t),
+        phi_prime=_pdf_prime,
+        kinks=lambda s, n, upper: [s.t / n],
+        transform=lambda s: lambda v, t=float(s.t): v * _exp_any(-t * v),
+        domain_note="Dirac-derivative original",
+        delta_content=True,
+        skip=lambda s, n, lam: n < 2),
+    Kind.MEAN_PAST_LIFETIME: _KindRow(
+        params=("t",),
+        checks=(_POSITIVE_T,),
+        target=lambda s, lam, xp: _mean_past_lifetime_target(s.t, lam, xp),
+        phi=lambda s, n: lambda x: mean_past_lifetime(x, n, s.t),
+        phi_prime=lambda s, n, mu: _indicator_terms_prime(
+            -1.0, [(s.t, j * s.t / n) for j in range(1, int(math.floor(n * mu / s.t)) + 1)],
+            mu, n),
+        kinks=_mean_past_lifetime_kinks,
+        transform=lambda s: lambda v, t=float(s.t): t / (1.0 - _exp_any(-t * v)) - 1.0 / v,
+        domain_note="Dirac comb original",
+        delta_content=True),
+    Kind.MGF: _KindRow(
+        params=("t",),
+        checks=((lambda s: math.isfinite(s.t), "mgf requires finite t"),),
+        target=_mgf_target,
+        phi=lambda s, n: lambda x: mgf(x, n, s.t),
+        # d/dw M(1, n, w) = M(2, n+1, w)/n (DLMF 13.3.15), w = n t mean
+        phi_prime=lambda s, n, mu: s.t * float(hyp1f1(2.0, n + 1.0, n * s.t * mu)),
+        transform=lambda s: lambda v, t=float(s.t): v / (v - t),
+        domain_note="pole at {pole}",
+        pole=lambda s: float(s.t),
+        skip=lambda s, n, lam: s.t >= lam),
+    Kind.EXPECTED_SHORTFALL: _KindRow(
+        params=("p",),
+        checks=((lambda s: 0.0 < s.p < 1.0, "expected-shortfall level p must lie in (0, 1)"),),
+        target=lambda s, lam, xp: (-math.log1p(-s.p) + 1.0) / lam,
+        phi=lambda s, n: lambda x: expected_shortfall(x, s.p),
+        phi_prime=lambda s, n, mu: 1.0 - math.log1p(-s.p),
+        transform=lambda s: lambda v, c=-math.log1p(-s.p) + 1.0: c / v,
+        domain_note="pole at 0",
+        verify_args=("q",)),
+    Kind.CUSTOM: _KindRow(
+        params=("custom_transform",),
+        target=_custom_target,
+        transform=None),
+}

@@ -44,7 +44,8 @@ import numpy as np
 from ._quadrature import adaptive_gauss_kronrod
 from .errors import (ConfigurationError, DomainError, InversionError,
                      UnsupportedTransformError)
-from .estimators import (EstimateResult, Family, FunctionalSpec, Kind, Sample)
+from .estimators import (_CATALOGUE, EstimateResult, Family, FunctionalSpec, Kind,
+                         Sample)
 from .special import log_gamma
 
 __all__ = [
@@ -389,14 +390,6 @@ def generic_unbiased_estimate(xi: TransferFunction, sample: Sample,
 # built-in transforms
 # ---------------------------------------------------------------------------
 
-def _exp_any(s):
-    if isinstance(s, complex):
-        return cmath.exp(s)
-    if isinstance(s, mp.mpf):
-        return mp.e ** s
-    return math.exp(s)
-
-
 def builtin_transfer_function(spec: FunctionalSpec) -> TransferFunction:
     """Transfer function of a catalogue functional.
 
@@ -405,61 +398,13 @@ def builtin_transfer_function(spec: FunctionalSpec) -> TransferFunction:
     survival-type rows are flagged ``delta_content`` and are rejected there,
     since their estimators arise from Dirac sifting and exist in closed form.
     """
-    k = spec.kind
-    if k is Kind.RATE_POWER:
-        p = float(spec.p)
-        fn = lambda s: s ** p
-        return TransferFunction(fn, fn, domain_note="branch point at 0",
-                                largest_real_singularity=0.0)
-    if k is Kind.QUANTILE:
-        c = -math.log1p(-spec.q)
-        fn = lambda s: c / s
-        return TransferFunction(fn, fn, domain_note="pole at 0",
-                                largest_real_singularity=0.0)
-    if k is Kind.MOMENT:
-        p = float(spec.p)
-        g = math.exp(log_gamma(p + 1.0))
-        fn = lambda s: g * s ** (-p)
-        return TransferFunction(fn, fn, domain_note="branch point at 0",
-                                largest_real_singularity=0.0)
-    if k is Kind.MGF:
-        t = float(spec.t)
-        fn = lambda s: s / (s - t)
-        return TransferFunction(fn, fn, domain_note=f"pole at {t}",
-                                largest_real_singularity=t)
-    if k is Kind.EXPECTED_SHORTFALL:
-        c = -math.log1p(-spec.p) + 1.0
-        fn = lambda s: c / s
-        return TransferFunction(fn, fn, domain_note="pole at 0",
-                                largest_real_singularity=0.0)
-    if k is Kind.SURVIVAL:
-        t = float(spec.t)
-        fn = lambda s: _exp_any(-t * s)
-        return TransferFunction(fn, fn, domain_note="Dirac original",
-                                delta_content=True, largest_real_singularity=0.0)
-    if k is Kind.MAX_CDF_POWER:
-        t, m = float(spec.t), int(spec.m)
-        fn = lambda s: (1.0 - _exp_any(-t * s)) ** m
-        return TransferFunction(fn, fn, domain_note="Dirac comb original",
-                                delta_content=True, largest_real_singularity=0.0)
-    if k is Kind.MIN_SURVIVAL:
-        a = float(spec.t) * int(spec.m)
-        fn = lambda s: _exp_any(-a * s)
-        return TransferFunction(fn, fn, domain_note="Dirac original",
-                                delta_content=True, largest_real_singularity=0.0)
-    if k is Kind.PDF:
-        t = float(spec.t)
-        fn = lambda s: s * _exp_any(-t * s)
-        return TransferFunction(fn, fn, domain_note="Dirac-derivative original",
-                                delta_content=True, largest_real_singularity=0.0)
-    if k is Kind.MEAN_PAST_LIFETIME:
-        t = float(spec.t)
-        fn = lambda s: t / (1.0 - _exp_any(-t * s)) - 1.0 / s
-        return TransferFunction(fn, fn, domain_note="Dirac comb original",
-                                delta_content=True, largest_real_singularity=0.0)
-    if k is Kind.CUSTOM:
+    if spec.kind is Kind.CUSTOM:
         return spec.custom_transform
-    raise DomainError(f"no built-in transform for kind {k!r}")
+    row = _CATALOGUE[spec.kind]
+    fn = row.transform(spec)
+    pole = row.pole(spec)
+    return TransferFunction(fn, fn, domain_note=row.domain_note.format(pole=pole),
+                            delta_content=row.delta_content, largest_real_singularity=pole)
 
 
 BUILTIN_TRANSFORMS = {

@@ -3,8 +3,8 @@
 Replications are organised in fixed-size blocks of 2**14; block b of a run
 seeded with s draws from a counter-based Philox stream keyed (s, b).  The
 draw for replication r therefore depends only on (seed, block r // 2**14,
-row r % 2**14), never on how blocks are distributed over workers, which
-makes chunked-parallel and serial runs bit-identical.
+row r % 2**14), and blocks run one after another; ``parallel_chunks`` is
+accepted and validated but has no effect on results.
 
 The sample mean is sufficient and mean ~ Gamma(n, n*lambda), so paths whose
 estimators read only the mean (closed form, Tate, the MLE plug-in outside
@@ -17,7 +17,6 @@ are used: ``variance_comparison`` and the MLE arm of the pth moment,
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -25,10 +24,10 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import DegenerateError, DomainError, NondifferentiableError
-from .estimators import (Family, FunctionalSpec, Kind, Sample,
+from .estimators import (_CATALOGUE, Family, FunctionalSpec, Kind, Sample,
                          closed_form_variance_mle,
                          closed_form_variance_unbiased, moment, phi_function,
-                         rate_power, target_value)
+                         target_value)
 from .oracle import tate_phi_function
 
 __all__ = [
@@ -112,19 +111,12 @@ def _collect(config: McConfig, row_stat: Callable[[np.ndarray], tuple[np.ndarray
     outs = tuple(np.empty(reps) for _ in range(n_outputs))
     n_blocks = (reps + BLOCK_SIZE - 1) // BLOCK_SIZE
 
-    def run_block(b: int) -> None:
+    for b in range(n_blocks):
         start = b * BLOCK_SIZE
         stop = min(start + BLOCK_SIZE, reps)
         stats = row_stat(draw(config.seed, b, stop - start, config.n, config.lam))
         for out, stat in zip(outs, stats):
             out[start:stop] = stat
-
-    if config.parallel_chunks > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=config.parallel_chunks) as pool:
-            list(pool.map(run_block, range(n_blocks)))
-    else:
-        for b in range(n_blocks):
-            run_block(b)
     return outs
 
 
@@ -189,68 +181,6 @@ def variance_comparison(p: float, config: McConfig
 # delta-method asymptotics
 # ---------------------------------------------------------------------------
 
-def _gated_power(mu: float, a: float, expo: int) -> float:
-    return (1.0 - a / mu) ** expo if mu > a else 0.0
-
-
-def _phi_prime_analytic(spec: FunctionalSpec, n: int, mu: float) -> float:
-    """d/d mean of the closed-form estimator, evaluated away from kinks."""
-    k = spec.kind
-    if k is Kind.RATE_POWER:
-        return -spec.p * rate_power(mu, n, spec.p) / mu
-    if k is Kind.QUANTILE:
-        return -math.log1p(-spec.q)
-    if k is Kind.MOMENT:
-        return spec.p * moment(mu, n, spec.p) / mu
-    if k is Kind.SURVIVAL:
-        a = spec.t / n
-        return (n - 1.0) * _gated_power(mu, a, n - 2) * a / mu ** 2
-    if k is Kind.MAX_CDF_POWER:
-        total = 0.0
-        for j in range(1, spec.m + 1):
-            a = j * spec.t / n
-            total += (math.comb(spec.m, j) * (-1) ** j * (n - 1.0)
-                      * _gated_power(mu, a, n - 2) * a / mu ** 2)
-        return total
-    if k is Kind.MIN_SURVIVAL:
-        a = spec.m * spec.t / n
-        return (n - 1.0) * _gated_power(mu, a, n - 2) * a / mu ** 2
-    if k is Kind.PDF:
-        a = spec.t / n
-        if mu <= a:
-            return 0.0
-        u = 1.0 - a / mu
-        return ((n - 1.0) / n) * (-u ** (n - 2) / mu ** 2
-                                  + (n - 2.0) * u ** (n - 3) * a / mu ** 3)
-    if k is Kind.MEAN_PAST_LIFETIME:
-        total = -1.0
-        j_max = int(math.floor(n * mu / spec.t))
-        for j in range(1, j_max + 1):
-            a = j * spec.t / n
-            total += spec.t * (n - 1.0) * _gated_power(mu, a, n - 2) * a / mu ** 2
-        return total
-    if k is Kind.MGF:
-        # d/dw M(1, n, w) = M(2, n+1, w)/n (DLMF 13.3.15), w = n t mean
-        return spec.t * float(_sp.hyp1f1(2.0, n + 1.0, n * spec.t * mu))
-    if k is Kind.EXPECTED_SHORTFALL:
-        return 1.0 - math.log1p(-spec.p)
-    raise DomainError(f"no derivative table entry for kind {k.value!r}")
-
-
-def _kinks_near(spec: FunctionalSpec, n: int, mu: float) -> list[float]:
-    k = spec.kind
-    if k in (Kind.SURVIVAL, Kind.PDF):
-        return [spec.t / n]
-    if k is Kind.MAX_CDF_POWER:
-        return [j * spec.t / n for j in range(1, spec.m + 1)]
-    if k is Kind.MIN_SURVIVAL:
-        return [spec.m * spec.t / n]
-    if k is Kind.MEAN_PAST_LIFETIME:
-        j = round(n * mu / spec.t)
-        return [i * spec.t / n for i in (j - 1, j, j + 1) if i >= 1]
-    return []
-
-
 def asymptotic_variance(spec: FunctionalSpec, n: int, lam: float) -> float:
     """Delta-method variance [phi'(1/lambda)/lambda]^2 of the CLT limit.
 
@@ -263,11 +193,14 @@ def asymptotic_variance(spec: FunctionalSpec, n: int, lam: float) -> float:
         raise DomainError("lambda must be finite and positive")
     mu = 1.0 / lam
     h = 5e-6 * mu
-    for kink in _kinks_near(spec, n, mu):
+    row = _CATALOGUE[spec.kind]
+    for kink in row.kinks(spec, n, mu + 4.0 * h):
         if abs(mu - kink) < 4.0 * h:
             raise NondifferentiableError(
                 f"1/lambda = {mu:g} sits on an indicator kink of {spec.kind.value}")
-    deriv = _phi_prime_analytic(spec, n, mu)
+    if row.phi_prime is None:
+        raise DomainError(f"no derivative table entry for kind {spec.kind.value!r}")
+    deriv = row.phi_prime(spec, n, mu)
     if deriv == 0.0:
         raise DegenerateError(
             f"estimator derivative vanishes at 1/lambda for {spec.kind.value}; "

@@ -19,9 +19,9 @@ from scipy import special as _sp
 
 from ._quadrature import adaptive_gauss_kronrod
 from .errors import DomainError, SpecError
-from .estimators import (EstimateResult, Family, FunctionalSpec, Kind,
+from .estimators import (_CATALOGUE, EstimateResult, Family, FunctionalSpec,
                          phi_function, target_value)
-from .special import _log_gamma_ratio, _stirling_remainder
+from .special import _stirling_remainder
 
 __all__ = [
     "VerificationReport", "gamma_mean_density", "expectation",
@@ -31,8 +31,6 @@ __all__ = [
 
 _REL_BIAS_FLOOR = 1e-300
 _TAIL_MASS = 1e-16
-
-_TATE_KINDS = (Kind.RATE_POWER, Kind.QUANTILE, Kind.MAX_CDF_POWER)
 
 
 @dataclass(frozen=True)
@@ -104,23 +102,7 @@ def expectation(estimator: Callable[[np.ndarray], np.ndarray], n: int, lam: floa
 
 def kink_points(spec: FunctionalSpec, n: int, upper: float) -> list[float]:
     """Indicator-boundary abscissae of the closed-form estimator below ``upper``."""
-    k = spec.kind
-    if k in (Kind.SURVIVAL, Kind.PDF):
-        return [spec.t / n]
-    if k is Kind.MAX_CDF_POWER:
-        return [j * spec.t / n for j in range(1, spec.m + 1)]
-    if k is Kind.MIN_SURVIVAL:
-        return [spec.m * spec.t / n]
-    if k is Kind.MEAN_PAST_LIFETIME:
-        k_max = int(math.ceil(n * upper / spec.t))
-        return [j * spec.t / n for j in range(1, k_max + 1)]
-    return []
-
-
-def _tail_rate_for(spec: FunctionalSpec, n: int, lam: float) -> Optional[float]:
-    if spec.kind is Kind.MGF and spec.t > 0.0:
-        return n * (lam - spec.t)
-    return None
+    return _CATALOGUE[spec.kind].kinks(spec, n, upper)
 
 
 def verify_unbiasedness(spec: FunctionalSpec, n: int, lam: float,
@@ -128,15 +110,22 @@ def verify_unbiasedness(spec: FunctionalSpec, n: int, lam: float,
     """Quadrature expectation of the closed-form estimator vs its target."""
     target = target_value(spec, lam)
     phi = phi_function(spec, n)
-    rate = _tail_rate_for(spec, n, lam) or n * lam
-    upper = _upper_cutoff(n, rate)
-    value, err = expectation(phi, n, lam, rel_tol,
-                             kinks=kink_points(spec, n, upper),
-                             tail_rate=_tail_rate_for(spec, n, lam))
+    return _report(spec, n, lam, rel_tol, phi, target, Family.CLOSED_FORM_UNBIASED)
+
+
+def _report(spec: FunctionalSpec, n: int, lam: float, rel_tol: float,
+            phi: Callable[[np.ndarray], np.ndarray], target: float,
+            family: Family) -> VerificationReport:
+    # An estimator whose target has a real pole c > 0 grows like e^{n c mean},
+    # so the integrand decays at rate n (lam - c) rather than n lam.
+    pole = _CATALOGUE[spec.kind].pole(spec)
+    tail_rate = n * (lam - pole) if pole > 0.0 else None
+    upper = _upper_cutoff(n, tail_rate or n * lam)
+    value, err = expectation(phi, n, lam, rel_tol, kinks=kink_points(spec, n, upper),
+                             tail_rate=tail_rate)
     abs_bias = abs(value - target)
     rel_bias = abs_bias / max(abs(target), _REL_BIAS_FLOOR)
-    return VerificationReport(spec, n, lam, value, target, abs_bias, rel_bias,
-                              err, Family.CLOSED_FORM_UNBIASED)
+    return VerificationReport(spec, n, lam, value, target, abs_bias, rel_bias, err, family)
 
 
 # ---------------------------------------------------------------------------
@@ -150,31 +139,12 @@ def tate_phi_function(spec: FunctionalSpec, n: int) -> Callable[[np.ndarray], np
     where n belongs: rate powers carry Gamma(n-1)/(n^p Gamma(n-1-p)),
     quantiles an extra n/(n-1), and max-CDF powers exponent n-2.
     """
-    if spec.kind not in _TATE_KINDS:
+    row = _CATALOGUE[spec.kind]
+    if row.tate_phi is None:
         raise SpecError(f"no Tate form for kind {spec.kind.value!r}")
     if n < 2:
         raise DomainError("the Tate estimators require n >= 2")
-    if spec.kind is Kind.RATE_POWER:
-        p = spec.p
-        if p >= n - 1:
-            raise DomainError(f"Tate rate-power needs p < n-1 (got p={p}, n={n})")
-        coef = math.exp(-_log_gamma_ratio(n - 1, -p) - p * math.log(n))
-        return lambda x: coef * np.asarray(x, dtype=float) ** (-p)
-    if spec.kind is Kind.QUANTILE:
-        c = -math.log1p(-spec.q) * n / (n - 1.0)
-        return lambda x: c * np.asarray(x, dtype=float)
-
-    def _max_biased(x):
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
-        total = np.ones(xa.shape)
-        for k in range(1, spec.m + 1):
-            a = k * spec.t / n
-            ind = xa >= a
-            base = np.where(ind, 1.0 - a / xa, 0.0)
-            total = total + math.comb(spec.m, k) * (-1) ** k * np.where(ind, base ** (n - 2), 0.0)
-        return total.reshape(np.shape(x))
-
-    return _max_biased
+    return row.tate_phi(spec, n)
 
 
 def tate_estimate(spec: FunctionalSpec, sample_mean: float, n: int) -> EstimateResult:
@@ -190,22 +160,15 @@ def tate_expected_value(spec: FunctionalSpec, n: int, lam: float) -> float:
     quantile: [n/(n-1)] * (-ln(1-q)/lambda);
     max CDF power: [lam m t / ((n-1)(1 - e^{lam t})) + 1] * (1 - e^{-lam t})^m.
     """
-    if spec.kind not in _TATE_KINDS:
+    row = _CATALOGUE[spec.kind]
+    if row.tate_mean is None:
         raise SpecError(f"no Tate expectation for kind {spec.kind.value!r}")
     lam = float(lam)
     if lam <= 0.0:
         raise DomainError("lambda must be positive")
     if n < 2:
         raise DomainError("the Tate estimators require n >= 2")
-    if spec.kind is Kind.RATE_POWER:
-        if spec.p >= n - 1:
-            return 0.0  # indicator 1{p < n-1} in the expectation table
-        return (1.0 - spec.p / (n - 1.0)) * lam ** spec.p
-    if spec.kind is Kind.QUANTILE:
-        return (n / (n - 1.0)) * (-math.log1p(-spec.q) / lam)
-    t, m = spec.t, spec.m
-    return (lam * m * t / ((n - 1.0) * (1.0 - math.exp(lam * t))) + 1.0) \
-        * (-math.expm1(-lam * t)) ** m
+    return row.tate_mean(spec, n, lam)
 
 
 def verify_tate_bias(spec: FunctionalSpec, n: int, lam: float,
@@ -217,11 +180,5 @@ def verify_tate_bias(spec: FunctionalSpec, n: int, lam: float,
     """
     target = tate_expected_value(spec, n, lam)
     phi = tate_phi_function(spec, n)
-    kinks = []
-    if spec.kind is Kind.MAX_CDF_POWER:
-        kinks = [j * spec.t / n for j in range(1, spec.m + 1)]
-    value, err = expectation(phi, n, lam, rel_tol, kinks=kinks)
-    abs_bias = abs(value - target)
-    rel_bias = abs_bias / max(abs(target), _REL_BIAS_FLOOR)
-    return VerificationReport(spec, n, lam, value, target, abs_bias, rel_bias,
-                              err, Family.TATE_BIASED)
+    # the 1959 forms have the indicator kinks of the corrected ones
+    return _report(spec, n, lam, rel_tol, phi, target, Family.TATE_BIASED)

@@ -9,6 +9,7 @@ All functions accept scalars or numpy arrays and are pure.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -60,6 +61,26 @@ def _log_gamma_ratio(b, d):
     """
     return ((b + d - 0.5) * np.log1p(d / b) + d * np.log(b) - d
             + _stirling_remainder(b + d) - _stirling_remainder(b))
+
+
+def _log_variance_ratio(n: int, p: float) -> float:
+    """ln Gamma(n) Gamma(n + 2p) / Gamma(n + p)^2 for n + p, n + 2p > 0.
+
+    This is D(n) = H(n, 2p) - 2 H(n, p) with H = :func:`_log_gamma_ratio`,
+    whose p ln n and p terms cancel exactly.  With y = p/(m + p),
+    D(m) = (m - 1/2) log1p(-y^2) + 2p log1p(y) + R(m + 2p) - 2R(m + p) + R(m),
+    which needs no cancellation once all three remainders are series, that is
+    for min(m, m + 2p) >= 10.  Smaller n are shifted up to such an m through
+    D(n) = D(n + 1) - log1p(-(p/(n + p))^2).
+    """
+    m = n + max(0, math.ceil(_STIRLING_MIN_X - min(n, n + 2.0 * p)))
+    shift = 0.0
+    for j in range(n, m):
+        shift += math.log1p(-(p / (j + p)) ** 2)
+    y = p / (m + p)
+    return float((m - 0.5) * math.log1p(-y * y) + 2.0 * p * math.log1p(y)
+                 + _stirling_remainder(m + 2.0 * p) - 2.0 * _stirling_remainder(m + p)
+                 + _stirling_remainder(m) - shift)
 
 
 def log_gamma(x):

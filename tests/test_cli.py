@@ -209,3 +209,30 @@ class TestVerifyOverflow:
         assert code == EXIT_OK
         rows = json.loads(out)["results"]
         assert rows and all(r["rel_bias"] <= 1e-9 for r in rows)
+
+
+class TestMalformedInput:
+    # every malformed option value is an input error: exit 2 and one line on
+    # stderr, never a traceback or a silently odd output
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--kinds", "quantile", "--n", "2,x"],
+        ["verify", "--kinds", "quantile", "--n", ""],
+        ["verify", "--kinds", "quantile", "--lambda", "1,abc"],
+        ["verify", "--kinds", "quantile", "--jobs", "0"],
+        ["compare", "--p", "1", "--n", "5", "--lambda", "1", "--reps", "100", "--jobs", "0"],
+    ], ids=["n-not-integer", "n-empty", "lambda-not-number", "verify-jobs-0", "compare-jobs-0"])
+    def test_exits_with_input_error(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("bins", ["-3", "0"])
+    def test_hist_bins_must_be_positive(self, bins, tmp_path, capsys):
+        hist = tmp_path / "hist.csv"
+        code, out, err = run(["clt", "--kind", "quantile", "--q", "0.5", "--n", "5",
+                              "--lambda", "1", "--reps", "100", "--seed", "1",
+                              "--hist", str(hist), "--hist-bins", bins], capsys)
+        assert code == EXIT_INPUT
+        assert out == "" and not hist.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -435,6 +435,22 @@ class TestVarianceFormulas:
         assert vu > 0.0
         assert vu < vm
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 30, 200, 1000, 10_000, 100_000])
+    def test_unbiased_against_mpmath(self, n):
+        # the bracket Gamma(n)Gamma(n+2p)/Gamma(n+p)^2 - 1 is about p^2/n;
+        # it must not lose the digits that its p ln n parts would cancel
+        with mp.workdps(60):
+            for p in (-0.45, -0.2, 0.01, 0.1, 0.5, 1.5, 2.0, 3.7, 12.0):
+                if p <= -n / 2.0:
+                    continue
+                pm = mp.mpf(p)
+                bracket = mp.expm1(mp.loggamma(n) + mp.loggamma(n + 2 * pm)
+                                   - 2 * mp.loggamma(n + pm))
+                for lam in (0.37, 1.0, 2.5):
+                    ref = mp.gamma(pm + 1) ** 2 / mp.mpf(lam) ** (2 * pm) * bracket
+                    assert closed_form_variance_unbiased(p, n, lam) == pytest.approx(
+                        float(ref), rel=1e-12, abs=0.0)
+
     def test_domains(self):
         with pytest.raises(DomainError):
             closed_form_variance_mle(-0.5, 5, 1.0)

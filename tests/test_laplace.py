@@ -9,7 +9,7 @@ import pytest
 from expunbias.errors import (ConfigurationError, DomainError, InversionError,
                               UnsupportedTransformError)
 from expunbias.estimators import (FunctionalSpec, Family, Kind, Sample, mgf,
-                                  moment, quantile, rate_power)
+                                  moment, quantile, rate_power, target_value)
 from expunbias.laplace import (InversionConfig, InversionMethod,
                                TransferFunction, builtin_transfer_function,
                                generic_phi, generic_unbiased_estimate,
@@ -150,6 +150,28 @@ class TestGenericEstimator:
         assert xi.delta_content
         with pytest.raises(UnsupportedTransformError):
             generic_phi(xi, 5)
+
+    @pytest.mark.parametrize("kind,params", [
+        (Kind.RATE_POWER, {"p": 0.5}),
+        (Kind.QUANTILE, {"q": 0.5}),
+        (Kind.MOMENT, {"p": 2.0}),
+        (Kind.SURVIVAL, {"t": 0.5}),
+        (Kind.MAX_CDF_POWER, {"t": 0.5, "m": 2}),
+        (Kind.MIN_SURVIVAL, {"t": 0.5, "m": 2}),
+        (Kind.PDF, {"t": 0.5}),
+        (Kind.MEAN_PAST_LIFETIME, {"t": 0.5}),
+        (Kind.MGF, {"t": 0.2}),
+        (Kind.EXPECTED_SHORTFALL, {"p": 0.5}),
+    ])
+    def test_transform_is_the_target(self, kind, params):
+        # a built-in transfer function is xi itself, evaluated on the real
+        # axis by either evaluator
+        spec = FunctionalSpec(kind, **params)
+        xi = builtin_transfer_function(spec)
+        for lam in (0.3, 1.0, 2.5):
+            target = target_value(spec, lam)
+            assert xi.eval_real(lam) == pytest.approx(target, rel=1e-13, abs=0.0)
+            assert xi.eval_complex(lam + 0j).real == pytest.approx(target, rel=1e-13, abs=0.0)
 
     def test_mgf_negative_t_no_shift(self):
         xi = builtin_transfer_function(FunctionalSpec(Kind.MGF, t=-0.5))

@@ -5,8 +5,8 @@
 runs ``python -m expunbias`` with ``PYTHONPATH=SRC_DIR`` on a fixed list of
 manifests and prints ``<sha256>  <label>`` per run.  Each digest covers the
 exit code, stdout, stderr and the ``--hist`` file where there is one.  Runs
-happen one after another in a fresh temporary directory holding a data file
-the script writes itself, and every path passed to the CLI is relative, so
+happen one after another in a fresh temporary directory holding two data
+files the script writes itself, and every path passed to the CLI is relative, so
 the outputs of two source trees can be compared digest by digest (diff the
 two listings).  A run that ends in a traceback prints the source path on
 stderr, so its digest differs between trees whatever the code does.
@@ -15,6 +15,7 @@ stderr, so its digest differs between trees whatever the code does.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -35,6 +36,8 @@ KIND_ARGS = {
 }
 SMOOTH_KINDS = ("rate-power", "quantile", "moment", "mgf", "expected-shortfall")
 DATA = "0.43\n1.12\n0.71\n2.04\n0.09\n# a comment\n\n0.88\n1.57\n"
+# 200 observations: the exp(1) quantiles at levels (k + 1/2)/200
+DATA_200 = "".join(f"{-math.log1p(-(k + 0.5) / 200):.6f}\n" for k in range(200))
 HIST = "hist.csv"
 
 
@@ -65,6 +68,9 @@ def manifests() -> list[tuple[str, list[str]]]:
             runs.append((f"estimate {kind} {engine}",
                          ["estimate", "--kind", kind, *KIND_ARGS[kind], "--data", "data.txt",
                           "--engine", engine]))
+            runs.append((f"estimate {kind} {engine} n=200",
+                         ["estimate", "--kind", kind, *KIND_ARGS[kind],
+                          "--data", "data200.txt", "--engine", engine]))
     runs += [
         ("malformed verify --n 2,x", ["verify", "--kinds", "quantile", "--n", "2,x"]),
         ("malformed verify --n ''", ["verify", "--kinds", "quantile", "--n", ""]),
@@ -80,6 +86,10 @@ def manifests() -> list[tuple[str, list[str]]]:
         ("malformed compare --jobs 0",
          ["compare", "--p", "1", "--n", "5", "--lambda", "1", "--reps", "1000",
           "--jobs", "0"]),
+        ("malformed verify --threshold nan",
+         ["verify", "--kinds", "quantile", "--threshold", "nan"]),
+        ("malformed verify --rel-tol nan", ["verify", "--kinds", "quantile", "--rel-tol", "nan"]),
+        ("verify --lambda 1e-320", ["verify", "--kinds", "quantile", "--lambda", "1e-320"]),
     ]
     return runs
 
@@ -105,8 +115,9 @@ def main() -> int:
         print("usage: python bench/cli_digest.py SRC_DIR", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as workdir:
-        with open(os.path.join(workdir, "data.txt"), "w", encoding="utf-8") as fh:
-            fh.write(DATA)
+        for name, text in (("data.txt", DATA), ("data200.txt", DATA_200)):
+            with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
         for label, argv in manifests():
             print(f"{digest(sys.argv[1], workdir, argv)}  {label}", flush=True)
     return 0

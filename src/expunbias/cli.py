@@ -188,6 +188,9 @@ _TATE_KIND_NAMES = [name for name, kind in _KIND_NAMES.items()
 
 
 def _cmd_verify(args) -> int:
+    for option, value in (("--rel-tol", args.rel_tol), ("--threshold", args.threshold)):
+        if not (value > 0.0 and math.isfinite(value)):
+            raise _InputError(f"{option} must be finite and positive, got {value!r}")
     n_grid = _number_list(args.n, int, "--n")
     lam_grid = _number_list(getattr(args, "lambda"), float, "--lambda")
     kinds = args.kinds.split(",") if args.kinds else (

@@ -491,8 +491,8 @@ class _KindRow:
     ``kinks(spec, n, upper)``: its indicator boundaries below ``upper``;
     ``transform(spec)``: xi as one expression for floats, complexes and
     mpmath floats, constants bound once as default arguments, described by
-    ``domain_note`` (``{pole}`` is filled in), ``delta_content`` (estimator
-    from Dirac sifting) and ``pole(spec)`` (xi's largest real singularity);
+    ``delta_content`` (estimator from Dirac sifting) and ``pole(spec)``
+    (xi's largest real singularity);
     ``verify_args``: the ``verify`` options read for ``params`` (default:
     ``params``); ``skip(spec, n, lam)``: the ``verify`` grid cells outside
     the domain; ``tate_phi``, ``tate_mean``: the biased 1959 estimator and
@@ -502,7 +502,6 @@ class _KindRow:
     params: tuple[str, ...]
     target: Callable
     transform: Optional[Callable]
-    domain_note: str = ""
     checks: tuple = ()
     phi: Optional[Callable] = None
     phi_prime: Optional[Callable] = None
@@ -585,7 +584,6 @@ _CATALOGUE: dict[Kind, _KindRow] = {
         phi=_rate_power_phi,
         phi_prime=lambda s, n, mu: -s.p * rate_power(mu, n, s.p) / mu,
         transform=lambda s: lambda v, p=float(s.p): v ** p,
-        domain_note="branch point at 0",
         skip=lambda s, n, lam: s.p >= n,
         tate_phi=_tate_rate_power_phi,
         # 1{p < n-1} in the expectation table
@@ -598,7 +596,6 @@ _CATALOGUE: dict[Kind, _KindRow] = {
         phi=lambda s, n: lambda x: quantile(x, s.q),
         phi_prime=lambda s, n, mu: -math.log1p(-s.q),
         transform=lambda s: lambda v, c=-math.log1p(-s.q): c / v,
-        domain_note="pole at 0",
         tate_phi=_tate_quantile_phi,
         tate_mean=lambda s, n, lam: (n / (n - 1.0)) * (-math.log1p(-s.q) / lam)),
     Kind.MOMENT: _KindRow(
@@ -609,7 +606,6 @@ _CATALOGUE: dict[Kind, _KindRow] = {
         phi_prime=lambda s, n, mu: s.p * moment(mu, n, s.p) / mu,
         transform=lambda s: (lambda v, p=float(s.p), g=math.exp(log_gamma(float(s.p) + 1.0)):
                              g * v ** (-p)),
-        domain_note="branch point at 0",
         verify_args=("moment_p",)),
     Kind.SURVIVAL: _KindRow(
         params=("t",),
@@ -619,7 +615,6 @@ _CATALOGUE: dict[Kind, _KindRow] = {
         phi_prime=lambda s, n, mu: _indicator_terms_prime(0.0, [(1, s.t / n)], mu, n),
         kinks=lambda s, n, upper: [s.t / n],
         transform=lambda s: lambda v, t=float(s.t): _exp_any(-t * v),
-        domain_note="Dirac original",
         delta_content=True),
     Kind.MAX_CDF_POWER: _KindRow(
         params=("t", "m"),
@@ -632,7 +627,6 @@ _CATALOGUE: dict[Kind, _KindRow] = {
         kinks=lambda s, n, upper: [j * s.t / n for j in range(1, s.m + 1)],
         transform=lambda s: (lambda v, t=float(s.t), m=int(s.m):
                              (1.0 - _exp_any(-t * v)) ** m),
-        domain_note="Dirac comb original",
         delta_content=True,
         # the 1959 form carries exponent n-2 where n-1 belongs
         tate_phi=lambda s, n: lambda x: _cdf_power_sum(
@@ -648,7 +642,6 @@ _CATALOGUE: dict[Kind, _KindRow] = {
         phi_prime=lambda s, n, mu: _indicator_terms_prime(0.0, [(1, s.m * s.t / n)], mu, n),
         kinks=lambda s, n, upper: [s.m * s.t / n],
         transform=lambda s: lambda v, a=float(s.t) * int(s.m): _exp_any(-a * v),
-        domain_note="Dirac original",
         delta_content=True),
     Kind.PDF: _KindRow(
         params=("t",),
@@ -658,7 +651,6 @@ _CATALOGUE: dict[Kind, _KindRow] = {
         phi_prime=_pdf_prime,
         kinks=lambda s, n, upper: [s.t / n],
         transform=lambda s: lambda v, t=float(s.t): v * _exp_any(-t * v),
-        domain_note="Dirac-derivative original",
         delta_content=True,
         skip=lambda s, n, lam: n < 2),
     Kind.MEAN_PAST_LIFETIME: _KindRow(
@@ -671,7 +663,6 @@ _CATALOGUE: dict[Kind, _KindRow] = {
             mu, n),
         kinks=_mean_past_lifetime_kinks,
         transform=lambda s: lambda v, t=float(s.t): t / (1.0 - _exp_any(-t * v)) - 1.0 / v,
-        domain_note="Dirac comb original",
         delta_content=True),
     Kind.MGF: _KindRow(
         params=("t",),
@@ -681,7 +672,6 @@ _CATALOGUE: dict[Kind, _KindRow] = {
         # d/dw M(1, n, w) = M(2, n+1, w)/n (DLMF 13.3.15), w = n t mean
         phi_prime=lambda s, n, mu: s.t * float(hyp1f1(2.0, n + 1.0, n * s.t * mu)),
         transform=lambda s: lambda v, t=float(s.t): v / (v - t),
-        domain_note="pole at {pole}",
         pole=lambda s: float(s.t),
         skip=lambda s, n, lam: s.t >= lam),
     Kind.EXPECTED_SHORTFALL: _KindRow(
@@ -691,7 +681,6 @@ _CATALOGUE: dict[Kind, _KindRow] = {
         phi=lambda s, n: lambda x: expected_shortfall(x, s.p),
         phi_prime=lambda s, n, mu: 1.0 - math.log1p(-s.p),
         transform=lambda s: lambda v, c=-math.log1p(-s.p) + 1.0: c / v,
-        domain_note="pole at 0",
         verify_args=("q",)),
     Kind.CUSTOM: _KindRow(
         params=("custom_transform",),

@@ -3,10 +3,9 @@
 For a target functional xi(lambda) with Laplace-invertible structure, the
 unbiased estimator of xi from an exp(lambda) sample of size n is
 
-    phi(mean) = Gamma(n)/mean^{n-1} * invL{ xi(s/n) / s^n }(mean),
+    phi(mean) = Gamma(n)/mean^{n-1} * invL{ xi(s/n) / s^n }(mean).
 
-and equivalently the Riemann-Liouville convolution of invL{xi(s/n)} against
-(1 - v/mean)^{n-1}.  Three numerical realisations are provided:
+Two engines realise the inversion:
 
 * Gaver-Stehfest: real-axis sampling with Salzer weights.  The weights are
   computed exactly as rationals; the summation runs in extended precision
@@ -19,9 +18,6 @@ and equivalently the Riemann-Liouville convolution of invL{xi(s/n)} against
   order sums a prefix of the same values.
 * Fixed Talbot: deformed Bromwich contour, double-precision complex
   arithmetic; requires a complex evaluator.
-* Convolution quadrature: pointwise inversion of xi(s/n) fed through the
-  convolution integral; the real-only fallback for transforms whose own
-  inverse exists as an ordinary function.
 
 Transforms whose composed original carries Dirac content or indicator
 kinks (survival-type functionals) are rejected here by declaration and
@@ -36,12 +32,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import mpmath as mp
-import numpy as np
 
-from ._quadrature import adaptive_gauss_kronrod
 from .errors import (ConfigurationError, DomainError, InversionError,
                      UnsupportedTransformError)
 from .estimators import (_CATALOGUE, EstimateResult, Family, FunctionalSpec, Kind,
@@ -51,7 +45,7 @@ from .special import log_gamma
 __all__ = [
     "TransferFunction", "InversionConfig", "InversionMethod",
     "invert_gaver_stehfest", "invert_talbot", "generic_unbiased_estimate",
-    "generic_phi", "builtin_transfer_function", "BUILTIN_TRANSFORMS",
+    "generic_phi", "builtin_transfer_function",
 ]
 
 
@@ -74,7 +68,6 @@ class TransferFunction:
 
     eval_real: Callable[[float], float]
     eval_complex: Optional[Callable[[complex], complex]] = None
-    domain_note: str = ""
     delta_content: bool = False
     largest_real_singularity: Optional[float] = None
 
@@ -82,42 +75,29 @@ class TransferFunction:
 class InversionMethod(Enum):
     GAVER_STEHFEST = "gaver-stehfest"
     TALBOT = "talbot"
-    CONVOLUTION_QUADRATURE = "convolution-quadrature"
 
 
 @dataclass(frozen=True)
 class InversionConfig:
-    """Method choice and tuning for the numeric inversions.
+    """Engine choice for the generic estimator.
 
     ``method=None`` selects automatically: Talbot when a complex evaluator
     is available, Gaver-Stehfest otherwise.
     """
 
     method: Optional[InversionMethod] = None
-    gs_order: int = 16
-    talbot_nodes: int = 32
-    # the convolution path's inner order-14 inversions are good to ~1e-9,
-    # so pushing the quadrature below that only chases noise
-    quad_rel_tol: float = 1e-8
-    quad_max_subdiv: int = 2048
 
     def __post_init__(self):
         if self.method is not None and not isinstance(self.method, InversionMethod):
             raise ConfigurationError(f"unknown inversion method {self.method!r}")
-        if self.gs_order % 2 != 0 or not 8 <= self.gs_order <= 20:
-            raise ConfigurationError("gs_order must be an even integer in [8, 20]")
-        if not 16 <= self.talbot_nodes <= 64:
-            raise ConfigurationError("talbot_nodes must lie in [16, 64]")
-        if self.quad_rel_tol <= 0.0 or self.quad_max_subdiv < 1:
-            raise ConfigurationError("quadrature tolerances must be positive")
 
-
-_DEFAULT_CONFIG = InversionConfig()
 
 # escalation ladder for the estimator-path Gaver-Stehfest order; beyond the
 # public [8, 20] window the summation runs at ~2.2 digits per order, which
-# mpmath makes exact.
+# mpmath makes exact.  Transforms that answer in double precision only stop
+# at 20.
 _GS_LADDER = (16, 20, 26, 32, 40)
+_TALBOT_NODES = 32
 
 
 @lru_cache(maxsize=None)
@@ -135,12 +115,6 @@ def _stehfest_weight_fractions(order: int) -> tuple[Fraction, ...]:
             total += Fraction(num, den)
         weights.append(Fraction(-1) ** (k + half) * total)
     return tuple(weights)
-
-
-@lru_cache(maxsize=None)
-def _stehfest_weights_float(order: int) -> tuple[float, ...]:
-    # rounded exactly once from the rational values
-    return tuple(float(w) for w in _stehfest_weight_fractions(order))
 
 
 def _eval_mp(fn: Callable, s):
@@ -163,7 +137,7 @@ def _stehfest_weights_mp(order: int, dps: int) -> tuple:
                      for w in _stehfest_weight_fractions(order))
 
 
-def _gs_ladder(fn: Callable, t: float, orders: list[int], sigma: float = 0.0) -> float:
+def _gs_ladder(fn: Callable, t: float, orders: Sequence[int], sigma: float = 0.0) -> float:
     """Gaver-Stehfest inversion at extended precision, climbing ``orders``.
 
     Returns invL{ F(sigma + .) }(t) * e^{sigma t}, i.e. the inversion of F
@@ -217,16 +191,6 @@ def invert_gaver_stehfest(transform: TransferFunction, t: float, order: int = 16
     return _gs_ladder(transform.eval_real, float(t), [int(order)])
 
 
-def _gs_sum_double(fn: Callable[[float], float], t: float, order: int,
-                   sigma: float = 0.0) -> float:
-    # plain double-precision variant for the inner convolution inversions
-    ln2_t = math.log(2.0) / t
-    weights = _stehfest_weights_float(order)
-    total = math.fsum(weights[k - 1] * fn(sigma + k * ln2_t)
-                      for k in range(1, order + 1))
-    return total * ln2_t * math.exp(sigma * t)
-
-
 def invert_talbot(transform: TransferFunction, t: float, nodes: int = 32) -> float:
     """Invert ``transform`` at ``t`` on the fixed Talbot contour.
 
@@ -267,25 +231,6 @@ def _talbot_sum(fn: Callable[[complex], complex], t: float, nodes: int,
 # the generic estimator
 # ---------------------------------------------------------------------------
 
-def _shift_for(xi: TransferFunction, n: int) -> float:
-    hint = xi.largest_real_singularity
-    if hint is None or hint <= 0.0:
-        return 0.0
-    return n * float(hint)
-
-
-def _composed_real(xi: TransferFunction, n: int) -> Callable:
-    def G(s):
-        return _eval_mp(xi.eval_real, s / n) / s ** n
-    return G
-
-
-def _composed_complex(xi: TransferFunction, n: int) -> Callable[[complex], complex]:
-    def G(s: complex) -> complex:
-        return complex(xi.eval_complex(s / n)) / s ** n
-    return G
-
-
 def _keeps_extended_precision(fn: Callable) -> bool:
     # orders past ~20 only pay off if the transform can answer in mpmath
     # precision; a float-returning callable would feed 1e-16 rounding noise
@@ -302,72 +247,59 @@ def _keeps_extended_precision(fn: Callable) -> bool:
     return False
 
 
-def _gs_direct_escalating(xi: TransferFunction, n: int, xbar: float,
-                          start_order: int, mp_capable: bool) -> float:
-    """Direct-path Gaver-Stehfest inversion of xi(s/n)/s^n at xbar.
-
-    Climbs the order ladder until two consecutive results agree to ~1e-9
-    relative; diverging results raise with diagnostics.  Transforms that
-    evaluate in double precision only are capped at order 20.
-    """
-    orders = [start_order] + [o for o in _GS_LADDER if o > start_order]
-    if not mp_capable:
-        orders = [o for o in orders if o <= 20] or [start_order]
-    return _gs_ladder(_composed_real(xi, n), xbar, orders, sigma=_shift_for(xi, n))
-
-
-def _phi_value(xi: TransferFunction, n: int, xbar: float,
-               config: InversionConfig, method: InversionMethod,
-               mp_capable: bool) -> float:
-    sigma = _shift_for(xi, n)
-    log_coef = log_gamma(n) - (n - 1) * math.log(xbar)
-    if method is InversionMethod.GAVER_STEHFEST:
-        inv = _gs_direct_escalating(xi, n, xbar, config.gs_order, mp_capable)
-        return math.exp(log_coef) * inv
-    if method is InversionMethod.TALBOT:
-        if xi.eval_complex is None:
-            raise ConfigurationError("Talbot inversion needs an eval_complex callable")
-        inv = _talbot_sum(_composed_complex(xi, n), xbar, config.talbot_nodes,
-                          sigma=sigma)
-        return math.exp(log_coef) * inv
-    # Riemann-Liouville convolution path: invert xi(s/n) pointwise and
-    # integrate against the (1 - v/xbar)^{n-1} kernel.
-    def h_point(v: float) -> float:
-        return _gs_sum_double(
-            lambda s: float(xi.eval_real(s / n)), v, 14, sigma=sigma)
-
-    def integrand(v: np.ndarray) -> np.ndarray:
-        va = np.atleast_1d(v)
-        out = np.array([h_point(float(x)) for x in va])
-        return ((1.0 - va / xbar) ** (n - 1) * out).reshape(np.shape(v))
-
-    value, _, _ = adaptive_gauss_kronrod(
-        integrand, 0.0, xbar, rel_tol=config.quad_rel_tol,
-        max_segments=config.quad_max_subdiv)
-    return value
-
-
 def generic_phi(xi: TransferFunction, n: int,
                 config: InversionConfig | None = None) -> Callable[[float], float]:
-    """Estimator function mean -> estimate for an arbitrary smooth transform."""
+    """Estimator function mean -> estimate for an arbitrary smooth transform.
+
+    The engine, the contour shift (n times xi's largest positive real
+    singularity), the composed transform xi(s/n)/s^n and ln Gamma(n) are
+    fixed here, so each point does only the inversion sum.  Gaver-Stehfest
+    climbs the order ladder until two consecutive orders agree; Talbot uses
+    a fixed node count.
+    """
     if xi.delta_content:
         raise UnsupportedTransformError(
             "transform declared distributional (Dirac content); "
             "use the closed-form catalogue for survival-type functionals")
     if n < 1:
         raise DomainError("n must be a positive integer")
-    cfg = config or _DEFAULT_CONFIG
-    method = cfg.method
+    method = config.method if config is not None else None
     if method is None:
         method = (InversionMethod.TALBOT if xi.eval_complex is not None
                   else InversionMethod.GAVER_STEHFEST)
-    mp_capable = (method is InversionMethod.GAVER_STEHFEST
-                  and _keeps_extended_precision(xi.eval_real))
+    hint = xi.largest_real_singularity
+    sigma = n * float(hint) if hint is not None and hint > 0.0 else 0.0
+    log_gamma_n = log_gamma(n)
+
+    if method is InversionMethod.TALBOT:
+        if xi.eval_complex is None:
+            raise ConfigurationError("Talbot inversion needs an eval_complex callable")
+
+        def composed_complex(s: complex) -> complex:
+            return complex(xi.eval_complex(s / n)) / s ** n
+
+        def invert(xbar: float) -> float:
+            return _talbot_sum(composed_complex, xbar, _TALBOT_NODES, sigma=sigma)
+    else:
+        orders = (_GS_LADDER if _keeps_extended_precision(xi.eval_real)
+                  else [o for o in _GS_LADDER if o <= 20])
+
+        def composed_real(s):
+            return _eval_mp(xi.eval_real, s / n) / s ** n
+
+        def invert(xbar: float) -> float:
+            return _gs_ladder(composed_real, xbar, orders, sigma=sigma)
 
     def phi(xbar: float) -> float:
         if not (xbar > 0.0 and math.isfinite(xbar)):
             raise DomainError("sample mean must be finite and positive")
-        val = _phi_value(xi, n, float(xbar), cfg, method, mp_capable)
+        xbar = float(xbar)
+        try:
+            inv = invert(xbar)
+            val = math.exp(log_gamma_n - (n - 1) * math.log(xbar)) * inv
+        except OverflowError as exc:
+            raise InversionError("inversion overflowed double range",
+                                 {"method": method.value, "n": n, "t": xbar}) from exc
         if not math.isfinite(val):
             raise InversionError("inversion produced a non-finite estimate",
                                  {"method": method.value, "t": xbar})
@@ -403,10 +335,5 @@ def builtin_transfer_function(spec: FunctionalSpec) -> TransferFunction:
     row = _CATALOGUE[spec.kind]
     fn = row.transform(spec)
     pole = row.pole(spec)
-    return TransferFunction(fn, fn, domain_note=row.domain_note.format(pole=pole),
-                            delta_content=row.delta_content, largest_real_singularity=pole)
-
-
-BUILTIN_TRANSFORMS = {
-    kind.value: kind for kind in Kind if kind is not Kind.CUSTOM
-}
+    return TransferFunction(fn, fn, delta_content=row.delta_content,
+                            largest_real_singularity=pole)

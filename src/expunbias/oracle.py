@@ -67,9 +67,13 @@ def gamma_mean_density(x, n, lam):
     return float(out) if scalar else out
 
 
-def _upper_cutoff(n: int, rate: float) -> float:
+def _upper_cutoff(n: int, lam: float, rate: float) -> float:
     # smallest U with Gamma(n, rate) tail mass below _TAIL_MASS
-    return float(_sp.gammainccinv(n, _TAIL_MASS)) / rate
+    upper = float(_sp.gammainccinv(n, _TAIL_MASS)) / rate
+    if not math.isfinite(upper):
+        raise DomainError(f"lambda = {lam!r} puts the sample mean's upper quadrature "
+                          "cutoff beyond double range")
+    return upper
 
 
 def expectation(estimator: Callable[[np.ndarray], np.ndarray], n: int, lam: float,
@@ -89,7 +93,7 @@ def expectation(estimator: Callable[[np.ndarray], np.ndarray], n: int, lam: floa
     rate = n * lam if tail_rate is None else float(tail_rate)
     if rate <= 0.0:
         raise DomainError("effective tail rate must be positive")
-    upper = _upper_cutoff(n, rate)
+    upper = _upper_cutoff(n, lam, rate)
 
     def integrand(x: np.ndarray) -> np.ndarray:
         return np.asarray(estimator(x), dtype=float) * gamma_mean_density(x, n, lam)
@@ -120,7 +124,7 @@ def _report(spec: FunctionalSpec, n: int, lam: float, rel_tol: float,
     # so the integrand decays at rate n (lam - c) rather than n lam.
     pole = _CATALOGUE[spec.kind].pole(spec)
     tail_rate = n * (lam - pole) if pole > 0.0 else None
-    upper = _upper_cutoff(n, tail_rate or n * lam)
+    upper = _upper_cutoff(n, lam, tail_rate or n * lam)
     value, err = expectation(phi, n, lam, rel_tol, kinks=kink_points(spec, n, upper),
                              tail_rate=tail_rate)
     abs_bias = abs(value - target)

@@ -211,6 +211,14 @@ class TestVerifyOverflow:
         assert rows and all(r["rel_bias"] <= 1e-9 for r in rows)
 
 
+class TestVerifyTinyRate:
+    def test_cutoff_overflow_names_lambda(self, capsys):
+        code, out, err = run(["verify", "--kinds", "quantile", "--lambda", "1e-320"], capsys)
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err.startswith("error: lambda = 1e-320") and err.count("\n") == 1
+
+
 class TestMalformedInput:
     # every malformed option value is an input error: exit 2 and one line on
     # stderr, never a traceback or a silently odd output
@@ -220,7 +228,17 @@ class TestMalformedInput:
         ["verify", "--kinds", "quantile", "--lambda", "1,abc"],
         ["verify", "--kinds", "quantile", "--jobs", "0"],
         ["compare", "--p", "1", "--n", "5", "--lambda", "1", "--reps", "100", "--jobs", "0"],
-    ], ids=["n-not-integer", "n-empty", "lambda-not-number", "verify-jobs-0", "compare-jobs-0"])
+        ["verify", "--kinds", "quantile", "--threshold", "nan"],
+        ["verify", "--kinds", "quantile", "--threshold", "0"],
+        ["verify", "--kinds", "quantile", "--threshold=-1e-7"],
+        ["verify", "--kinds", "quantile", "--threshold", "inf"],
+        ["verify", "--kinds", "quantile", "--rel-tol", "nan"],
+        ["verify", "--kinds", "quantile", "--rel-tol", "0"],
+        ["verify", "--kinds", "quantile", "--rel-tol=-1e-9"],
+        ["verify", "--kinds", "quantile", "--rel-tol", "inf"],
+    ], ids=["n-not-integer", "n-empty", "lambda-not-number", "verify-jobs-0", "compare-jobs-0",
+            "threshold-nan", "threshold-0", "threshold-negative", "threshold-inf",
+            "rel-tol-nan", "rel-tol-0", "rel-tol-negative", "rel-tol-inf"])
     def test_exits_with_input_error(self, argv, capsys):
         code, out, err = run(argv, capsys)
         assert code == EXIT_INPUT

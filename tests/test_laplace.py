@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from expunbias.errors import (ConfigurationError, DomainError, InversionError,
-                              UnsupportedTransformError)
+from expunbias.errors import (ConfigurationError, DomainError, ExpunbiasError,
+                              InversionError, UnsupportedTransformError)
 from expunbias.estimators import (FunctionalSpec, Family, Kind, Sample, mgf,
-                                  moment, quantile, rate_power, target_value)
+                                  moment, phi_function, quantile, target_value)
 from expunbias.laplace import (InversionConfig, InversionMethod,
                                TransferFunction, builtin_transfer_function,
                                generic_phi, generic_unbiased_estimate,
@@ -70,20 +70,11 @@ class TestTalbot:
 class TestInversionConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            InversionConfig(gs_order=13)
-        with pytest.raises(ConfigurationError):
-            InversionConfig(gs_order=24)
-        with pytest.raises(ConfigurationError):
-            InversionConfig(talbot_nodes=70)
-        with pytest.raises(ConfigurationError):
-            InversionConfig(quad_rel_tol=-1.0)
-        with pytest.raises(ConfigurationError):
             InversionConfig(method="talbot")
 
 
 _GS = InversionConfig(method=InversionMethod.GAVER_STEHFEST)
 _TALBOT = InversionConfig(method=InversionMethod.TALBOT)
-_CONV = InversionConfig(method=InversionMethod.CONVOLUTION_QUADRATURE)
 
 
 class TestGenericEstimator:
@@ -173,29 +164,16 @@ class TestGenericEstimator:
             assert xi.eval_real(lam) == pytest.approx(target, rel=1e-13, abs=0.0)
             assert xi.eval_complex(lam + 0j).real == pytest.approx(target, rel=1e-13, abs=0.0)
 
+    def test_talbot_without_complex_evaluator_fails_when_built(self):
+        real_only = TransferFunction(eval_real=lambda s: 1.0 / s)
+        with pytest.raises(ConfigurationError):
+            generic_phi(real_only, 3, _TALBOT)
+
     def test_mgf_negative_t_no_shift(self):
         xi = builtin_transfer_function(FunctionalSpec(Kind.MGF, t=-0.5))
         ref = mgf(2.0, 5, -0.5)
         for cfg in (_GS, _TALBOT):
             assert generic_phi(xi, 5, cfg)(2.0) == pytest.approx(ref, rel=1e-6)
-
-
-class TestConvolutionPath:
-    def test_quantile(self):
-        xi = builtin_transfer_function(FunctionalSpec(Kind.QUANTILE, q=0.5))
-        for n in (1, 4, 7):
-            got = generic_phi(xi, n, _CONV)(1.0)
-            assert got == pytest.approx(quantile(1.0, 0.5), rel=1e-6)
-
-    def test_moment(self):
-        xi = builtin_transfer_function(FunctionalSpec(Kind.MOMENT, p=1.5))
-        got = generic_phi(xi, 5, _CONV)(0.5)
-        assert got == pytest.approx(moment(0.5, 5, 1.5), rel=1e-6)
-
-    def test_negative_rate_power(self):
-        xi = builtin_transfer_function(FunctionalSpec(Kind.RATE_POWER, p=-0.5))
-        got = generic_phi(xi, 3, _CONV)(1.0)
-        assert got == pytest.approx(rate_power(1.0, 3, -0.5), rel=1e-6)
 
 
 class TestGenericPathUnbiasedness:
@@ -297,3 +275,59 @@ class TestGaverStehfestLadder:
             invert_gaver_stehfest(_tf(fn), 2.0, 16)
         assert set(info.value.diagnostics) == {"method", "order", "t", "abscissa"}
         assert info.value.diagnostics["order"] == 16
+
+
+# (spec, result of generic_phi at n = 7, mean 1.3 on the fixed Talbot
+# contour, as float.hex), one per built-in smooth kind
+_TALBOT_CASES = {
+    "rate-power": (FunctionalSpec(Kind.RATE_POWER, p=0.5), "0x1.a87c2634aa18bp-1"),
+    "quantile": (FunctionalSpec(Kind.QUANTILE, q=0.5), "0x1.cd5bd7eabb1bdp-1"),
+    "moment": (FunctionalSpec(Kind.MOMENT, p=2.0), "0x1.7a8f5c28f5c2ep+1"),
+    "mgf": (FunctionalSpec(Kind.MGF, t=0.5), "0x1.2c6921fa6a2b0p+1"),
+    "expected-shortfall": (FunctionalSpec(Kind.EXPECTED_SHORTFALL, p=0.5),
+                           "0x1.19bd5c61152d8p+1"),
+}
+
+
+class TestTalbotEstimator:
+    @pytest.mark.parametrize("case", sorted(_TALBOT_CASES))
+    def test_results_unchanged(self, case):
+        spec, expected = _TALBOT_CASES[case]
+        xi = builtin_transfer_function(spec)
+        assert generic_phi(xi, 7, _TALBOT)(1.3).hex() == expected
+
+    @pytest.mark.parametrize("case", sorted(_TALBOT_CASES))
+    def test_recorded_results_match_closed_forms(self, case):
+        spec, expected = _TALBOT_CASES[case]
+        closed = float(phi_function(spec, 7)(1.3))
+        assert float.fromhex(expected) == pytest.approx(closed, rel=1e-12)
+
+
+class TestLargeN:
+    """At large n neither engine certifies; each point must still end in a
+    float or a typed error, never a bare OverflowError."""
+
+    @pytest.mark.parametrize("spec", [FunctionalSpec(Kind.MOMENT, p=0.5),
+                                      FunctionalSpec(Kind.MGF, t=0.5),
+                                      FunctionalSpec(Kind.QUANTILE, q=0.5)],
+                             ids=["moment", "mgf", "quantile"])
+    @pytest.mark.parametrize("cfg", [_GS, _TALBOT], ids=["gs", "talbot"])
+    def test_float_or_typed_error(self, spec, cfg):
+        xi = builtin_transfer_function(spec)
+        for n in (50, 100, 172, 200, 1000):
+            for xbar in (0.3, 1.0):
+                try:
+                    value = generic_phi(xi, n, cfg)(xbar)
+                except ExpunbiasError:
+                    continue
+                assert isinstance(value, float)
+
+    @pytest.mark.parametrize("cfg,n", [(_GS, 1000), (_TALBOT, 172)])
+    def test_overflow_is_an_inversion_error(self, cfg, n):
+        # Gaver-Stehfest: Gamma(n)/0.3^(n-1) leaves double range;
+        # Talbot: s^n on the contour does
+        xi = builtin_transfer_function(FunctionalSpec(Kind.QUANTILE, q=0.5))
+        with pytest.raises(InversionError) as info:
+            generic_phi(xi, n, cfg)(0.3)
+        assert info.value.diagnostics == {"method": cfg.method.value, "n": n, "t": 0.3}
+        assert isinstance(info.value.__cause__, OverflowError)

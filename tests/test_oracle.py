@@ -2,6 +2,7 @@
 the reproduction of the biased 1959 estimators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,19 @@ class TestVerifyUnbiasedness:
         # neither the density's normaliser nor the Gamma-ratio coefficients
         # may lose digits as n grows
         assert verify_unbiasedness(spec, n, 1.0).rel_bias <= 1e-13
+
+    @pytest.mark.parametrize("spec", [FunctionalSpec(Kind.QUANTILE, q=0.5),
+                                      FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=0.5)],
+                             ids=lambda s: s.kind.value)
+    def test_cutoff_beyond_double_range_names_lambda(self, spec):
+        # the Gamma(n, n lambda) cutoff overflows to inf: a typed error before
+        # any quadrature, not invalid-value warnings and a message about the mean
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="lambda = 1e-320"):
+                verify_unbiasedness(spec, 5, 1e-320)
+            with pytest.raises(DomainError, match="lambda = 1e-320"):
+                expectation(lambda x: x, 5, 1e-320)
 
     def test_mean_past_lifetime_large_n(self):
         # about 13000 kinks, each integrand call a few hundred thousand points

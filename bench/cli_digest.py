@@ -35,6 +35,7 @@ KIND_ARGS = {
     "expected-shortfall": ["--p", "0.5"],
 }
 SMOOTH_KINDS = ("rate-power", "quantile", "moment", "mgf", "expected-shortfall")
+DELTA_KINDS = tuple(kind for kind in KIND_ARGS if kind not in SMOOTH_KINDS)
 DATA = "0.43\n1.12\n0.71\n2.04\n0.09\n# a comment\n\n0.88\n1.57\n"
 # 200 observations: the exp(1) quantiles at levels (k + 1/2)/200
 DATA_200 = "".join(f"{-math.log1p(-(k + 0.5) / 200):.6f}\n" for k in range(200))
@@ -90,7 +91,19 @@ def manifests() -> list[tuple[str, list[str]]]:
          ["verify", "--kinds", "quantile", "--threshold", "nan"]),
         ("malformed verify --rel-tol nan", ["verify", "--kinds", "quantile", "--rel-tol", "nan"]),
         ("verify --lambda 1e-320", ["verify", "--kinds", "quantile", "--lambda", "1e-320"]),
+        ("verify moment --moment-p 0.5",
+         ["verify", "--kinds", "moment", "--moment-p", "0.5", "--n", "1,2,5,10,30,100,200",
+          "--lambda", "0.5,1,2"]),
+        ("estimate moment p=0.5 talbot",
+         ["estimate", "--kind", "moment", "--p", "0.5", "--data", "data.txt",
+          "--engine", "talbot"]),
     ]
+    # the generic engine refuses these kinds (exit 3)
+    for kind in DELTA_KINDS:
+        for engine in ("talbot", "gaver-stehfest"):
+            runs.append((f"estimate {kind} {engine}",
+                         ["estimate", "--kind", kind, *KIND_ARGS[kind], "--data", "data.txt",
+                          "--engine", engine]))
     return runs
 
 

@@ -40,6 +40,8 @@ _W_GAUSS = np.array([
     0.381830050505119, 0.0, 0.279705391489277, 0.0,
     0.129484966168870, 0.0,
 ])
+# refinement rounds before giving up; each round bisects at least one segment
+_MAX_ROUNDS = 200
 
 
 def _evaluate_segments(f: Callable[[np.ndarray], np.ndarray],
@@ -61,9 +63,7 @@ def adaptive_gauss_kronrod(
     *,
     breakpoints: Iterable[float] = (),
     rel_tol: float = 1e-9,
-    abs_floor: float = 0.0,
     max_segments: int = 4096,
-    max_rounds: int = 200,
 ) -> tuple[float, float, int]:
     """Integrate ``f`` over [a, b], splitting first at ``breakpoints``.
 
@@ -79,11 +79,10 @@ def adaptive_gauss_kronrod(
     hi = edges[1:].copy()
     vals, errs = _evaluate_segments(f, lo, hi)
 
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         total = float(np.sum(vals))
         err_total = float(np.sum(errs))
-        target = max(rel_tol * abs(total), abs_floor)
-        if err_total <= target or err_total == 0.0:
+        if err_total <= rel_tol * abs(total) or err_total == 0.0:
             return total, err_total, lo.size
         if lo.size >= max_segments:
             break

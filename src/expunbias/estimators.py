@@ -11,16 +11,16 @@ the moment generating function and expected shortfall.  Alongside each
 unbiased form, plug-in maximum-likelihood estimates and exact variance
 formulas for the moment estimators are provided for comparison studies.
 
-Every per-kind fact -- parameters and their checks, target, estimator and
-its derivative, indicator kinks, transfer function and the Tate (1959) form
-where one exists -- is one row of the ``_CATALOGUE`` table at the end of
-this module; the dispatching functions here and in the other modules look
-rows up instead of branching on the kind.
+Every per-kind fact -- parameters and their checks, the target xi (which
+the inversion engines also read as the transfer function), the estimator
+and its derivative, indicator kinks and the Tate (1959) form where one
+exists -- is one row of the ``_CATALOGUE`` table at the end of this module;
+the public estimator functions and the dispatching functions here and in
+the other modules look rows up instead of branching on the kind.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 import numbers
@@ -140,17 +140,6 @@ class EstimateResult:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _mean_array(sample_mean, check: bool = True):
-    arr = np.asarray(sample_mean, dtype=float)
-    if check and arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0)):
-        raise DomainError("sample mean must be finite and strictly positive")
-    return arr, arr.ndim == 0
-
-
-def _ret(arr, scalar: bool):
-    return float(arr) if scalar else arr
-
-
 def _check_n(n) -> int:
     if not isinstance(n, numbers.Integral) or n < 1:
         raise DomainError("sample size n must be a positive integer")
@@ -174,7 +163,8 @@ def target_value(spec: FunctionalSpec, lam):
     A scalar ``lam`` gives a ``float`` computed with ``math``; an ndarray of
     rates gives an ndarray computed elementwise with numpy.  numpy's
     exp/expm1/log1p can differ from ``math``'s in the last ulp, so scalars
-    keep the ``math`` path.
+    keep the ``math`` path.  A target with a positive real pole (the MGF's
+    at t) needs every rate above it.
     """
     if np.ndim(lam) == 0:
         xp, lam = math, _check_positive("lambda", lam)
@@ -182,7 +172,11 @@ def target_value(spec: FunctionalSpec, lam):
         xp, lam = np, np.asarray(lam, dtype=float)
         if not (np.all(np.isfinite(lam)) and np.all(lam > 0.0)):
             raise DomainError("lambda must be finite and strictly positive")
-    return _CATALOGUE[spec.kind].target(spec, lam, xp)
+    row = _CATALOGUE[spec.kind]
+    pole = row.pole(spec)
+    if pole > 0.0 and np.any(lam <= pole):
+        raise DomainError(f"{spec.kind.value} target requires lambda > {pole:g}")
+    return row.xi(spec)(lam, xp)
 
 
 # below this lam*t the mean-past-lifetime target uses its series form
@@ -209,17 +203,12 @@ def _mean_past_lifetime_target(t: float, lam, xp):
     return np.where(u < _MPL_SERIES_CUTOFF, series(np.minimum(u, _MPL_SERIES_CUTOFF)), direct)
 
 
-def _mgf_target(spec: FunctionalSpec, lam, xp):
-    if np.any(spec.t >= lam):
-        raise DomainError("MGF target requires t < lambda")
-    return lam / (lam - spec.t)
-
-
-def _custom_target(spec: FunctionalSpec, lam, xp):
-    xi = spec.custom_transform.eval_real
-    if xp is math:
-        return float(xi(lam))
-    return np.vectorize(lambda v: float(xi(v)), otypes=[float])(lam)
+def _custom_xi(spec: FunctionalSpec):
+    def xi(lam, xp=math, f=spec.custom_transform.eval_real):
+        if xp is math:
+            return float(f(lam))
+        return np.vectorize(lambda v: float(f(v)), otypes=[float])(lam)
+    return xi
 
 
 # ---------------------------------------------------------------------------
@@ -232,94 +221,38 @@ def rate_power(sample_mean, n, p):
     Requires p < n and p != 0; negative integer p is accepted (the closed
     form stays finite there even though the transform derivation does not).
     """
-    n = _check_n(n)
-    p = float(p)
-    if p == 0.0:
-        raise DomainError("rate-power exponent p = 0 is excluded")
-    if p >= n:
-        raise DomainError(f"rate-power needs p < n (got p={p}, n={n})")
-    x, scalar = _mean_array(sample_mean)
-    coef = math.exp(-_log_gamma_ratio(n, -p) - p * math.log(n))
-    return _ret(coef * x ** (-p), scalar)
+    return phi_function(FunctionalSpec(Kind.RATE_POWER, p=p, allow_negative_integer_p=True),
+                        n)(sample_mean)
 
 
 def quantile(sample_mean, q):
     """Unbiased estimate of the qth quantile: -ln(1-q) * mean."""
-    q = float(q)
-    if not (0.0 < q < 1.0):
-        raise DomainError("quantile level q must lie in (0, 1)")
-    x, scalar = _mean_array(sample_mean)
-    return _ret(-math.log1p(-q) * x, scalar)
+    return phi_function(FunctionalSpec(Kind.QUANTILE, q=q), 1)(sample_mean)
 
 
 def moment(sample_mean, n, p):
     """Unbiased estimate of E[X^p]: Gamma(p+1)Gamma(n)n^p/Gamma(p+n) * mean^p."""
-    n = _check_n(n)
-    p = float(p)
-    if p <= -1.0:
-        raise DomainError("moment exponent requires p > -1")
-    x, scalar = _mean_array(sample_mean)
-    coef = math.exp(log_gamma(p + 1.0) + p * math.log(n) - _log_gamma_ratio(n, p))
-    return _ret(coef * x ** p, scalar)
-
-
-def _indicator_power(x: np.ndarray, a: float, exponent: int) -> np.ndarray:
-    # (1 - a/x)^exponent gated on x >= a; the gate must come first so the
-    # base is never negative.
-    ind = x >= a
-    base = np.where(ind, 1.0 - a / x, 0.0)
-    return np.where(ind, base ** exponent, 0.0)
+    return phi_function(FunctionalSpec(Kind.MOMENT, p=p), n)(sample_mean)
 
 
 def survival(sample_mean, n, t):
     """Unbiased estimate of P(X > t): (1 - t/(n mean))^{n-1} on {mean >= t/n}."""
-    n = _check_n(n)
-    t = _check_positive("t", t)
-    x, scalar = _mean_array(sample_mean)
-    return _ret(_indicator_power(np.atleast_1d(x), t / n, n - 1).reshape(x.shape), scalar)
+    return phi_function(FunctionalSpec(Kind.SURVIVAL, t=t), n)(sample_mean)
 
 
 def max_cdf_power(sample_mean, n, t, m):
     """Unbiased estimate of [P(X <= t)]^m via the alternating binomial sum."""
-    n = _check_n(n)
-    t = _check_positive("t", t)
-    if not (isinstance(m, numbers.Integral) and m >= 1):
-        raise DomainError("m must be a positive integer")
-    x, scalar = _mean_array(sample_mean)
-    return _ret(_cdf_power_sum(x, n, t, m, n - 1), scalar)
-
-
-def _cdf_power_sum(x: np.ndarray, n: int, t: float, m: int, exponent: int) -> np.ndarray:
-    # 1 + sum_k C(m, k) (-1)^k (1 - kt/(n x))^exponent on {x >= kt/n}
-    xa = np.atleast_1d(x)
-    total = np.ones(xa.shape)
-    for k in range(1, int(m) + 1):
-        total = total + math.comb(int(m), k) * (-1) ** k * _indicator_power(
-            xa, k * t / n, exponent)
-    return total.reshape(np.shape(x))
+    return phi_function(FunctionalSpec(Kind.MAX_CDF_POWER, t=t, m=m), n)(sample_mean)
 
 
 def min_survival(sample_mean, n, t, m):
     """Unbiased estimate of [P(X > t)]^m: the survival form at horizon m*t."""
-    n = _check_n(n)
-    t = _check_positive("t", t)
-    if not (isinstance(m, numbers.Integral) and m >= 1):
-        raise DomainError("m must be a positive integer")
-    x, scalar = _mean_array(sample_mean)
-    return _ret(_indicator_power(np.atleast_1d(x), int(m) * t / n, n - 1).reshape(x.shape),
-                scalar)
+    return phi_function(FunctionalSpec(Kind.MIN_SURVIVAL, t=t, m=m), n)(sample_mean)
 
 
 def pdf_at(sample_mean, n, t):
     """Unbiased estimate of the density at t; defined for n >= 2 only."""
-    n = _check_n(n)
-    if n < 2:
-        raise DomainError("the density estimator requires n >= 2")
-    t = _check_positive("t", t)
-    x, scalar = _mean_array(sample_mean)
-    xa = np.atleast_1d(x)
-    val = ((n - 1.0) / n) * _indicator_power(xa, t / n, n - 2) / xa
-    return _ret(val.reshape(x.shape), scalar)
+    return phi_function(FunctionalSpec(Kind.PDF, t=t), n)(sample_mean)
 
 
 def mean_past_lifetime(sample_mean, n, t):
@@ -331,42 +264,7 @@ def mean_past_lifetime(sample_mean, n, t):
     which is below double precision, so the work per point is bounded
     independently of n.  Memory is O(points).
     """
-    n = _check_n(n)
-    t = _check_positive("t", t)
-    x, scalar = _mean_array(sample_mean)
-    if x.size == 0:
-        return np.empty(x.shape)
-    order = np.argsort(x, axis=None, kind="stable")
-    xs = x.reshape(-1)[order]
-    k_hi = int(math.floor(n * float(xs[-1]) / t))
-    if n > 1:
-        # Term k is at most e^{-ck} with c = (n-1)t/(n mean), so the tail
-        # after K is at most e^{-c(K+1)}/(1 - e^{-c}) <= e^{-c(K+1)}(1+c)/c.
-        # That is below 2^-60 (60 ln 2 = 41.59 nats) once
-        # c(K+1) >= 41.59 + ln(1 + 1/c), which K = ceil((42 + ln(1 + 1/c))/c)
-        # satisfies.  K grows with the mean, so for each k the points that
-        # still need term k form a suffix of the sorted means.
-        c = (n - 1) * t / (n * xs)
-        k_tail = np.ceil((42.0 + np.log1p(1.0 / c)) / c)
-        k_hi = min(k_hi, int(k_tail[-1]))
-    ks = np.arange(1, k_hi + 1)
-    a = t * ks / n
-    lo = np.searchsorted(xs, a)  # first point with x >= a_k
-    if n > 1:
-        lo = np.maximum(lo, np.searchsorted(k_tail, ks))
-    total = np.zeros_like(xs)
-    # smallest terms first, so each point's sum is added from its tail up
-    if xs.size == 1:
-        # one point: its terms in one vector, accumulated in the same order
-        terms = (1.0 - a[lo == 0] / xs) ** (n - 1)
-        if terms.size:
-            total[0] = np.cumsum(terms[::-1])[-1]
-    else:
-        for s, a_k in zip(lo[::-1].tolist(), a[::-1].tolist()):
-            total[s:] += (1.0 - a_k / xs[s:]) ** (n - 1)
-    val = np.empty_like(xs)
-    val[order] = t * (1.0 + total) - xs
-    return _ret(val.reshape(x.shape), scalar)
+    return phi_function(FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=t), n)(sample_mean)
 
 
 def mgf(sample_mean, n, t):
@@ -375,26 +273,12 @@ def mgf(sample_mean, n, t):
     Kummer's function M(1, n, w) with w = n t mean, which equals
     e^{w} gamma(n, w) / w^{n-1} + 1 (DLMF 8.5.1).  t = 0 short-circuits to 1.
     """
-    n = _check_n(n)
-    t = float(t)
-    if not math.isfinite(t):
-        raise DomainError("t must be finite")
-    x, scalar = _mean_array(sample_mean)
-    if t == 0.0:
-        return _ret(np.ones(np.shape(x)) if not scalar else np.float64(1.0), scalar)
-    val = hyp1f1(1.0, n, n * t * x)
-    if not np.all(np.isfinite(val)):
-        raise RangeError("MGF estimate overflowed double precision")
-    return _ret(val, scalar)
+    return phi_function(FunctionalSpec(Kind.MGF, t=t), n)(sample_mean)
 
 
 def expected_shortfall(sample_mean, p_level):
     """Unbiased estimate of the expected shortfall: (-ln(1-p) + 1) * mean."""
-    p_level = float(p_level)
-    if not (0.0 < p_level < 1.0):
-        raise DomainError("expected-shortfall level must lie in (0, 1)")
-    x, scalar = _mean_array(sample_mean)
-    return _ret((-math.log1p(-p_level) + 1.0) * x, scalar)
+    return phi_function(FunctionalSpec(Kind.EXPECTED_SHORTFALL, p=p_level), 1)(sample_mean)
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +289,24 @@ def phi_function(spec: FunctionalSpec, n: int) -> Callable[[np.ndarray], np.ndar
     """Vectorized closed-form estimator mean -> estimate for a given n.
 
     The returned callable is what the quadrature oracle integrates and the
-    Monte Carlo harness maps over replications.
+    Monte Carlo harness maps over replications.  It raises
+    :class:`DomainError` unless every mean is finite and strictly positive,
+    and returns a ``float`` for a scalar mean.
     """
     n = _check_n(n)
     row = _CATALOGUE[spec.kind]
     if row.phi is None:
         raise SpecError(f"no closed form for kind {spec.kind.value!r};"
                         " use the Laplace inversion engine")
-    return row.phi(spec, n)
+    kernel = row.phi(spec, n)
+
+    def phi(sample_mean):
+        x = np.asarray(sample_mean, dtype=float)
+        if x.size and (not np.all(np.isfinite(x)) or np.any(x <= 0.0)):
+            raise DomainError("sample mean must be finite and strictly positive")
+        out = kernel(x)
+        return float(out) if x.ndim == 0 else out
+    return phi
 
 
 def estimate(spec: FunctionalSpec, sample: Sample) -> EstimateResult:
@@ -485,14 +379,20 @@ class _KindRow:
 
     ``params``: the spec fields the kind requires (all others stay unset);
     ``checks``: (predicate on the spec, error message) pairs;
-    ``target(spec, lam, xp)``: xi(lam), ``xp`` being ``math`` for a scalar
-    rate and numpy for an array; ``phi(spec, n)``: the unbiased estimator of
-    the mean; ``phi_prime(spec, n, mu)``: its derivative away from kinks;
-    ``kinks(spec, n, upper)``: its indicator boundaries below ``upper``;
-    ``transform(spec)``: xi as one expression for floats, complexes and
-    mpmath floats, constants bound once as default arguments, described by
-    ``delta_content`` (estimator from Dirac sifting) and ``pole(spec)``
-    (xi's largest real singularity);
+    ``xi(spec)``: the target as ``lambda lam, xp=math: ...`` with the spec's
+    constants bound once as default arguments, ``xp`` being ``math`` for a
+    scalar rate and numpy for an array.  ``target_value`` and both inversion
+    engines read this one expression; the smooth kinds' are plain arithmetic
+    in ``lam``, so complexes and mpmath floats pass through unchanged;
+    ``pole(spec)``: xi's largest real singularity, a positive one bounding
+    the rates ``target_value`` accepts; ``delta_content``: the estimator
+    arises from Dirac sifting, so the inversion engines refuse the kind and
+    its transfer function has no complex evaluator;
+    ``phi(spec, n)``: checks the n-domain, binds the coefficients once and
+    returns the unbiased estimator as a kernel over an ndarray of means
+    (``phi_function`` checks the means); ``phi_prime(spec, n, mu)``: its
+    derivative away from kinks; ``kinks(spec, n, upper)``: its indicator
+    boundaries below ``upper``;
     ``verify_args``: the ``verify`` options read for ``params`` (default:
     ``params``); ``skip(spec, n, lam)``: the ``verify`` grid cells outside
     the domain; ``tate_phi``, ``tate_mean``: the biased 1959 estimator and
@@ -500,8 +400,7 @@ class _KindRow:
     """
 
     params: tuple[str, ...]
-    target: Callable
-    transform: Optional[Callable]
+    xi: Callable
     checks: tuple = ()
     phi: Optional[Callable] = None
     phi_prime: Optional[Callable] = None
@@ -520,21 +419,92 @@ _COPIES = (lambda s: isinstance(s.m, numbers.Integral) and s.m >= 1,
            "m must be a positive integer")
 
 
-def _exp_any(s):
-    # exp for what the inversion engines pass in: complex on the Talbot
-    # contour, mpmath floats on the Gaver-Stehfest ladder, floats otherwise
-    if isinstance(s, complex):
-        return cmath.exp(s)
-    import mpmath as mp  # only the Gaver-Stehfest ladder needs it
-    if isinstance(s, mp.mpf):
-        return mp.e ** s
-    return math.exp(s)
-
-
 def _rate_power_phi(spec: FunctionalSpec, n: int):
-    if spec.p >= n:
+    p = float(spec.p)
+    if p >= n:
         raise DomainError(f"rate-power needs p < n (got p={spec.p}, n={n})")
-    return lambda x: rate_power(x, n, spec.p)
+    coef = math.exp(-_log_gamma_ratio(n, -p) - p * math.log(n))
+    return lambda x: coef * x ** (-p)
+
+
+def _moment_phi(spec: FunctionalSpec, n: int):
+    p = float(spec.p)
+    coef = math.exp(log_gamma(p + 1.0) + p * math.log(n) - _log_gamma_ratio(n, p))
+    return lambda x: coef * x ** p
+
+
+def _indicator_power(x: np.ndarray, a: float, exponent: int) -> np.ndarray:
+    # (1 - a/x)^exponent gated on x >= a; the gate must come first so the
+    # base is never negative.
+    ind = x >= a
+    base = np.where(ind, 1.0 - a / x, 0.0)
+    return np.where(ind, base ** exponent, 0.0)
+
+
+def _cdf_power_sum(x: np.ndarray, n: int, t: float, m: int, exponent: int) -> np.ndarray:
+    # 1 + sum_k C(m, k) (-1)^k (1 - kt/(n x))^exponent on {x >= kt/n}
+    total = np.ones(np.shape(x))
+    for k in range(1, m + 1):
+        total = total + math.comb(m, k) * (-1) ** k * _indicator_power(x, k * t / n, exponent)
+    return total
+
+
+def _pdf_phi(spec: FunctionalSpec, n: int):
+    if n < 2:
+        raise DomainError("the density estimator requires n >= 2")
+    c, a = (n - 1.0) / n, float(spec.t) / n
+    return lambda x: c * _indicator_power(x, a, n - 2) / x
+
+
+def _mean_past_lifetime_sum(x: np.ndarray, n: int, t: float) -> np.ndarray:
+    # t (1 + sum_{k >= 1} 1{x >= tk/n} (1 - tk/(n x))^{n-1}) - x per mean x
+    if x.size == 0:
+        return np.empty(x.shape)
+    order = np.argsort(x, axis=None, kind="stable")
+    xs = x.reshape(-1)[order]
+    k_hi = int(math.floor(n * float(xs[-1]) / t))
+    if n > 1:
+        # Term k is at most e^{-ck} with c = (n-1)t/(n mean), so the tail
+        # after K is at most e^{-c(K+1)}/(1 - e^{-c}) <= e^{-c(K+1)}(1+c)/c.
+        # That is below 2^-60 (60 ln 2 = 41.59 nats) once
+        # c(K+1) >= 41.59 + ln(1 + 1/c), which K = ceil((42 + ln(1 + 1/c))/c)
+        # satisfies.  K grows with the mean, so for each k the points that
+        # still need term k form a suffix of the sorted means.
+        c = (n - 1) * t / (n * xs)
+        k_tail = np.ceil((42.0 + np.log1p(1.0 / c)) / c)
+        k_hi = min(k_hi, int(k_tail[-1]))
+    ks = np.arange(1, k_hi + 1)
+    a = t * ks / n
+    lo = np.searchsorted(xs, a)  # first point with x >= a_k
+    if n > 1:
+        lo = np.maximum(lo, np.searchsorted(k_tail, ks))
+    total = np.zeros_like(xs)
+    # smallest terms first, so each point's sum is added from its tail up
+    if xs.size == 1:
+        # one point: its terms in one vector, accumulated in the same order
+        terms = (1.0 - a[lo == 0] / xs) ** (n - 1)
+        if terms.size:
+            total[0] = np.cumsum(terms[::-1])[-1]
+    else:
+        for s, a_k in zip(lo[::-1].tolist(), a[::-1].tolist()):
+            total[s:] += (1.0 - a_k / xs[s:]) ** (n - 1)
+    val = np.empty_like(xs)
+    val[order] = t * (1.0 + total) - xs
+    return val.reshape(x.shape)
+
+
+def _mgf_phi(spec: FunctionalSpec, n: int):
+    t = float(spec.t)
+    if t == 0.0:
+        return lambda x: np.ones(x.shape)
+    w_per_mean = n * t
+
+    def kernel(x):
+        val = hyp1f1(1.0, n, w_per_mean * x)
+        if not np.all(np.isfinite(val)):
+            raise RangeError("MGF estimate overflowed double precision")
+        return val
+    return kernel
 
 
 def _indicator_terms_prime(total: float, terms, mu: float, n: int) -> float:
@@ -580,10 +550,9 @@ _CATALOGUE: dict[Kind, _KindRow] = {
                 (lambda s: s.allow_negative_integer_p
                  or not (s.p < 0.0 and float(s.p).is_integer()),
                  "negative integer rate-power exponents need allow_negative_integer_p=True")),
-        target=lambda s, lam, xp: lam ** s.p,
+        xi=lambda s: lambda lam, xp=math, p=float(s.p): lam ** p,
         phi=_rate_power_phi,
         phi_prime=lambda s, n, mu: -s.p * rate_power(mu, n, s.p) / mu,
-        transform=lambda s: lambda v, p=float(s.p): v ** p,
         skip=lambda s, n, lam: s.p >= n,
         tate_phi=_tate_rate_power_phi,
         # 1{p < n-1} in the expectation table
@@ -592,98 +561,88 @@ _CATALOGUE: dict[Kind, _KindRow] = {
     Kind.QUANTILE: _KindRow(
         params=("q",),
         checks=((lambda s: 0.0 < s.q < 1.0, "quantile level q must lie in (0, 1)"),),
-        target=lambda s, lam, xp: -math.log1p(-s.q) / lam,
-        phi=lambda s, n: lambda x: quantile(x, s.q),
+        xi=lambda s: lambda lam, xp=math, c=-math.log1p(-s.q): c / lam,
+        phi=lambda s, n: lambda x, c=-math.log1p(-s.q): c * x,
         phi_prime=lambda s, n, mu: -math.log1p(-s.q),
-        transform=lambda s: lambda v, c=-math.log1p(-s.q): c / v,
         tate_phi=_tate_quantile_phi,
         tate_mean=lambda s, n, lam: (n / (n - 1.0)) * (-math.log1p(-s.q) / lam)),
     Kind.MOMENT: _KindRow(
         params=("p",),
         checks=(_FINITE_P, (lambda s: s.p > -1.0, "moment exponent requires p > -1")),
-        target=lambda s, lam, xp: math.exp(log_gamma(s.p + 1.0)) / lam ** s.p,
-        phi=lambda s, n: lambda x: moment(x, n, s.p),
+        xi=lambda s: (lambda lam, xp=math, p=float(s.p), g=math.exp(log_gamma(s.p + 1.0)):
+                      g / lam ** p),
+        phi=_moment_phi,
         phi_prime=lambda s, n, mu: s.p * moment(mu, n, s.p) / mu,
-        transform=lambda s: (lambda v, p=float(s.p), g=math.exp(log_gamma(float(s.p) + 1.0)):
-                             g * v ** (-p)),
         verify_args=("moment_p",)),
     Kind.SURVIVAL: _KindRow(
         params=("t",),
         checks=(_POSITIVE_T,),
-        target=lambda s, lam, xp: xp.exp(-lam * s.t),
-        phi=lambda s, n: lambda x: survival(x, n, s.t),
+        xi=lambda s: lambda lam, xp=math, t=float(s.t): xp.exp(-lam * t),
+        phi=lambda s, n: lambda x, a=float(s.t) / n: _indicator_power(x, a, n - 1),
         phi_prime=lambda s, n, mu: _indicator_terms_prime(0.0, [(1, s.t / n)], mu, n),
         kinks=lambda s, n, upper: [s.t / n],
-        transform=lambda s: lambda v, t=float(s.t): _exp_any(-t * v),
         delta_content=True),
     Kind.MAX_CDF_POWER: _KindRow(
         params=("t", "m"),
         checks=(_POSITIVE_T, _COPIES),
-        target=lambda s, lam, xp: (-xp.expm1(-lam * s.t)) ** s.m,
-        phi=lambda s, n: lambda x: max_cdf_power(x, n, s.t, s.m),
+        xi=lambda s: lambda lam, xp=math, t=float(s.t), m=int(s.m): (-xp.expm1(-lam * t)) ** m,
+        phi=lambda s, n: lambda x, t=float(s.t), m=int(s.m): _cdf_power_sum(x, n, t, m, n - 1),
         phi_prime=lambda s, n, mu: _indicator_terms_prime(
             0.0, [(math.comb(s.m, j) * (-1) ** j, j * s.t / n) for j in range(1, s.m + 1)],
             mu, n),
         kinks=lambda s, n, upper: [j * s.t / n for j in range(1, s.m + 1)],
-        transform=lambda s: (lambda v, t=float(s.t), m=int(s.m):
-                             (1.0 - _exp_any(-t * v)) ** m),
         delta_content=True,
         # the 1959 form carries exponent n-2 where n-1 belongs
         tate_phi=lambda s, n: lambda x: _cdf_power_sum(
-            np.asarray(x, dtype=float), n, s.t, s.m, n - 2),
+            np.asarray(x, dtype=float), n, s.t, int(s.m), n - 2),
         tate_mean=lambda s, n, lam: (
             (lam * s.m * s.t / ((n - 1.0) * (1.0 - math.exp(lam * s.t))) + 1.0)
             * (-math.expm1(-lam * s.t)) ** s.m)),
     Kind.MIN_SURVIVAL: _KindRow(
         params=("t", "m"),
         checks=(_POSITIVE_T, _COPIES),
-        target=lambda s, lam, xp: xp.exp(-lam * s.m * s.t),
-        phi=lambda s, n: lambda x: min_survival(x, n, s.t, s.m),
+        xi=lambda s: lambda lam, xp=math, t=float(s.t), m=int(s.m): xp.exp(-lam * m * t),
+        phi=lambda s, n: (lambda x, a=int(s.m) * float(s.t) / n:
+                          _indicator_power(x, a, n - 1)),
         phi_prime=lambda s, n, mu: _indicator_terms_prime(0.0, [(1, s.m * s.t / n)], mu, n),
         kinks=lambda s, n, upper: [s.m * s.t / n],
-        transform=lambda s: lambda v, a=float(s.t) * int(s.m): _exp_any(-a * v),
         delta_content=True),
     Kind.PDF: _KindRow(
         params=("t",),
         checks=(_POSITIVE_T,),
-        target=lambda s, lam, xp: lam * xp.exp(-lam * s.t),
-        phi=lambda s, n: lambda x: pdf_at(x, n, s.t),
+        xi=lambda s: lambda lam, xp=math, t=float(s.t): lam * xp.exp(-lam * t),
+        phi=_pdf_phi,
         phi_prime=_pdf_prime,
         kinks=lambda s, n, upper: [s.t / n],
-        transform=lambda s: lambda v, t=float(s.t): v * _exp_any(-t * v),
         delta_content=True,
         skip=lambda s, n, lam: n < 2),
     Kind.MEAN_PAST_LIFETIME: _KindRow(
         params=("t",),
         checks=(_POSITIVE_T,),
-        target=lambda s, lam, xp: _mean_past_lifetime_target(s.t, lam, xp),
-        phi=lambda s, n: lambda x: mean_past_lifetime(x, n, s.t),
+        xi=lambda s: lambda lam, xp=math, t=float(s.t): _mean_past_lifetime_target(t, lam, xp),
+        phi=lambda s, n: lambda x, t=float(s.t): _mean_past_lifetime_sum(x, n, t),
         phi_prime=lambda s, n, mu: _indicator_terms_prime(
             -1.0, [(s.t, j * s.t / n) for j in range(1, int(math.floor(n * mu / s.t)) + 1)],
             mu, n),
         kinks=_mean_past_lifetime_kinks,
-        transform=lambda s: lambda v, t=float(s.t): t / (1.0 - _exp_any(-t * v)) - 1.0 / v,
         delta_content=True),
     Kind.MGF: _KindRow(
         params=("t",),
         checks=((lambda s: math.isfinite(s.t), "mgf requires finite t"),),
-        target=_mgf_target,
-        phi=lambda s, n: lambda x: mgf(x, n, s.t),
+        xi=lambda s: lambda lam, xp=math, t=float(s.t): lam / (lam - t),
+        phi=_mgf_phi,
         # d/dw M(1, n, w) = M(2, n+1, w)/n (DLMF 13.3.15), w = n t mean
         phi_prime=lambda s, n, mu: s.t * float(hyp1f1(2.0, n + 1.0, n * s.t * mu)),
-        transform=lambda s: lambda v, t=float(s.t): v / (v - t),
         pole=lambda s: float(s.t),
         skip=lambda s, n, lam: s.t >= lam),
     Kind.EXPECTED_SHORTFALL: _KindRow(
         params=("p",),
         checks=((lambda s: 0.0 < s.p < 1.0, "expected-shortfall level p must lie in (0, 1)"),),
-        target=lambda s, lam, xp: (-math.log1p(-s.p) + 1.0) / lam,
-        phi=lambda s, n: lambda x: expected_shortfall(x, s.p),
+        xi=lambda s: lambda lam, xp=math, c=-math.log1p(-s.p) + 1.0: c / lam,
+        phi=lambda s, n: lambda x, c=-math.log1p(-s.p) + 1.0: c * x,
         phi_prime=lambda s, n, mu: 1.0 - math.log1p(-s.p),
-        transform=lambda s: lambda v, c=-math.log1p(-s.p) + 1.0: c / v,
         verify_args=("q",)),
     Kind.CUSTOM: _KindRow(
         params=("custom_transform",),
-        target=_custom_target,
-        transform=None),
+        xi=_custom_xi),
 }

@@ -323,17 +323,19 @@ def generic_unbiased_estimate(xi: TransferFunction, sample: Sample,
 # ---------------------------------------------------------------------------
 
 def builtin_transfer_function(spec: FunctionalSpec) -> TransferFunction:
-    """Transfer function of a catalogue functional.
+    """Transfer function of a catalogue functional: its row's xi.
 
     The smooth rows (rate power, quantile, moment, MGF, expected shortfall)
-    come with complex evaluators and are servable by the generic engine; the
-    survival-type rows are flagged ``delta_content`` and are rejected there,
-    since their estimators arise from Dirac sifting and exist in closed form.
+    evaluate the same expression on reals, complexes and mpmath floats and
+    are servable by either engine; the survival-type rows are flagged
+    ``delta_content``, have no complex evaluator and are rejected by the
+    generic engine, since their estimators arise from Dirac sifting and
+    exist in closed form.
     """
     if spec.kind is Kind.CUSTOM:
         return spec.custom_transform
     row = _CATALOGUE[spec.kind]
-    fn = row.transform(spec)
-    pole = row.pole(spec)
-    return TransferFunction(fn, fn, delta_content=row.delta_content,
-                            largest_real_singularity=pole)
+    fn = row.xi(spec)
+    return TransferFunction(fn, None if row.delta_content else fn,
+                            delta_content=row.delta_content,
+                            largest_real_singularity=row.pole(spec))

@@ -88,8 +88,8 @@ def expectation(estimator: Callable[[np.ndarray], np.ndarray], n: int, lam: floa
     needed when the estimator grows like e^{c x} (MGF), where the effective
     rate of the integrand is n*lam - c rather than n*lam.
     """
-    if rel_tol <= 0.0:
-        raise DomainError("rel_tol must be positive")
+    if not (rel_tol > 0.0 and math.isfinite(rel_tol)):
+        raise DomainError(f"rel_tol must be finite and positive, got {rel_tol!r}")
     rate = n * lam if tail_rate is None else float(tail_rate)
     if rate <= 0.0:
         raise DomainError("effective tail rate must be positive")

@@ -7,6 +7,7 @@ test_oracle.py and the acceptance suite.
 
 import math
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -124,6 +125,12 @@ class TestRatePower:
             rate_power(1.0, 2, 3.0)
         with pytest.raises(DomainError):
             rate_power(1.0, 5, 0.0)
+        # a non-finite exponent is rejected, not carried into a nan estimate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (math.nan, -math.inf):
+                with pytest.raises(SpecError):
+                    rate_power(1.3, 5, p)
 
 
 class TestQuantile:

@@ -91,8 +91,9 @@ class TestExpectation:
         assert abs(v2 - v1) <= e1
 
     def test_rejects_bad_tolerance(self):
-        with pytest.raises(DomainError):
-            expectation(lambda x: x, 2, 1.0, rel_tol=0.0)
+        for rel_tol in (0.0, math.nan):
+            with pytest.raises(DomainError):
+                expectation(lambda x: x, 2, 1.0, rel_tol=rel_tol)
 
 
 class TestVerifyUnbiasedness:

@@ -152,11 +152,9 @@ def _cmd_estimate(args) -> int:
         from .laplace import (InversionConfig, InversionMethod,
                               builtin_transfer_function,
                               generic_unbiased_estimate)
-        method = (InversionMethod.TALBOT if args.engine == "talbot"
-                  else InversionMethod.GAVER_STEHFEST)
         result = generic_unbiased_estimate(
             builtin_transfer_function(spec), sample,
-            InversionConfig(method=method), spec=spec)
+            InversionConfig(method=InversionMethod(args.engine)), spec=spec)
     manifest = RunManifest("estimate",
                            {"kind": args.kind, **spec.params(),
                             "engine": args.engine},

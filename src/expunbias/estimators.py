@@ -13,10 +13,14 @@ formulas for the moment estimators are provided for comparison studies.
 
 Every per-kind fact -- parameters and their checks, the target xi (which
 the inversion engines also read as the transfer function), the estimator
-and its derivative, indicator kinks and the Tate (1959) form where one
-exists -- is one row of the ``_CATALOGUE`` table at the end of this module;
-the public estimator functions and the dispatching functions here and in
-the other modules look rows up instead of branching on the kind.
+and the Tate (1959) form where one exists -- is one row of the
+``_CATALOGUE`` table at the end of this module; the public estimator
+functions and the dispatching functions here and in the other modules look
+rows up instead of branching on the kind.  A row states each estimator once,
+as a ``_Phi`` whose value, derivative and indicator kinks all come from that
+statement: ``_power`` for coef * mean^r, and ``_indicator_sum`` for the sums
+c0 + sum of c 1{mean >= a} (1 - a/mean)^e of the survival-type kinds, whose
+every indicator power goes through the one kernel ``_indicator_power``.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.special import hyp1f1
@@ -293,13 +297,22 @@ def phi_function(spec: FunctionalSpec, n: int) -> Callable[[np.ndarray], np.ndar
     :class:`DomainError` unless every mean is finite and strictly positive,
     and returns a ``float`` for a scalar mean.
     """
+    return _mean_checked(_estimator(spec, n).value)
+
+
+def _estimator(spec: FunctionalSpec, n: int) -> _Phi:
+    # the row's estimator at this n: value, derivative and kinks
     n = _check_n(n)
     row = _CATALOGUE[spec.kind]
     if row.phi is None:
         raise SpecError(f"no closed form for kind {spec.kind.value!r};"
                         " use the Laplace inversion engine")
-    kernel = row.phi(spec, n)
+    return row.phi(spec, n)
 
+
+def _mean_checked(kernel: Callable[[np.ndarray], np.ndarray]):
+    # the kernel behind the one check on the means that every estimator
+    # family makes; a scalar mean gives a float
     def phi(sample_mean):
         x = np.asarray(sample_mean, dtype=float)
         if x.size and (not np.all(np.isfinite(x)) or np.any(x <= 0.0)):
@@ -389,22 +402,19 @@ class _KindRow:
     arises from Dirac sifting, so the inversion engines refuse the kind and
     its transfer function has no complex evaluator;
     ``phi(spec, n)``: checks the n-domain, binds the coefficients once and
-    returns the unbiased estimator as a kernel over an ndarray of means
-    (``phi_function`` checks the means); ``phi_prime(spec, n, mu)``: its
-    derivative away from kinks; ``kinks(spec, n, upper)``: its indicator
-    boundaries below ``upper``;
+    returns the unbiased estimator as a :class:`_Phi`, whose value, derivative
+    and kinks come from one statement of the estimator (``_power`` for
+    coef * mean^r, ``_indicator_sum`` for a sum of indicator powers);
     ``verify_args``: the ``verify`` options read for ``params`` (default:
     ``params``); ``skip(spec, n, lam)``: the ``verify`` grid cells outside
-    the domain; ``tate_phi``, ``tate_mean``: the biased 1959 estimator and
-    its exact expectation.
+    the domain; ``tate_phi(spec, n)``: the biased 1959 estimator, a
+    :class:`_Phi` built the same way; ``tate_mean``: its exact expectation.
     """
 
     params: tuple[str, ...]
     xi: Callable
     checks: tuple = ()
     phi: Optional[Callable] = None
-    phi_prime: Optional[Callable] = None
-    kinks: Callable = lambda spec, n, upper: []
     delta_content: bool = False
     pole: Callable = lambda spec: 0.0
     verify_args: Optional[tuple[str, ...]] = None
@@ -419,18 +429,24 @@ _COPIES = (lambda s: isinstance(s.m, numbers.Integral) and s.m >= 1,
            "m must be a positive integer")
 
 
-def _rate_power_phi(spec: FunctionalSpec, n: int):
-    p = float(spec.p)
-    if p >= n:
-        raise DomainError(f"rate-power needs p < n (got p={spec.p}, n={n})")
-    coef = math.exp(-_log_gamma_ratio(n, -p) - p * math.log(n))
-    return lambda x: coef * x ** (-p)
+class _Phi(NamedTuple):
+    """One estimator at a fixed n, as every consumer reads it.
+
+    ``value``: the kernel over an ndarray of means (``phi_function`` and
+    ``oracle.tate_phi_function`` check the means); ``prime(mu)``: its
+    derivative at a scalar mean off the kinks; ``kinks(upper)``: its
+    indicator boundaries (all of them, or for an unbounded sum the ones up to
+    the first at or beyond ``upper``).
+    """
+
+    value: Callable[[np.ndarray], np.ndarray]
+    prime: Callable[[float], float]
+    kinks: Callable[[float], list[float]] = lambda upper: []
 
 
-def _moment_phi(spec: FunctionalSpec, n: int):
-    p = float(spec.p)
-    coef = math.exp(log_gamma(p + 1.0) + p * math.log(n) - _log_gamma_ratio(n, p))
-    return lambda x: coef * x ** p
+def _power(coef: float, r: float) -> _Phi:
+    # coef * mean^r
+    return _Phi(lambda x: coef * x ** r, lambda mu: r * coef * mu ** (r - 1))
 
 
 def _indicator_power(x: np.ndarray, a: float, exponent: int) -> np.ndarray:
@@ -441,23 +457,64 @@ def _indicator_power(x: np.ndarray, a: float, exponent: int) -> np.ndarray:
     return np.where(ind, base ** exponent, 0.0)
 
 
-def _cdf_power_sum(x: np.ndarray, n: int, t: float, m: int, exponent: int) -> np.ndarray:
-    # 1 + sum_k C(m, k) (-1)^k (1 - kt/(n x))^exponent on {x >= kt/n}
-    total = np.ones(np.shape(x))
-    for k in range(1, m + 1):
-        total = total + math.comb(m, k) * (-1) ** k * _indicator_power(x, k * t / n, exponent)
-    return total
+def _indicator_sum(terms, e: int, c0: float = 0.0, over_x: bool = False) -> _Phi:
+    # c0 + sum of c 1{mean >= a} (1 - a/mean)^e over the (c, a) terms, divided
+    # by the mean when over_x
+    def value(x):
+        total = c0
+        for c, a in terms:
+            total = total + c * _indicator_power(x, a, e)
+        return total / x if over_x else total
+
+    def prime(mu):
+        live = [(c, 1.0 - a / mu, a) for c, a in terms if mu > a]
+        slope = math.fsum(c * e * u ** (e - 1) * a / mu ** 2 for c, u, a in live)
+        if over_x:  # (S/mu)' = (S' - S/mu)/mu
+            return (slope - math.fsum(c * u ** e for c, u, _ in live) / mu) / mu
+        return slope
+    return _Phi(value, prime, lambda upper: [a for _, a in terms])
 
 
-def _pdf_phi(spec: FunctionalSpec, n: int):
+def _rate_power_phi(spec: FunctionalSpec, n: int, shift: int = 0) -> _Phi:
+    # Gamma(n-shift)/(n^p Gamma(n-shift-p)) mean^-p; shift 1 is the 1959 form
+    p = float(spec.p)
+    if p >= n - shift:
+        name, bound = ("Tate rate-power", "n-1") if shift else ("rate-power", "n")
+        raise DomainError(f"{name} needs p < {bound} (got p={spec.p}, n={n})")
+    return _power(math.exp(-_log_gamma_ratio(n - shift, -p) - p * math.log(n)), -p)
+
+
+def _moment_phi(spec: FunctionalSpec, n: int) -> _Phi:
+    p = float(spec.p)
+    return _power(math.exp(log_gamma(p + 1.0) + p * math.log(n) - _log_gamma_ratio(n, p)), p)
+
+
+def _max_cdf_terms(spec: FunctionalSpec, n: int) -> list[tuple[int, float]]:
+    # [P(X <= t)]^m = (1 - e^{-lam t})^m expanded: C(m, k) (-1)^k at a = kt/n
+    t, m = float(spec.t), int(spec.m)
+    return [(math.comb(m, k) * (-1) ** k, k * t / n) for k in range(1, m + 1)]
+
+
+def _pdf_phi(spec: FunctionalSpec, n: int) -> _Phi:
     if n < 2:
         raise DomainError("the density estimator requires n >= 2")
-    c, a = (n - 1.0) / n, float(spec.t) / n
-    return lambda x: c * _indicator_power(x, a, n - 2) / x
+    return _indicator_sum([((n - 1.0) / n, float(spec.t) / n)], n - 2, over_x=True)
+
+
+def _mean_past_lifetime_phi(spec: FunctionalSpec, n: int) -> _Phi:
+    # t (1 + sum_{k >= 1} 1{x >= tk/n} (1 - tk/(n x))^{n-1}) - x: the value
+    # has its own kernel; the derivative and kinks read the terms up to the
+    # first tk/n at or beyond a bound
+    t = float(spec.t)
+
+    def terms(upper):
+        return [(t, k * t / n) for k in range(1, math.ceil(n * upper / t) + 1)]
+    return _Phi(lambda x: _mean_past_lifetime_sum(x, n, t),
+                lambda mu: _indicator_sum(terms(mu), n - 1, t).prime(mu) - 1.0,
+                lambda upper: [a for _, a in terms(upper)])
 
 
 def _mean_past_lifetime_sum(x: np.ndarray, n: int, t: float) -> np.ndarray:
-    # t (1 + sum_{k >= 1} 1{x >= tk/n} (1 - tk/(n x))^{n-1}) - x per mean x
     if x.size == 0:
         return np.empty(x.shape)
     order = np.argsort(x, axis=None, kind="stable")
@@ -493,53 +550,22 @@ def _mean_past_lifetime_sum(x: np.ndarray, n: int, t: float) -> np.ndarray:
     return val.reshape(x.shape)
 
 
-def _mgf_phi(spec: FunctionalSpec, n: int):
+def _mgf_phi(spec: FunctionalSpec, n: int) -> _Phi:
     t = float(spec.t)
-    if t == 0.0:
-        return lambda x: np.ones(x.shape)
     w_per_mean = n * t
 
-    def kernel(x):
+    def value(x):
+        if t == 0.0:
+            return np.ones(x.shape)
         val = hyp1f1(1.0, n, w_per_mean * x)
         if not np.all(np.isfinite(val)):
             raise RangeError("MGF estimate overflowed double precision")
         return val
-    return kernel
 
-
-def _indicator_terms_prime(total: float, terms, mu: float, n: int) -> float:
-    # total + sum of c * d/dmu (1 - a/mu)^{n-1} 1{mu > a} over (c, a) in terms
-    for c, a in terms:
-        if mu > a:
-            total += c * (n - 1.0) * (1.0 - a / mu) ** (n - 2) * a / mu ** 2
-    return total
-
-
-def _pdf_prime(spec: FunctionalSpec, n: int, mu: float) -> float:
-    a = spec.t / n
-    if mu <= a:
-        return 0.0
-    u = 1.0 - a / mu
-    return ((n - 1.0) / n) * (-u ** (n - 2) / mu ** 2
-                              + (n - 2.0) * u ** (n - 3) * a / mu ** 3)
-
-
-def _mean_past_lifetime_kinks(spec: FunctionalSpec, n: int, upper: float) -> list[float]:
-    k_max = int(math.ceil(n * upper / spec.t))
-    return [j * spec.t / n for j in range(1, k_max + 1)]
-
-
-def _tate_rate_power_phi(spec: FunctionalSpec, n: int):
-    p = spec.p
-    if p >= n - 1:
-        raise DomainError(f"Tate rate-power needs p < n-1 (got p={p}, n={n})")
-    coef = math.exp(-_log_gamma_ratio(n - 1, -p) - p * math.log(n))
-    return lambda x: coef * np.asarray(x, dtype=float) ** (-p)
-
-
-def _tate_quantile_phi(spec: FunctionalSpec, n: int):
-    c = -math.log1p(-spec.q) * n / (n - 1.0)
-    return lambda x: c * np.asarray(x, dtype=float)
+    def prime(mu):
+        # d/dw M(1, n, w) = M(2, n+1, w)/n (DLMF 13.3.15), w = n t mean
+        return t * float(hyp1f1(2.0, n + 1.0, w_per_mean * mu))
+    return _Phi(value, prime)
 
 
 _CATALOGUE: dict[Kind, _KindRow] = {
@@ -552,9 +578,8 @@ _CATALOGUE: dict[Kind, _KindRow] = {
                  "negative integer rate-power exponents need allow_negative_integer_p=True")),
         xi=lambda s: lambda lam, xp=math, p=float(s.p): lam ** p,
         phi=_rate_power_phi,
-        phi_prime=lambda s, n, mu: -s.p * rate_power(mu, n, s.p) / mu,
         skip=lambda s, n, lam: s.p >= n,
-        tate_phi=_tate_rate_power_phi,
+        tate_phi=lambda s, n: _rate_power_phi(s, n, shift=1),
         # 1{p < n-1} in the expectation table
         tate_mean=lambda s, n, lam: (0.0 if s.p >= n - 1
                                      else (1.0 - s.p / (n - 1.0)) * lam ** s.p)),
@@ -562,9 +587,8 @@ _CATALOGUE: dict[Kind, _KindRow] = {
         params=("q",),
         checks=((lambda s: 0.0 < s.q < 1.0, "quantile level q must lie in (0, 1)"),),
         xi=lambda s: lambda lam, xp=math, c=-math.log1p(-s.q): c / lam,
-        phi=lambda s, n: lambda x, c=-math.log1p(-s.q): c * x,
-        phi_prime=lambda s, n, mu: -math.log1p(-s.q),
-        tate_phi=_tate_quantile_phi,
+        phi=lambda s, n: _power(-math.log1p(-s.q), 1),
+        tate_phi=lambda s, n: _power(-math.log1p(-s.q) * n / (n - 1.0), 1),
         tate_mean=lambda s, n, lam: (n / (n - 1.0)) * (-math.log1p(-s.q) / lam)),
     Kind.MOMENT: _KindRow(
         params=("p",),
@@ -572,29 +596,21 @@ _CATALOGUE: dict[Kind, _KindRow] = {
         xi=lambda s: (lambda lam, xp=math, p=float(s.p), g=math.exp(log_gamma(s.p + 1.0)):
                       g / lam ** p),
         phi=_moment_phi,
-        phi_prime=lambda s, n, mu: s.p * moment(mu, n, s.p) / mu,
         verify_args=("moment_p",)),
     Kind.SURVIVAL: _KindRow(
         params=("t",),
         checks=(_POSITIVE_T,),
         xi=lambda s: lambda lam, xp=math, t=float(s.t): xp.exp(-lam * t),
-        phi=lambda s, n: lambda x, a=float(s.t) / n: _indicator_power(x, a, n - 1),
-        phi_prime=lambda s, n, mu: _indicator_terms_prime(0.0, [(1, s.t / n)], mu, n),
-        kinks=lambda s, n, upper: [s.t / n],
+        phi=lambda s, n: _indicator_sum([(1, float(s.t) / n)], n - 1),
         delta_content=True),
     Kind.MAX_CDF_POWER: _KindRow(
         params=("t", "m"),
         checks=(_POSITIVE_T, _COPIES),
         xi=lambda s: lambda lam, xp=math, t=float(s.t), m=int(s.m): (-xp.expm1(-lam * t)) ** m,
-        phi=lambda s, n: lambda x, t=float(s.t), m=int(s.m): _cdf_power_sum(x, n, t, m, n - 1),
-        phi_prime=lambda s, n, mu: _indicator_terms_prime(
-            0.0, [(math.comb(s.m, j) * (-1) ** j, j * s.t / n) for j in range(1, s.m + 1)],
-            mu, n),
-        kinks=lambda s, n, upper: [j * s.t / n for j in range(1, s.m + 1)],
+        phi=lambda s, n: _indicator_sum(_max_cdf_terms(s, n), n - 1, 1.0),
         delta_content=True,
         # the 1959 form carries exponent n-2 where n-1 belongs
-        tate_phi=lambda s, n: lambda x: _cdf_power_sum(
-            np.asarray(x, dtype=float), n, s.t, int(s.m), n - 2),
+        tate_phi=lambda s, n: _indicator_sum(_max_cdf_terms(s, n), n - 2, 1.0),
         tate_mean=lambda s, n, lam: (
             (lam * s.m * s.t / ((n - 1.0) * (1.0 - math.exp(lam * s.t))) + 1.0)
             * (-math.expm1(-lam * s.t)) ** s.m)),
@@ -602,45 +618,33 @@ _CATALOGUE: dict[Kind, _KindRow] = {
         params=("t", "m"),
         checks=(_POSITIVE_T, _COPIES),
         xi=lambda s: lambda lam, xp=math, t=float(s.t), m=int(s.m): xp.exp(-lam * m * t),
-        phi=lambda s, n: (lambda x, a=int(s.m) * float(s.t) / n:
-                          _indicator_power(x, a, n - 1)),
-        phi_prime=lambda s, n, mu: _indicator_terms_prime(0.0, [(1, s.m * s.t / n)], mu, n),
-        kinks=lambda s, n, upper: [s.m * s.t / n],
+        phi=lambda s, n: _indicator_sum([(1, int(s.m) * float(s.t) / n)], n - 1),
         delta_content=True),
     Kind.PDF: _KindRow(
         params=("t",),
         checks=(_POSITIVE_T,),
         xi=lambda s: lambda lam, xp=math, t=float(s.t): lam * xp.exp(-lam * t),
         phi=_pdf_phi,
-        phi_prime=_pdf_prime,
-        kinks=lambda s, n, upper: [s.t / n],
         delta_content=True,
         skip=lambda s, n, lam: n < 2),
     Kind.MEAN_PAST_LIFETIME: _KindRow(
         params=("t",),
         checks=(_POSITIVE_T,),
         xi=lambda s: lambda lam, xp=math, t=float(s.t): _mean_past_lifetime_target(t, lam, xp),
-        phi=lambda s, n: lambda x, t=float(s.t): _mean_past_lifetime_sum(x, n, t),
-        phi_prime=lambda s, n, mu: _indicator_terms_prime(
-            -1.0, [(s.t, j * s.t / n) for j in range(1, int(math.floor(n * mu / s.t)) + 1)],
-            mu, n),
-        kinks=_mean_past_lifetime_kinks,
+        phi=_mean_past_lifetime_phi,
         delta_content=True),
     Kind.MGF: _KindRow(
         params=("t",),
         checks=((lambda s: math.isfinite(s.t), "mgf requires finite t"),),
         xi=lambda s: lambda lam, xp=math, t=float(s.t): lam / (lam - t),
         phi=_mgf_phi,
-        # d/dw M(1, n, w) = M(2, n+1, w)/n (DLMF 13.3.15), w = n t mean
-        phi_prime=lambda s, n, mu: s.t * float(hyp1f1(2.0, n + 1.0, n * s.t * mu)),
         pole=lambda s: float(s.t),
         skip=lambda s, n, lam: s.t >= lam),
     Kind.EXPECTED_SHORTFALL: _KindRow(
         params=("p",),
         checks=((lambda s: 0.0 < s.p < 1.0, "expected-shortfall level p must lie in (0, 1)"),),
         xi=lambda s: lambda lam, xp=math, c=-math.log1p(-s.p) + 1.0: c / lam,
-        phi=lambda s, n: lambda x, c=-math.log1p(-s.p) + 1.0: c * x,
-        phi_prime=lambda s, n, mu: 1.0 - math.log1p(-s.p),
+        phi=lambda s, n: _power(-math.log1p(-s.p) + 1.0, 1),
         verify_args=("q",)),
     Kind.CUSTOM: _KindRow(
         params=("custom_transform",),

@@ -24,8 +24,8 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import DegenerateError, DomainError, NondifferentiableError
-from .estimators import (_CATALOGUE, Family, FunctionalSpec, Kind, Sample,
-                         closed_form_variance_mle,
+from .estimators import (Family, FunctionalSpec, Kind, Sample,
+                         _estimator, closed_form_variance_mle,
                          closed_form_variance_unbiased, moment, phi_function,
                          target_value)
 from .oracle import tate_phi_function
@@ -193,14 +193,12 @@ def asymptotic_variance(spec: FunctionalSpec, n: int, lam: float) -> float:
         raise DomainError("lambda must be finite and positive")
     mu = 1.0 / lam
     h = 5e-6 * mu
-    row = _CATALOGUE[spec.kind]
-    for kink in row.kinks(spec, n, mu + 4.0 * h):
+    est = _estimator(spec, n)
+    for kink in est.kinks(mu + 4.0 * h):
         if abs(mu - kink) < 4.0 * h:
             raise NondifferentiableError(
                 f"1/lambda = {mu:g} sits on an indicator kink of {spec.kind.value}")
-    if row.phi_prime is None:
-        raise DomainError(f"no derivative table entry for kind {spec.kind.value!r}")
-    deriv = row.phi_prime(spec, n, mu)
+    deriv = est.prime(mu)
     if deriv == 0.0:
         raise DegenerateError(
             f"estimator derivative vanishes at 1/lambda for {spec.kind.value}; "

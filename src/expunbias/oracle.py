@@ -19,8 +19,8 @@ from scipy import special as _sp
 
 from ._quadrature import adaptive_gauss_kronrod
 from .errors import DomainError, SpecError
-from .estimators import (_CATALOGUE, EstimateResult, Family, FunctionalSpec,
-                         phi_function, target_value)
+from .estimators import (_CATALOGUE, EstimateResult, Family, FunctionalSpec, _estimator,
+                         _mean_checked, phi_function, target_value)
 from .special import _stirling_remainder
 
 __all__ = [
@@ -106,7 +106,7 @@ def expectation(estimator: Callable[[np.ndarray], np.ndarray], n: int, lam: floa
 
 def kink_points(spec: FunctionalSpec, n: int, upper: float) -> list[float]:
     """Indicator-boundary abscissae of the closed-form estimator below ``upper``."""
-    return _CATALOGUE[spec.kind].kinks(spec, n, upper)
+    return _estimator(spec, n).kinks(upper)
 
 
 def verify_unbiasedness(spec: FunctionalSpec, n: int, lam: float,
@@ -148,7 +148,7 @@ def tate_phi_function(spec: FunctionalSpec, n: int) -> Callable[[np.ndarray], np
         raise SpecError(f"no Tate form for kind {spec.kind.value!r}")
     if n < 2:
         raise DomainError("the Tate estimators require n >= 2")
-    return row.tate_phi(spec, n)
+    return _mean_checked(row.tate_phi(spec, n).value)
 
 
 def tate_estimate(spec: FunctionalSpec, sample_mean: float, n: int) -> EstimateResult:

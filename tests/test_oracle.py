@@ -182,6 +182,19 @@ class TestTateEstimators:
         with pytest.raises(DomainError):
             tate_estimate(FunctionalSpec(Kind.QUANTILE, q=0.5), 1.0, 1)
 
+    @pytest.mark.parametrize("mean", [-1.0, 0.0, math.nan])
+    @pytest.mark.parametrize("spec", [FunctionalSpec(Kind.RATE_POWER, p=0.5),
+                                      FunctionalSpec(Kind.QUANTILE, q=0.5),
+                                      FunctionalSpec(Kind.MAX_CDF_POWER, t=0.5, m=2)],
+                             ids=lambda s: s.kind.value)
+    def test_rejects_invalid_mean(self, spec, mean):
+        # the same check on the mean as the corrected estimators, not a
+        # number from the raw kernel
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="sample mean"):
+                tate_estimate(spec, mean, 5)
+
 
 class TestTateExpectedValue:
     def test_rate_power_row(self):

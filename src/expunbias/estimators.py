@@ -17,10 +17,9 @@ and the Tate (1959) form where one exists -- is one row of the
 ``_CATALOGUE`` table at the end of this module; the public estimator
 functions and the dispatching functions here and in the other modules look
 rows up instead of branching on the kind.  A row states each estimator once,
-as a ``_Phi`` whose value, derivative and indicator kinks all come from that
-statement: ``_power`` for coef * mean^r, and ``_indicator_sum`` for the sums
-c0 + sum of c 1{mean >= a} (1 - a/mean)^e of the survival-type kinds, whose
-every indicator power goes through the one kernel ``_indicator_power``.
+as a ``_Phi`` whose value, derivative and kinks all come from ``_power``
+(coef * mean^r) or ``_indicator_sum`` (c0 + sum c 1{mean >= a} (1 - a/mean)^e,
+each term through the one kernel ``_indicator_power``).
 """
 
 from __future__ import annotations
@@ -245,7 +244,14 @@ def survival(sample_mean, n, t):
 
 
 def max_cdf_power(sample_mean, n, t, m):
-    """Unbiased estimate of [P(X <= t)]^m via the alternating binomial sum."""
+    """Unbiased estimate of [P(X <= t)]^m via the alternating binomial sum.
+
+    1 + sum_{k=1..m} C(m, k) (-1)^k (1 - kt/(n mean))^{n-1} on {mean >= kt/n}.
+    Each term is accurate to a few ulps at any n, but the terms are O(1)
+    and the sum cancels down to the target, so the absolute error is of
+    order eps * 2^m however small the value: at n = 20000, mean = 60, t = 1,
+    m = 3 the value is 4.5e-6 and its relative error 8.3e-11.
+    """
     return phi_function(FunctionalSpec(Kind.MAX_CDF_POWER, t=t, m=m), n)(sample_mean)
 
 
@@ -275,7 +281,7 @@ def mgf(sample_mean, n, t):
     """Unbiased estimate of E[e^{tX}].
 
     Kummer's function M(1, n, w) with w = n t mean, which equals
-    e^{w} gamma(n, w) / w^{n-1} + 1 (DLMF 8.5.1).  t = 0 short-circuits to 1.
+    e^{w} gamma(n, w) / w^{n-1} + 1 (DLMF 8.5.1); t = 0 gives M(1, n, 0) = 1.
     """
     return phi_function(FunctionalSpec(Kind.MGF, t=t), n)(sample_mean)
 
@@ -311,8 +317,7 @@ def _estimator(spec: FunctionalSpec, n: int) -> _Phi:
 
 
 def _mean_checked(kernel: Callable[[np.ndarray], np.ndarray]):
-    # the kernel behind the one check on the means that every estimator
-    # family makes; a scalar mean gives a float
+    # the one check on the means, for every estimator family; float for a scalar
     def phi(sample_mean):
         x = np.asarray(sample_mean, dtype=float)
         if x.size and (not np.all(np.isfinite(x)) or np.any(x <= 0.0)):
@@ -402,9 +407,8 @@ class _KindRow:
     arises from Dirac sifting, so the inversion engines refuse the kind and
     its transfer function has no complex evaluator;
     ``phi(spec, n)``: checks the n-domain, binds the coefficients once and
-    returns the unbiased estimator as a :class:`_Phi`, whose value, derivative
-    and kinks come from one statement of the estimator (``_power`` for
-    coef * mean^r, ``_indicator_sum`` for a sum of indicator powers);
+    returns the unbiased estimator as a :class:`_Phi` from ``_power`` or
+    ``_indicator_sum``, so its value, derivative and kinks are one statement;
     ``verify_args``: the ``verify`` options read for ``params`` (default:
     ``params``); ``skip(spec, n, lam)``: the ``verify`` grid cells outside
     the domain; ``tate_phi(spec, n)``: the biased 1959 estimator, a
@@ -430,13 +434,9 @@ _COPIES = (lambda s: isinstance(s.m, numbers.Integral) and s.m >= 1,
 
 
 class _Phi(NamedTuple):
-    """One estimator at a fixed n, as every consumer reads it.
-
-    ``value``: the kernel over an ndarray of means (``phi_function`` and
-    ``oracle.tate_phi_function`` check the means); ``prime(mu)``: its
-    derivative at a scalar mean off the kinks; ``kinks(upper)``: its
-    indicator boundaries (all of them, or for an unbounded sum the ones up to
-    the first at or beyond ``upper``).
+    """One estimator at a fixed n: ``value``, a kernel over an ndarray of
+    means; ``prime(mu)``, its derivative off the kinks; ``kinks(upper)``,
+    its indicator boundaries (an unbounded sum's up to the first >= upper).
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -449,12 +449,15 @@ def _power(coef: float, r: float) -> _Phi:
     return _Phi(lambda x: coef * x ** r, lambda mu: r * coef * mu ** (r - 1))
 
 
-def _indicator_power(x: np.ndarray, a: float, exponent: int) -> np.ndarray:
-    # (1 - a/x)^exponent gated on x >= a; the gate must come first so the
-    # base is never negative.
-    ind = x >= a
-    base = np.where(ind, 1.0 - a / x, 0.0)
-    return np.where(ind, base ** exponent, 0.0)
+def _indicator_power(x, a, e: int):
+    # 1{x >= a} (1 - a/x)^e as exp(e log1p(-a/x)), a few ulps whatever e where
+    # the power of a rounded base loses about e ulps.  Clamping x to a makes
+    # the log -inf below a, so the term is 0 there without a gate; e = 0 is
+    # the bare indicator, since 0 * -inf is nan.
+    if e == 0:
+        return 1.0 * (x >= a)
+    with np.errstate(divide="ignore"):
+        return np.exp(e * np.log1p(-a / np.maximum(x, a)))
 
 
 def _indicator_sum(terms, e: int, c0: float = 0.0, over_x: bool = False) -> _Phi:
@@ -467,10 +470,10 @@ def _indicator_sum(terms, e: int, c0: float = 0.0, over_x: bool = False) -> _Phi
         return total / x if over_x else total
 
     def prime(mu):
-        live = [(c, 1.0 - a / mu, a) for c, a in terms if mu > a]
-        slope = math.fsum(c * e * u ** (e - 1) * a / mu ** 2 for c, u, a in live)
+        c, a = np.array([(c, a) for c, a in terms if mu > a], dtype=float).reshape(-1, 2).T
+        slope = math.fsum(c * e * _indicator_power(mu, a, e - 1) * a / mu ** 2)
         if over_x:  # (S/mu)' = (S' - S/mu)/mu
-            return (slope - math.fsum(c * u ** e for c, u, _ in live) / mu) / mu
+            return (slope - math.fsum(c * _indicator_power(mu, a, e)) / mu) / mu
         return slope
     return _Phi(value, prime, lambda upper: [a for _, a in terms])
 
@@ -502,9 +505,8 @@ def _pdf_phi(spec: FunctionalSpec, n: int) -> _Phi:
 
 
 def _mean_past_lifetime_phi(spec: FunctionalSpec, n: int) -> _Phi:
-    # t (1 + sum_{k >= 1} 1{x >= tk/n} (1 - tk/(n x))^{n-1}) - x: the value
-    # has its own kernel; the derivative and kinks read the terms up to the
-    # first tk/n at or beyond a bound
+    # t (1 + sum_{k >= 1} 1{x >= tk/n} (1 - tk/(n x))^{n-1}) - x: the value has
+    # its own kernel, the derivative and kinks read the terms up to a bound
     t = float(spec.t)
 
     def terms(upper):
@@ -539,12 +541,12 @@ def _mean_past_lifetime_sum(x: np.ndarray, n: int, t: float) -> np.ndarray:
     # smallest terms first, so each point's sum is added from its tail up
     if xs.size == 1:
         # one point: its terms in one vector, accumulated in the same order
-        terms = (1.0 - a[lo == 0] / xs) ** (n - 1)
+        terms = _indicator_power(xs, a[lo == 0], n - 1)
         if terms.size:
             total[0] = np.cumsum(terms[::-1])[-1]
     else:
         for s, a_k in zip(lo[::-1].tolist(), a[::-1].tolist()):
-            total[s:] += (1.0 - a_k / xs[s:]) ** (n - 1)
+            total[s:] += _indicator_power(xs[s:], a_k, n - 1)
     val = np.empty_like(xs)
     val[order] = t * (1.0 + total) - xs
     return val.reshape(x.shape)
@@ -555,8 +557,6 @@ def _mgf_phi(spec: FunctionalSpec, n: int) -> _Phi:
     w_per_mean = n * t
 
     def value(x):
-        if t == 0.0:
-            return np.ones(x.shape)
         val = hyp1f1(1.0, n, w_per_mean * x)
         if not np.all(np.isfinite(val)):
             raise RangeError("MGF estimate overflowed double precision")

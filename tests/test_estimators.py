@@ -22,6 +22,7 @@ from expunbias.estimators import (EstimateResult, Family, FunctionalSpec,
                                   mle_estimate, moment, pdf_at, phi_function,
                                   quantile, rate_power, survival,
                                   target_value)
+from expunbias.oracle import tate_estimate
 
 
 class TestSample:
@@ -234,6 +235,25 @@ class TestIndicatorFamilies:
             # the density estimator is continuous at the kink only for n >= 3
             # (its exponent n-2 vanishes at n = 2, leaving a genuine jump)
             assert pdf_at(a + eps, n, t) < 1e-6
+
+
+@pytest.mark.parametrize("call,expected", [
+    (lambda: mean_past_lifetime(np.array([0.5, 1.0]), 1, 0.5), [0.5, 0.5]),
+    (lambda: mean_past_lifetime(0.25, 2, 0.5), 0.25),
+    (lambda: pdf_at(np.array([0.25, 0.1]), 2, 0.5), [2.0, 0.0]),
+    (lambda: survival(0.5, 1, 0.5), 1.0),
+    (lambda: max_cdf_power(0.5, 2, 0.5, 2), 0.0),
+    # the 1959 max-CDF power has exponent n - 2 = 0 at n = 2
+    (lambda: tate_estimate(FunctionalSpec(Kind.MAX_CDF_POWER, t=0.5, m=2), 0.5, 2).value, 0.0),
+    (lambda: tate_estimate(FunctionalSpec(Kind.MAX_CDF_POWER, t=0.5, m=2), 0.25, 2).value, -1.0),
+], ids=["mpl-n1", "mpl-n2", "pdf-n2", "survival-n1", "max-cdf-n2", "tate-n2-top", "tate-n2-mid"])
+def test_exact_kinks_with_exponent_zero(call, expected):
+    # a mean on a kink a, where the indicator power is 1{x >= a} (1 - a/x)^e:
+    # exponent 0 leaves the bare indicator, exponent > 0 a zero, and no
+    # division by zero or 0 * inf on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(call(), expected)
 
 
 class TestMeanPastLifetime:

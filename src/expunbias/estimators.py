@@ -509,11 +509,11 @@ def _mean_past_lifetime_phi(spec: FunctionalSpec, n: int) -> _Phi:
     # its own kernel, the derivative and kinks read the terms up to a bound
     t = float(spec.t)
 
-    def terms(upper):
-        return [(t, k * t / n) for k in range(1, math.ceil(n * upper / t) + 1)]
+    def kinks(upper):
+        return [k * t / n for k in range(1, math.ceil(n * upper / t) + 1)]
     return _Phi(lambda x: _mean_past_lifetime_sum(x, n, t),
-                lambda mu: _indicator_sum(terms(mu), n - 1, t).prime(mu) - 1.0,
-                lambda upper: [a for _, a in terms(upper)])
+                lambda mu: _indicator_sum([(t, a) for a in kinks(mu)], n - 1, t).prime(mu) - 1.0,
+                kinks)
 
 
 def _mean_past_lifetime_sum(x: np.ndarray, n: int, t: float) -> np.ndarray:

@@ -168,8 +168,8 @@ class TestAsymptoticVariance:
         (Kind.EXPECTED_SHORTFALL, {"p": 0.9}),
     ])
     def test_analytic_derivative_survives_fd_validation(self, kind, params, n, lam):
-        # asymptotic_variance cross-checks its derivative table against a
-        # central finite difference internally; passing means they agree
+        # asymptotic_variance cross-checks the estimator's analytic derivative
+        # against a central finite difference internally; passing means they agree
         if kind is Kind.MAX_CDF_POWER and n == 2:
             lam = 1.25  # at n = 2 this estimator is flat above 2t/n = 1
         spec = FunctionalSpec(kind, **params)

@@ -45,7 +45,7 @@ from expunbias.estimators import FunctionalSpec, Kind, _estimator, phi_function
 
 EPS = 2.0 ** -52
 _SUM_EPS = 8.0
-_POWER_REL = {Kind.RATE_POWER: 1e-13, Kind.MOMENT: 1e-13,
+_SMOOTH_REL = {Kind.RATE_POWER: 1e-13, Kind.MOMENT: 1e-13,
               Kind.QUANTILE: 1e-15, Kind.EXPECTED_SHORTFALL: 1e-15, Kind.MGF: 1e-10}
 _N_MAX = 20_000
 
@@ -84,7 +84,7 @@ def _mpl_terms(spec, n, x):
 
 def _reference(spec, n, x):
     """mp function of the mean, and the error budgets of value and derivative."""
-    if spec.kind in _POWER_REL:
+    if spec.kind in _SMOOTH_REL:
         p, q, t = (mp.mpf(v) if v is not None else None for v in (spec.p, spec.q, spec.t))
         if spec.kind is Kind.RATE_POWER:
             f = lambda xm: mp.gamma(n) / (mp.mpf(n) ** p * mp.gamma(n - p)) * xm ** -p
@@ -96,7 +96,7 @@ def _reference(spec, n, x):
             f = lambda xm: (1 - mp.log1p(-p)) * xm
         else:
             f = lambda xm: mp.hyp1f1(1, n, n * t * xm, maxterms=10 ** 6)
-        rel = _POWER_REL[spec.kind]
+        rel = _SMOOTH_REL[spec.kind]
         return f, rel * abs(f(mp.mpf(x))), rel * abs(mp.diff(f, mp.mpf(x)))
     c0, terms, over_x, linear = _indicator_form(spec, n)
     if terms is None:

@@ -9,9 +9,11 @@ commit of the package:
 ``testpaths`` in pyproject.toml is ``tests``, so the plain test run does
 not collect these cases.  The mean-past-lifetime estimator is the costliest
 integrand of the catalogue: the first case evaluates it on as many points as
-one quadrature call at n = 200 hands it, the next two run whole oracle
-cells, and the last runs a cheap ``verify`` through the CLI, where argument
-parsing is a visible share of the op.  The checks after each timed call
+one quadrature call at n = 200 hands it, the next three run whole oracle
+cells (the last of them at t = 0.05, with about 50,000 kinks tk/n below the
+cutoff, once: an oracle that splits at each of them takes seconds), and the
+last runs a cheap ``verify`` through the CLI, where argument parsing is a
+visible share of the op.  The checks after each timed call
 keep a wrong answer from passing as a fast one.
 """
 
@@ -52,6 +54,12 @@ def test_mean_past_lifetime_points(benchmark):
 def test_verify_mean_past_lifetime(benchmark, n):
     spec = FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=T)
     report = benchmark(verify_unbiasedness, spec, n, LAM)
+    assert report.rel_bias < 1e-9
+
+
+def test_verify_mean_past_lifetime_dense_kinks(benchmark):
+    spec = FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=0.05)
+    report = benchmark.pedantic(verify_unbiasedness, args=(spec, 1000, LAM), rounds=1)
     assert report.rel_bias < 1e-9
 
 

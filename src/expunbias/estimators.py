@@ -17,9 +17,10 @@ and the Tate (1959) form where one exists -- is one row of the
 ``_CATALOGUE`` table at the end of this module; the public estimator
 functions and the dispatching functions here and in the other modules look
 rows up instead of branching on the kind.  A row states each estimator once,
-as a ``_Phi`` whose value, derivative and kinks all come from ``_power``
-(coef * mean^r) or ``_indicator_sum`` (c0 + sum c 1{mean >= a} (1 - a/mean)^e,
-each term through the one kernel ``_indicator_power``).
+as a ``_Phi`` whose value, derivative and kinks, and the facts the oracle
+reads (support start, indicator exponent, power at 0), all come from
+``_power`` (coef * mean^r) or ``_indicator_sum`` (c0 + sum c 1{mean >= a}
+(1 - a/mean)^e, each term through the one kernel ``_indicator_power``).
 """
 
 from __future__ import annotations
@@ -436,17 +437,28 @@ _COPIES = (lambda s: isinstance(s.m, numbers.Integral) and s.m >= 1,
 class _Phi(NamedTuple):
     """One estimator at a fixed n: ``value``, a kernel over an ndarray of
     means; ``prime(mu)``, its derivative off the kinks; ``kinks(upper)``,
-    its indicator boundaries (an unbounded sum's up to the first >= upper).
+    its indicator boundaries (an unbounded sum's up to the first >= upper);
+    ``exponent``, the indicator exponent e, so that the estimator is
+    C^(e-1) at its kinks (e = 0: a jump; inf for a smooth estimator);
+    ``support_start``, the mean below which the estimator is 0 (0 where it
+    is not 0 on any interval (0, L)); ``small_mean_power``, the r with the
+    estimator proportional to mean^r as the mean falls to 0 (0 for the
+    estimators bounded there).  The oracle reads the last three to choose
+    its window, whether to split at the kinks and how to integrate from 0.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     prime: Callable[[float], float]
     kinks: Callable[[float], list[float]] = lambda upper: []
+    exponent: float = math.inf
+    support_start: float = 0.0
+    small_mean_power: float = 0.0
 
 
 def _power(coef: float, r: float) -> _Phi:
     # coef * mean^r
-    return _Phi(lambda x: coef * x ** r, lambda mu: r * coef * mu ** (r - 1))
+    return _Phi(lambda x: coef * x ** r, lambda mu: r * coef * mu ** (r - 1),
+                small_mean_power=r)
 
 
 def _indicator_power(x, a, e: int):
@@ -462,7 +474,8 @@ def _indicator_power(x, a, e: int):
 
 def _indicator_sum(terms, e: int, c0: float = 0.0, over_x: bool = False) -> _Phi:
     # c0 + sum of c 1{mean >= a} (1 - a/mean)^e over the (c, a) terms, divided
-    # by the mean when over_x
+    # by the mean when over_x; with c0 = 0 every term, and so the sum, is 0
+    # below the smallest a, which is where its support starts
     def value(x):
         total = c0
         for c, a in terms:
@@ -475,7 +488,8 @@ def _indicator_sum(terms, e: int, c0: float = 0.0, over_x: bool = False) -> _Phi
         if over_x:  # (S/mu)' = (S' - S/mu)/mu
             return (slope - math.fsum(c * _indicator_power(mu, a, e)) / mu) / mu
         return slope
-    return _Phi(value, prime, lambda upper: [a for _, a in terms])
+    return _Phi(value, prime, lambda upper: [a for _, a in terms], e,
+                min(a for _, a in terms) if c0 == 0.0 else 0.0)
 
 
 def _rate_power_phi(spec: FunctionalSpec, n: int, shift: int = 0) -> _Phi:
@@ -513,7 +527,7 @@ def _mean_past_lifetime_phi(spec: FunctionalSpec, n: int) -> _Phi:
         return [k * t / n for k in range(1, math.ceil(n * upper / t) + 1)]
     return _Phi(lambda x: _mean_past_lifetime_sum(x, n, t),
                 lambda mu: _indicator_sum([(t, a) for a in kinks(mu)], n - 1, t).prime(mu) - 1.0,
-                kinks)
+                kinks, n - 1)
 
 
 def _mean_past_lifetime_sum(x: np.ndarray, n: int, t: float) -> np.ndarray:

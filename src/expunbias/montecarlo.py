@@ -185,19 +185,23 @@ def asymptotic_variance(spec: FunctionalSpec, n: int, lam: float) -> float:
     """Delta-method variance [phi'(1/lambda)/lambda]^2 of the CLT limit.
 
     The analytic derivative is validated on the spot against a central
-    finite difference (1e-6 relative agreement); evaluation at an indicator
-    kink raises :class:`NondifferentiableError` and a vanishing derivative
-    raises :class:`DegenerateError` (the CLT scaling would divide by zero).
+    finite difference (1e-6 relative agreement).  Evaluation at an indicator
+    kink where the estimator has no derivative (indicator exponent e <= 1,
+    e.g. survival at n <= 2) raises :class:`NondifferentiableError`; with
+    e >= 2 the estimator is C^(e-1) there and the kink is no obstacle.  A
+    vanishing derivative raises :class:`DegenerateError` (the CLT scaling
+    would divide by zero).
     """
     if not (lam > 0.0 and math.isfinite(lam)):
         raise DomainError("lambda must be finite and positive")
     mu = 1.0 / lam
     h = 5e-6 * mu
     est = _estimator(spec, n)
-    for kink in est.kinks(mu + 4.0 * h):
-        if abs(mu - kink) < 4.0 * h:
-            raise NondifferentiableError(
-                f"1/lambda = {mu:g} sits on an indicator kink of {spec.kind.value}")
+    if est.exponent <= 1:
+        for kink in est.kinks(mu + 4.0 * h):
+            if abs(mu - kink) < 4.0 * h:
+                raise NondifferentiableError(
+                    f"1/lambda = {mu:g} sits on an indicator kink of {spec.kind.value}")
     deriv = est.prime(mu)
     if deriv == 0.0:
         raise DegenerateError(

@@ -181,6 +181,12 @@ class TestAsymptoticVariance:
         with pytest.raises(NondifferentiableError):
             asymptotic_variance(spec, 2, 2.0)
 
+    def test_smooth_kinks_pass(self):
+        # kinks tk/n lie within the finite-difference step of 1/lambda, but
+        # the estimator is C^(n-2) there
+        spec = FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=0.05)
+        assert asymptotic_variance(spec, 2000, 0.47) > 0.0
+
     def test_dead_zone_is_degenerate(self):
         # 1/lambda below t/n: the estimator is flat zero there
         spec = FunctionalSpec(Kind.SURVIVAL, t=1.0)

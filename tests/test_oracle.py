@@ -151,6 +151,43 @@ class TestVerifyUnbiasedness:
             with pytest.raises(DomainError, match="lambda = 1e-320"):
                 expectation(lambda x: x, 5, 1e-320)
 
+    @pytest.mark.parametrize("spec,n", [
+        (FunctionalSpec(Kind.SURVIVAL, t=1.0), 1),
+        (FunctionalSpec(Kind.PDF, t=1.0), 2),
+        (FunctionalSpec(Kind.MIN_SURVIVAL, t=1.0, m=3), 200),
+        (FunctionalSpec(Kind.MIN_SURVIVAL, t=1.0, m=3), 2),
+    ], ids=lambda v: v.kind.value if isinstance(v, FunctionalSpec) else str(v))
+    def test_small_targets_certify(self, spec, n):
+        # targets far below the density's 1e-16 tail mass (e^-30 to e^-90):
+        # a window [0, U] taken from the density alone read these correct
+        # estimators as biased by 1e-3 to 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert verify_unbiasedness(spec, n, 30.0).rel_bias < 1e-9
+
+    @pytest.mark.parametrize("spec", [FunctionalSpec(Kind.RATE_POWER, p=0.9),
+                                      FunctionalSpec(Kind.MOMENT, p=-0.9)],
+                             ids=lambda s: s.kind.value)
+    def test_singular_integrand_at_zero(self, spec):
+        # at n = 1 the integrand grows like x^-0.9 at 0, which no subdivision
+        # of the 15-point rule followed to 1e-9
+        assert verify_unbiasedness(spec, 1, 1.0).rel_bias < 1e-12
+
+    @pytest.mark.parametrize("spec", [
+        FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=0.1658),
+        FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=0.1807),
+        FunctionalSpec(Kind.MAX_CDF_POWER, t=0.3553, m=3),
+    ], ids=lambda s: f"{s.kind.value}-{s.t}")
+    def test_kinks_of_exponent_four_are_split(self, spec):
+        # at n = 5 the estimator is C^3 at its kinks; integrated across them
+        # unsplit these cells read 3.0e-9, 1.3e-9 and 6.8e-10
+        assert verify_unbiasedness(spec, 5, 1.0).rel_bias < 1e-12
+
+    def test_mean_past_lifetime_dense_kinks(self):
+        # about 50,000 kinks tk/n below the cutoff, where the estimator is C^998
+        spec = FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=0.05)
+        assert verify_unbiasedness(spec, 1000, 0.5).rel_bias < 1e-9
+
     def test_mean_past_lifetime_large_n(self):
         # about 13000 kinks, each integrand call a few hundred thousand points
         spec = FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=0.1)

@@ -1,4 +1,5 @@
-"""Property sweep: every closed-form estimator against 60-digit mpmath.
+"""Property sweeps: every closed-form estimator against 60-digit mpmath, and
+the quadrature oracle on every closed-form kind.
 
 For each closed-form kind, Hypothesis draws n log-uniformly in [1, 2e4], a
 rate lambda log-uniformly in [1e-3, 1e3] and a mean within a factor 20 of
@@ -30,6 +31,11 @@ the sweep's first shrunk counter-examples (p = 4.8e-101 and t = 1e-300 at
 n = 1, mean 1) failed.  ``_REGRESSIONS`` keeps, as explicit cases, cells
 where indicator powers computed as a power of the rounded base 1 - a/x lost
 about e ulps per term.
+
+The oracle sweep (``test_sweep_verify_unbiasedness``) draws n the same way
+and lambda in [0.05, 30], and checks that ``verify_unbiasedness`` certifies
+each cell below its 1e-9 tolerance or raises ``ExpunbiasError``, without a
+warning.
 """
 
 import math
@@ -42,6 +48,7 @@ from hypothesis import strategies as st
 
 from expunbias.errors import ExpunbiasError
 from expunbias.estimators import FunctionalSpec, Kind, _estimator, phi_function
+from expunbias.oracle import verify_unbiasedness
 
 EPS = 2.0 ** -52
 _SUM_EPS = 8.0
@@ -187,6 +194,56 @@ _CLOSED_FORM = [kind for kind in Kind if kind is not Kind.CUSTOM]
 @given(data=st.data())
 def test_sweep_against_mpmath(kind, data):
     _check(*data.draw(_cells(kind)))
+
+
+@st.composite
+def _verify_cells(draw, kind):
+    """(spec, n, lam) with n log-uniform in [1, 2e4] and lam in [0.05, 30].
+
+    Time-like parameters are u/lam with u log-uniform in [0.05, 30], so the
+    targets run from (lam t)^m ~ 1e-6 (max-cdf-power) to e^{-120}
+    (min-survival).  Mean-past-lifetime draws lam t in [0.025, 5] only: its
+    estimator sums about 42 mean/t terms per point, one numpy call per term,
+    so a cell at lam t = 0.0025 takes up to 28 s (at n <= 7 the oracle also
+    splits at each of about 40/(lam t) kinks).
+    """
+    n = min(_N_MAX, max(1, round(draw(_log_uniform(1, _N_MAX)))))
+    lam = draw(_log_uniform(0.05, 30.0))
+    if kind is Kind.RATE_POWER:
+        spec = FunctionalSpec(kind, p=draw(st.floats(-3.0, 3.0).filter(bool)),
+                              allow_negative_integer_p=True)
+    elif kind is Kind.MOMENT:
+        spec = FunctionalSpec(kind, p=draw(st.floats(-0.9, 4.0)))
+    elif kind is Kind.QUANTILE:
+        spec = FunctionalSpec(kind, q=draw(st.floats(0.01, 0.99)))
+    elif kind is Kind.EXPECTED_SHORTFALL:
+        spec = FunctionalSpec(kind, p=draw(st.floats(0.01, 0.99)))
+    elif kind is Kind.MGF:
+        spec = FunctionalSpec(kind, t=draw(st.floats(-3.0, 0.9)) * lam)
+    elif kind in (Kind.MAX_CDF_POWER, Kind.MIN_SURVIVAL):
+        spec = FunctionalSpec(kind, t=draw(_log_uniform(0.05, 30.0)) / lam,
+                              m=draw(st.integers(1, 4)))
+    elif kind is Kind.MEAN_PAST_LIFETIME:
+        spec = FunctionalSpec(kind, t=draw(_log_uniform(0.025, 5.0)) / lam)
+    else:
+        spec = FunctionalSpec(kind, t=draw(_log_uniform(0.05, 30.0)) / lam)
+    return spec, n, lam
+
+
+@pytest.mark.parametrize("kind", _CLOSED_FORM, ids=lambda k: k.value)
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_sweep_verify_unbiasedness(kind, data):
+    # the oracle certifies each closed-form cell to its tolerance or raises a
+    # typed error, without a warning
+    spec, n, lam = data.draw(_verify_cells(kind))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            report = verify_unbiasedness(spec, n, lam)
+        except ExpunbiasError:
+            return
+    assert report.rel_bias < 1e-9, (spec, n, lam, report.rel_bias)
 
 
 _REGRESSIONS = [

@@ -11,8 +11,11 @@ commit of the package:
 not collect these cases.  The Gaver-Stehfest cases run the escalating order
 ladder of the generic estimator: the moment stops at order 26 at n = 2 and
 climbs to the top order, 40, at n = 10; the real-only user transform has no
-complex evaluator and stops at 32 at n = 5.  The Talbot case is a control whose code
-path the Gaver-Stehfest work does not touch.  The last case is the
+complex evaluator and stops at 32 at n = 5.  The MGF case sums on the
+abscissae shifted right of its pole (sigma > 0), the one path that still
+divides by s^n at every abscissa.  The float-only transform answers in
+double precision, so its ladder stops at order 20.  The Talbot case is a
+control whose code path the Gaver-Stehfest work does not touch.  The last case is the
 mean-past-lifetime estimator on one point, as the CLI ``estimate`` command
 and the finite-difference check of ``asymptotic_variance`` call it.  The
 checks after each timed call keep a wrong answer from passing as a fast one.
@@ -22,7 +25,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from expunbias.estimators import (FunctionalSpec, Kind, Sample, mean_past_lifetime,
+from expunbias.estimators import (FunctionalSpec, Kind, Sample, mean_past_lifetime, mgf,
                                   moment)
 from expunbias.laplace import (InversionConfig, InversionMethod, TransferFunction,
                                builtin_transfer_function, generic_unbiased_estimate)
@@ -58,6 +61,22 @@ def test_gaver_stehfest_user_real(benchmark):
     xi = TransferFunction(eval_real=lambda lam: lam / (lam + 1.0))
     res = benchmark(generic_unbiased_estimate, xi, sample)
     assert res.value == pytest.approx(_user_real_reference(sample.mean, n), rel=1e-9)
+
+
+def test_gaver_stehfest_mgf_shifted(benchmark):
+    n, spec = 5, FunctionalSpec(Kind.MGF, t=0.5)
+    sample = _sample(n)
+    xi = builtin_transfer_function(spec)
+    res = benchmark(generic_unbiased_estimate, xi, sample, GS, spec)
+    assert res.value == pytest.approx(mgf(sample.mean, n, 0.5), rel=1e-9)
+
+
+def test_gaver_stehfest_float_only(benchmark):
+    n = 5
+    sample = _sample(n)
+    xi = TransferFunction(eval_real=lambda lam: float(lam / (lam + 1.0)))
+    res = benchmark(generic_unbiased_estimate, xi, sample)
+    assert res.value == pytest.approx(_user_real_reference(sample.mean, n), rel=1e-5)
 
 
 def test_talbot_moment_control(benchmark):

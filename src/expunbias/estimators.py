@@ -120,12 +120,11 @@ class Sample:
         obs = tuple(float(v) for v in observations)
         if not obs:
             raise DomainError("a sample needs at least one observation")
-        arr = np.asarray(obs)
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+        if not all(0.0 < v < math.inf for v in obs):
             raise DomainError("observations must be finite and strictly positive")
         object.__setattr__(self, "observations", obs)
         object.__setattr__(self, "n", len(obs))
-        object.__setattr__(self, "mean", float(np.mean(arr)))
+        object.__setattr__(self, "mean", float(np.mean(obs)))
 
 
 @dataclass(frozen=True)
@@ -180,7 +179,10 @@ def target_value(spec: FunctionalSpec, lam):
     pole = row.pole(spec)
     if pole > 0.0 and np.any(lam <= pole):
         raise DomainError(f"{spec.kind.value} target requires lambda > {pole:g}")
-    return row.xi(spec)(lam, xp)
+    try:
+        return row.xi(spec)(lam, xp)
+    except OverflowError as exc:
+        raise RangeError(f"{spec.kind.value} target leaves double range") from exc
 
 
 # below this lam*t the mean-past-lifetime target uses its series form

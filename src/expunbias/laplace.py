@@ -15,7 +15,11 @@ Two engines realise the inversion:
   composed transform's original grows like x^{n-1} and needs high orders
   for large n.  The abscissae do not depend on the order, so the ladder
   evaluates each one once, at the precision of its top order, and every
-  order sums a prefix of the same values.
+  order sums a prefix of the same values.  Unshifted, s_k^{-n} is
+  mean^n (k ln2)^{-n}, and the (k ln2)^{-n} sit in cached weights, so an
+  abscissa costs one multiply and one call xi(k ln2/(n mean)).  A transform
+  that answers the first call in mpmath climbs the whole ladder; one that
+  answers in double precision (or only takes floats) stops at order 20.
 * Fixed Talbot: deformed Bromwich contour, double-precision complex
   arithmetic; requires a complex evaluator.
 
@@ -117,55 +121,75 @@ def _stehfest_weight_fractions(order: int) -> tuple[Fraction, ...]:
     return tuple(weights)
 
 
-def _eval_mp(fn: Callable, s):
-    """Evaluate a user transform at an mpmath abscissa, falling back to
-    double precision if the callable cannot digest mpf input."""
+def _eval_mp(fn: Callable, x) -> tuple:
+    """``fn`` at an mpmath abscissa as an mpf, and whether it answered in mpf;
+    a callable that cannot digest mpf input is evaluated in double precision."""
     try:
-        val = fn(s)
+        val = fn(x)
     except (TypeError, ValueError, OverflowError):
-        val = fn(float(s))
+        val = fn(float(x))
     if isinstance(val, mp.mpf):
-        return val
-    return mp.mpf(float(val))
+        return val, True
+    if isinstance(val, int):  # exact at any precision
+        return mp.mpf(val), True
+    return mp.mpf(float(val)), False
 
 
-@lru_cache(maxsize=None)
-def _stehfest_weights_mp(order: int, dps: int) -> tuple:
-    # rounded to ``dps`` digits once per process
+@lru_cache(maxsize=256)
+def _stehfest_weights_mp(order: int, dps: int, n: int = 0) -> tuple:
+    # w_k (k ln2)^-n rounded to ``dps`` digits, n = 0 giving the plain Salzer
+    # weights; bounded, since n takes any value
     with mp.workdps(dps):
-        return tuple(mp.mpf(w.numerator) / mp.mpf(w.denominator)
-                     for w in _stehfest_weight_fractions(order))
+        ln2 = mp.ln(2)
+        return tuple(mp.mpf(w.numerator) / mp.mpf(w.denominator) / (k * ln2) ** n
+                     for k, w in enumerate(_stehfest_weight_fractions(order), 1))
 
 
-def _gs_ladder(fn: Callable, t: float, orders: Sequence[int], sigma: float = 0.0) -> float:
+def _gs_ladder(fn: Callable, t: float, orders: Sequence[int], n: int = 0,
+               sigma: float = 0.0) -> float:
     """Gaver-Stehfest inversion at extended precision, climbing ``orders``.
 
-    Returns invL{ F(sigma + .) }(t) * e^{sigma t}, i.e. the inversion of F
-    shifted so its singularities sit left of every sample point.  The
-    abscissae sigma + k ln2/t do not depend on the order, so each is
-    evaluated once, at the precision of the last order (2.2 digits per
-    order + 15), and every order sums a prefix of the same values.  The
-    climb stops at the first order that agrees with the one before to 5e-9
-    relative; if the last two still differ by more than 1e-3 it raises.  A
-    single order is the plain fixed-order sum.
+    Returns invL{ F(sigma + .) }(t) * e^{sigma t} for F(s) = fn(s/m) s^-n,
+    m = max(n, 1), i.e. the inversion of F shifted so its singularities sit
+    left of every sample point.  Each abscissa s_k = sigma + k ln2/t is
+    evaluated once, at the precision of the last order (2.2 digits per order
+    + 15), and every order sums a prefix of the same values; with sigma = 0
+    the weights carry (k ln2)^-n and t^n multiplies the sum.  The climb
+    stops at 20 if fn does not answer the first abscissa in mpf, and at the
+    first order that agrees with the one before to 5e-9 relative; if the
+    last two still differ by more than 1e-3 it raises.  A single order is
+    the plain fixed-order sum.
     """
     dps = int(2.2 * orders[-1]) + 15
     with mp.workdps(dps):
         ln2_t = mp.ln(2) / mp.mpf(t)
         sig = mp.mpf(sigma)
-        factor = ln2_t * mp.e ** (sig * mp.mpf(t))
+        if sigma:
+            factor, folded = ln2_t * mp.e ** (sig * mp.mpf(t)), 0
+        else:
+            factor, folded, step = ln2_t * mp.mpf(t) ** n, n, ln2_t / max(n, 1)
+        top = orders[-1]
         fvals = []
         values = []
         for order in orders:
+            if order > top:
+                break
             for k in range(len(fvals) + 1, order + 1):
-                fk = _eval_mp(fn, sig + k * ln2_t)
+                if sigma:
+                    s = sig + k * ln2_t
+                    fk, extended = _eval_mp(fn, s / n)
+                    fk /= s ** n
+                else:
+                    fk, extended = _eval_mp(fn, k * step)
                 if not mp.isfinite(fk):
                     raise InversionError(
                         "transform evaluated non-finite on the Gaver-Stehfest abscissae",
                         {"method": "gaver-stehfest", "order": order, "t": t,
                          "abscissa": float(sig + k * ln2_t)})
+                if k == 1 and not extended:  # past 20, weights over 1e12 amplify 1e-16 noise
+                    top = 20
                 fvals.append(fk)
-            val = float(mp.fdot(_stehfest_weights_mp(order, dps), fvals) * factor)
+            val = float(mp.fdot(_stehfest_weights_mp(order, dps, folded), fvals) * factor)
             if values:
                 prev = values[-1]
                 if abs(val - prev) <= 5e-9 * max(abs(val), abs(prev), 1e-300):
@@ -174,7 +198,8 @@ def _gs_ladder(fn: Callable, t: float, orders: Sequence[int], sigma: float = 0.0
     if len(values) >= 2 and abs(values[-1] - values[-2]) > 1e-3 * max(abs(values[-1]), 1e-300):
         raise InversionError(
             "Gaver-Stehfest results kept oscillating beyond tolerance",
-            {"method": "gaver-stehfest", "orders": list(orders), "values": values, "t": t})
+            {"method": "gaver-stehfest", "orders": [o for o in orders if o <= top],
+             "values": values, "t": t})
     return values[-1]
 
 
@@ -231,31 +256,17 @@ def _talbot_sum(fn: Callable[[complex], complex], t: float, nodes: int,
 # the generic estimator
 # ---------------------------------------------------------------------------
 
-def _keeps_extended_precision(fn: Callable) -> bool:
-    # orders past ~20 only pay off if the transform can answer in mpmath
-    # precision; a float-returning callable would feed 1e-16 rounding noise
-    # into weights of magnitude 1e12+.  Two probe points so a user pole
-    # cannot masquerade as a precision failure.
-    with mp.workdps(40):
-        for probe in (mp.mpf(2) / 3 + mp.pi / 113, mp.mpf(5) / 7 + mp.pi / 89):
-            try:
-                out = fn(probe)
-            except Exception:
-                continue
-            return (isinstance(out, (mp.mpf, mp.mpc, int))
-                    or type(out).__name__ == "Fraction")
-    return False
-
-
 def generic_phi(xi: TransferFunction, n: int,
                 config: InversionConfig | None = None) -> Callable[[float], float]:
     """Estimator function mean -> estimate for an arbitrary smooth transform.
 
     The engine, the contour shift (n times xi's largest positive real
-    singularity), the composed transform xi(s/n)/s^n and ln Gamma(n) are
-    fixed here, so each point does only the inversion sum.  Gaver-Stehfest
-    climbs the order ladder until two consecutive orders agree; Talbot uses
-    a fixed node count.
+    singularity) and ln Gamma(n) are fixed here, without evaluating xi.
+    Gaver-Stehfest climbs the order ladder until two consecutive orders
+    agree: unshifted, it sums xi(k ln2/(n mean)) against cached weights
+    w_k (k ln2)^-n times mean^n; shifted (the MGF, or any pole hint), it
+    divides by s_k^n per abscissa.  An mpf answer at the first abscissa
+    climbs to order 40, a float one stops at 20.  Talbot uses fixed nodes.
     """
     if xi.delta_content:
         raise UnsupportedTransformError(
@@ -281,14 +292,8 @@ def generic_phi(xi: TransferFunction, n: int,
         def invert(xbar: float) -> float:
             return _talbot_sum(composed_complex, xbar, _TALBOT_NODES, sigma=sigma)
     else:
-        orders = (_GS_LADDER if _keeps_extended_precision(xi.eval_real)
-                  else [o for o in _GS_LADDER if o <= 20])
-
-        def composed_real(s):
-            return _eval_mp(xi.eval_real, s / n) / s ** n
-
         def invert(xbar: float) -> float:
-            return _gs_ladder(composed_real, xbar, orders, sigma=sigma)
+            return _gs_ladder(xi.eval_real, xbar, _GS_LADDER, n, sigma)
 
     def phi(xbar: float) -> float:
         if not (xbar > 0.0 and math.isfinite(xbar)):

@@ -243,9 +243,10 @@ def clt_summary(z: np.ndarray) -> McSummary:
     """Mean, variance, KS distance to N(0,1), skewness and excess kurtosis of z."""
     m = z.mean()
     c = z - m
-    m2 = float(np.mean(c ** 2))
-    skew = float(np.mean(c ** 3)) / m2 ** 1.5
-    exkurt = float(np.mean(c ** 4)) / m2 ** 2 - 3.0
+    c2 = c * c  # products, not pow: c ** 3 and c ** 4 take longer than the rest
+    m2 = float(np.mean(c2))
+    skew = float(np.mean(c2 * c)) / m2 ** 1.5
+    exkurt = float(np.mean(c2 * c2)) / m2 ** 2 - 3.0
     return _summary(z, ks_statistic=_ks_statistic(z),
                     standardized_moments=(skew, exkurt))
 

@@ -37,7 +37,7 @@ import numpy as np
 from scipy import special as _sp
 
 from ._quadrature import adaptive_gauss_kronrod
-from .errors import DomainError, SpecError
+from .errors import DomainError, RangeError, SpecError
 from .estimators import (_CATALOGUE, EstimateResult, Family, FunctionalSpec, _estimator,
                          _mean_checked, _Phi, phi_function, target_value)
 from .special import _stirling_remainder
@@ -105,6 +105,7 @@ def _window(n: int, lam: float, rate: float, lower: float) -> tuple[float, np.nd
     return lower, lower + _sp.gammaincinv(n, _sp.ndtr(_MESH_SCORES)) / rate, upper
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite integrand raises RangeError
 def _integrate(estimator: Callable[[np.ndarray], np.ndarray], n: int, lam: float,
                rel_tol: float, window: tuple[float, np.ndarray, float],
                kinks: Iterable[float], max_segments: int,
@@ -115,7 +116,10 @@ def _integrate(estimator: Callable[[np.ndarray], np.ndarray], n: int, lam: float
     lower, mesh, upper = window
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        return np.asarray(estimator(x), dtype=float) * gamma_mean_density(x, n, lam)
+        out = np.asarray(estimator(x), dtype=float) * gamma_mean_density(x, n, lam)
+        if not np.isfinite(out).all():
+            raise RangeError(f"estimator * density leaves double range: n={n}, lambda={lam!r}")
+        return out
 
     head = 0.0
     if alpha < 0.0:

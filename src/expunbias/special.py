@@ -4,7 +4,10 @@
 every ratio Gamma(b+d)/Gamma(b) goes through :func:`_log_gamma_ratio`, whose
 Stirling form never cancels the O(b ln b) parts of two log-gammas; and
 ``lower_incomplete_gamma_int`` keeps full precision for either sign of x.
-All functions accept scalars or numpy arrays and are pure.
+All functions accept scalars or numpy arrays and are pure.  A Python int or
+float skips numpy's 0-d arrays, with the array path's bits: ``log_gamma``
+of a positive finite scalar is ``gammaln`` of that float, and
+``_stirling_remainder`` from 10 on sums its series in floats.
 """
 
 from __future__ import annotations
@@ -41,13 +44,16 @@ def _ret(arr: np.ndarray, scalar: bool):
 
 def _stirling_remainder(x):
     """R(x) = ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2 for x > 0."""
-    x = np.asarray(x, dtype=float)
-    big = np.maximum(x, _STIRLING_MIN_X)
+    scalar = isinstance(x, (int, float)) and x >= _STIRLING_MIN_X
+    x = float(x) if scalar else np.asarray(x, dtype=float)
+    big = x if scalar else np.maximum(x, _STIRLING_MIN_X)
     # sum of B_2k / (2k (2k-1) x^(2k-1)) for k <= 7 (DLMF 5.11.1); the first
     # omitted term is below 3e-17 from x = 10 on
     v = 1.0 / (big * big)
     series = (1.0 / 12.0 + v * (-1.0 / 360.0 + v * (1.0 / 1260.0 + v * (
         -1.0 / 1680.0 + v * (1.0 / 1188.0 + v * (-691.0 / 360360.0 + v / 156.0)))))) / big
+    if scalar:
+        return series
     small = np.minimum(x, _STIRLING_MIN_X)
     direct = gammaln(small) - (small - 0.5) * np.log(small) + small - _HALF_LOG_TWO_PI
     return np.where(x >= _STIRLING_MIN_X, series, direct)
@@ -85,6 +91,8 @@ def _log_variance_ratio(n: int, p: float) -> float:
 
 def log_gamma(x):
     """Natural logarithm of the gamma function for x > 0 (scipy's gammaln)."""
+    if isinstance(x, (int, float)) and 0.0 < x < math.inf:
+        return float(gammaln(float(x)))
     arr, scalar = _as_float_array(x, "x")
     if arr.size and np.any(arr <= 0.0):
         raise DomainError("log_gamma requires strictly positive x")

@@ -209,9 +209,10 @@ class TestGenericPathUnbiasedness:
 
 # (transform, real-only, n, xbar, order the ladder stops at, result as
 # float.hex); the results are those of the per-order sums that evaluated
-# the transform afresh at every order, which the shared-abscissa ladder
-# must reproduce bit for bit (moment-p0.5 and user-real carry Gamma(n) and
-# Gamma(1.5) from gammaln)
+# the composed transform xi(s/n)/s^n afresh at every order, which the
+# shared-abscissa ladder with s^-n folded into its weights must reproduce
+# bit for bit (moment-p0.5 and user-real carry Gamma(n) and Gamma(1.5) from
+# gammaln)
 _LADDER_CASES = {
     "moment-p0.5": (builtin_transfer_function(FunctionalSpec(Kind.MOMENT, p=0.5)),
                     False, 5, 1.3, 32, "0x1.0936b93f862d6p+0"),
@@ -220,18 +221,51 @@ _LADDER_CASES = {
     "mgf-t0.5": (builtin_transfer_function(FunctionalSpec(Kind.MGF, t=0.5)),
                  False, 2, 0.7, 26, "0x1.72be6cc6e1b25p+0"),
 }
+# every built-in smooth kind (the MGF on the shifted abscissae sigma > 0) and
+# the real-only user transform at mean 0.9: (n, stop order, result as
+# float.hex) recorded on the ladder that composed xi(s/n)/s^n per abscissa
+_LADDER_XI = {
+    "rate-power-p0.5": FunctionalSpec(Kind.RATE_POWER, p=0.5),
+    "quantile-q0.5": FunctionalSpec(Kind.QUANTILE, q=0.5),
+    "moment-p2": FunctionalSpec(Kind.MOMENT, p=2.0),
+    "mgf-t0.5": FunctionalSpec(Kind.MGF, t=0.5),
+    "expected-shortfall-p0.5": FunctionalSpec(Kind.EXPECTED_SHORTFALL, p=0.5),
+    "user-real": None,
+}
+_LADDER_PINS = {
+    "rate-power-p0.5": [(1, 26, "0x1.307d9271ebc9bp-1"), (2, 20, "0x1.ae9d578c61622p-1"),
+                        (5, 32, "0x1.f20065790115bp-1"), (10, 40, "0x1.0394197c0d333p+0")],
+    "quantile-q0.5": [(1, 26, "0x1.3f66f7f144e4dp-1"), (2, 26, "0x1.3f66f7f147686p-1"),
+                      (5, 40, "0x1.3f66f7f14675ap-1"), (10, 40, "0x1.3f66f7f2fe7e1p-1")],
+    "moment-p2": [(1, 26, "0x1.9eb851eb865a3p-1"), (2, 32, "0x1.147ae147addbfp+0"),
+                  (5, 40, "0x1.5999999999a77p+0"), (10, 40, "0x1.7904a79a880d7p+0")],
+    "mgf-t0.5": [(1, 20, "0x1.917ce84a993b5p+0"), (2, 26, "0x1.9f2d0e13f449fp+0"),
+                 (5, 40, "0x1.b17132a9f62aap+0"), (10, 40, "0x1.bce5da75ca9c6p+0")],
+    "expected-shortfall-p0.5": [(1, 26, "0x1.8619e25f07b7ep+0"),
+                                (2, 26, "0x1.8619e25f0ac9ep+0"),
+                                (5, 40, "0x1.8619e25f09a15p+0"),
+                                (10, 40, "0x1.8619e26123104p+0")],
+    "user-real": [(1, 26, "0x1.a053cc0086ef2p-2"), (2, 32, "0x1.dada28feb7ce9p-2"),
+                  (5, 32, "0x1.00eb0d3b34cd6p-1"), (10, 40, "0x1.074d0dd89db5bp-1")],
+}
+for _name, _spec in _LADDER_XI.items():
+    _xi = (_LADDER_CASES["user-real"][0] if _spec is None
+           else builtin_transfer_function(_spec))
+    for _n, _stop, _hex in _LADDER_PINS[_name]:
+        _LADDER_CASES[f"{_name} n={_n}"] = (_xi, _spec is None, _n, 0.9, _stop, _hex)
+
+
+def _counting(xi, calls):
+    def fn(lam):
+        calls.append(lam)
+        return xi.eval_real(lam)
+    return TransferFunction(eval_real=fn, largest_real_singularity=xi.largest_real_singularity)
 
 
 def _counting_phi(xi, real_only, n):
     calls = []
-
-    def fn(lam):
-        calls.append(lam)
-        return xi.eval_real(lam)
-    counted = TransferFunction(eval_real=fn,
-                               largest_real_singularity=xi.largest_real_singularity)
-    phi = generic_phi(counted, n, None if real_only else _GS)
-    calls.clear()  # drop the precision probe made while building phi
+    phi = generic_phi(_counting(xi, calls), n, None if real_only else _GS)
+    assert calls == []  # building phi evaluates nothing
     return phi, calls
 
 
@@ -258,6 +292,42 @@ class TestGaverStehfestLadder:
     def test_recorded_results_match_closed_forms(self, case, closed):
         _, _, n, xbar, _, expected = _LADDER_CASES[case]
         assert float.fromhex(expected) == pytest.approx(closed(xbar, n), rel=1e-8)
+
+    @pytest.mark.parametrize("cfg", [None, _GS, _TALBOT], ids=["auto", "gs", "talbot"])
+    def test_building_evaluates_no_transform(self, cfg):
+        calls = []
+        xi = _counting(builtin_transfer_function(FunctionalSpec(Kind.MGF, t=0.5)), calls)
+        xi.eval_complex = xi.eval_real
+        generic_phi(xi, 5, cfg)
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [2, 5, 10])
+    def test_float_transform_stops_by_order_20(self, n):
+        # a transform that answers in double precision climbs only to 20,
+        # one call per abscissa; at n = 10 orders 16 and 20 disagree
+        calls = []
+        xi = _counting(TransferFunction(eval_real=lambda lam: float(lam / (lam + 1.0))), calls)
+        phi = generic_phi(xi, n)
+        try:
+            value = phi(0.9)
+        except InversionError as exc:
+            assert n == 10 and exc.diagnostics["orders"] == [16, 20]
+        else:
+            exact = float.fromhex(dict((m, h) for m, _, h in _LADDER_PINS["user-real"])[n])
+            assert value == pytest.approx(exact, rel=1e-5)
+        assert len(calls) in (16, 20)
+        assert [float(lam) * n for lam in calls] == pytest.approx(
+            [k * math.log(2.0) / 0.9 for k in range(1, len(calls) + 1)], rel=1e-14)
+
+    def test_float_fallback_stops_by_order_20(self):
+        # a transform that refuses mpf input is evaluated at float(s), and
+        # the climb stops at 20 as well
+        def fn(lam):
+            if not isinstance(lam, float):
+                raise TypeError("floats only")
+            return 1.0 / lam
+        value = generic_phi(TransferFunction(eval_real=fn), 3)(0.9)
+        assert value == pytest.approx(0.9, rel=1e-6)
 
     def test_non_finite_abscissa_raises_with_diagnostics(self):
         # inf at the 17th abscissa: the first order (16) passes, the second

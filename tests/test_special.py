@@ -12,7 +12,8 @@ import pytest
 from scipy import special as sp
 
 from expunbias.errors import DomainError, RangeError
-from expunbias.special import gamma_ratio, log_gamma, lower_incomplete_gamma_int
+from expunbias.special import (_stirling_remainder, gamma_ratio, log_gamma,
+                              lower_incomplete_gamma_int)
 
 
 class TestLogGamma:
@@ -50,6 +51,43 @@ class TestLogGamma:
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             log_gamma(bad)
+
+    # ints and floats take a scalar path that skips numpy's 0-d arrays
+    _SCALARS = [1, 7, 171, 0.5, 1e-300, 3.7, 10.0, 1e6, 2.5e300, np.float64(12.5)]
+
+    @pytest.mark.parametrize("x", _SCALARS)
+    def test_scalar_path_matches_array_path(self, x):
+        got = log_gamma(x)
+        assert type(got) is float
+        assert got.hex() == float(log_gamma(np.array([x], dtype=float))[0]).hex()
+        assert got.hex() == log_gamma(np.asarray(float(x))).hex()
+
+    @pytest.mark.parametrize("bad", [0, -3, 0.0, -1.0, -math.inf, math.nan, math.inf])
+    def test_scalar_domain_errors_match_array_path(self, bad):
+        with pytest.raises(DomainError) as scalar:
+            log_gamma(bad)
+        with pytest.raises(DomainError) as array:
+            log_gamma(np.array([bad], dtype=float))
+        assert str(scalar.value) == str(array.value)
+
+
+class TestStirlingRemainder:
+    @pytest.mark.parametrize("x", [10, 11, 200, 20_000, 10.0, 10.5, 1e3 + 0.25, 1e8, 1e150,
+                                   math.inf, np.float64(37.5)])
+    def test_scalar_series_matches_array_path(self, x):
+        got = _stirling_remainder(x)
+        assert type(got) is float
+        assert got.hex() == float(_stirling_remainder(np.array([x], dtype=float))[0]).hex()
+
+    @pytest.mark.parametrize("x", [0.5, 1, 9.999, 3.0])
+    def test_below_ten_is_the_array_path(self, x):
+        assert float(_stirling_remainder(x)) == float(_stirling_remainder(np.array([x]))[0])
+
+    def test_matches_log_gamma(self):
+        for x in (0.5, 3.0, 10.0, 57.25):
+            stirling = (x - 0.5) * math.log(x) - x + 0.5 * math.log(2.0 * math.pi)
+            assert _stirling_remainder(x) == pytest.approx(log_gamma(x) - stirling,
+                                                           rel=1e-9, abs=1e-12)
 
 
 class TestGammaRatio:

@@ -46,7 +46,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expunbias.errors import ExpunbiasError
+from expunbias.errors import ExpunbiasError, RangeError
 from expunbias.estimators import FunctionalSpec, Kind, _estimator, phi_function
 from expunbias.oracle import verify_unbiasedness
 
@@ -234,16 +234,31 @@ def _verify_cells(draw, kind):
 @settings(max_examples=15, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
 def test_sweep_verify_unbiasedness(kind, data):
-    # the oracle certifies each closed-form cell to its tolerance or raises a
-    # typed error, without a warning
-    spec, n, lam = data.draw(_verify_cells(kind))
+    _check_verify(*data.draw(_verify_cells(kind)))
+
+
+def _check_verify(spec, n, lam, typed=ExpunbiasError):
+    # the oracle certifies the cell to its tolerance or raises a typed error,
+    # without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             report = verify_unbiasedness(spec, n, lam)
-        except ExpunbiasError:
+        except typed:
             return
     assert report.rel_bias < 1e-9, (spec, n, lam, report.rel_bias)
+
+
+@pytest.mark.parametrize("p,n,lam", [
+    # x^-99.5 overflows near 0, where the density underflows: the integrand
+    # was nan and the oracle ended in a QuadratureError after an overflow
+    # warning
+    (99.5, 100, 1.0),
+    # the target 30^19999.9 raised an untyped OverflowError
+    (19999.9, 20_000, 30.0),
+])
+def test_large_rate_power_certifies_or_range_error(p, n, lam):
+    _check_verify(FunctionalSpec(Kind.RATE_POWER, p=p), n, lam, typed=RangeError)
 
 
 _REGRESSIONS = [

@@ -1,15 +1,18 @@
 """One sha256 per fixed command-line run of the package, to compare two trees.
 
     python bench/cli_digest.py SRC_DIR
+    python bench/cli_digest.py SRC_DIR OTHER_SRC_DIR
 
 runs ``python -m expunbias`` with ``PYTHONPATH=SRC_DIR`` on a fixed list of
-manifests and prints ``<sha256>  <label>`` per run.  Each digest covers the
-exit code, stdout, stderr and the ``--hist`` file where there is one.  Runs
-happen one after another in a fresh temporary directory holding two data
-files the script writes itself, and every path passed to the CLI is relative, so
-the outputs of two source trees can be compared digest by digest (diff the
-two listings).  A run that ends in a traceback prints the source path on
-stderr, so its digest differs between trees whatever the code does.
+manifests and prints ``<sha256>  <label>`` per run.  Given a second tree, it
+runs each manifest on both and prints only the labels whose digests differ,
+exiting 1 if any do.  Each digest covers the exit code, stdout, stderr and
+the ``--hist`` file where there is one.  Runs happen one after another in a
+fresh temporary directory holding two data files the script writes itself,
+and every path passed to the CLI is relative, so the outputs of two source
+trees can be compared digest by digest.  A run that ends in a traceback
+prints the source path on stderr, so its digest differs between trees
+whatever the code does.
 """
 
 from __future__ import annotations
@@ -97,6 +100,14 @@ def manifests() -> list[tuple[str, list[str]]]:
         ("estimate moment p=0.5 talbot",
          ["estimate", "--kind", "moment", "--p", "0.5", "--data", "data.txt",
           "--engine", "talbot"]),
+        # one replicate has no spread to standardise (exit 3)
+        ("clt --reps 1",
+         ["clt", "--kind", "quantile", "--q", "0.5", "--n", "5", "--lambda", "1",
+          "--reps", "1", "--seed", "3"]),
+        # the exact pth-moment variance leaves double range (exit 4)
+        ("compare p=400 lambda=1000",
+         ["compare", "--p", "400", "--n", "5", "--lambda", "1000", "--reps", "300",
+          "--seed", "1"]),
     ]
     # the generic engine refuses these kinds (exit 3)
     for kind in DELTA_KINDS:
@@ -124,16 +135,23 @@ def digest(src_dir: str, workdir: str, argv: list[str]) -> str:
 
 
 def main() -> int:
-    if len(sys.argv) != 2:
-        print("usage: python bench/cli_digest.py SRC_DIR", file=sys.stderr)
+    trees = sys.argv[1:]
+    if len(trees) not in (1, 2):
+        print("usage: python bench/cli_digest.py SRC_DIR [OTHER_SRC_DIR]", file=sys.stderr)
         return 2
+    differ = False
     with tempfile.TemporaryDirectory() as workdir:
         for name, text in (("data.txt", DATA), ("data200.txt", DATA_200)):
             with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
         for label, argv in manifests():
-            print(f"{digest(sys.argv[1], workdir, argv)}  {label}", flush=True)
-    return 0
+            digests = [digest(tree, workdir, argv) for tree in trees]
+            if len(trees) == 1:
+                print(f"{digests[0]}  {label}", flush=True)
+            elif digests[0] != digests[1]:
+                differ = True
+                print(label, flush=True)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

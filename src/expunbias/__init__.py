@@ -2,11 +2,12 @@
 
 The closed-form catalogue (``estimators``) covers rate powers, quantiles,
 moments, survival probabilities, max/min functionals, the density, mean past
-lifetime, the MGF and expected shortfall; the ``laplace`` engine extends the
+lifetime, the MGF and expected shortfall, next to the historically biased
+1959 estimators for contrast; the ``laplace`` engine extends the
 construction to arbitrary smooth user-supplied functionals by numerical
-inverse Laplace transforms; ``oracle`` certifies unbiasedness by quadrature
-(and reproduces the historically biased 1959 estimators for contrast);
-``montecarlo`` adds seeded simulation and delta-method CLT diagnostics.
+inverse Laplace transforms; ``oracle`` certifies by quadrature that the
+corrected estimators are unbiased and that the 1959 ones carry their exact
+bias; ``montecarlo`` adds seeded simulation and delta-method CLT diagnostics.
 """
 
 __version__ = "0.1.0"
@@ -21,7 +22,8 @@ from .estimators import (EstimateResult, Family, FunctionalSpec, Kind, Sample,
                          expected_shortfall, max_cdf_power,
                          mean_past_lifetime, mgf, min_survival, mle_estimate,
                          moment, pdf_at, phi_function, quantile, rate_power,
-                         survival, target_value)
+                         survival, target_value, tate_estimate,
+                         tate_expected_value)
 from .laplace import (InversionConfig, InversionMethod, TransferFunction,
                       builtin_transfer_function, generic_phi,
                       generic_unbiased_estimate, invert_gaver_stehfest,
@@ -30,8 +32,7 @@ from .montecarlo import (McConfig, McSummary, asymptotic_variance, clt_check,
                          clt_replicates, clt_summary, empirical_bias,
                          sample_exponential, variance_comparison)
 from .oracle import (VerificationReport, expectation, gamma_mean_density,
-                     tate_estimate, tate_expected_value, verify_tate_bias,
-                     verify_unbiasedness)
+                     verify_tate_bias, verify_unbiasedness)
 from .special import gamma_ratio, log_gamma, lower_incomplete_gamma_int
 
 __all__ = [

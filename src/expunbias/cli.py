@@ -23,7 +23,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -50,16 +49,11 @@ class _InputError(Exception):
     pass
 
 
-@dataclass
-class RunManifest:
+def _manifest(command: str, parameters: dict, output_format: str, *,
+              input_path: Optional[str] = None, seed: Optional[int] = None) -> dict:
     """Reproducibility record serialized into every output."""
-
-    command: str
-    parameters: dict
-    input_path: Optional[str] = None
-    seed: Optional[int] = None
-    output_format: str = "json"
-    tool_version: str = field(default=__version__)
+    return {"command": command, "parameters": parameters, "input_path": input_path,
+            "seed": seed, "output_format": output_format, "tool_version": __version__}
 
 
 def read_observations(path: str) -> list[float]:
@@ -111,13 +105,13 @@ def _number_list(text: str, convert, option: str) -> list:
 # output plumbing
 # ---------------------------------------------------------------------------
 
-def _render(manifest: RunManifest, rows: list[dict]) -> str:
-    if manifest.output_format == "json":
-        doc = {"manifest": asdict(manifest), "results": rows}
+def _render(manifest: dict, rows: list[dict]) -> str:
+    if manifest["output_format"] == "json":
+        doc = {"manifest": manifest, "results": rows}
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
     # RFC-4180-style CSV: header row, quoted where needed; the manifest is
     # carried in a dedicated column so each row is self-describing.
-    manifest_json = json.dumps(asdict(manifest), sort_keys=True)
+    manifest_json = json.dumps(manifest, sort_keys=True)
     fieldnames = sorted({k for row in rows for k in row}) + ["manifest"]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
@@ -155,10 +149,9 @@ def _cmd_estimate(args) -> int:
         result = generic_unbiased_estimate(
             builtin_transfer_function(spec), sample,
             InversionConfig(method=InversionMethod(args.engine)), spec=spec)
-    manifest = RunManifest("estimate",
-                           {"kind": args.kind, **spec.params(),
-                            "engine": args.engine},
-                           input_path=args.data, output_format=args.format)
+    manifest = _manifest("estimate", {"kind": args.kind, **spec.params(),
+                                      "engine": args.engine},
+                         args.format, input_path=args.data)
     rows = [{
         "value": result.value,
         "kind": args.kind,
@@ -230,12 +223,12 @@ def _cmd_verify(args) -> int:
 
     rows = [run_cell(c) for c in cells]
 
-    manifest = RunManifest("verify", {
+    manifest = _manifest("verify", {
         "kinds": ",".join(kinds), "n": args.n, "lambda": getattr(args, "lambda"),
         "p": args.p, "moment_p": args.moment_p, "q": args.q, "t": args.t,
         "m": args.m, "rel_tol": args.rel_tol, "threshold": args.threshold,
         "tate": bool(args.tate),
-    }, output_format=args.format)
+    }, args.format)
     _emit(_render(manifest, rows), args.out)
     ok = all(row["rel_bias"] < args.threshold for row in rows)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
@@ -246,10 +239,10 @@ def _cmd_compare(args) -> int:
                       parallel_chunks=args.jobs)
     emp_unbiased, emp_mle, closed_unbiased, closed_mle = \
         variance_comparison(args.p, config)
-    manifest = RunManifest("compare", {
+    manifest = _manifest("compare", {
         "p": args.p, "n": args.n, "lambda": getattr(args, "lambda"),
         "reps": args.reps,
-    }, seed=args.seed, output_format=args.format)
+    }, args.format, seed=args.seed)
     rows = [{
         "p": args.p, "n": args.n, "lambda": getattr(args, "lambda"),
         "closed_unbiased": closed_unbiased,
@@ -272,11 +265,11 @@ def _cmd_clt(args) -> int:
                       parallel_chunks=args.jobs)
     z = clt_replicates(spec, config)
     summary = clt_summary(z)
-    manifest = RunManifest("clt", {
+    manifest = _manifest("clt", {
         "kind": args.kind, **spec.params(), "n": args.n,
         "lambda": getattr(args, "lambda"), "reps": args.reps,
         "hist_bins": args.hist_bins,
-    }, seed=args.seed, output_format=args.format)
+    }, args.format, seed=args.seed)
     skew, exkurt = summary.standardized_moments
     rows = [{
         "kind": args.kind, **spec.params(), "n": args.n,

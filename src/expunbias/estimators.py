@@ -8,19 +8,24 @@ The catalogue covers: rate-parameter powers, quantiles, real moments, the
 survival function, CDF powers of the maximum of m copies, the survival
 function of the minimum of m copies, the density, the mean past lifetime,
 the moment generating function and expected shortfall.  Alongside each
-unbiased form, plug-in maximum-likelihood estimates and exact variance
-formulas for the moment estimators are provided for comparison studies.
+unbiased form, plug-in maximum-likelihood estimates, exact variance
+formulas for the moment estimators and the biased estimators of Tate's 1959
+tables with their exact expectations (``tate_phi_function``,
+``tate_estimate``, ``tate_expected_value``) are provided for comparison.
 
 Every per-kind fact -- parameters and their checks, the target xi (which
 the inversion engines also read as the transfer function), the estimator
-and the Tate (1959) form where one exists -- is one row of the
-``_CATALOGUE`` table at the end of this module; the public estimator
-functions and the dispatching functions here and in the other modules look
-rows up instead of branching on the kind.  A row states each estimator once,
-as a ``_Phi`` whose value, derivative and kinks, and the facts the oracle
-reads (support start, indicator exponent, power at 0), all come from
-``_power`` (coef * mean^r) or ``_indicator_sum`` (c0 + sum c 1{mean >= a}
-(1 - a/mean)^e, each term through the one kernel ``_indicator_power``).
+and the Tate form where one exists -- is one row of the ``_CATALOGUE``
+table at the end of this module; the public estimator functions and the
+dispatching functions here and in the other modules look rows up instead
+of branching on the kind.  ``_estimator(spec, n, family)`` builds both
+families from the rows: a ``_Phi`` whose value, derivative and kinks, and
+the facts the oracle reads (support start, indicator exponent, power at 0),
+all come from ``_power`` (coef * mean^r) or ``_indicator_sum``
+(c0 + sum c 1{mean >= a} (1 - a/mean)^e, each term through the one kernel
+``_indicator_power``).  The input rules live here too: every module checks
+a count (integer >= 1) with ``_check_n`` and a rate (finite, > 0) with
+``_check_positive``, which raise :class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ __all__ = [
     "max_cdf_power", "min_survival", "pdf_at", "mean_past_lifetime", "mgf",
     "expected_shortfall", "estimate", "mle_estimate", "phi_function",
     "closed_form_variance_unbiased", "closed_form_variance_mle",
+    "tate_phi_function", "tate_estimate", "tate_expected_value",
 ]
 
 
@@ -143,17 +149,29 @@ class EstimateResult:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _check_n(n) -> int:
+def _check_n(n, name: str = "sample size n") -> int:
     if not isinstance(n, numbers.Integral) or n < 1:
-        raise DomainError("sample size n must be a positive integer")
+        raise DomainError(f"{name} must be a positive integer")
     return int(n)
 
 
 def _check_positive(name: str, value) -> float:
-    v = float(value)
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a number, got {value!r}") from None
     if not (math.isfinite(v) and v > 0.0):
         raise DomainError(f"{name} must be finite and strictly positive")
     return v
+
+
+def _in_range(what: str, compute: Callable):
+    # compute(), with an OverflowError from math arithmetic raised as a
+    # RangeError naming the value
+    try:
+        return compute()
+    except OverflowError as exc:
+        raise RangeError(f"{what} leaves double range") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +197,7 @@ def target_value(spec: FunctionalSpec, lam):
     pole = row.pole(spec)
     if pole > 0.0 and np.any(lam <= pole):
         raise DomainError(f"{spec.kind.value} target requires lambda > {pole:g}")
-    try:
-        return row.xi(spec)(lam, xp)
-    except OverflowError as exc:
-        raise RangeError(f"{spec.kind.value} target leaves double range") from exc
+    return _in_range(f"{spec.kind.value} target", lambda: row.xi(spec)(lam, xp))
 
 
 # below this lam*t the mean-past-lifetime target uses its series form
@@ -309,14 +324,21 @@ def phi_function(spec: FunctionalSpec, n: int) -> Callable[[np.ndarray], np.ndar
     return _mean_checked(_estimator(spec, n).value)
 
 
-def _estimator(spec: FunctionalSpec, n: int) -> _Phi:
-    # the row's estimator at this n: value, derivative and kinks
-    n = _check_n(n)
-    row = _CATALOGUE[spec.kind]
-    if row.phi is None:
+def _estimator(spec: FunctionalSpec, n: int,
+               family: Family = Family.CLOSED_FORM_UNBIASED) -> _Phi:
+    # the row's corrected or 1959 estimator at this n: value, derivative and
+    # kinks; the one statement of each family's rules on the kind and n
+    n, row = _check_n(n), _CATALOGUE[spec.kind]
+    if family is Family.TATE_BIASED:
+        if row.tate_phi is None:
+            raise SpecError(f"no Tate form for kind {spec.kind.value!r}")
+        if n < 2:
+            raise DomainError("the Tate estimators require n >= 2")
+    elif row.phi is None:
         raise SpecError(f"no closed form for kind {spec.kind.value!r};"
                         " use the Laplace inversion engine")
-    return row.phi(spec, n)
+    build = row.tate_phi if family is Family.TATE_BIASED else row.phi
+    return _in_range(f"{spec.kind.value} estimator coefficient at n={n}", lambda: build(spec, n))
 
 
 def _mean_checked(kernel: Callable[[np.ndarray], np.ndarray]):
@@ -355,6 +377,40 @@ def mle_estimate(spec: FunctionalSpec, sample: Sample, *,
 
 
 # ---------------------------------------------------------------------------
+# the 1959 estimators (biased) and their exact expectations
+# ---------------------------------------------------------------------------
+
+def tate_phi_function(spec: FunctionalSpec, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorized biased estimator from the original transform tables.
+
+    Compared with the corrected forms, the power/normalisation uses n-1
+    where n belongs: rate powers carry Gamma(n-1)/(n^p Gamma(n-1-p)),
+    quantiles an extra n/(n-1), and max-CDF powers exponent n-2.  Defined
+    for integer n >= 2 and the kinds with a row ``tate_phi``.
+    """
+    return _mean_checked(_estimator(spec, n, Family.TATE_BIASED).value)
+
+
+def tate_estimate(spec: FunctionalSpec, sample_mean: float, n: int) -> EstimateResult:
+    """Evaluate the biased 1959 estimator at a sample mean."""
+    phi = tate_phi_function(spec, n)
+    return EstimateResult(float(phi(sample_mean)), spec, n, Family.TATE_BIASED)
+
+
+def tate_expected_value(spec: FunctionalSpec, n: int, lam: float) -> float:
+    """Exact expectation of the biased estimator (closed form).
+
+    rate power: (1 - p/(n-1)) lambda^p on {p < n-1};
+    quantile: [n/(n-1)] * (-ln(1-q)/lambda);
+    max CDF power: [lam m t / ((n-1)(1 - e^{lam t})) + 1] * (1 - e^{-lam t})^m.
+    """
+    _estimator(spec, n, Family.TATE_BIASED)  # the 1959 rules on the kind and n
+    lam = _check_positive("lambda", lam)
+    return _in_range(f"Tate {spec.kind.value} expectation",
+                     lambda: _CATALOGUE[spec.kind].tate_mean(spec, int(n), lam))
+
+
+# ---------------------------------------------------------------------------
 # exact variances for the pth-moment comparison
 # ---------------------------------------------------------------------------
 
@@ -371,8 +427,7 @@ def closed_form_variance_unbiased(p, n, lam) -> float:
     lam = _check_positive("lambda", lam)
     if p <= -n / 2.0:
         raise DomainError(f"variance formula requires p > -n/2 (got p={p}, n={n})")
-    bracket = math.expm1(_log_variance_ratio(n, p))
-    return math.exp(2.0 * log_gamma(p + 1.0)) * lam ** (-2.0 * p) * bracket
+    return _moment_variance(p, lam, lambda: math.expm1(_log_variance_ratio(n, p)))
 
 
 def closed_form_variance_mle(p, n, lam) -> float:
@@ -386,8 +441,19 @@ def closed_form_variance_mle(p, n, lam) -> float:
     lam = _check_positive("lambda", lam)
     if p <= -0.5:
         raise DomainError(f"variance formula requires p > -1/2 (got p={p})")
-    bracket = math.expm1(log_gamma(2.0 * p + 1.0) - 2.0 * log_gamma(p + 1.0))
-    return math.exp(2.0 * log_gamma(p + 1.0)) * lam ** (-2.0 * p) * bracket / n
+    return _moment_variance(p, lam, lambda: math.expm1(
+        log_gamma(2.0 * p + 1.0) - 2.0 * log_gamma(p + 1.0))) / n
+
+
+def _moment_variance(p: float, lam: float, bracket: Callable[[], float]) -> float:
+    # Gamma^2(p+1)/lambda^{2p} * bracket(), or RangeError where a factor or
+    # the product leaves double range
+    what = f"the pth-moment variance at p={p}, lambda={lam}"
+    value = _in_range(what, lambda: math.exp(2.0 * log_gamma(p + 1.0)) * lam ** (-2.0 * p)
+                      * bracket())
+    if not math.isfinite(value):
+        raise RangeError(f"{what} leaves double range")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +481,8 @@ class _KindRow:
     ``verify_args``: the ``verify`` options read for ``params`` (default:
     ``params``); ``skip(spec, n, lam)``: the ``verify`` grid cells outside
     the domain; ``tate_phi(spec, n)``: the biased 1959 estimator, a
-    :class:`_Phi` built the same way; ``tate_mean``: its exact expectation.
+    :class:`_Phi` built the same way; ``tate_mean``: its exact expectation
+    (a row has both or neither).
     """
 
     params: tuple[str, ...]
@@ -526,10 +593,23 @@ def _mean_past_lifetime_phi(spec: FunctionalSpec, n: int) -> _Phi:
     t = float(spec.t)
 
     def kinks(upper):
-        return [k * t / n for k in range(1, math.ceil(n * upper / t) + 1)]
+        return [k * t / n for k in range(1, math.ceil(_mpl_terms(n * upper / t, t)) + 1)]
     return _Phi(lambda x: _mean_past_lifetime_sum(x, n, t),
                 lambda mu: _indicator_sum([(t, a) for a in kinks(mu)], n - 1, t).prime(mu) - 1.0,
                 kinks, n - 1)
+
+
+# most terms one mean-past-lifetime evaluation takes: a point holds about 32
+# bytes per term, and the sum over many points makes one numpy call per term
+_MPL_MAX_TERMS = 1 << 20
+
+
+def _mpl_terms(count: float, t: float) -> float:
+    # a term count, refused before anything that size is allocated
+    if not count <= _MPL_MAX_TERMS:
+        raise RangeError(f"mean-past-lifetime at t = {t!r} needs {count:.3g} indicator terms,"
+                         f" more than {_MPL_MAX_TERMS}")
+    return count
 
 
 def _mean_past_lifetime_sum(x: np.ndarray, n: int, t: float) -> np.ndarray:
@@ -537,7 +617,7 @@ def _mean_past_lifetime_sum(x: np.ndarray, n: int, t: float) -> np.ndarray:
         return np.empty(x.shape)
     order = np.argsort(x, axis=None, kind="stable")
     xs = x.reshape(-1)[order]
-    k_hi = int(math.floor(n * float(xs[-1]) / t))
+    k_hi = n * float(xs[-1]) / t
     if n > 1:
         # Term k is at most e^{-ck} with c = (n-1)t/(n mean), so the tail
         # after K is at most e^{-c(K+1)}/(1 - e^{-c}) <= e^{-c(K+1)}(1+c)/c.
@@ -547,8 +627,8 @@ def _mean_past_lifetime_sum(x: np.ndarray, n: int, t: float) -> np.ndarray:
         # still need term k form a suffix of the sorted means.
         c = (n - 1) * t / (n * xs)
         k_tail = np.ceil((42.0 + np.log1p(1.0 / c)) / c)
-        k_hi = min(k_hi, int(k_tail[-1]))
-    ks = np.arange(1, k_hi + 1)
+        k_hi = min(k_hi, float(k_tail[-1]))
+    ks = np.arange(1, math.floor(_mpl_terms(k_hi, t)) + 1)
     a = t * ks / n
     lo = np.searchsorted(xs, a)  # first point with x >= a_k
     if n > 1:

@@ -40,10 +40,9 @@ from typing import Callable, Optional, Sequence
 
 import mpmath as mp
 
-from .errors import (ConfigurationError, DomainError, InversionError,
-                     UnsupportedTransformError)
+from .errors import ConfigurationError, InversionError, UnsupportedTransformError
 from .estimators import (_CATALOGUE, EstimateResult, Family, FunctionalSpec, Kind,
-                         Sample)
+                         Sample, _check_n, _check_positive, _in_range)
 from .special import log_gamma
 
 __all__ = [
@@ -209,11 +208,10 @@ def invert_gaver_stehfest(transform: TransferFunction, t: float, order: int = 16
     Accurate for smooth, non-oscillatory originals; the order must be an
     even integer in [8, 20].
     """
-    if not (t > 0.0 and math.isfinite(t)):
-        raise DomainError("inversion time t must be finite and positive")
+    t = _check_positive("inversion time t", t)
     if order % 2 != 0 or not 8 <= order <= 20:
         raise ConfigurationError("Gaver-Stehfest order must be even and in [8, 20]")
-    return _gs_ladder(transform.eval_real, float(t), [int(order)])
+    return _gs_ladder(transform.eval_real, t, [int(order)])
 
 
 def invert_talbot(transform: TransferFunction, t: float, nodes: int = 32) -> float:
@@ -224,11 +222,10 @@ def invert_talbot(transform: TransferFunction, t: float, nodes: int = 32) -> flo
     """
     if transform.eval_complex is None:
         raise ConfigurationError("Talbot inversion needs an eval_complex callable")
-    if not (t > 0.0 and math.isfinite(t)):
-        raise DomainError("inversion time t must be finite and positive")
+    t = _check_positive("inversion time t", t)
     if not 16 <= nodes <= 64:
         raise ConfigurationError("talbot node count must lie in [16, 64]")
-    return _talbot_sum(transform.eval_complex, float(t), int(nodes))
+    return _talbot_sum(transform.eval_complex, t, int(nodes))
 
 
 def _talbot_sum(fn: Callable[[complex], complex], t: float, nodes: int,
@@ -272,8 +269,7 @@ def generic_phi(xi: TransferFunction, n: int,
         raise UnsupportedTransformError(
             "transform declared distributional (Dirac content); "
             "use the closed-form catalogue for survival-type functionals")
-    if n < 1:
-        raise DomainError("n must be a positive integer")
+    n = _check_n(n)
     method = config.method if config is not None else None
     if method is None:
         method = (InversionMethod.TALBOT if xi.eval_complex is not None
@@ -296,13 +292,11 @@ def generic_phi(xi: TransferFunction, n: int,
             return _gs_ladder(xi.eval_real, xbar, _GS_LADDER, n, sigma)
 
     def phi(xbar: float) -> float:
-        if not (xbar > 0.0 and math.isfinite(xbar)):
-            raise DomainError("sample mean must be finite and positive")
-        xbar = float(xbar)
+        xbar = _check_positive("sample mean", xbar)
         try:
             inv = invert(xbar)
             val = math.exp(log_gamma_n - (n - 1) * math.log(xbar)) * inv
-        except OverflowError as exc:
+        except (OverflowError, ZeroDivisionError) as exc:  # s^n overflowed or underflowed
             raise InversionError("inversion overflowed double range",
                                  {"method": method.value, "n": n, "t": xbar}) from exc
         if not math.isfinite(val):
@@ -340,7 +334,7 @@ def builtin_transfer_function(spec: FunctionalSpec) -> TransferFunction:
     if spec.kind is Kind.CUSTOM:
         return spec.custom_transform
     row = _CATALOGUE[spec.kind]
-    fn = row.xi(spec)
+    fn = _in_range(f"{spec.kind.value} transform", lambda: row.xi(spec))
     return TransferFunction(fn, None if row.delta_content else fn,
                             delta_content=row.delta_content,
                             largest_real_singularity=row.pole(spec))

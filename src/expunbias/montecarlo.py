@@ -17,18 +17,19 @@ are used: ``variance_comparison`` and the MLE arm of the pth moment,
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy import special as _sp
 
-from .errors import DegenerateError, DomainError, NondifferentiableError
-from .estimators import (Family, FunctionalSpec, Kind, Sample,
-                         _estimator, closed_form_variance_mle,
+from .errors import DegenerateError, DomainError, NondifferentiableError, RangeError
+from .estimators import (Family, FunctionalSpec, Kind, Sample, _check_n,
+                         _check_positive, _estimator, _in_range,
+                         closed_form_variance_mle,
                          closed_form_variance_unbiased, moment, phi_function,
-                         target_value)
-from .oracle import tate_phi_function
+                         target_value, tate_phi_function)
 
 __all__ = [
     "McConfig", "McSummary", "sample_exponential", "empirical_bias",
@@ -49,16 +50,12 @@ class McConfig:
     parallel_chunks: int = 1
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise DomainError("replications must be >= 1")
-        if self.n < 1:
-            raise DomainError("n must be >= 1")
-        if not (self.lam > 0.0 and math.isfinite(self.lam)):
-            raise DomainError("lambda must be finite and positive")
-        if not 0 <= self.seed < 2 ** 64:
+        _check_n(self.replications, "replications")
+        _check_n(self.n)
+        _check_positive("lambda", self.lam)
+        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2 ** 64):
             raise DomainError("seed must be a 64-bit unsigned integer")
-        if self.parallel_chunks < 1:
-            raise DomainError("parallel_chunks must be >= 1")
+        _check_n(self.parallel_chunks, "parallel_chunks")
 
 
 @dataclass(frozen=True)
@@ -73,8 +70,7 @@ class McSummary:
 
 def sample_exponential(lam: float, n: int, stream: np.random.Generator) -> Sample:
     """One sample of size n via the inverse CDF, -ln(U)/lambda with U in (0,1)."""
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise DomainError("lambda must be finite and positive")
+    lam, n = _check_positive("lambda", lam), _check_n(n)
     u = np.maximum(stream.random(n), _U_FLOOR)
     return Sample((-np.log(u) / lam).tolist())
 
@@ -99,13 +95,15 @@ def _draw_means(seed: int, block_index: int, rows: int, n: int, lam: float) -> n
     return np.maximum(gen.standard_gamma(n, rows), _U_FLOOR) / (n * lam)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _summary raises RangeError instead
 def _collect(config: McConfig, row_stat: Callable[[np.ndarray], tuple[np.ndarray, ...]],
              n_outputs: int, draw: Callable[..., np.ndarray] = _draw_block
              ) -> tuple[np.ndarray, ...]:
     """Per-replication statistics over all blocks; block-index deterministic.
 
     ``draw`` makes one block: ``_draw_block`` (rows x n observations, the
-    default) or ``_draw_means`` (the rows' sample means only).
+    default) or ``_draw_means`` (the rows' sample means only).  A statistic
+    outside double range is left inf or nan, without a warning.
     """
     reps = config.replications
     outs = tuple(np.empty(reps) for _ in range(n_outputs))
@@ -120,10 +118,13 @@ def _collect(config: McConfig, row_stat: Callable[[np.ndarray], tuple[np.ndarray
     return outs
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _summary(values: np.ndarray, **extra) -> McSummary:
     reps = values.size
     mean = float(np.mean(values))
     variance = float(np.var(values, ddof=1)) if reps > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(variance)):
+        raise RangeError("the replicates or their squares leave double range")
     return McSummary(mean, variance, math.sqrt(variance / reps), reps, **extra)
 
 
@@ -192,8 +193,7 @@ def asymptotic_variance(spec: FunctionalSpec, n: int, lam: float) -> float:
     vanishing derivative raises :class:`DegenerateError` (the CLT scaling
     would divide by zero).
     """
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise DomainError("lambda must be finite and positive")
+    lam = _check_positive("lambda", lam)
     mu = 1.0 / lam
     h = 5e-6 * mu
     est = _estimator(spec, n)
@@ -202,8 +202,10 @@ def asymptotic_variance(spec: FunctionalSpec, n: int, lam: float) -> float:
             if abs(mu - kink) < 4.0 * h:
                 raise NondifferentiableError(
                     f"1/lambda = {mu:g} sits on an indicator kink of {spec.kind.value}")
-    deriv = est.prime(mu)
-    if deriv == 0.0:
+    what = f"the {spec.kind.value} delta-method variance"
+    deriv = _in_range(what, lambda: est.prime(mu))
+    variance = _in_range(what, lambda: (deriv / lam) ** 2)
+    if variance == 0.0:  # also where the square underflows
         raise DegenerateError(
             f"estimator derivative vanishes at 1/lambda for {spec.kind.value}; "
             "the asymptotic variance is degenerate")
@@ -213,7 +215,7 @@ def asymptotic_variance(spec: FunctionalSpec, n: int, lam: float) -> float:
         raise NondifferentiableError(
             f"analytic derivative {deriv:g} disagrees with finite difference {fd:g} "
             f"for {spec.kind.value} at 1/lambda={mu:g}")
-    return (deriv / lam) ** 2
+    return variance
 
 
 def _ks_statistic(z: np.ndarray) -> float:
@@ -229,7 +231,8 @@ def clt_replicates(spec: FunctionalSpec, config: McConfig) -> np.ndarray:
     """Standardized replicates Z_r = sqrt(n) (phi(mean_r) - xi(lambda)) / sigma_n.
 
     sigma_n^2 is the delta-method variance (see :func:`asymptotic_variance`,
-    whose errors propagate).
+    whose errors propagate).  A replicate outside double range is inf or nan,
+    and :func:`clt_summary` raises :class:`RangeError` on it.
     """
     sigma2 = asymptotic_variance(spec, config.n, config.lam)
     xi = target_value(spec, config.lam)
@@ -240,13 +243,25 @@ def clt_replicates(spec: FunctionalSpec, config: McConfig) -> np.ndarray:
 
 
 def clt_summary(z: np.ndarray) -> McSummary:
-    """Mean, variance, KS distance to N(0,1), skewness and excess kurtosis of z."""
-    m = z.mean()
-    c = z - m
-    c2 = c * c  # products, not pow: c ** 3 and c ** 4 take longer than the rest
-    m2 = float(np.mean(c2))
-    skew = float(np.mean(c2 * c)) / m2 ** 1.5
-    exkurt = float(np.mean(c2 * c2)) / m2 ** 2 - 3.0
+    """Mean, variance, KS distance to N(0,1), skewness and excess kurtosis of z.
+
+    Equal replicates raise :class:`DegenerateError`; a moment outside double
+    range raises :class:`RangeError`.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = z.mean()
+        c = z - m
+        c2 = c * c  # products, not pow: c ** 3 and c ** 4 take longer than the rest
+        m2 = float(np.mean(c2))
+        m3 = float(np.mean(c2 * c))
+        m4 = float(np.mean(c2 * c2))
+    if m2 == 0.0:
+        raise DegenerateError(f"the {z.size} standardized replicate(s) are all equal;"
+                              " skewness and kurtosis are undefined")
+    what = "a moment of the standardized replicates"
+    skew, exkurt = _in_range(what, lambda: (m3 / m2 ** 1.5, m4 / m2 ** 2 - 3.0))
+    if not (math.isfinite(skew) and math.isfinite(exkurt)):
+        raise RangeError(f"{what} leaves double range")
     return _summary(z, ks_statistic=_ks_statistic(z),
                     standardized_moments=(skew, exkurt))
 

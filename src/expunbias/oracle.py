@@ -2,10 +2,12 @@
 
 For an exp(lambda) sample of size n the sample mean follows Gamma(n, n*lambda),
 so E[phi(mean)] is a one-dimensional integral.  This module evaluates such
-expectations with adaptive Gauss-Kronrod quadrature, certifies the
-unbiasedness of the closed-form catalogue, and reproduces the historically
-erroneous estimators from the 1959 transform-method tables together with
-their exact (biased) expectations.
+expectations with adaptive Gauss-Kronrod quadrature and checks the
+estimators that ``estimators`` builds: ``verify_unbiasedness`` certifies a
+corrected estimator against its target, and ``verify_tate_bias`` a biased
+1959 estimator against its exact expectation.  It builds no estimator, and
+checks counts and rates with the rules in ``estimators``; ``tate_estimate``
+and ``tate_expected_value`` are defined there and re-exported here.
 
 Each cell is integrated over a window [L, U] taken from the integrand
 phi * density, not from the density alone.  L is where the estimator's
@@ -37,9 +39,10 @@ import numpy as np
 from scipy import special as _sp
 
 from ._quadrature import adaptive_gauss_kronrod
-from .errors import DomainError, RangeError, SpecError
-from .estimators import (_CATALOGUE, EstimateResult, Family, FunctionalSpec, _estimator,
-                         _mean_checked, _Phi, phi_function, target_value)
+from .errors import DomainError, RangeError
+from .estimators import (_CATALOGUE, Family, FunctionalSpec, _check_n, _check_positive,
+                         _estimator, phi_function, tate_estimate, tate_expected_value,
+                         tate_phi_function, target_value)
 from .special import _stirling_remainder
 
 __all__ = [
@@ -82,8 +85,7 @@ def gamma_mean_density(x, n, lam):
     ln lam + ln(n/2pi)/2 - R(n) + (n-1) ln y - n (y-1), which has no n ln n
     terms to cancel.  Vectorized over x.
     """
-    if n < 1:
-        raise DomainError("n must be a positive integer")
+    n, lam = _check_n(n), _check_positive("lambda", lam)
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     y = lam * arr
@@ -169,16 +171,30 @@ def verify_unbiasedness(spec: FunctionalSpec, n: int, lam: float,
                         rel_tol: float = 1e-9) -> VerificationReport:
     """Quadrature expectation of the closed-form estimator vs its target."""
     target = target_value(spec, lam)
-    est = _estimator(spec, n)
     phi = phi_function(spec, n)
-    return _report(spec, n, lam, rel_tol, phi, est, target, Family.CLOSED_FORM_UNBIASED)
+    return _report(spec, n, lam, rel_tol, phi, target, Family.CLOSED_FORM_UNBIASED)
+
+
+def verify_tate_bias(spec: FunctionalSpec, n: int, lam: float,
+                     rel_tol: float = 1e-9) -> VerificationReport:
+    """Quadrature expectation of the biased estimator vs its closed form.
+
+    The ``target`` field of the report is the *biased* expectation, so a
+    small rel_bias here means the historical bias is reproduced exactly.
+    """
+    target = tate_expected_value(spec, n, lam)
+    phi = tate_phi_function(spec, n)
+    return _report(spec, n, lam, rel_tol, phi, target, Family.TATE_BIASED)
 
 
 def _report(spec: FunctionalSpec, n: int, lam: float, rel_tol: float,
-            phi: Callable[[np.ndarray], np.ndarray], est: _Phi, target: float,
+            phi: Callable[[np.ndarray], np.ndarray], target: float,
             family: Family) -> VerificationReport:
+    # phi is the family's estimator as its public factory returns it; its
+    # window, kinks and power at 0 come from the same _estimator build.
     # An estimator whose target has a real pole c > 0 grows like e^{n c mean},
     # so the integrand decays at rate n (lam - c) rather than n lam.
+    est = _estimator(spec, n, family)
     pole = _CATALOGUE[spec.kind].pole(spec)
     window = _window(n, lam, n * (lam - pole) if pole > 0.0 else n * lam, est.support_start)
     # past exponent _SPLIT_EXPONENT the estimator is smooth enough at its
@@ -191,62 +207,3 @@ def _report(spec: FunctionalSpec, n: int, lam: float, rel_tol: float,
     rel_bias = abs_bias / max(abs(target), _REL_BIAS_FLOOR)
     return VerificationReport(spec, n, lam, value, target, abs_bias, rel_bias, err, family)
 
-
-# ---------------------------------------------------------------------------
-# the 1959 estimators (biased) and their exact expectations
-# ---------------------------------------------------------------------------
-
-def tate_phi_function(spec: FunctionalSpec, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized biased estimator from the original transform tables.
-
-    Compared with the corrected forms, the power/normalisation uses n-1
-    where n belongs: rate powers carry Gamma(n-1)/(n^p Gamma(n-1-p)),
-    quantiles an extra n/(n-1), and max-CDF powers exponent n-2.
-    """
-    return _mean_checked(_tate_estimator(spec, n).value)
-
-
-def _tate_estimator(spec: FunctionalSpec, n: int) -> _Phi:
-    row = _CATALOGUE[spec.kind]
-    if row.tate_phi is None:
-        raise SpecError(f"no Tate form for kind {spec.kind.value!r}")
-    if n < 2:
-        raise DomainError("the Tate estimators require n >= 2")
-    return row.tate_phi(spec, n)
-
-
-def tate_estimate(spec: FunctionalSpec, sample_mean: float, n: int) -> EstimateResult:
-    """Evaluate the biased 1959 estimator at a sample mean."""
-    phi = tate_phi_function(spec, n)
-    return EstimateResult(float(phi(sample_mean)), spec, n, Family.TATE_BIASED)
-
-
-def tate_expected_value(spec: FunctionalSpec, n: int, lam: float) -> float:
-    """Exact expectation of the biased estimator (closed form).
-
-    rate power: (1 - p/(n-1)) lambda^p on {p < n-1};
-    quantile: [n/(n-1)] * (-ln(1-q)/lambda);
-    max CDF power: [lam m t / ((n-1)(1 - e^{lam t})) + 1] * (1 - e^{-lam t})^m.
-    """
-    row = _CATALOGUE[spec.kind]
-    if row.tate_mean is None:
-        raise SpecError(f"no Tate expectation for kind {spec.kind.value!r}")
-    lam = float(lam)
-    if lam <= 0.0:
-        raise DomainError("lambda must be positive")
-    if n < 2:
-        raise DomainError("the Tate estimators require n >= 2")
-    return row.tate_mean(spec, n, lam)
-
-
-def verify_tate_bias(spec: FunctionalSpec, n: int, lam: float,
-                     rel_tol: float = 1e-9) -> VerificationReport:
-    """Quadrature expectation of the biased estimator vs its closed form.
-
-    The ``target`` field of the report is the *biased* expectation, so a
-    small rel_bias here means the historical bias is reproduced exactly.
-    """
-    target = tate_expected_value(spec, n, lam)
-    phi = tate_phi_function(spec, n)
-    return _report(spec, n, lam, rel_tol, phi, _tate_estimator(spec, n), target,
-                   Family.TATE_BIASED)

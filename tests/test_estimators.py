@@ -15,7 +15,7 @@ import pytest
 
 from expunbias.errors import DomainError, RangeError, SpecError
 from expunbias.estimators import (EstimateResult, Family, FunctionalSpec,
-                                  Kind, Sample, closed_form_variance_mle,
+                                  Kind, Sample, _estimator, closed_form_variance_mle,
                                   closed_form_variance_unbiased, estimate,
                                   expected_shortfall, max_cdf_power,
                                   mean_past_lifetime, mgf, min_survival,
@@ -164,6 +164,12 @@ class TestMoment:
         with pytest.raises(DomainError):
             moment(1.0, 3, -1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_coefficient_overflow_is_range_error(self):
+        # Gamma(p+1) n^p Gamma(n)/Gamma(n+p) overflowed as an OverflowError
+        with pytest.raises(RangeError, match="coefficient"):
+            moment(1.0, 5, 1000.0)
+
 
 class TestIndicatorFamilies:
     def test_survival_n1_is_indicator(self):
@@ -264,6 +270,16 @@ class TestMeanPastLifetime:
     def test_n1_step_sum(self):
         # n = 1, t = 1, mean = 2.5: K = 2, three unit terms
         assert mean_past_lifetime(2.5, 1, 1.0) == pytest.approx(0.5, rel=1e-13)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n,mean", [(1, 1.0), (5, np.array([1.0, 2.0]))])
+    def test_term_count_is_bounded(self, n, mean):
+        # about n mean / t terms: at t = 1e-45 numpy refused the arange with an
+        # untyped ValueError, and near 1e9 terms it would have run out of memory
+        with pytest.raises(RangeError, match="indicator terms"):
+            mean_past_lifetime(mean, n, 1e-45)
+        with pytest.raises(RangeError, match="indicator terms"):
+            _estimator(FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=1e-9), n).prime(1.0)
 
     def test_truncation_is_exact(self):
         # adding terms beyond K = floor(n mean / t) changes nothing
@@ -483,6 +499,15 @@ class TestVarianceFormulas:
             closed_form_variance_mle(-0.5, 5, 1.0)
         with pytest.raises(DomainError):
             closed_form_variance_unbiased(-1.0, 2, 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("variance", [closed_form_variance_unbiased,
+                                          closed_form_variance_mle])
+    @pytest.mark.parametrize("p,lam", [(400.0, 1000.0), (60.0, 0.001)])
+    def test_overflow_is_range_error(self, variance, p, lam):
+        # Gamma(p+1)^2 or lambda^-2p overflowed as an untyped OverflowError
+        with pytest.raises(RangeError):
+            variance(p, 5, lam)
 
 
 _LARGE_N = [1, 2, 5, 30, 200, 1000, 10_000]

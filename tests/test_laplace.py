@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from expunbias.errors import (ConfigurationError, DomainError, ExpunbiasError,
-                              InversionError, UnsupportedTransformError)
+                              InversionError, RangeError, UnsupportedTransformError)
 from expunbias.estimators import (FunctionalSpec, Family, Kind, Sample, mgf,
                                   moment, phi_function, quantile, target_value)
 from expunbias.laplace import (InversionConfig, InversionMethod,
@@ -376,6 +376,29 @@ class TestTalbotEstimator:
         spec, expected = _TALBOT_CASES[case]
         closed = float(phi_function(spec, 7)(1.3))
         assert float.fromhex(expected) == pytest.approx(closed, rel=1e-12)
+
+
+class TestArguments:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [0, 2.5])
+    def test_generic_phi_rejects_non_integer_n(self, n):
+        # n = 2.5 returned a number
+        xi = builtin_transfer_function(FunctionalSpec(Kind.QUANTILE, q=0.5))
+        with pytest.raises(DomainError, match="positive integer"):
+            generic_phi(xi, n)
+
+    @pytest.mark.filterwarnings("error")
+    def test_transform_overflow_is_range_error(self):
+        # Gamma(172) in the moment transform was an untyped OverflowError
+        with pytest.raises(RangeError):
+            builtin_transfer_function(FunctionalSpec(Kind.MOMENT, p=171.0))
+
+    @pytest.mark.filterwarnings("error")
+    def test_contour_underflow_is_an_inversion_error(self):
+        # s^n underflowed to 0 on the Talbot contour: ZeroDivisionError
+        xi = builtin_transfer_function(FunctionalSpec(Kind.MGF, t=0.0))
+        with pytest.raises(InversionError, match="double range"):
+            generic_phi(xi, 200, _TALBOT)(1000.0)
 
 
 class TestLargeN:

@@ -11,13 +11,13 @@ from scipy import stats
 
 from expunbias import cli, montecarlo
 from expunbias.errors import (DegenerateError, DomainError,
-                              NondifferentiableError)
+                              NondifferentiableError, RangeError)
 from expunbias.estimators import (Family, FunctionalSpec, Kind, phi_function,
                                   target_value)
 from expunbias.laplace import TransferFunction
 from expunbias.montecarlo import (BLOCK_SIZE, McConfig, McSummary, _collect,
                                   _draw_means, asymptotic_variance, clt_check,
-                                  empirical_bias, sample_exponential,
+                                  clt_summary, empirical_bias, sample_exponential,
                                   variance_comparison)
 
 
@@ -45,8 +45,17 @@ class TestSampling:
         se = math.sqrt(target * (1.0 - target) / n)
         assert abs(p_hat - target) < 4.0 * se
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam,n", [(1.0, 2.5), (1.0, 0), (math.nan, 3), (-1.0, 3),
+                                       ("x", 3)])
+    def test_rejects_bad_arguments(self, lam, n):
+        # n = 2.5 and lambda = "x" were untyped TypeErrors
+        with pytest.raises(DomainError):
+            sample_exponential(lam, n, np.random.default_rng(1))
+
 
 class TestConfig:
+    @pytest.mark.filterwarnings("error")
     def test_validation(self):
         with pytest.raises(DomainError):
             McConfig(0, 5, 1.0, 1)
@@ -60,6 +69,18 @@ class TestConfig:
             McConfig(10, 5, 1.0, 2 ** 64)
         with pytest.raises(DomainError):
             McConfig(10, 5, 1.0, 1, parallel_chunks=0)
+        # accepted before: 2.5 replications or n failed later as a TypeError,
+        # and a seed of 1.5 ran
+        with pytest.raises(DomainError, match="replications"):
+            McConfig(2.5, 5, 1.0, 1)
+        with pytest.raises(DomainError, match="sample size n"):
+            McConfig(10, 2.5, 1.0, 1)
+        with pytest.raises(DomainError, match="seed"):
+            McConfig(10, 5, 1.0, 1.5)
+        with pytest.raises(DomainError, match="lambda"):
+            McConfig(10, 5, math.nan, 1)
+        with pytest.raises(DomainError, match="parallel_chunks"):
+            McConfig(10, 5, 1.0, 1, parallel_chunks=1.5)
 
 
 class TestDeterminism:
@@ -133,6 +154,14 @@ class TestVarianceComparison:
         with pytest.raises(DomainError):
             variance_comparison(0.0, McConfig(10, 5, 1.0, 2))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p,lam", [(400.0, 1000.0), (60.0, 0.001)])
+    def test_overflow_is_range_error(self, p, lam):
+        # the exact variance overflowed as an OverflowError; at p = 60 the
+        # empirical variance first warned of an overflow in its square
+        with pytest.raises(RangeError):
+            variance_comparison(p, McConfig(300, 5, lam, 1))
+
 
 class TestAsymptoticVariance:
     def test_moment_p1(self):
@@ -198,6 +227,19 @@ class TestAsymptoticVariance:
         with pytest.raises(DegenerateError):
             asymptotic_variance(spec, 5, 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_variance_is_degenerate(self):
+        # the derivative is about 1e-133 and its square underflows to 0, so
+        # clt divided by it: ZeroDivisionError
+        spec = FunctionalSpec(Kind.MGF, t=-4.21955302971196)
+        with pytest.raises(DegenerateError):
+            asymptotic_variance(spec, 1, 0.0111)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_bad_rate(self):
+        with pytest.raises(DomainError, match="lambda"):
+            asymptotic_variance(FunctionalSpec(Kind.QUANTILE, q=0.5), 5, math.nan)
+
     @pytest.mark.parametrize("n", [1, 2, 30, 200, 1000, 10_000])
     @pytest.mark.parametrize("t", [-2.0, 0.5])
     def test_mgf_against_mpmath(self, n, t):
@@ -237,6 +279,25 @@ class TestCltCheck:
         spec = FunctionalSpec(Kind.SURVIVAL, t=1.0)
         with pytest.raises(DegenerateError):
             clt_check(spec, McConfig(100, 2, 5.0, 1))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z", [np.array([0.3]), np.full(10, 2.0)])
+    def test_equal_replicates_are_degenerate(self, z):
+        # a zero second moment was a ZeroDivisionError (clt --reps 1)
+        with pytest.raises(DegenerateError, match="all equal"):
+            clt_summary(z)
+        if z.size == 1:
+            with pytest.raises(DegenerateError):
+                clt_check(FunctionalSpec(Kind.QUANTILE, q=0.5), McConfig(1, 5, 1.0, 3))
+
+    @pytest.mark.filterwarnings("error")
+    def test_moments_out_of_range_raise(self):
+        # c^3 overflowed with a RuntimeWarning and gave inf or nan moments
+        with pytest.raises(RangeError):
+            clt_summary(np.array([1e200, -1e200, 0.0]))
+        spec = FunctionalSpec(Kind.MGF, t=-4.381588271667991)
+        with pytest.raises(RangeError):
+            clt_check(spec, McConfig(2, 1, 0.014264233908999256, 0))
 
     def test_deterministic(self):
         spec = FunctionalSpec(Kind.QUANTILE, q=0.5)

@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from expunbias.errors import DomainError, QuadratureError, SpecError
+from expunbias import estimators, oracle
+from expunbias.errors import DomainError, QuadratureError, RangeError, SpecError
 from expunbias.estimators import Family, FunctionalSpec, Kind, target_value
 from expunbias.oracle import (expectation, gamma_mean_density, kink_points,
                               tate_estimate, tate_expected_value,
@@ -29,6 +30,14 @@ class TestGammaMeanDensity:
         value, err = expectation(lambda x: np.ones_like(x), n, lam, rel_tol=1e-11)
         assert value == pytest.approx(1.0, rel=1e-10)
         assert err <= 1e-11 * abs(value) + 1e-300
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n,lam", [(2.5, 1.0), (0, 1.0), (3, -1.0), (3, math.nan),
+                                       (3, math.inf)])
+    def test_rejects_bad_arguments(self, n, lam):
+        # n = 2.5 gave a number and lambda = -1 an untyped math domain error
+        with pytest.raises(DomainError):
+            gamma_mean_density(1.0, n, lam)
 
     def test_vectorized(self):
         xs = np.array([0.5, 1.0, 2.0])
@@ -212,12 +221,32 @@ class TestTateEstimators:
         assert res.value == pytest.approx(2.0 * math.log(2.0), rel=1e-13)
 
     def test_unsupported_kind(self):
-        with pytest.raises(SpecError):
-            tate_estimate(FunctionalSpec(Kind.MOMENT, p=1.0), 1.0, 5)
+        spec = FunctionalSpec(Kind.MOMENT, p=1.0)
+        for call in (lambda: tate_estimate(spec, 1.0, 5),
+                     lambda: tate_expected_value(spec, 5, 1.0),
+                     lambda: verify_tate_bias(spec, 5, 1.0)):
+            with pytest.raises(SpecError, match="no Tate form"):
+                call()
 
     def test_requires_n_ge_2(self):
         with pytest.raises(DomainError):
             tate_estimate(FunctionalSpec(Kind.QUANTILE, q=0.5), 1.0, 1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [1, 2.5])
+    def test_every_path_requires_integer_n_ge_2(self, n):
+        # every Tate path gave a number at n = 2.5
+        spec = FunctionalSpec(Kind.QUANTILE, q=0.5)
+        for call in (lambda: tate_estimate(spec, 1.0, n),
+                     lambda: tate_expected_value(spec, n, 1.0),
+                     lambda: verify_tate_bias(spec, n, 1.0)):
+            with pytest.raises(DomainError):
+                call()
+
+    def test_defined_in_estimators(self):
+        # one builder serves both families; oracle re-exports the 1959 names
+        for name in ("tate_estimate", "tate_expected_value", "tate_phi_function"):
+            assert getattr(oracle, name) is getattr(estimators, name)
 
     @pytest.mark.parametrize("mean", [-1.0, 0.0, math.nan])
     @pytest.mark.parametrize("spec", [FunctionalSpec(Kind.RATE_POWER, p=0.5),
@@ -234,6 +263,22 @@ class TestTateEstimators:
 
 
 class TestTateExpectedValue:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_rate(self, lam):
+        # lambda = nan returned nan, and inf a number
+        with pytest.raises(DomainError, match="lambda"):
+            tate_expected_value(FunctionalSpec(Kind.QUANTILE, q=0.5), 3, lam)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_is_range_error(self):
+        # lambda^p overflowed as an untyped OverflowError
+        spec = FunctionalSpec(Kind.RATE_POWER, p=106.0)
+        with pytest.raises(RangeError):
+            tate_expected_value(spec, 148, 854.0)
+        with pytest.raises(RangeError):
+            verify_tate_bias(spec, 148, 854.0)
+
     def test_rate_power_row(self):
         spec = FunctionalSpec(Kind.RATE_POWER, p=1.0)
         assert tate_expected_value(spec, 3, 2.0) == pytest.approx(1.0, rel=1e-14)

@@ -32,23 +32,36 @@ n = 1, mean 1) failed.  ``_REGRESSIONS`` keeps, as explicit cases, cells
 where indicator powers computed as a power of the rounded base 1 - a/x lost
 about e ulps per term.
 
-The oracle sweep (``test_sweep_verify_unbiasedness``) draws n the same way
-and lambda in [0.05, 30], and checks that ``verify_unbiasedness`` certifies
-each cell below its 1e-9 tolerance or raises ``ExpunbiasError``, without a
-warning.
+The oracle sweeps draw n the same way and lambda in [0.05, 30], and check
+that ``verify_unbiasedness`` (every closed-form kind, n >= 1) and
+``verify_tate_bias`` (every kind with a 1959 form, n >= 2) certify each cell
+below the 1e-9 tolerance or raise ``ExpunbiasError``, without a warning.
+
+The CLI sweep (``test_sweep_cli``) runs ``cli.main`` on drawn argument lists
+of every subcommand: ``estimate`` under all three engines, ``verify``,
+``verify --tate``, ``compare`` and ``clt``, with parameters that are
+sometimes outside their domains.  Each run must end with exit code 0, 2, 3
+or 4 (1, threshold exceeded, only from ``verify``), print exactly one
+stderr line starting with ``error:`` or ``numerical failure:`` on exit 2, 3
+or 4 and nothing on stderr otherwise, and emit no warning.
+``_CLI_REGRESSIONS`` keeps the runs that ended in a traceback before.
 """
 
+import contextlib
+import io
 import math
 import warnings
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expunbias import cli
 from expunbias.errors import ExpunbiasError, RangeError
-from expunbias.estimators import FunctionalSpec, Kind, _estimator, phi_function
-from expunbias.oracle import verify_unbiasedness
+from expunbias.estimators import _CATALOGUE, FunctionalSpec, Kind, _estimator, phi_function
+from expunbias.oracle import verify_tate_bias, verify_unbiasedness
 
 EPS = 2.0 ** -52
 _SUM_EPS = 8.0
@@ -197,8 +210,8 @@ def test_sweep_against_mpmath(kind, data):
 
 
 @st.composite
-def _verify_cells(draw, kind):
-    """(spec, n, lam) with n log-uniform in [1, 2e4] and lam in [0.05, 30].
+def _verify_cells(draw, kind, n_min=1):
+    """(spec, n, lam) with n log-uniform in [n_min, 2e4] and lam in [0.05, 30].
 
     Time-like parameters are u/lam with u log-uniform in [0.05, 30], so the
     targets run from (lam t)^m ~ 1e-6 (max-cdf-power) to e^{-120}
@@ -207,7 +220,7 @@ def _verify_cells(draw, kind):
     so a cell at lam t = 0.0025 takes up to 28 s (at n <= 7 the oracle also
     splits at each of about 40/(lam t) kinks).
     """
-    n = min(_N_MAX, max(1, round(draw(_log_uniform(1, _N_MAX)))))
+    n = min(_N_MAX, max(n_min, round(draw(_log_uniform(n_min, _N_MAX)))))
     lam = draw(_log_uniform(0.05, 30.0))
     if kind is Kind.RATE_POWER:
         spec = FunctionalSpec(kind, p=draw(st.floats(-3.0, 3.0).filter(bool)),
@@ -237,13 +250,23 @@ def test_sweep_verify_unbiasedness(kind, data):
     _check_verify(*data.draw(_verify_cells(kind)))
 
 
-def _check_verify(spec, n, lam, typed=ExpunbiasError):
+_TATE_KINDS = [kind for kind in _CLOSED_FORM if _CATALOGUE[kind].tate_phi is not None]
+
+
+@pytest.mark.parametrize("kind", _TATE_KINDS, ids=lambda k: k.value)
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_sweep_verify_tate_bias(kind, data):
+    _check_verify(*data.draw(_verify_cells(kind, n_min=2)), verify=verify_tate_bias)
+
+
+def _check_verify(spec, n, lam, typed=ExpunbiasError, verify=verify_unbiasedness):
     # the oracle certifies the cell to its tolerance or raises a typed error,
     # without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            report = verify_unbiasedness(spec, n, lam)
+            report = verify(spec, n, lam)
         except typed:
             return
     assert report.rel_bias < 1e-9, (spec, n, lam, report.rel_bias)
@@ -259,6 +282,130 @@ def _check_verify(spec, n, lam, typed=ExpunbiasError):
 ])
 def test_large_rate_power_certifies_or_range_error(p, n, lam):
     _check_verify(FunctionalSpec(Kind.RATE_POWER, p=p), n, lam, typed=RangeError)
+
+
+_CLI_COMMANDS = ("estimate closed", "estimate talbot", "estimate gaver-stehfest",
+                 "verify", "verify --tate", "compare", "clt")
+
+
+def _number(value) -> str:
+    return repr(float(value))
+
+
+def _opt(name: str, value) -> str:
+    # one token, so that argparse does not read "-1e-05" as an option
+    return f"--{name.replace('_', '-')}={value}"
+
+
+@st.composite
+def _cli_runs(draw, data_dir):
+    """An argument list for ``cli.main``.
+
+    n is log-uniform in [1, 2e4] (up to 2000 for ``compare``, which draws
+    full samples) and lambda in [1e-3, 1e3].  Time-like parameters are
+    u/lambda with u log-uniform in [1e-3, 30] or in [-1, 0] (out of domain,
+    except for the MGF), levels lie in [0.01, 0.99] or [-0.2, 1.2], copies m
+    in [1, 5] or 0, and exponents in [-3, 3] or [-1000, 1000]; the second,
+    partly invalid, range is drawn one time in ten.  ``verify --tate`` draws
+    the kinds with a 1959 form.  Mean-past-lifetime draws u >= 0.025, since
+    its cost grows like 1/u (see ``_verify_cells``); ``_CLI_REGRESSIONS``
+    holds a t far below that.
+    """
+    command = draw(st.sampled_from(_CLI_COMMANDS))
+    kind = draw(st.sampled_from(_TATE_KINDS if command == "verify --tate" else _CLOSED_FORM))
+    lam = draw(_log_uniform(1e-3, 1e3))
+    # integers spread the log scale more evenly than Hypothesis's floats do
+    n_max = 2000 if command == "compare" else _N_MAX
+    n = round(n_max ** (draw(st.integers(0, 100)) / 100))
+    u_lo = 0.025 if kind is Kind.MEAN_PAST_LIFETIME else 1e-3
+
+    def mostly(usual, rare):
+        # one draw in ten from ``rare``
+        return draw(rare if draw(st.integers(0, 9)) == 0 else usual)
+
+    level = _number(mostly(st.floats(0.01, 0.99), st.floats(-0.2, 1.2)))
+    exponent = _number(mostly(st.floats(-3.0, 3.0), st.floats(-1000.0, 1000.0)))
+    values = {
+        "p": level if kind is Kind.EXPECTED_SHORTFALL else exponent, "q": level,
+        "t": _number(mostly(_log_uniform(u_lo, 30.0), st.floats(-1.0, 0.0)) / lam),
+        "m": mostly(st.integers(1, 5), st.just(0)),
+    }
+    seed = draw(st.integers(0, 2 ** 32))
+    row = _CATALOGUE[kind]
+    # verify reads some parameters from options of other names (the moment's p from --moment-p)
+    flags = (row.verify_args or row.params) if command.startswith("verify") else row.params
+    options = [_opt(flag, values[name]) for name, flag in zip(row.params, flags)]
+    sizes = ["--n", str(n), _opt("lambda", _number(lam))]
+    if command == "compare":
+        return ["compare", _opt("p", exponent), *sizes,
+                "--reps", str(draw(st.integers(1, 200))), "--seed", str(seed)]
+    if command == "clt":
+        return ["clt", "--kind", kind.value, *options, *sizes,
+                "--reps", str(draw(st.integers(1, 2000))), "--seed", str(seed)]
+    if command.startswith("verify"):
+        return ["verify", *command.split()[1:], "--kinds", kind.value, *options, *sizes]
+    path = data_dir / "obs.txt"
+    rng = np.random.default_rng(seed)
+    path.write_text("".join(f"{v!r}\n" for v in rng.exponential(1.0 / lam, n).tolist()))
+    return ["estimate", "--kind", kind.value, *options, "--data", str(path),
+            "--engine", command.split()[1]]
+
+
+def _check_cli(argv):
+    # exit 0 (or 1 from verify, threshold exceeded) with a clean stderr, or
+    # 2, 3, 4 with one error line, and no warning either way
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    lines = err.getvalue().splitlines()
+    allowed = {0, 1, 2, 3, 4} if argv[0] == "verify" else {0, 2, 3, 4}
+    assert code in allowed, (argv, code, lines)
+    if code in (0, 1):
+        assert lines == [], (argv, lines)
+    else:
+        assert len(lines) == 1 and lines[0].startswith(("error:", "numerical failure:")), \
+            (argv, code, lines)
+    return code
+
+
+@pytest.fixture(scope="module")
+def cli_data_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli_sweep")
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_sweep_cli(cli_data_dir, data):
+    _check_cli(data.draw(_cli_runs(cli_data_dir)))
+
+
+_CLI_REGRESSIONS = [
+    # clt_summary divided by a zero second moment: ZeroDivisionError, exit 1
+    pytest.param(["clt", "--kind", "quantile", "--q", "0.5", "--n", "5", "--lambda", "1",
+                  "--reps", "1", "--seed", "3"], 3, id="clt-reps-1"),
+    # the exact pth-moment variance overflowed: OverflowError, exit 1
+    pytest.param(["compare", "--p", "400", "--n", "5", "--lambda", "1000", "--reps", "300",
+                  "--seed", "1"], 4, id="compare-p400"),
+    # the empirical variance overflowed with a RuntimeWarning first
+    pytest.param(["compare", "--p", "60", "--n", "5", "--lambda", "0.001", "--reps", "300",
+                  "--seed", "1"], 4, id="compare-p60"),
+    # the mean-past-lifetime sum asked numpy for about 1e45 terms: ValueError
+    pytest.param(["estimate", "--kind", "mean-past-lifetime", "--t", "1.4e-45",
+                  "--data", "DATA"], 4, id="estimate-mpl-tiny-t"),
+    # s^n underflowed to 0 on the Talbot contour: ZeroDivisionError
+    pytest.param(["estimate", "--kind", "mgf", "--t", "0", "--data", "DATA200",
+                  "--engine", "talbot"], 4, id="estimate-mgf-talbot"),
+]
+
+
+@pytest.mark.parametrize("argv,code", _CLI_REGRESSIONS)
+def test_cli_regressions(argv, code, cli_data_dir):
+    data = {"DATA": "0.43\n1.12\n0.71\n", "DATA200": "1000.0\n" * 200}
+    for name, text in data.items():
+        (cli_data_dir / name).write_text(text)
+    assert _check_cli([str(cli_data_dir / arg) if arg in data else arg for arg in argv]) == code
 
 
 _REGRESSIONS = [

@@ -42,6 +42,9 @@ DELTA_KINDS = tuple(kind for kind in KIND_ARGS if kind not in SMOOTH_KINDS)
 DATA = "0.43\n1.12\n0.71\n2.04\n0.09\n# a comment\n\n0.88\n1.57\n"
 # 200 observations: the exp(1) quantiles at levels (k + 1/2)/200
 DATA_200 = "".join(f"{-math.log1p(-(k + 0.5) / 200):.6f}\n" for k in range(200))
+# means at the end of double range: one observation of 1.7e308, and 30 of 1e11
+DATA_HUGE = "1.7e308\n"
+DATA_BIG_30 = "1e11\n" * 30
 HIST = "hist.csv"
 
 
@@ -108,6 +111,33 @@ def manifests() -> list[tuple[str, list[str]]]:
         ("compare p=400 lambda=1000",
          ["compare", "--p", "400", "--n", "5", "--lambda", "1000", "--reps", "300",
           "--seed", "1"]),
+        # no cell of the grid lies in the domain (exit 3)
+        ("verify rate-power --n 0", ["verify", "--kinds", "rate-power", "--n", "0"]),
+        ("verify mgf --lambda=-1", ["verify", "--kinds", "mgf", "--lambda=-1"]),
+        ("verify mgf --lambda 0", ["verify", "--kinds", "mgf", "--lambda", "0"]),
+        ("verify --tate quantile --n 1",
+         ["verify", "--tate", "--kinds", "quantile", "--n", "1"]),
+        # power estimators whose integrand's mass lies past the Gamma(n) window
+        ("verify --tate rate-power --p=-11.5 --n 2",
+         ["verify", "--tate", "--kinds", "rate-power", "--p=-11.5", "--n", "2"]),
+        ("verify moment --moment-p 30 --n 30",
+         ["verify", "--kinds", "moment", "--moment-p", "30", "--n", "30"]),
+        # a small slope next to an O(1) estimate, within the difference's rounding
+        ("clt moment p=1e-07 n=16406",
+         ["clt", "--kind", "moment", "--p=1e-07", "--n", "16406", "--lambda=1.0000001",
+          "--reps", "2000", "--seed", "1"]),
+        ("clt mgf t=8.918e-05 n=8202",
+         ["clt", "--kind", "mgf", "--t=8.918e-05", "--n", "8202", "--lambda=32.13",
+          "--reps", "2000", "--seed", "1"]),
+        # fixed Talbot past n = 32 (exit 4)
+        ("estimate moment p=0.5 talbot n=50",
+         ["estimate", "--kind", "moment", "--p", "0.5", "--data", "data50.txt",
+          "--engine", "talbot"]),
+        # estimates that leave double range (exit 4)
+        ("estimate expected-shortfall mean=1.7e308",
+         ["estimate", "--kind", "expected-shortfall", "--p", "0.5", "--data", "huge.txt"]),
+        ("estimate mgf n=30 mean=1e11",
+         ["estimate", "--kind", "mgf", "--t", "0.5", "--data", "big30.txt"]),
     ]
     # the generic engine refuses these kinds (exit 3)
     for kind in DELTA_KINDS:
@@ -141,7 +171,9 @@ def main() -> int:
         return 2
     differ = False
     with tempfile.TemporaryDirectory() as workdir:
-        for name, text in (("data.txt", DATA), ("data200.txt", DATA_200)):
+        for name, text in (("data.txt", DATA), ("data200.txt", DATA_200),
+                           ("data50.txt", "".join(DATA_200.splitlines(True)[::4])),
+                           ("huge.txt", DATA_HUGE), ("big30.txt", DATA_BIG_30)):
             with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
         for label, argv in manifests():

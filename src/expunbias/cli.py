@@ -28,10 +28,10 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .errors import (ExpunbiasError, InversionError, QuadratureError,
-                     RangeError, SpecError)
-from .estimators import (_CATALOGUE, FunctionalSpec, Kind, Sample, estimate,
-                         target_value)
+from .errors import (DomainError, ExpunbiasError, InversionError,
+                     QuadratureError, RangeError, SpecError)
+from .estimators import (_CATALOGUE, FunctionalSpec, Kind, Sample, _check_n,
+                         _check_positive, estimate, target_value)
 from .montecarlo import (McConfig, clt_replicates, clt_summary,
                          variance_comparison)
 from .oracle import verify_tate_bias, verify_unbiasedness
@@ -163,7 +163,6 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-_DEFAULT_VERIFY_KINDS = list(_KIND_NAMES)
 _TATE_KIND_NAMES = [name for name, kind in _KIND_NAMES.items()
                     if _CATALOGUE[kind].tate_phi is not None]
 
@@ -172,10 +171,11 @@ def _cmd_verify(args) -> int:
     for option, value in (("--rel-tol", args.rel_tol), ("--threshold", args.threshold)):
         if not (value > 0.0 and math.isfinite(value)):
             raise _InputError(f"{option} must be finite and positive, got {value!r}")
-    n_grid = _number_list(args.n, int, "--n")
-    lam_grid = _number_list(getattr(args, "lambda"), float, "--lambda")
+    n_grid = [_check_n(n) for n in _number_list(args.n, int, "--n")]
+    lam_grid = [_check_positive("lambda", lam)
+                for lam in _number_list(getattr(args, "lambda"), float, "--lambda")]
     kinds = args.kinds.split(",") if args.kinds else (
-        _TATE_KIND_NAMES if args.tate else _DEFAULT_VERIFY_KINDS)
+        _TATE_KIND_NAMES if args.tate else list(_KIND_NAMES))
     for name in kinds:
         if name not in _KIND_NAMES:
             raise SpecError(f"unknown kind {name!r}")
@@ -195,16 +195,13 @@ def _cmd_verify(args) -> int:
                 # the 1959 forms put n - 1 where the corrected ones have n
                 if not row.skip(spec, n - 1 if args.tate else n, lam):
                     cells.append((name, spec, n, lam))
+    if not cells:
+        raise DomainError("no cell of the verify grid lies in the kinds' domains")
 
     def run_cell(cell):
         name, spec, n, lam = cell
-        if args.tate:
-            report = verify_tate_bias(spec, n, lam, rel_tol=args.rel_tol)
-            corrected = target_value(spec, lam)
-            delta = report.target - corrected
-        else:
-            report = verify_unbiasedness(spec, n, lam, rel_tol=args.rel_tol)
-            delta = None
+        report = (verify_tate_bias if args.tate else verify_unbiasedness)(
+            spec, n, lam, rel_tol=args.rel_tol)
         row = {
             "kind": name,
             **spec.params(),
@@ -217,8 +214,8 @@ def _cmd_verify(args) -> int:
             "quad_err": report.quad_abs_err_estimate,
             "family": report.estimator_family.value,
         }
-        if delta is not None:
-            row["tate_minus_corrected"] = delta
+        if args.tate:
+            row["tate_minus_corrected"] = report.target - target_value(spec, lam)
         return row
 
     rows = [run_cell(c) for c in cells]

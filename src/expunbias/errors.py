@@ -1,12 +1,22 @@
-"""Exception hierarchy.
+"""Exception hierarchy and the output-range rule.
 
 Everything raised by this package derives from :class:`ExpunbiasError`.
 Domain-style errors additionally derive from :class:`ValueError` so that
 callers who do not care about the fine distinctions can catch the familiar
 builtin.
+
+``_in_range`` states the output-range rule once: an ``OverflowError`` or
+``ZeroDivisionError`` from math arithmetic, or a non-finite number in a
+result, is a :class:`RangeError` naming the value, so the package never
+returns an inf or a nan and never warns of an overflow.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Callable
+
+import numpy as np
 
 
 class ExpunbiasError(Exception):
@@ -24,6 +34,19 @@ class SpecError(DomainError):
 class RangeError(ExpunbiasError, ArithmeticError):
     """A value is representable in principle but not at working precision
     (overflow, or a guard such as |x| > 700 in the incomplete gamma)."""
+
+
+def _in_range(what: str, compute: Callable):
+    # compute() (a number, an ndarray or a tuple of numbers) under the rule
+    # above, numpy quiet inside; a float is checked by math, 100x cheaper
+    try:
+        with np.errstate(all="ignore"):
+            out = compute()
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise RangeError(f"{what} leaves double range") from exc
+    if not (math.isfinite(out) if isinstance(out, float) else np.isfinite(out).all()):
+        raise RangeError(f"{what} leaves double range")
+    return out
 
 
 class ConfigurationError(ExpunbiasError, ValueError):

@@ -25,7 +25,9 @@ all come from ``_power`` (coef * mean^r) or ``_indicator_sum``
 (c0 + sum c 1{mean >= a} (1 - a/mean)^e, each term through the one kernel
 ``_indicator_power``).  The input rules live here too: every module checks
 a count (integer >= 1) with ``_check_n`` and a rate (finite, > 0) with
-``_check_positive``, which raise :class:`DomainError`.
+``_check_positive``, which raise :class:`DomainError`.  ``_mean_checked``
+computes every estimator value of both families under the output-range rule
+``errors._in_range``, and the targets and exact variances go through it too.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 from scipy.special import hyp1f1
 
-from .errors import DomainError, RangeError, SpecError
+from .errors import DomainError, RangeError, SpecError, _in_range
 from .special import _log_gamma_ratio, _log_variance_ratio, log_gamma
 
 __all__ = [
@@ -130,7 +132,7 @@ class Sample:
             raise DomainError("observations must be finite and strictly positive")
         object.__setattr__(self, "observations", obs)
         object.__setattr__(self, "n", len(obs))
-        object.__setattr__(self, "mean", float(np.mean(obs)))
+        object.__setattr__(self, "mean", _in_range("the mean", lambda: float(np.mean(obs))))
 
 
 @dataclass(frozen=True)
@@ -165,15 +167,6 @@ def _check_positive(name: str, value) -> float:
     return v
 
 
-def _in_range(what: str, compute: Callable):
-    # compute(), with an OverflowError from math arithmetic raised as a
-    # RangeError naming the value
-    try:
-        return compute()
-    except OverflowError as exc:
-        raise RangeError(f"{what} leaves double range") from exc
-
-
 # ---------------------------------------------------------------------------
 # target values xi(lambda)
 # ---------------------------------------------------------------------------
@@ -185,7 +178,8 @@ def target_value(spec: FunctionalSpec, lam):
     rates gives an ndarray computed elementwise with numpy.  numpy's
     exp/expm1/log1p can differ from ``math``'s in the last ulp, so scalars
     keep the ``math`` path.  A target with a positive real pole (the MGF's
-    at t) needs every rate above it.
+    at t) needs every rate above it; one outside double range raises
+    :class:`RangeError`.
     """
     if np.ndim(lam) == 0:
         xp, lam = math, _check_positive("lambda", lam)
@@ -219,8 +213,7 @@ def _mean_past_lifetime_target(t: float, lam, xp):
         if u < _MPL_SERIES_CUTOFF:
             return series(u)
         return t / (-math.expm1(-lam * t)) - 1.0 / lam
-    with np.errstate(all="ignore"):  # the series replaces what overflows here
-        direct = t / (-np.expm1(-lam * t)) - 1.0 / lam
+    direct = t / (-np.expm1(-lam * t)) - 1.0 / lam
     return np.where(u < _MPL_SERIES_CUTOFF, series(np.minimum(u, _MPL_SERIES_CUTOFF)), direct)
 
 
@@ -321,7 +314,7 @@ def phi_function(spec: FunctionalSpec, n: int) -> Callable[[np.ndarray], np.ndar
     :class:`DomainError` unless every mean is finite and strictly positive,
     and returns a ``float`` for a scalar mean.
     """
-    return _mean_checked(_estimator(spec, n).value)
+    return _mean_checked(spec, n, Family.CLOSED_FORM_UNBIASED)
 
 
 def _estimator(spec: FunctionalSpec, n: int,
@@ -337,17 +330,20 @@ def _estimator(spec: FunctionalSpec, n: int,
     elif row.phi is None:
         raise SpecError(f"no closed form for kind {spec.kind.value!r};"
                         " use the Laplace inversion engine")
-    build = row.tate_phi if family is Family.TATE_BIASED else row.phi
-    return _in_range(f"{spec.kind.value} estimator coefficient at n={n}", lambda: build(spec, n))
+    return (row.tate_phi if family is Family.TATE_BIASED else row.phi)(spec, n)
 
 
-def _mean_checked(kernel: Callable[[np.ndarray], np.ndarray]):
-    # the one check on the means, for every estimator family; float for a scalar
+def _mean_checked(spec: FunctionalSpec, n: int, family: Family):
+    # the family's estimator at n behind the one check on the means, its
+    # values computed under the range rule; float for a scalar
+    kernel = _estimator(spec, n, family).value
+    what = f"the {family.value} {spec.kind.value} estimate at n={n}"
+
     def phi(sample_mean):
         x = np.asarray(sample_mean, dtype=float)
         if x.size and (not np.all(np.isfinite(x)) or np.any(x <= 0.0)):
             raise DomainError("sample mean must be finite and strictly positive")
-        out = kernel(x)
+        out = _in_range(what, lambda: kernel(x))
         return float(out) if x.ndim == 0 else out
     return phi
 
@@ -370,8 +366,8 @@ def mle_estimate(spec: FunctionalSpec, sample: Sample, *,
     """
     if spec.kind is Kind.MOMENT and not moment_plugin:
         arr = np.asarray(sample.observations)
-        return EstimateResult(float(np.mean(arr ** spec.p)), spec, sample.n,
-                              Family.MLE_PLUGIN)
+        return EstimateResult(_in_range("the moment MLE", lambda: float(np.mean(arr ** spec.p))),
+                              spec, sample.n, Family.MLE_PLUGIN)
     return EstimateResult(target_value(spec, 1.0 / sample.mean), spec, sample.n,
                           Family.MLE_PLUGIN)
 
@@ -388,7 +384,7 @@ def tate_phi_function(spec: FunctionalSpec, n: int) -> Callable[[np.ndarray], np
     quantiles an extra n/(n-1), and max-CDF powers exponent n-2.  Defined
     for integer n >= 2 and the kinds with a row ``tate_phi``.
     """
-    return _mean_checked(_estimator(spec, n, Family.TATE_BIASED).value)
+    return _mean_checked(spec, n, Family.TATE_BIASED)
 
 
 def tate_estimate(spec: FunctionalSpec, sample_mean: float, n: int) -> EstimateResult:
@@ -446,14 +442,9 @@ def closed_form_variance_mle(p, n, lam) -> float:
 
 
 def _moment_variance(p: float, lam: float, bracket: Callable[[], float]) -> float:
-    # Gamma^2(p+1)/lambda^{2p} * bracket(), or RangeError where a factor or
-    # the product leaves double range
-    what = f"the pth-moment variance at p={p}, lambda={lam}"
-    value = _in_range(what, lambda: math.exp(2.0 * log_gamma(p + 1.0)) * lam ** (-2.0 * p)
-                      * bracket())
-    if not math.isfinite(value):
-        raise RangeError(f"{what} leaves double range")
-    return value
+    # Gamma^2(p+1)/lambda^{2p} * bracket()
+    return _in_range(f"the pth-moment variance at p={p}, lambda={lam}",
+                     lambda: math.exp(2.0 * log_gamma(p + 1.0)) * lam ** (-2.0 * p) * bracket())
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +528,7 @@ def _indicator_power(x, a, e: int):
     # the bare indicator, since 0 * -inf is nan.
     if e == 0:
         return 1.0 * (x >= a)
-    with np.errstate(divide="ignore"):
-        return np.exp(e * np.log1p(-a / np.maximum(x, a)))
+    return np.exp(e * np.log1p(-a / np.maximum(x, a)))
 
 
 def _indicator_sum(terms, e: int, c0: float = 0.0, over_x: bool = False) -> _Phi:
@@ -564,15 +554,17 @@ def _indicator_sum(terms, e: int, c0: float = 0.0, over_x: bool = False) -> _Phi
 def _rate_power_phi(spec: FunctionalSpec, n: int, shift: int = 0) -> _Phi:
     # Gamma(n-shift)/(n^p Gamma(n-shift-p)) mean^-p; shift 1 is the 1959 form
     p = float(spec.p)
+    name, bound = ("Tate rate-power", "n-1") if shift else ("rate-power", "n")
     if p >= n - shift:
-        name, bound = ("Tate rate-power", "n-1") if shift else ("rate-power", "n")
         raise DomainError(f"{name} needs p < {bound} (got p={spec.p}, n={n})")
-    return _power(math.exp(-_log_gamma_ratio(n - shift, -p) - p * math.log(n)), -p)
+    return _power(_in_range(f"the {name} estimator coefficient at n={n}", lambda: math.exp(
+        -_log_gamma_ratio(n - shift, -p) - p * math.log(n))), -p)
 
 
 def _moment_phi(spec: FunctionalSpec, n: int) -> _Phi:
     p = float(spec.p)
-    return _power(math.exp(log_gamma(p + 1.0) + p * math.log(n) - _log_gamma_ratio(n, p)), p)
+    return _power(_in_range(f"the moment estimator coefficient at n={n}", lambda: math.exp(
+        log_gamma(p + 1.0) + p * math.log(n) - _log_gamma_ratio(n, p))), p)
 
 
 def _max_cdf_terms(spec: FunctionalSpec, n: int) -> list[tuple[int, float]]:
@@ -651,17 +643,15 @@ def _mean_past_lifetime_sum(x: np.ndarray, n: int, t: float) -> np.ndarray:
 def _mgf_phi(spec: FunctionalSpec, n: int) -> _Phi:
     t = float(spec.t)
     w_per_mean = n * t
-
-    def value(x):
-        val = hyp1f1(1.0, n, w_per_mean * x)
-        if not np.all(np.isfinite(val)):
-            raise RangeError("MGF estimate overflowed double precision")
-        return val
+    # M(1, n, w) > e^w Gamma(n) w^(1-n)/2 overflows from w = 2n + 2000 on, where
+    # scipy's series can run for seconds or never end (n = 30, w = 1e12): inf there
+    x_max = (2.0 * n + 2000.0) / w_per_mean if w_per_mean > 0.0 else math.inf
 
     def prime(mu):
         # d/dw M(1, n, w) = M(2, n+1, w)/n (DLMF 13.3.15), w = n t mean
         return t * float(hyp1f1(2.0, n + 1.0, w_per_mean * mu))
-    return _Phi(value, prime)
+    return _Phi(lambda x: np.where(x < x_max, hyp1f1(1.0, n, w_per_mean * np.minimum(x, x_max)),
+                                   np.inf), prime)
 
 
 _CATALOGUE: dict[Kind, _KindRow] = {
@@ -689,7 +679,8 @@ _CATALOGUE: dict[Kind, _KindRow] = {
     Kind.MOMENT: _KindRow(
         params=("p",),
         checks=(_FINITE_P, (lambda s: s.p > -1.0, "moment exponent requires p > -1")),
-        xi=lambda s: (lambda lam, xp=math, p=float(s.p), g=math.exp(log_gamma(s.p + 1.0)):
+        xi=lambda s: (lambda lam, xp=math, p=float(s.p), g=_in_range(
+            "the moment target coefficient", lambda: math.exp(log_gamma(s.p + 1.0))):
                       g / lam ** p),
         phi=_moment_phi,
         verify_args=("moment_p",)),

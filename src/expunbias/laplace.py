@@ -40,9 +40,10 @@ from typing import Callable, Optional, Sequence
 
 import mpmath as mp
 
-from .errors import ConfigurationError, InversionError, UnsupportedTransformError
+from .errors import (ConfigurationError, InversionError, RangeError,
+                     UnsupportedTransformError, _in_range)
 from .estimators import (_CATALOGUE, EstimateResult, Family, FunctionalSpec, Kind,
-                         Sample, _check_n, _check_positive, _in_range)
+                         Sample, _check_n, _check_positive)
 from .special import log_gamma
 
 __all__ = [
@@ -100,7 +101,7 @@ class InversionConfig:
 # mpmath makes exact.  Transforms that answer in double precision only stop
 # at 20.
 _GS_LADDER = (16, 20, 26, 32, 40)
-_TALBOT_NODES = 32
+_TALBOT_NODES = 32  # also the largest n the fixed contour serves
 
 
 @lru_cache(maxsize=None)
@@ -263,7 +264,8 @@ def generic_phi(xi: TransferFunction, n: int,
     agree: unshifted, it sums xi(k ln2/(n mean)) against cached weights
     w_k (k ln2)^-n times mean^n; shifted (the MGF, or any pole hint), it
     divides by s_k^n per abscissa.  An mpf answer at the first abscissa
-    climbs to order 40, a float one stops at 20.  Talbot uses fixed nodes.
+    climbs to order 40, a float one stops at 20.  Talbot uses fixed nodes
+    and serves n <= 32 only; past that it raises :class:`InversionError`.
     """
     if xi.delta_content:
         raise UnsupportedTransformError(
@@ -293,15 +295,14 @@ def generic_phi(xi: TransferFunction, n: int,
 
     def phi(xbar: float) -> float:
         xbar = _check_positive("sample mean", xbar)
-        try:
-            inv = invert(xbar)
-            val = math.exp(log_gamma_n - (n - 1) * math.log(xbar)) * inv
-        except (OverflowError, ZeroDivisionError) as exc:  # s^n overflowed or underflowed
-            raise InversionError("inversion overflowed double range",
-                                 {"method": method.value, "n": n, "t": xbar}) from exc
-        if not math.isfinite(val):
-            raise InversionError("inversion produced a non-finite estimate",
-                                 {"method": method.value, "t": xbar})
+        diag = {"method": method.value, "n": n, "t": xbar}
+        try:  # s^n can overflow or underflow; the error names that arithmetic as its cause
+            val = _in_range("the inversion", lambda: invert(xbar) * math.exp(
+                log_gamma_n - (n - 1) * math.log(xbar)))
+        except RangeError as exc:
+            raise InversionError("inversion overflowed double range", diag) from exc.__cause__
+        if method is InversionMethod.TALBOT and n > _TALBOT_NODES:
+            raise InversionError(f"fixed Talbot is not accurate past n = {_TALBOT_NODES}", diag)
         return val
 
     return phi
@@ -334,7 +335,7 @@ def builtin_transfer_function(spec: FunctionalSpec) -> TransferFunction:
     if spec.kind is Kind.CUSTOM:
         return spec.custom_transform
     row = _CATALOGUE[spec.kind]
-    fn = _in_range(f"{spec.kind.value} transform", lambda: row.xi(spec))
+    fn = row.xi(spec)
     return TransferFunction(fn, None if row.delta_content else fn,
                             delta_content=row.delta_content,
                             largest_real_singularity=row.pole(spec))

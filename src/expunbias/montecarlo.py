@@ -24,10 +24,9 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special as _sp
 
-from .errors import DegenerateError, DomainError, NondifferentiableError, RangeError
+from .errors import DegenerateError, DomainError, NondifferentiableError, _in_range
 from .estimators import (Family, FunctionalSpec, Kind, Sample, _check_n,
-                         _check_positive, _estimator, _in_range,
-                         closed_form_variance_mle,
+                         _check_positive, _estimator, closed_form_variance_mle,
                          closed_form_variance_unbiased, moment, phi_function,
                          target_value, tate_phi_function)
 
@@ -118,13 +117,10 @@ def _collect(config: McConfig, row_stat: Callable[[np.ndarray], tuple[np.ndarray
     return outs
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _summary(values: np.ndarray, **extra) -> McSummary:
     reps = values.size
-    mean = float(np.mean(values))
-    variance = float(np.var(values, ddof=1)) if reps > 1 else 0.0
-    if not (math.isfinite(mean) and math.isfinite(variance)):
-        raise RangeError("the replicates or their squares leave double range")
+    mean, variance = _in_range("the mean or variance of the replicates", lambda: (
+        float(np.mean(values)), float(np.var(values, ddof=1)) if reps > 1 else 0.0))
     return McSummary(mean, variance, math.sqrt(variance / reps), reps, **extra)
 
 
@@ -186,10 +182,11 @@ def asymptotic_variance(spec: FunctionalSpec, n: int, lam: float) -> float:
     """Delta-method variance [phi'(1/lambda)/lambda]^2 of the CLT limit.
 
     The analytic derivative is validated on the spot against a central
-    finite difference (1e-6 relative agreement).  Evaluation at an indicator
-    kink where the estimator has no derivative (indicator exponent e <= 1,
-    e.g. survival at n <= 2) raises :class:`NondifferentiableError`; with
-    e >= 2 the estimator is C^(e-1) there and the kink is no obstacle.  A
+    finite difference: they must agree to 1e-6 relative, plus the
+    difference's own rounding error, 4 eps |phi| / h.  Evaluation at an
+    indicator kink where the estimator has no derivative (indicator exponent
+    e <= 1, e.g. survival at n <= 2) raises :class:`NondifferentiableError`;
+    with e >= 2 the estimator is C^(e-1) there and the kink is no obstacle.  A
     vanishing derivative raises :class:`DegenerateError` (the CLT scaling
     would divide by zero).
     """
@@ -202,16 +199,18 @@ def asymptotic_variance(spec: FunctionalSpec, n: int, lam: float) -> float:
             if abs(mu - kink) < 4.0 * h:
                 raise NondifferentiableError(
                     f"1/lambda = {mu:g} sits on an indicator kink of {spec.kind.value}")
-    what = f"the {spec.kind.value} delta-method variance"
-    deriv = _in_range(what, lambda: est.prime(mu))
-    variance = _in_range(what, lambda: (deriv / lam) ** 2)
+    deriv = _in_range(f"the {spec.kind.value} estimator's derivative", lambda: est.prime(mu))
+    variance = _in_range(f"the {spec.kind.value} CLT variance", lambda: (deriv / lam) ** 2)
     if variance == 0.0:  # also where the square underflows
         raise DegenerateError(
             f"estimator derivative vanishes at 1/lambda for {spec.kind.value}; "
             "the asymptotic variance is degenerate")
     phi = phi_function(spec, n)
-    fd = (float(phi(mu + h)) - float(phi(mu - h))) / (2.0 * h)
-    if abs(fd - deriv) > 1e-6 * max(abs(deriv), 1e-300):
+    above, below = float(phi(mu + h)), float(phi(mu - h))
+    fd = (above - below) / (2.0 * h)
+    # the difference carries the rounding of phi: 4 eps = 2^-50 of phi, over h
+    rounding = 2.0 ** -50 * max(abs(above), abs(below)) / h
+    if abs(fd - deriv) > 1e-6 * max(abs(deriv), 1e-300) + rounding:
         raise NondifferentiableError(
             f"analytic derivative {deriv:g} disagrees with finite difference {fd:g} "
             f"for {spec.kind.value} at 1/lambda={mu:g}")
@@ -248,20 +247,15 @@ def clt_summary(z: np.ndarray) -> McSummary:
     Equal replicates raise :class:`DegenerateError`; a moment outside double
     range raises :class:`RangeError`.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = z.mean()
-        c = z - m
+    def moments():
+        c = z - z.mean()
         c2 = c * c  # products, not pow: c ** 3 and c ** 4 take longer than the rest
         m2 = float(np.mean(c2))
-        m3 = float(np.mean(c2 * c))
-        m4 = float(np.mean(c2 * c2))
-    if m2 == 0.0:
-        raise DegenerateError(f"the {z.size} standardized replicate(s) are all equal;"
-                              " skewness and kurtosis are undefined")
-    what = "a moment of the standardized replicates"
-    skew, exkurt = _in_range(what, lambda: (m3 / m2 ** 1.5, m4 / m2 ** 2 - 3.0))
-    if not (math.isfinite(skew) and math.isfinite(exkurt)):
-        raise RangeError(f"{what} leaves double range")
+        if m2 == 0.0:
+            raise DegenerateError(f"the {z.size} standardized replicate(s) are all equal;"
+                                  " skewness and kurtosis are undefined")
+        return float(np.mean(c2 * c)) / m2 ** 1.5, float(np.mean(c2 * c2)) / m2 ** 2 - 3.0
+    skew, exkurt = _in_range("a moment of the standardized replicates", moments)
     return _summary(z, ks_statistic=_ks_statistic(z),
                     standardized_moments=(skew, exkurt))
 

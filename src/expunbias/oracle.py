@@ -13,10 +13,12 @@ Each cell is integrated over a window [L, U] taken from the integrand
 phi * density, not from the density alone.  L is where the estimator's
 support starts: the smallest indicator boundary of a sum with no constant
 term (survival, min-survival, density), 0 otherwise.  U is L plus the
-Gamma(n, rate) quantile at upper tail mass 1e-16.  For a survival-type term
-(1 - a/x)^(n-1) x^(n-1) e^{-n lam x} is a Gamma density shifted by a, so the
-window keeps all but 1e-16 of the integrand however small the target.  The
-window starts split at L plus the Gamma(n, rate) quantiles at the normal
+Gamma(n + r, rate) quantile at upper tail mass 1e-16, where r > 0 is the
+power of an estimator c mean^r (0 otherwise).  For a survival-type term
+(1 - a/x)^(n-1) x^(n-1) e^{-n lam x} is a Gamma density shifted by a, and
+for a power c x^r x^(n-1) e^{-n lam x} a Gamma(n + r) one, so the window
+keeps all but 1e-16 of the integrand however small the target.  The window
+starts split at L plus the Gamma(n + r, rate) quantiles at the normal
 scores -8..8, which puts 17 breakpoints across the peak, so most cells
 certify in the first round.  The quadrature also splits at the estimator's
 indicator kinks, but only where its indicator exponent e is at most 6: the
@@ -26,7 +28,8 @@ the 15- and 7-point rules err alike, so their difference is no bound, and
 mean-past-lifetime cells at n = 5 and 6 read up to 3e-9 and 3e-10.  A power
 estimator whose integrand grows like x^alpha, alpha < 0, at 0 (a rate power
 p > n - 1, a negative moment at n = 1) gets its first 2^-52 of the first
-quantile in closed form.
+quantile in closed form.  The integrand, phi * density, is computed under
+the output-range rule ``errors._in_range``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import numpy as np
 from scipy import special as _sp
 
 from ._quadrature import adaptive_gauss_kronrod
-from .errors import DomainError, RangeError
+from .errors import DomainError, _in_range
 from .estimators import (_CATALOGUE, Family, FunctionalSpec, _check_n, _check_positive,
                          _estimator, phi_function, tate_estimate, tate_expected_value,
                          tate_phi_function, target_value)
@@ -96,32 +99,29 @@ def gamma_mean_density(x, n, lam):
     return float(out) if scalar else out
 
 
-def _window(n: int, lam: float, rate: float, lower: float) -> tuple[float, np.ndarray, float]:
-    # [lower, upper] and the mesh inside it: lower plus the Gamma(n, rate)
+def _window(k: float, lam: float, rate: float, lower: float) -> tuple[float, np.ndarray, float]:
+    # [lower, upper] and the mesh inside it: lower plus the Gamma(k, rate)
     # quantile at tail mass _TAIL_MASS, and lower plus the quantiles at the
     # normal scores _MESH_SCORES
-    upper = lower + float(_sp.gammainccinv(n, _TAIL_MASS)) / rate
+    _check_positive(f"the tail rate at lambda = {lam!r}", rate)
+    upper = lower + float(_sp.gammainccinv(k, _TAIL_MASS)) / rate
     if not math.isfinite(upper):
         raise DomainError(f"lambda = {lam!r} puts the sample mean's upper quadrature "
                           "cutoff beyond double range")
-    return lower, lower + _sp.gammaincinv(n, _sp.ndtr(_MESH_SCORES)) / rate, upper
+    return lower, lower + _sp.gammaincinv(k, _sp.ndtr(_MESH_SCORES)) / rate, upper
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite integrand raises RangeError
 def _integrate(estimator: Callable[[np.ndarray], np.ndarray], n: int, lam: float,
                rel_tol: float, window: tuple[float, np.ndarray, float],
                kinks: Iterable[float], max_segments: int,
                alpha: float = 0.0) -> tuple[float, float]:
     # alpha: the integrand grows like (x - lower)^alpha at the window's start
-    if not (rel_tol > 0.0 and math.isfinite(rel_tol)):
-        raise DomainError(f"rel_tol must be finite and positive, got {rel_tol!r}")
+    rel_tol = _check_positive("rel_tol", rel_tol)
     lower, mesh, upper = window
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        out = np.asarray(estimator(x), dtype=float) * gamma_mean_density(x, n, lam)
-        if not np.isfinite(out).all():
-            raise RangeError(f"estimator * density leaves double range: n={n}, lambda={lam!r}")
-        return out
+        return _in_range(f"estimator * density at n={n}, lambda={lam!r}", lambda: np.asarray(
+            estimator(x), dtype=float) * gamma_mean_density(x, n, lam))
 
     head = 0.0
     if alpha < 0.0:
@@ -156,8 +156,6 @@ def expectation(estimator: Callable[[np.ndarray], np.ndarray], n: int, lam: floa
     (indicator boundaries).
     """
     rate = n * lam if tail_rate is None else float(tail_rate)
-    if rate <= 0.0:
-        raise DomainError("effective tail rate must be positive")
     return _integrate(estimator, n, lam, rel_tol, _window(n, lam, rate, 0.0), kinks,
                       max_segments)
 
@@ -170,9 +168,8 @@ def kink_points(spec: FunctionalSpec, n: int, upper: float) -> list[float]:
 def verify_unbiasedness(spec: FunctionalSpec, n: int, lam: float,
                         rel_tol: float = 1e-9) -> VerificationReport:
     """Quadrature expectation of the closed-form estimator vs its target."""
-    target = target_value(spec, lam)
-    phi = phi_function(spec, n)
-    return _report(spec, n, lam, rel_tol, phi, target, Family.CLOSED_FORM_UNBIASED)
+    return _report(spec, n, lam, rel_tol, phi_function(spec, n),
+                   lambda: target_value(spec, lam), Family.CLOSED_FORM_UNBIASED)
 
 
 def verify_tate_bias(spec: FunctionalSpec, n: int, lam: float,
@@ -182,28 +179,30 @@ def verify_tate_bias(spec: FunctionalSpec, n: int, lam: float,
     The ``target`` field of the report is the *biased* expectation, so a
     small rel_bias here means the historical bias is reproduced exactly.
     """
-    target = tate_expected_value(spec, n, lam)
-    phi = tate_phi_function(spec, n)
-    return _report(spec, n, lam, rel_tol, phi, target, Family.TATE_BIASED)
+    return _report(spec, n, lam, rel_tol, tate_phi_function(spec, n),
+                   lambda: tate_expected_value(spec, n, lam), Family.TATE_BIASED)
 
 
 def _report(spec: FunctionalSpec, n: int, lam: float, rel_tol: float,
-            phi: Callable[[np.ndarray], np.ndarray], target: float,
+            phi: Callable[[np.ndarray], np.ndarray], target: Callable[[], float],
             family: Family) -> VerificationReport:
     # phi is the family's estimator as its public factory returns it; its
     # window, kinks and power at 0 come from the same _estimator build.
     # An estimator whose target has a real pole c > 0 grows like e^{n c mean},
-    # so the integrand decays at rate n (lam - c) rather than n lam.
+    # so the integrand decays at rate n (lam - c) rather than n lam.  The
+    # window names a lambda whose cutoff leaves double range, so it comes
+    # before the target.
     est = _estimator(spec, n, family)
-    pole = _CATALOGUE[spec.kind].pole(spec)
-    window = _window(n, lam, n * (lam - pole) if pole > 0.0 else n * lam, est.support_start)
+    pole = max(_CATALOGUE[spec.kind].pole(spec), 0.0)
+    window = _window(n + max(est.small_mean_power, 0), lam, n * (lam - pole), est.support_start)
+    expected = target()
     # past exponent _SPLIT_EXPONENT the estimator is smooth enough at its
     # kinks for the mesh and the 15-point rule (see the module docstring)
     kinks = est.kinks(window[2]) if est.exponent <= _SPLIT_EXPONENT else ()
     # phi times the density x^(n-1) grows like x^(n - 1 + r) near a window's start at 0
     alpha = n - 1 + est.small_mean_power if est.support_start == 0.0 else 0.0
     value, err = _integrate(phi, n, lam, rel_tol, window, kinks, _MAX_SEGMENTS, alpha)
-    abs_bias = abs(value - target)
-    rel_bias = abs_bias / max(abs(target), _REL_BIAS_FLOOR)
-    return VerificationReport(spec, n, lam, value, target, abs_bias, rel_bias, err, family)
+    abs_bias = abs(value - expected)
+    rel_bias = abs_bias / max(abs(expected), _REL_BIAS_FLOOR)
+    return VerificationReport(spec, n, lam, value, expected, abs_bias, rel_bias, err, family)
 

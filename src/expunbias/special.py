@@ -4,9 +4,10 @@
 every ratio Gamma(b+d)/Gamma(b) goes through :func:`_log_gamma_ratio`, whose
 Stirling form never cancels the O(b ln b) parts of two log-gammas; and
 ``lower_incomplete_gamma_int`` keeps full precision for either sign of x.
-All functions accept scalars or numpy arrays and are pure.  A Python int or
-float skips numpy's 0-d arrays, with the array path's bits: ``log_gamma``
-of a positive finite scalar is ``gammaln`` of that float, and
+All functions accept scalars or numpy arrays and are pure; a result outside
+double range raises :class:`RangeError` through ``errors._in_range``.  A
+Python int or float skips numpy's 0-d arrays, with the array path's bits:
+``log_gamma`` of a positive finite scalar is ``gammaln`` of that float, and
 ``_stirling_remainder`` from 10 on sums its series in floats.
 """
 
@@ -18,7 +19,7 @@ import numbers
 import numpy as np
 from scipy.special import gammaln, hyp1f1
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, _in_range
 
 __all__ = ["log_gamma", "gamma_ratio", "lower_incomplete_gamma_int"]
 
@@ -102,25 +103,21 @@ def log_gamma(x):
 def gamma_ratio(a, b):
     """Gamma(a)/Gamma(b) without intermediate overflow.
 
-    The result itself may still overflow to inf if the true ratio exceeds
-    double range.
+    Raises :class:`RangeError` where the ratio itself leaves double range.
     """
     a_arr, a_scalar = _as_float_array(a, "a")
     b_arr, b_scalar = _as_float_array(b, "b")
     if (a_arr.size and np.any(a_arr <= 0.0)) or (b_arr.size and np.any(b_arr <= 0.0)):
         raise DomainError("gamma_ratio requires strictly positive arguments")
-    with np.errstate(over="ignore"):
-        out = np.exp(_log_gamma_ratio(b_arr, a_arr - b_arr))
+    out = _in_range("the gamma ratio", lambda: np.exp(_log_gamma_ratio(b_arr, a_arr - b_arr)))
     return _ret(np.asarray(out), a_scalar and b_scalar)
 
 
 def _check_order(n) -> int:
-    if isinstance(n, numbers.Integral):
-        n_int = int(n)
-    elif isinstance(n, numbers.Real) and float(n).is_integer():
-        n_int = int(n)
-    else:
+    if not (isinstance(n, numbers.Integral)
+            or isinstance(n, numbers.Real) and float(n).is_integer()):
         raise DomainError("order n must be an integer")
+    n_int = int(n)
     if n_int == 0:
         raise RangeError("order n = 0 is outside the supported range")
     if n_int < 0:
@@ -142,10 +139,7 @@ def lower_incomplete_gamma_int(n, x):
     if arr.size and np.any(np.abs(arr) > _GAMMA_INC_MAX_ABS_X):
         raise RangeError(f"|x| > {_GAMMA_INC_MAX_ABS_X:.0f} is outside the supported range")
     # M(1, n+1, x) > 0 for every real x
-    with np.errstate(divide="ignore", over="ignore"):
-        log_mag = (n_int * np.log(np.abs(arr)) - arr + np.log(hyp1f1(1.0, n_int + 1.0, arr))
-                   - np.log(n_int))
-        out = np.where((arr < 0.0) & (n_int % 2 == 1), -1.0, 1.0) * np.exp(log_mag)
-    if not np.all(np.isfinite(out)):
-        raise RangeError("incomplete gamma overflowed double precision")
+    out = _in_range("the incomplete gamma function", lambda: np.where(
+        (arr < 0.0) & (n_int % 2 == 1), -1.0, 1.0) * np.exp(n_int * np.log(np.abs(arr)) - arr
+        + np.log(hyp1f1(1.0, n_int + 1.0, arr)) - np.log(n_int)))
     return _ret(out, scalar)

@@ -219,6 +219,40 @@ class TestVerifyTinyRate:
         assert err.startswith("error: lambda = 1e-320") and err.count("\n") == 1
 
 
+class TestVerifyEmptyGrid:
+    # each exited 0 with no rows; a grid with no cell in the domain is an error
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--kinds", "rate-power", "--n", "0"],
+        ["verify", "--kinds", "mgf", "--lambda=-1"],
+        ["verify", "--kinds", "mgf", "--lambda", "0"],
+        ["verify", "--tate", "--kinds", "quantile", "--n", "1"],
+        ["verify", "--kinds", "quantile", "--n", "0"],
+        ["verify", "--kinds", "mgf", "--t", "2", "--lambda", "1"],
+    ], ids=["n-0", "lambda-negative", "lambda-0", "tate-n-1", "quantile-n-0", "mgf-t-above-lambda"])
+    def test_exits_3_with_one_line(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_some_cells_in_the_domain_run(self, capsys):
+        # n = 1 has no Tate cell, n = 3 has
+        code, out, _ = run(["verify", "--tate", "--kinds", "quantile", "--n", "1,3"], capsys)
+        assert code == EXIT_OK
+        assert [row["n"] for row in json.loads(out)["results"]] == [3]
+
+
+class TestCltSmallSlope:
+    # the finite-difference check refused these correct derivatives: exit 3
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "moment", "--p=1e-07", "--n", "16406", "--lambda=1.0000001"],
+        ["--kind", "mgf", "--t=8.918e-05", "--n", "8202", "--lambda=32.13"],
+    ], ids=["moment", "mgf"])
+    def test_exits_0(self, argv, capsys):
+        code, out, err = run(["clt", *argv, "--reps", "2000", "--seed", "1"], capsys)
+        assert code == EXIT_OK and err == ""
+
+
 class TestMalformedInput:
     # every malformed option value is an input error: exit 2 and one line on
     # stderr, never a traceback or a silently odd output

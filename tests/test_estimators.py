@@ -12,6 +12,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special as sp
 
 from expunbias.errors import DomainError, RangeError, SpecError
 from expunbias.estimators import (EstimateResult, Family, FunctionalSpec,
@@ -554,3 +555,46 @@ class TestGammaKernelAgainstMpmath:
         assert got.shape == xs.shape
         assert all(type(mgf(float(x), 200, 0.5)) is float for x in xs.ravel())
         np.testing.assert_array_equal(got.ravel(), [mgf(float(x), 200, 0.5) for x in xs.ravel()])
+
+
+class TestOutputRange:
+    """A value outside double range is a RangeError, never an inf, a nan or
+    an overflow warning (``errors._in_range``)."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", [
+        # each warned of an overflow and returned inf
+        lambda: rate_power(1e-20, 30, 29.5),
+        lambda: moment(1e300, 2, 30),
+        lambda: expected_shortfall(1.7e308, 0.5),
+        lambda: tate_estimate(FunctionalSpec(Kind.QUANTILE, q=0.5), 1.7e308, 2),
+        # returned inf without a warning
+        lambda: target_value(FunctionalSpec(Kind.QUANTILE, q=0.5), 1e-320),
+        lambda: target_value(FunctionalSpec(Kind.EXPECTED_SHORTFALL, p=0.5), 1e-310),
+        # lam^2 underflowed to 0: an untyped ZeroDivisionError
+        lambda: target_value(FunctionalSpec(Kind.MOMENT, p=2.0), 1e-200),
+        # warned of an overflow in numpy's power
+        lambda: target_value(FunctionalSpec(Kind.RATE_POWER, p=-2.0,
+                                            allow_negative_integer_p=True),
+                             np.array([1.0, 1e-200])),
+        # the sum of the observations overflowed with a warning
+        lambda: Sample([1.7e308, 1.7e308]),
+        # x^p of an observation overflowed with a warning
+        lambda: mle_estimate(FunctionalSpec(Kind.MOMENT, p=400.0), Sample([10.0, 20.0])),
+    ], ids=["rate-power", "moment", "expected-shortfall", "tate-quantile",
+            "quantile-target", "expected-shortfall-target", "moment-target",
+            "rate-power-target-array", "sample-mean", "moment-mle"])
+    def test_range_error(self, call):
+        with pytest.raises(RangeError, match="leaves double range"):
+            call()
+
+    @pytest.mark.filterwarnings("error")
+    def test_mgf_beyond_its_overflow_point_is_immediate(self):
+        # scipy's hyp1f1(1, 30, w) ran for seconds at w = 1e12 and did not
+        # end at w = 3e21; M(1, n, w) overflows from w = 2n + 2000 on
+        for mean in (1e20, 1e11, 1.7e308):
+            with pytest.raises(RangeError):
+                mgf(mean, 30, 0.5)
+        # below that point the value is scipy's, unchanged
+        mean = 500.0 / 15.0
+        assert mgf(mean, 30, 0.5) == float(sp.hyp1f1(1.0, 30, 15.0 * mean))

@@ -378,6 +378,29 @@ class TestTalbotEstimator:
         assert float.fromhex(expected) == pytest.approx(closed, rel=1e-12)
 
 
+class TestTalbotLimit:
+    """The fixed contour's worst relative error against the closed forms is
+    1.2e-10 at n = 32, 3.2e-6 at n = 40 and 1.8e7 at n = 50, so the estimator
+    path serves n <= 32 only."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [33, 40, 50])
+    def test_past_32_is_an_inversion_error(self, n):
+        # n = 50 returned 3.9e6 for a value near 0.89, with no error
+        xi = builtin_transfer_function(FunctionalSpec(Kind.MOMENT, p=0.5))
+        with pytest.raises(InversionError) as info:
+            generic_phi(xi, n, _TALBOT)(1.0)
+        assert info.value.diagnostics == {"method": "talbot", "n": n, "t": 1.0}
+
+    @pytest.mark.parametrize("spec", [FunctionalSpec(Kind.MOMENT, p=0.5),
+                                      FunctionalSpec(Kind.RATE_POWER, p=1.5),
+                                      FunctionalSpec(Kind.MGF, t=0.5)],
+                             ids=lambda s: s.kind.value)
+    def test_at_32_it_serves(self, spec):
+        got = generic_phi(builtin_transfer_function(spec), 32, _TALBOT)(1.0)
+        assert got == pytest.approx(phi_function(spec, 32)(1.0), rel=1e-9)
+
+
 class TestArguments:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n", [0, 2.5])

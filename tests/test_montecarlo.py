@@ -254,6 +254,40 @@ class TestAsymptoticVariance:
         assert got == pytest.approx(ref, rel=1e-13)
 
 
+class TestDerivativeCheck:
+    """asymptotic_variance checks the analytic derivative against a central
+    difference to 1e-6 relative plus the difference's own rounding error."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec,n,lam", [
+        (FunctionalSpec(Kind.MOMENT, p=1e-7), 16406, 1.0000001),
+        (FunctionalSpec(Kind.MGF, t=8.918e-05), 8202, 32.13),
+    ], ids=["moment-p1e-7", "mgf-small-t"])
+    def test_small_slope_is_accepted(self, spec, n, lam):
+        # the difference rounds phi ~ 1 to eps / h = 4e-11, above 1e-6 of a
+        # slope of 1e-7: a correct derivative read as NondifferentiableError
+        deriv = montecarlo._estimator(spec, n).prime(1.0 / lam)
+        assert asymptotic_variance(spec, n, lam) == (deriv / lam) ** 2
+
+    @pytest.mark.parametrize("spec,n,lam,factor", [
+        (FunctionalSpec(Kind.QUANTILE, q=0.5), 10, 1.0, 1.0 + 1e-5),
+        (FunctionalSpec(Kind.MOMENT, p=2.0), 30, 0.8, 1.0 - 1e-5),
+        (FunctionalSpec(Kind.SURVIVAL, t=1.0), 5, 1.0, 1.0 + 1e-5),
+        (FunctionalSpec(Kind.MGF, t=0.3), 6, 1.0, 1.0 + 1e-5),
+        (FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=0.7), 200, 0.8, 1.0 + 1e-5),
+        (FunctionalSpec(Kind.MOMENT, p=1e-7), 16406, 1.0000001, 1.0 + 1e-2),
+    ], ids=["quantile", "moment", "survival", "mgf", "mean-past-lifetime", "moment-p1e-7"])
+    def test_wrong_derivative_is_refused(self, monkeypatch, spec, n, lam, factor):
+        build = montecarlo._estimator
+
+        def perturbed(spec, n):
+            est = build(spec, n)
+            return est._replace(prime=lambda mu: factor * est.prime(mu))
+        monkeypatch.setattr(montecarlo, "_estimator", perturbed)
+        with pytest.raises(NondifferentiableError, match="finite difference"):
+            asymptotic_variance(spec, n, lam)
+
+
 class TestCltCheck:
     def test_moment_p1_pilot(self):
         spec = FunctionalSpec(Kind.MOMENT, p=1.0)

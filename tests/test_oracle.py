@@ -126,6 +126,35 @@ class TestVerifyUnbiasedness:
         assert r.abs_bias == pytest.approx(abs(r.oracle_expectation - r.target))
         assert r.rel_bias == pytest.approx(r.abs_bias / abs(r.target))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("verify,spec,n", [
+        (verify_unbiasedness, FunctionalSpec(Kind.MOMENT, p=30.0), 30),
+        (verify_unbiasedness, FunctionalSpec(Kind.MOMENT, p=12.0), 2),
+        (verify_unbiasedness, FunctionalSpec(Kind.RATE_POWER, p=-11.5), 2),
+        (verify_tate_bias, FunctionalSpec(Kind.RATE_POWER, p=-11.5), 2),
+    ], ids=["moment-p30-n30", "moment-p12-n2", "rate-power-p-11.5-n2",
+            "tate-rate-power-p-11.5-n2"])
+    def test_power_window_covers_the_integrand(self, verify, spec, n):
+        # c mean^r times the Gamma(n) density has a Gamma(n + r) shape; the
+        # Gamma(n) window ended before its mass (rel_bias 8.7e-6, 4.5e-7,
+        # 2.5e-7 and 2.5e-7)
+        assert verify(spec, n, 1.0).rel_bias < 1e-13
+
+    def test_target_is_looked_up_at_call_time(self, monkeypatch):
+        # a profiler replaces oracle.target_value; the oracle calls the replacement
+        calls = []
+        monkeypatch.setattr(oracle, "target_value",
+                            lambda spec, lam: calls.append(lam) or target_value(spec, lam))
+        verify_unbiasedness(FunctionalSpec(Kind.QUANTILE, q=0.5), 3, 2.0)
+        assert calls == [2.0]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam", [0.25, 0.5])
+    def test_mgf_rate_at_or_below_its_pole(self, lam):
+        # the integrand decays at rate n (lambda - t), which is not positive
+        with pytest.raises(DomainError, match="lambda"):
+            verify_unbiasedness(FunctionalSpec(Kind.MGF, t=0.5), 4, lam)
+
     def test_mean_past_lifetime_kinks_from_tail(self):
         spec = FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=0.5)
         pts = kink_points(spec, 5, 8.0)

@@ -110,6 +110,18 @@ class TestGammaRatio:
         with pytest.raises(DomainError):
             gamma_ratio(2.0, 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a,b", [(300.0, 1.0), (np.array([2.0, 300.0]), 1.0)],
+                             ids=["scalar", "array"])
+    def test_ratio_beyond_double_range_is_range_error(self, a, b):
+        # Gamma(300) = 1e612: the ratio was inf, its overflow silenced
+        with pytest.raises(RangeError, match="gamma ratio leaves double range"):
+            gamma_ratio(a, b)
+
+    def test_ratio_that_underflows_is_zero(self):
+        # a ratio below the smallest double is 0, which is finite
+        assert gamma_ratio(1.0, 300.0) == 0.0
+
 
 class TestLowerIncompleteGamma:
     @pytest.mark.parametrize("x", [-5.0, -0.3, 1e-12, 0.2, 1.0, 7.0, 50.0])

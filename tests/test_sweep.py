@@ -59,9 +59,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expunbias import cli
-from expunbias.errors import ExpunbiasError, RangeError
-from expunbias.estimators import _CATALOGUE, FunctionalSpec, Kind, _estimator, phi_function
+from expunbias.errors import DomainError, ExpunbiasError, RangeError
+from expunbias.estimators import (_CATALOGUE, FunctionalSpec, Kind, Sample, _estimator,
+                                  closed_form_variance_mle, closed_form_variance_unbiased,
+                                  mle_estimate, phi_function, target_value,
+                                  tate_expected_value, tate_phi_function)
 from expunbias.oracle import verify_tate_bias, verify_unbiasedness
+from expunbias.special import gamma_ratio, lower_incomplete_gamma_int
 
 EPS = 2.0 ** -52
 _SUM_EPS = 8.0
@@ -397,6 +401,13 @@ _CLI_REGRESSIONS = [
     # s^n underflowed to 0 on the Talbot contour: ZeroDivisionError
     pytest.param(["estimate", "--kind", "mgf", "--t", "0", "--data", "DATA200",
                   "--engine", "talbot"], 4, id="estimate-mgf-talbot"),
+    # the oracle's Gamma(n) window ended before the mass of x^11.5 times the
+    # density: rel_bias 2.5e-7, exit 1 on correct code
+    pytest.param(["verify", "--tate", "--kinds", "rate-power", "--p=-11.5", "--n", "2"], 0,
+                 id="verify-tate-rate-power-p-11.5"),
+    # no cell in the domain: exit 0 with no rows
+    pytest.param(["verify", "--tate", "--kinds", "quantile", "--n", "1"], 3,
+                 id="verify-tate-empty-grid"),
 ]
 
 
@@ -420,3 +431,70 @@ _REGRESSIONS = [
                          ids=lambda v: v.kind.value if isinstance(v, FunctionalSpec) else str(v))
 def test_regressions(spec, n, x):
     _check(spec, n, x)
+
+
+# ---------------------------------------------------------------------------
+# the output-range rule at the ends of double range
+# ---------------------------------------------------------------------------
+
+_RANGE_SPECS = [
+    *(FunctionalSpec(Kind.RATE_POWER, p=p, allow_negative_integer_p=True)
+      for p in (-30.0, -0.5, 0.5, 29.5)),
+    *(FunctionalSpec(Kind.MOMENT, p=p) for p in (-0.5, 2.0, 30.0, 200.0)),
+    FunctionalSpec(Kind.QUANTILE, q=0.5),
+    FunctionalSpec(Kind.EXPECTED_SHORTFALL, p=0.5),
+    *(FunctionalSpec(kind, t=0.5) for kind in (Kind.SURVIVAL, Kind.PDF, Kind.MEAN_PAST_LIFETIME)),
+    *(FunctionalSpec(kind, t=0.5, m=2) for kind in (Kind.MAX_CDF_POWER, Kind.MIN_SURVIVAL)),
+    *(FunctionalSpec(Kind.MGF, t=t) for t in (-1.0, 0.5)),
+]
+_RANGE_MEANS = (1e-300, 1e-20, 1e20, 1.7e308)
+_RANGE_RATES = (1e-320, 1e-200, 1e200)
+_RANGE_NS = (1, 2, 30, 200)
+
+
+def _finite_or_typed(call, *where):
+    # a finite value, or RangeError or DomainError, and no warning either way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = call()
+        except (RangeError, DomainError):
+            return
+    value = getattr(value, "value", value)
+    assert np.all(np.isfinite(value)), (where, value)
+
+
+@pytest.mark.parametrize("spec", _RANGE_SPECS, ids=lambda s: "-".join(
+    [s.kind.value, *(f"{name}={value}" for name, value in s.params().items())]))
+def test_range_sweep_estimators_and_targets(spec):
+    """Both families at extreme means, the targets and Tate expectations at
+    extreme rates, and the MLE plug-ins at extreme observations."""
+    for n in _RANGE_NS:
+        for factory in (phi_function, tate_phi_function):
+            for x in _RANGE_MEANS:
+                _finite_or_typed(lambda: factory(spec, n)(x), factory, n, x)
+                _finite_or_typed(lambda: factory(spec, n)(np.array([1.0, x])), factory, n, x)
+        for lam in _RANGE_RATES:
+            _finite_or_typed(lambda: tate_expected_value(spec, n, lam), n, lam)
+    for lam in _RANGE_RATES:
+        _finite_or_typed(lambda: target_value(spec, lam), lam)
+        _finite_or_typed(lambda: target_value(spec, np.array([1.0, lam])), lam)
+    for x in _RANGE_MEANS:
+        for plugin in (False, True):
+            _finite_or_typed(lambda: mle_estimate(spec, Sample([x, x]), moment_plugin=plugin),
+                             x, plugin)
+
+
+def test_range_sweep_variances_and_special_functions():
+    for p in (-0.4, 0.5, 2.0, 60.0, 400.0):
+        for n in _RANGE_NS:
+            for lam in (*_RANGE_RATES, 1.0):
+                _finite_or_typed(lambda: closed_form_variance_unbiased(p, n, lam), p, n, lam)
+                _finite_or_typed(lambda: closed_form_variance_mle(p, n, lam), p, n, lam)
+    args = (1e-300, 0.5, 171.0, 1e6, 1e300)
+    for a in args:
+        for b in args:
+            _finite_or_typed(lambda: gamma_ratio(a, b), a, b)
+    for n in (1, 30, 171, 200):
+        for x in (-700.0, -1e-300, 1e-300, 60.0, 700.0):
+            _finite_or_typed(lambda: lower_incomplete_gamma_int(n, x), n, x)

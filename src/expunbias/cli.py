@@ -29,9 +29,10 @@ import numpy as np
 
 from . import __version__
 from .errors import (DomainError, ExpunbiasError, InversionError,
-                     QuadratureError, RangeError, SpecError)
-from .estimators import (_CATALOGUE, FunctionalSpec, Kind, Sample, _check_n,
-                         _check_positive, estimate, target_value)
+                     QuadratureError, RangeError, SpecError, _check_n,
+                     _check_positive)
+from .estimators import (_CATALOGUE, Family, FunctionalSpec, Kind, Sample,
+                         _estimator, estimate, target_value)
 from .montecarlo import (McConfig, clt_replicates, clt_summary,
                          variance_comparison)
 from .oracle import verify_tate_bias, verify_unbiasedness
@@ -180,6 +181,9 @@ def _cmd_verify(args) -> int:
         if name not in _KIND_NAMES:
             raise SpecError(f"unknown kind {name!r}")
 
+    # the grid's cells in the domain: an n at which the family's estimator
+    # builds, a lambda above the target's pole
+    family = Family.TATE_BIASED if args.tate else Family.CLOSED_FORM_UNBIASED
     cells = []
     for name in kinds:
         row = _CATALOGUE[_KIND_NAMES[name]]
@@ -189,12 +193,11 @@ def _cmd_verify(args) -> int:
             param: getattr(args, option)
             for param, option in zip(row.params, row.verify_args or row.params)})
         for n in n_grid:
-            if args.tate and n < 2:
+            try:
+                _estimator(spec, n, family)
+            except DomainError:
                 continue
-            for lam in lam_grid:
-                # the 1959 forms put n - 1 where the corrected ones have n
-                if not row.skip(spec, n - 1 if args.tate else n, lam):
-                    cells.append((name, spec, n, lam))
+            cells += [(name, spec, n, lam) for lam in lam_grid if lam > row.pole(spec)]
     if not cells:
         raise DomainError("no cell of the verify grid lies in the kinds' domains")
 

@@ -1,19 +1,23 @@
-"""Exception hierarchy and the output-range rule.
+"""Exception hierarchy, the input rules and the output-range rule.
 
 Everything raised by this package derives from :class:`ExpunbiasError`.
 Domain-style errors additionally derive from :class:`ValueError` so that
 callers who do not care about the fine distinctions can catch the familiar
 builtin.
 
-``_in_range`` states the output-range rule once: an ``OverflowError`` or
-``ZeroDivisionError`` from math arithmetic, or a non-finite number in a
-result, is a :class:`RangeError` naming the value, so the package never
-returns an inf or a nan and never warns of an overflow.
+The input rules are stated once, for every module: ``_check_n`` takes a
+count (an integer >= 1) and ``_check_positive`` a rate, mean or level that
+must be finite and > 0, a number or an array of them; both raise
+:class:`DomainError`.  ``_in_range`` states the output-range rule once: an
+``OverflowError`` or ``ZeroDivisionError`` from math arithmetic, or a
+non-finite number in a result, is a :class:`RangeError` naming the value, so
+the package never returns an inf or a nan and never warns of an overflow.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable
 
 import numpy as np
@@ -34,6 +38,29 @@ class SpecError(DomainError):
 class RangeError(ExpunbiasError, ArithmeticError):
     """A value is representable in principle but not at working precision
     (overflow, or a guard such as |x| > 700 in the incomplete gamma)."""
+
+
+def _check_n(n, name: str = "sample size n") -> int:
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise DomainError(f"{name} must be a positive integer")
+    return int(n)
+
+
+def _check_positive(name: str, value):
+    # a number gives back a float, an array of numbers a float ndarray (an
+    # empty one passes); either with the same message for a value not in (0, inf)
+    try:
+        if isinstance(value, (float, int)) or np.ndim(value) == 0:
+            v = float(value)
+            ok = 0.0 < v < math.inf
+        else:
+            v = np.asarray(value, dtype=float)
+            ok = bool(((v > 0.0) & (v < math.inf)).all())
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a number, got {value!r}") from None
+    if not ok:
+        raise DomainError(f"{name} must be finite and strictly positive")
+    return v
 
 
 def _in_range(what: str, compute: Callable):

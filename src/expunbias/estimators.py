@@ -23,11 +23,12 @@ families from the rows: a ``_Phi`` whose value, derivative and kinks, and
 the facts the oracle reads (support start, indicator exponent, power at 0),
 all come from ``_power`` (coef * mean^r) or ``_indicator_sum``
 (c0 + sum c 1{mean >= a} (1 - a/mean)^e, each term through the one kernel
-``_indicator_power``).  The input rules live here too: every module checks
-a count (integer >= 1) with ``_check_n`` and a rate (finite, > 0) with
-``_check_positive``, which raise :class:`DomainError`.  ``_mean_checked``
-computes every estimator value of both families under the output-range rule
-``errors._in_range``, and the targets and exact variances go through it too.
+``_indicator_power``).  A build is also the one statement of a family's
+domain in n: ``verify`` keeps the (kind, n) cells that build.  Rates, means
+and observations, scalar or array, pass the input rule
+``errors._check_positive``; ``_mean_checked`` computes every estimator
+value of both families under the output-range rule ``errors._in_range``,
+and the targets and exact variances go through it too.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 from scipy.special import hyp1f1
 
-from .errors import DomainError, RangeError, SpecError, _in_range
+from .errors import (DomainError, RangeError, SpecError, _check_n, _check_positive,
+                     _in_range)
 from .special import _log_gamma_ratio, _log_variance_ratio, log_gamma
 
 __all__ = [
@@ -128,11 +130,10 @@ class Sample:
         obs = tuple(float(v) for v in observations)
         if not obs:
             raise DomainError("a sample needs at least one observation")
-        if not all(0.0 < v < math.inf for v in obs):
-            raise DomainError("observations must be finite and strictly positive")
+        arr = _check_positive("observations", obs)
         object.__setattr__(self, "observations", obs)
         object.__setattr__(self, "n", len(obs))
-        object.__setattr__(self, "mean", _in_range("the mean", lambda: float(np.mean(obs))))
+        object.__setattr__(self, "mean", _in_range("the mean", lambda: float(np.mean(arr))))
 
 
 @dataclass(frozen=True)
@@ -145,26 +146,6 @@ class EstimateResult:
     def __post_init__(self):
         if not math.isfinite(self.value):
             raise RangeError("estimate is not finite")
-
-
-# ---------------------------------------------------------------------------
-# argument plumbing
-# ---------------------------------------------------------------------------
-
-def _check_n(n, name: str = "sample size n") -> int:
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise DomainError(f"{name} must be a positive integer")
-    return int(n)
-
-
-def _check_positive(name: str, value) -> float:
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a number, got {value!r}") from None
-    if not (math.isfinite(v) and v > 0.0):
-        raise DomainError(f"{name} must be finite and strictly positive")
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +162,8 @@ def target_value(spec: FunctionalSpec, lam):
     at t) needs every rate above it; one outside double range raises
     :class:`RangeError`.
     """
-    if np.ndim(lam) == 0:
-        xp, lam = math, _check_positive("lambda", lam)
-    else:
-        xp, lam = np, np.asarray(lam, dtype=float)
-        if not (np.all(np.isfinite(lam)) and np.all(lam > 0.0)):
-            raise DomainError("lambda must be finite and strictly positive")
+    lam = _check_positive("lambda", lam)
+    xp = math if isinstance(lam, float) else np
     row = _CATALOGUE[spec.kind]
     pole = row.pole(spec)
     if pole > 0.0 and np.any(lam <= pole):
@@ -340,11 +317,9 @@ def _mean_checked(spec: FunctionalSpec, n: int, family: Family):
     what = f"the {family.value} {spec.kind.value} estimate at n={n}"
 
     def phi(sample_mean):
-        x = np.asarray(sample_mean, dtype=float)
-        if x.size and (not np.all(np.isfinite(x)) or np.any(x <= 0.0)):
-            raise DomainError("sample mean must be finite and strictly positive")
-        out = _in_range(what, lambda: kernel(x))
-        return float(out) if x.ndim == 0 else out
+        x = _check_positive("sample mean", sample_mean)
+        out = _in_range(what, lambda: kernel(np.asarray(x)))
+        return float(out) if isinstance(x, float) else out
     return phi
 
 
@@ -470,8 +445,7 @@ class _KindRow:
     returns the unbiased estimator as a :class:`_Phi` from ``_power`` or
     ``_indicator_sum``, so its value, derivative and kinks are one statement;
     ``verify_args``: the ``verify`` options read for ``params`` (default:
-    ``params``); ``skip(spec, n, lam)``: the ``verify`` grid cells outside
-    the domain; ``tate_phi(spec, n)``: the biased 1959 estimator, a
+    ``params``); ``tate_phi(spec, n)``: the biased 1959 estimator, a
     :class:`_Phi` built the same way; ``tate_mean``: its exact expectation
     (a row has both or neither).
     """
@@ -483,7 +457,6 @@ class _KindRow:
     delta_content: bool = False
     pole: Callable = lambda spec: 0.0
     verify_args: Optional[tuple[str, ...]] = None
-    skip: Callable = lambda spec, n, lam: False
     tate_phi: Optional[Callable] = None
     tate_mean: Optional[Callable] = None
 
@@ -664,11 +637,8 @@ _CATALOGUE: dict[Kind, _KindRow] = {
                  "negative integer rate-power exponents need allow_negative_integer_p=True")),
         xi=lambda s: lambda lam, xp=math, p=float(s.p): lam ** p,
         phi=_rate_power_phi,
-        skip=lambda s, n, lam: s.p >= n,
         tate_phi=lambda s, n: _rate_power_phi(s, n, shift=1),
-        # 1{p < n-1} in the expectation table
-        tate_mean=lambda s, n, lam: (0.0 if s.p >= n - 1
-                                     else (1.0 - s.p / (n - 1.0)) * lam ** s.p)),
+        tate_mean=lambda s, n, lam: (1.0 - s.p / (n - 1.0)) * lam ** s.p),
     Kind.QUANTILE: _KindRow(
         params=("q",),
         checks=((lambda s: 0.0 < s.q < 1.0, "quantile level q must lie in (0, 1)"),),
@@ -712,8 +682,7 @@ _CATALOGUE: dict[Kind, _KindRow] = {
         checks=(_POSITIVE_T,),
         xi=lambda s: lambda lam, xp=math, t=float(s.t): lam * xp.exp(-lam * t),
         phi=_pdf_phi,
-        delta_content=True,
-        skip=lambda s, n, lam: n < 2),
+        delta_content=True),
     Kind.MEAN_PAST_LIFETIME: _KindRow(
         params=("t",),
         checks=(_POSITIVE_T,),
@@ -725,8 +694,7 @@ _CATALOGUE: dict[Kind, _KindRow] = {
         checks=((lambda s: math.isfinite(s.t), "mgf requires finite t"),),
         xi=lambda s: lambda lam, xp=math, t=float(s.t): lam / (lam - t),
         phi=_mgf_phi,
-        pole=lambda s: float(s.t),
-        skip=lambda s, n, lam: s.t >= lam),
+        pole=lambda s: float(s.t)),
     Kind.EXPECTED_SHORTFALL: _KindRow(
         params=("p",),
         checks=((lambda s: 0.0 < s.p < 1.0, "expected-shortfall level p must lie in (0, 1)"),),

@@ -41,9 +41,9 @@ from typing import Callable, Optional, Sequence
 import mpmath as mp
 
 from .errors import (ConfigurationError, InversionError, RangeError,
-                     UnsupportedTransformError, _in_range)
+                     UnsupportedTransformError, _check_n, _check_positive, _in_range)
 from .estimators import (_CATALOGUE, EstimateResult, Family, FunctionalSpec, Kind,
-                         Sample, _check_n, _check_positive)
+                         Sample)
 from .special import log_gamma
 
 __all__ = [

@@ -24,11 +24,11 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special as _sp
 
-from .errors import DegenerateError, DomainError, NondifferentiableError, _in_range
-from .estimators import (Family, FunctionalSpec, Kind, Sample, _check_n,
-                         _check_positive, _estimator, closed_form_variance_mle,
-                         closed_form_variance_unbiased, moment, phi_function,
-                         target_value, tate_phi_function)
+from .errors import (DegenerateError, DomainError, NondifferentiableError, _check_n,
+                     _check_positive, _in_range)
+from .estimators import (Family, FunctionalSpec, Kind, Sample, _estimator,
+                         closed_form_variance_mle, closed_form_variance_unbiased,
+                         moment, phi_function, target_value, tate_phi_function)
 
 __all__ = [
     "McConfig", "McSummary", "sample_exponential", "empirical_bias",

@@ -6,7 +6,7 @@ expectations with adaptive Gauss-Kronrod quadrature and checks the
 estimators that ``estimators`` builds: ``verify_unbiasedness`` certifies a
 corrected estimator against its target, and ``verify_tate_bias`` a biased
 1959 estimator against its exact expectation.  It builds no estimator, and
-checks counts and rates with the rules in ``estimators``; ``tate_estimate``
+checks counts and rates with the rules in ``errors``; ``tate_estimate``
 and ``tate_expected_value`` are defined there and re-exported here.
 
 Each cell is integrated over a window [L, U] taken from the integrand
@@ -42,10 +42,10 @@ import numpy as np
 from scipy import special as _sp
 
 from ._quadrature import adaptive_gauss_kronrod
-from .errors import DomainError, _in_range
-from .estimators import (_CATALOGUE, Family, FunctionalSpec, _check_n, _check_positive,
-                         _estimator, phi_function, tate_estimate, tate_expected_value,
-                         tate_phi_function, target_value)
+from .errors import DomainError, _check_n, _check_positive, _in_range
+from .estimators import (_CATALOGUE, Family, FunctionalSpec, _estimator, phi_function,
+                         tate_estimate, tate_expected_value, tate_phi_function,
+                         target_value)
 from .special import _stirling_remainder
 
 __all__ = [

@@ -4,11 +4,13 @@
 every ratio Gamma(b+d)/Gamma(b) goes through :func:`_log_gamma_ratio`, whose
 Stirling form never cancels the O(b ln b) parts of two log-gammas; and
 ``lower_incomplete_gamma_int`` keeps full precision for either sign of x.
-All functions accept scalars or numpy arrays and are pure; a result outside
-double range raises :class:`RangeError` through ``errors._in_range``.  A
-Python int or float skips numpy's 0-d arrays, with the array path's bits:
-``log_gamma`` of a positive finite scalar is ``gammaln`` of that float, and
-``_stirling_remainder`` from 10 on sums its series in floats.
+All functions accept scalars or numpy arrays and are pure.  The arguments of
+``log_gamma`` and ``gamma_ratio`` pass the input rule
+``errors._check_positive``, and a result outside double range raises
+:class:`RangeError` through ``errors._in_range``.  A scalar skips numpy's
+0-d arrays, with the array path's bits: ``log_gamma`` of a positive finite
+scalar is ``gammaln`` of that float, and ``_stirling_remainder`` from 10 on
+sums its series in floats.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numbers
 import numpy as np
 from scipy.special import gammaln, hyp1f1
 
-from .errors import DomainError, RangeError, _in_range
+from .errors import DomainError, RangeError, _check_positive, _in_range
 
 __all__ = ["log_gamma", "gamma_ratio", "lower_incomplete_gamma_int"]
 
@@ -30,17 +32,6 @@ _STIRLING_MIN_X = 10.0
 # |x| guard for the incomplete-gamma routine: past this the exp factors
 # leave double range before the result does.
 _GAMMA_INC_MAX_ABS_X = 700.0
-
-
-def _as_float_array(x, name: str):
-    arr = np.asarray(x, dtype=float)
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite")
-    return arr, arr.ndim == 0
-
-
-def _ret(arr: np.ndarray, scalar: bool):
-    return float(arr) if scalar else arr
 
 
 def _stirling_remainder(x):
@@ -92,12 +83,8 @@ def _log_variance_ratio(n: int, p: float) -> float:
 
 def log_gamma(x):
     """Natural logarithm of the gamma function for x > 0 (scipy's gammaln)."""
-    if isinstance(x, (int, float)) and 0.0 < x < math.inf:
-        return float(gammaln(float(x)))
-    arr, scalar = _as_float_array(x, "x")
-    if arr.size and np.any(arr <= 0.0):
-        raise DomainError("log_gamma requires strictly positive x")
-    return _ret(gammaln(arr), scalar)
+    x = _check_positive("x", x)
+    return float(gammaln(x)) if isinstance(x, float) else gammaln(x)
 
 
 def gamma_ratio(a, b):
@@ -105,12 +92,9 @@ def gamma_ratio(a, b):
 
     Raises :class:`RangeError` where the ratio itself leaves double range.
     """
-    a_arr, a_scalar = _as_float_array(a, "a")
-    b_arr, b_scalar = _as_float_array(b, "b")
-    if (a_arr.size and np.any(a_arr <= 0.0)) or (b_arr.size and np.any(b_arr <= 0.0)):
-        raise DomainError("gamma_ratio requires strictly positive arguments")
-    out = _in_range("the gamma ratio", lambda: np.exp(_log_gamma_ratio(b_arr, a_arr - b_arr)))
-    return _ret(np.asarray(out), a_scalar and b_scalar)
+    a, b = _check_positive("a", a), _check_positive("b", b)
+    out = _in_range("the gamma ratio", lambda: np.exp(_log_gamma_ratio(b, a - b)))
+    return float(out) if isinstance(a, float) and isinstance(b, float) else out
 
 
 def _check_order(n) -> int:
@@ -135,11 +119,13 @@ def lower_incomplete_gamma_int(n, x):
     Raises :class:`RangeError` for |x| > 700 or when the result overflows.
     """
     n_int = _check_order(n)
-    arr, scalar = _as_float_array(x, "x")
-    if arr.size and np.any(np.abs(arr) > _GAMMA_INC_MAX_ABS_X):
+    arr = np.asarray(x, dtype=float)
+    if not np.isfinite(arr).all():
+        raise DomainError("x must be finite")
+    if np.any(np.abs(arr) > _GAMMA_INC_MAX_ABS_X):
         raise RangeError(f"|x| > {_GAMMA_INC_MAX_ABS_X:.0f} is outside the supported range")
     # M(1, n+1, x) > 0 for every real x
     out = _in_range("the incomplete gamma function", lambda: np.where(
         (arr < 0.0) & (n_int % 2 == 1), -1.0, 1.0) * np.exp(n_int * np.log(np.abs(arr)) - arr
         + np.log(hyp1f1(1.0, n_int + 1.0, arr)) - np.log(n_int)))
-    return _ret(out, scalar)
+    return float(out) if arr.ndim == 0 else out

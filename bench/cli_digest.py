@@ -117,6 +117,14 @@ def manifests() -> list[tuple[str, list[str]]]:
         ("verify mgf --lambda 0", ["verify", "--kinds", "mgf", "--lambda", "0"]),
         ("verify --tate quantile --n 1",
          ["verify", "--tate", "--kinds", "quantile", "--n", "1"]),
+        # each builder boundary: the cells whose estimator builds run
+        ("verify --tate rate-power --p 1.5 --n 1,2,3,4",
+         ["verify", "--tate", "--kinds", "rate-power", "--p", "1.5", "--n", "1,2,3,4"]),
+        ("verify rate-power --p 2.5 --n 1,2,3",
+         ["verify", "--kinds", "rate-power", "--p", "2.5", "--n", "1,2,3"]),
+        ("verify pdf --n 1,2", ["verify", "--kinds", "pdf", "--n", "1,2"]),
+        ("verify mgf --t 0.5 --lambda 0.25,0.5,1",
+         ["verify", "--kinds", "mgf", "--t", "0.5", "--lambda", "0.25,0.5,1"]),
         # power estimators whose integrand's mass lies past the Gamma(n) window
         ("verify --tate rate-power --p=-11.5 --n 2",
          ["verify", "--tate", "--kinds", "rate-power", "--p=-11.5", "--n", "2"]),
@@ -138,6 +146,9 @@ def manifests() -> list[tuple[str, list[str]]]:
          ["estimate", "--kind", "expected-shortfall", "--p", "0.5", "--data", "huge.txt"]),
         ("estimate mgf n=30 mean=1e11",
          ["estimate", "--kind", "mgf", "--t", "0.5", "--data", "big30.txt"]),
+        # scipy's M(1, 30, w) is nan at w = -3e12
+        ("estimate mgf t=-1 n=30 mean=1e11",
+         ["estimate", "--kind", "mgf", "--t", "-1", "--data", "big30.txt"]),
     ]
     # the generic engine refuses these kinds (exit 3)
     for kind in DELTA_KINDS:

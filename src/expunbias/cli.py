@@ -28,9 +28,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .errors import (DomainError, ExpunbiasError, InversionError,
-                     QuadratureError, RangeError, SpecError, _check_n,
-                     _check_positive)
+from .errors import (DomainError, ExpunbiasError, InversionError, QuadratureError, RangeError,
+                     SpecError, _check_n, _check_positive)
 from .estimators import (_CATALOGUE, Family, FunctionalSpec, Kind, Sample,
                          _estimator, estimate, target_value)
 from .montecarlo import (McConfig, clt_replicates, clt_summary,

@@ -5,9 +5,9 @@ Domain-style errors additionally derive from :class:`ValueError` so that
 callers who do not care about the fine distinctions can catch the familiar
 builtin.
 
-The input rules are stated once, for every module: ``_check_n`` takes a
-count (an integer >= 1) and ``_check_positive`` a rate, mean or level that
-must be finite and > 0, a number or an array of them; both raise
+The input rules are stated once: ``_check_n`` takes a count (an integer
+>= 1) and ``_check_positive`` a rate, mean or level (finite and > 0), a
+number or, where the caller serves arrays, an array; both raise
 :class:`DomainError`.  ``_in_range`` states the output-range rule once: an
 ``OverflowError`` or ``ZeroDivisionError`` from math arithmetic, or a
 non-finite number in a result, is a :class:`RangeError` naming the value, so
@@ -46,11 +46,11 @@ def _check_n(n, name: str = "sample size n") -> int:
     return int(n)
 
 
-def _check_positive(name: str, value):
-    # a number gives back a float, an array of numbers a float ndarray (an
-    # empty one passes); either with the same message for a value not in (0, inf)
+def _check_positive(name: str, value, arrays: bool = False):
+    # a float from a number or, with arrays, a float ndarray from an array (an
+    # empty one passes), with one message; without arrays an array is no number
     try:
-        if isinstance(value, (float, int)) or np.ndim(value) == 0:
+        if not arrays or isinstance(value, (float, int)) or np.ndim(value) == 0:
             v = float(value)
             ok = 0.0 < v < math.inf
         else:

@@ -130,7 +130,7 @@ class Sample:
         obs = tuple(float(v) for v in observations)
         if not obs:
             raise DomainError("a sample needs at least one observation")
-        arr = _check_positive("observations", obs)
+        arr = _check_positive("observations", np.array(obs), arrays=True)
         object.__setattr__(self, "observations", obs)
         object.__setattr__(self, "n", len(obs))
         object.__setattr__(self, "mean", _in_range("the mean", lambda: float(np.mean(arr))))
@@ -162,7 +162,7 @@ def target_value(spec: FunctionalSpec, lam):
     at t) needs every rate above it; one outside double range raises
     :class:`RangeError`.
     """
-    lam = _check_positive("lambda", lam)
+    lam = _check_positive("lambda", lam, arrays=True)
     xp = math if isinstance(lam, float) else np
     row = _CATALOGUE[spec.kind]
     pole = row.pole(spec)
@@ -270,6 +270,7 @@ def mgf(sample_mean, n, t):
 
     Kummer's function M(1, n, w) with w = n t mean, which equals
     e^{w} gamma(n, w) / w^{n-1} + 1 (DLMF 8.5.1); t = 0 gives M(1, n, 0) = 1.
+    From w = -max(1000, 2n) down it is the terminating series of DLMF 13.7.2.
     """
     return phi_function(FunctionalSpec(Kind.MGF, t=t), n)(sample_mean)
 
@@ -317,7 +318,7 @@ def _mean_checked(spec: FunctionalSpec, n: int, family: Family):
     what = f"the {family.value} {spec.kind.value} estimate at n={n}"
 
     def phi(sample_mean):
-        x = _check_positive("sample mean", sample_mean)
+        x = _check_positive("sample mean", sample_mean, arrays=True)
         out = _in_range(what, lambda: kernel(np.asarray(x)))
         return float(out) if isinstance(x, float) else out
     return phi
@@ -613,18 +614,35 @@ def _mean_past_lifetime_sum(x: np.ndarray, n: int, t: float) -> np.ndarray:
     return val.reshape(x.shape)
 
 
+def _mgf_negative_tail(n: int, u, slope: bool = False):
+    # M(1, n, -u) for u >= max(1000, 2n), or with slope its derivative in w:
+    # (n-1)/u sum_{s<n-1} (-1)^s (n-2)!/(n-2-s)! u^-s (DLMF 13.7.2, terminating
+    # at integer n; the dropped (n-1)! e^-u (-u)^(1-n) is below eps there) term
+    # by term.  Each term is at most half the one before, so 64 reach eps.
+    acc = 0.0
+    for s in range(min(n - 1, 64) - 1, -1, -1):
+        acc = (s + 1.0 if slope else 1.0) - (n - 2 - s) / u * acc
+    return (n - 1) / u / (u if slope else 1.0) * acc
+
+
 def _mgf_phi(spec: FunctionalSpec, n: int) -> _Phi:
     t = float(spec.t)
     w_per_mean = n * t
-    # M(1, n, w) > e^w Gamma(n) w^(1-n)/2 overflows from w = 2n + 2000 on, where
-    # scipy's series can run for seconds or never end (n = 30, w = 1e12): inf there
-    x_max = (2.0 * n + 2000.0) / w_per_mean if w_per_mean > 0.0 else math.inf
+    # scipy's M(1, n, w) serves |w| below a cut.  Past it, for t > 0, M > e^w Gamma(n)
+    # w^(1-n)/2 overflows (from w = 2n + 2000; scipy's series can run for seconds or never
+    # end there): inf.  For t < 0 scipy is nan from about w = -1e11: the series serves.
+    w_cut = 2.0 * n + 2000.0 if t > 0.0 else max(1000.0, 2.0 * n)
+    x_cut = w_cut / abs(w_per_mean) if t != 0.0 else math.inf
 
     def prime(mu):
         # d/dw M(1, n, w) = M(2, n+1, w)/n (DLMF 13.3.15), w = n t mean
-        return t * float(hyp1f1(2.0, n + 1.0, w_per_mean * mu))
-    return _Phi(lambda x: np.where(x < x_max, hyp1f1(1.0, n, w_per_mean * np.minimum(x, x_max)),
-                                   np.inf), prime)
+        if t >= 0.0 or mu < x_cut:
+            return t * float(hyp1f1(2.0, n + 1.0, w_per_mean * mu))
+        return w_per_mean * _mgf_negative_tail(n, -w_per_mean * mu, slope=True)
+    return _Phi(lambda x: np.where(x < x_cut, hyp1f1(1.0, n, w_per_mean * np.minimum(x, x_cut)),
+                                   np.inf if t >= 0.0 else
+                                   _mgf_negative_tail(n, -w_per_mean * np.maximum(x, x_cut))),
+                prime)
 
 
 _CATALOGUE: dict[Kind, _KindRow] = {
@@ -669,7 +687,7 @@ _CATALOGUE: dict[Kind, _KindRow] = {
         # the 1959 form carries exponent n-2 where n-1 belongs
         tate_phi=lambda s, n: _indicator_sum(_max_cdf_terms(s, n), n - 2, 1.0),
         tate_mean=lambda s, n, lam: (
-            (lam * s.m * s.t / ((n - 1.0) * (1.0 - math.exp(lam * s.t))) + 1.0)
+            (lam * s.m * s.t / ((n - 1.0) * -math.expm1(lam * s.t)) + 1.0)
             * (-math.expm1(-lam * s.t)) ** s.m)),
     Kind.MIN_SURVIVAL: _KindRow(
         params=("t", "m"),

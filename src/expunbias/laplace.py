@@ -296,14 +296,13 @@ def generic_phi(xi: TransferFunction, n: int,
     def phi(xbar: float) -> float:
         xbar = _check_positive("sample mean", xbar)
         diag = {"method": method.value, "n": n, "t": xbar}
+        if method is InversionMethod.TALBOT and n > _TALBOT_NODES:
+            raise InversionError(f"fixed Talbot is not accurate past n = {_TALBOT_NODES}", diag)
         try:  # s^n can overflow or underflow; the error names that arithmetic as its cause
-            val = _in_range("the inversion", lambda: invert(xbar) * math.exp(
+            return _in_range("the inversion", lambda: invert(xbar) * math.exp(
                 log_gamma_n - (n - 1) * math.log(xbar)))
         except RangeError as exc:
             raise InversionError("inversion overflowed double range", diag) from exc.__cause__
-        if method is InversionMethod.TALBOT and n > _TALBOT_NODES:
-            raise InversionError(f"fixed Talbot is not accurate past n = {_TALBOT_NODES}", diag)
-        return val
 
     return phi
 

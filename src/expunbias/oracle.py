@@ -44,8 +44,7 @@ from scipy import special as _sp
 from ._quadrature import adaptive_gauss_kronrod
 from .errors import DomainError, _check_n, _check_positive, _in_range
 from .estimators import (_CATALOGUE, Family, FunctionalSpec, _estimator, phi_function,
-                         tate_estimate, tate_expected_value, tate_phi_function,
-                         target_value)
+                         tate_estimate, tate_expected_value, tate_phi_function, target_value)
 from .special import _stirling_remainder
 
 __all__ = [
@@ -86,7 +85,7 @@ def gamma_mean_density(x, n, lam):
 
     With y = lam x and Stirling's form of Gamma(n), the log density is
     ln lam + ln(n/2pi)/2 - R(n) + (n-1) ln y - n (y-1), which has no n ln n
-    terms to cancel.  Vectorized over x.
+    terms to cancel (nor, at n = 1, the ln y term).  Vectorized over x.
     """
     n, lam = _check_n(n), _check_positive("lambda", lam)
     arr = np.asarray(x, dtype=float)
@@ -94,7 +93,7 @@ def gamma_mean_density(x, n, lam):
     y = lam * arr
     log_norm = math.log(lam) + 0.5 * math.log(n / (2.0 * math.pi)) - _stirling_remainder(n)
     with np.errstate(divide="ignore"):
-        logpdf = log_norm + (n - 1) * np.log(y) - n * (y - 1.0)
+        logpdf = (log_norm + (n - 1) * np.log(y) if n > 1 else log_norm) - n * (y - 1.0)
     out = np.exp(logpdf)
     return float(out) if scalar else out
 

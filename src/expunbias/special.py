@@ -83,7 +83,7 @@ def _log_variance_ratio(n: int, p: float) -> float:
 
 def log_gamma(x):
     """Natural logarithm of the gamma function for x > 0 (scipy's gammaln)."""
-    x = _check_positive("x", x)
+    x = _check_positive("x", x, arrays=True)
     return float(gammaln(x)) if isinstance(x, float) else gammaln(x)
 
 
@@ -92,7 +92,7 @@ def gamma_ratio(a, b):
 
     Raises :class:`RangeError` where the ratio itself leaves double range.
     """
-    a, b = _check_positive("a", a), _check_positive("b", b)
+    a, b = _check_positive("a", a, arrays=True), _check_positive("b", b, arrays=True)
     out = _in_range("the gamma ratio", lambda: np.exp(_log_gamma_ratio(b, a - b)))
     return float(out) if isinstance(a, float) and isinstance(b, float) else out
 

@@ -235,11 +235,20 @@ class TestVerifyEmptyGrid:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_some_cells_in_the_domain_run(self, capsys):
-        # n = 1 has no Tate cell, n = 3 has
-        code, out, _ = run(["verify", "--tate", "--kinds", "quantile", "--n", "1,3"], capsys)
+    # a cell is in the grid when its estimator builds and its rate lies above
+    # the target's pole: each builder boundary, with the cells kept
+    @pytest.mark.parametrize("argv,key,kept", [
+        (["--tate", "--kinds", "quantile", "--n", "1,3"], "n", [3]),
+        (["--tate", "--kinds", "rate-power", "--p", "1.5", "--n", "1,2,3,4"], "n", [3, 4]),
+        (["--kinds", "rate-power", "--p", "2.5", "--n", "1,2,3"], "n", [3]),
+        (["--kinds", "pdf", "--n", "1,2"], "n", [2]),
+        (["--kinds", "mgf", "--t", "0.5", "--n", "2", "--lambda", "0.25,0.5,1"], "lambda",
+         [1.0]),
+    ], ids=["tate-quantile", "tate-rate-power", "rate-power", "pdf", "mgf"])
+    def test_some_cells_in_the_domain_run(self, argv, key, kept, capsys):
+        code, out, _ = run(["verify", *argv], capsys)
         assert code == EXIT_OK
-        assert [row["n"] for row in json.loads(out)["results"]] == [3]
+        assert [row[key] for row in json.loads(out)["results"]] == kept
 
 
 class TestCltSmallSlope:

@@ -24,6 +24,7 @@ from expunbias.estimators import (EstimateResult, Family, FunctionalSpec,
                                   quantile, rate_power, survival,
                                   target_value)
 from expunbias.oracle import tate_estimate
+from expunbias.special import gamma_ratio, log_gamma
 
 
 class TestSample:
@@ -363,6 +364,22 @@ class TestMgf:
         with pytest.raises(RangeError):
             mgf(10.0, 50, 2.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [2, 3, 30, 2000])
+    @pytest.mark.parametrize("u", [None, 1e9, 3e11, 1e20, 1e300])
+    def test_negative_tail_value_and_slope(self, n, u):
+        # past w = -max(1000, 2n) the terminating series of DLMF 13.7.2;
+        # scipy's hyp1f1(1, 30, w) is nan at w = -3e11, so mgf(1e10, 30, -1)
+        # was a RangeError
+        u = max(1000.0, 2.0 * n) if u is None else u
+        spec, mean = FunctionalSpec(Kind.MGF, t=-1.0), u / n
+        with mp.workdps(50):
+            ref = mp.hyp1f1(1, n, -mp.mpf(u))
+            slope = -mp.hyp1f1(2, n + 1, -mp.mpf(u))  # t M(2, n+1, w), t = -1
+        assert mgf(mean, n, -1.0) == pytest.approx(float(ref), rel=4e-16)
+        assert _estimator(spec, n).prime(mean) == pytest.approx(float(slope), rel=4e-16,
+                                                                abs=1e-300)
+
 
 class TestExpectedShortfall:
     def test_unit_level(self):
@@ -555,6 +572,45 @@ class TestGammaKernelAgainstMpmath:
         assert got.shape == xs.shape
         assert all(type(mgf(float(x), 200, 0.5)) is float for x in xs.ravel())
         np.testing.assert_array_equal(got.ravel(), [mgf(float(x), 200, 0.5) for x in xs.ravel()])
+
+
+# an entry point that takes a scalar or an array, and the name its input
+# rule gives the argument
+_POSITIVE_INPUTS = {
+    "target_value": (lambda v: target_value(FunctionalSpec(Kind.QUANTILE, q=0.5), v),
+                     "lambda"),
+    "phi_function": (lambda v: phi_function(FunctionalSpec(Kind.QUANTILE, q=0.5), 3)(v),
+                     "sample mean"),
+    "Sample": (lambda v: Sample(np.atleast_1d(v)), "observations"),
+    "log_gamma": (log_gamma, "x"),
+    "gamma_ratio-a": (lambda v: gamma_ratio(v, 2.0), "a"),
+    "gamma_ratio-b": (lambda v: gamma_ratio(2.0, v), "b"),
+}
+
+
+class TestInputRule:
+    """A scalar and an array holding the same bad value raise the same
+    DomainError (``errors._check_positive``)."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("entry", sorted(_POSITIVE_INPUTS))
+    def test_scalar_and_array_share_the_message(self, entry, bad):
+        call, name = _POSITIVE_INPUTS[entry]
+        for value in (bad, np.array([1.0, bad])):
+            with pytest.raises(DomainError) as info:
+                call(value)
+            assert str(info.value) == f"{name} must be finite and strictly positive"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", sorted(_POSITIVE_INPUTS))
+    def test_empty_array_passes(self, entry):
+        call, _ = _POSITIVE_INPUTS[entry]
+        if entry == "Sample":
+            with pytest.raises(DomainError, match="at least one observation"):
+                call(np.array([]))
+        else:
+            assert call(np.array([])).shape == (0,)
 
 
 class TestOutputRange:

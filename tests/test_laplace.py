@@ -392,6 +392,18 @@ class TestTalbotLimit:
             generic_phi(xi, n, _TALBOT)(1.0)
         assert info.value.diagnostics == {"method": "talbot", "n": n, "t": 1.0}
 
+    def test_past_32_inverts_nothing(self):
+        # the limit was checked after the contour had been summed
+        calls = []
+
+        def fn(s):
+            calls.append(s)
+            return 1.0 / s
+        xi = TransferFunction(eval_real=fn, eval_complex=fn)
+        with pytest.raises(InversionError):
+            generic_phi(xi, 33, _TALBOT)(1.0)
+        assert calls == []
+
     @pytest.mark.parametrize("spec", [FunctionalSpec(Kind.MOMENT, p=0.5),
                                       FunctionalSpec(Kind.RATE_POWER, p=1.5),
                                       FunctionalSpec(Kind.MGF, t=0.5)],
@@ -418,10 +430,11 @@ class TestArguments:
 
     @pytest.mark.filterwarnings("error")
     def test_contour_underflow_is_an_inversion_error(self):
-        # s^n underflowed to 0 on the Talbot contour: ZeroDivisionError
+        # s^n underflowed to 0 on the Talbot contour: ZeroDivisionError (at
+        # n = 32, since past it the node limit is raised before any inversion)
         xi = builtin_transfer_function(FunctionalSpec(Kind.MGF, t=0.0))
         with pytest.raises(InversionError, match="double range"):
-            generic_phi(xi, 200, _TALBOT)(1000.0)
+            generic_phi(xi, 32, _TALBOT)(1e12)
 
 
 class TestLargeN:
@@ -443,12 +456,13 @@ class TestLargeN:
                     continue
                 assert isinstance(value, float)
 
-    @pytest.mark.parametrize("cfg,n", [(_GS, 1000), (_TALBOT, 172)])
-    def test_overflow_is_an_inversion_error(self, cfg, n):
+    @pytest.mark.parametrize("cfg,n,xbar", [(_GS, 1000, 0.3), (_TALBOT, 32, 1e-10)])
+    def test_overflow_is_an_inversion_error(self, cfg, n, xbar):
         # Gaver-Stehfest: Gamma(n)/0.3^(n-1) leaves double range;
-        # Talbot: s^n on the contour does
+        # Talbot: s^n on the contour does (at n = 32, since past it the node
+        # limit is raised before any inversion)
         xi = builtin_transfer_function(FunctionalSpec(Kind.QUANTILE, q=0.5))
         with pytest.raises(InversionError) as info:
-            generic_phi(xi, n, cfg)(0.3)
-        assert info.value.diagnostics == {"method": cfg.method.value, "n": n, "t": 0.3}
+            generic_phi(xi, n, cfg)(xbar)
+        assert info.value.diagnostics == {"method": cfg.method.value, "n": n, "t": xbar}
         assert isinstance(info.value.__cause__, OverflowError)

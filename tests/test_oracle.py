@@ -39,6 +39,14 @@ class TestGammaMeanDensity:
         with pytest.raises(DomainError):
             gamma_mean_density(1.0, n, lam)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam", [1.0, 0.37, 25.0])
+    def test_n1_at_zero_is_lambda(self, lam):
+        # 0 * ln 0 gave nan with an invalid-value warning
+        assert gamma_mean_density(0.0, 1, lam) == pytest.approx(lam, rel=4e-16)
+        out = gamma_mean_density(np.array([0.0, 1.0]), 1, lam)
+        assert out[1] == gamma_mean_density(1.0, 1, lam)
+
     def test_vectorized(self):
         xs = np.array([0.5, 1.0, 2.0])
         out = gamma_mean_density(xs, 3, 1.0)
@@ -327,6 +335,19 @@ class TestTateExpectedValue:
         xi_prime = (xi(lam + h) - xi(lam - h)) / (2.0 * h)
         expected = xi(lam) - lam * xi_prime / (n - 1.0)
         assert tate_expected_value(spec, n, lam) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam", [1e-6, 1e-10, 1e-17, 0.5])
+    def test_max_row_at_small_rate_against_mpmath(self, lam):
+        # 1 - e^(lam t) cancelled: 8.3e-8 relative at lam = 1e-10, and at
+        # lam = 1e-17 it was 0 and the call a RangeError
+        import mpmath as mp
+        spec, n = FunctionalSpec(Kind.MAX_CDF_POWER, t=1.0, m=2), 5
+        with mp.workdps(50):
+            u = mp.mpf(lam) * spec.t
+            ref = (mp.mpf(lam) * spec.m * spec.t / ((n - 1) * (1 - mp.exp(u))) + 1) \
+                * (1 - mp.exp(-u)) ** spec.m
+        assert tate_expected_value(spec, n, lam) == pytest.approx(float(ref), rel=1e-15)
 
 
 class TestTateBiasReproduction:

@@ -615,10 +615,10 @@ def _mean_past_lifetime_sum(x: np.ndarray, n: int, t: float) -> np.ndarray:
 
 
 def _mgf_negative_tail(n: int, u, slope: bool = False):
-    # M(1, n, -u) for u >= max(1000, 2n), or with slope its derivative in w:
-    # (n-1)/u sum_{s<n-1} (-1)^s (n-2)!/(n-2-s)! u^-s (DLMF 13.7.2, terminating
-    # at integer n; the dropped (n-1)! e^-u (-u)^(1-n) is below eps there) term
-    # by term.  Each term is at most half the one before, so 64 reach eps.
+    # M(1, n, -u) for u >= max(1000, 2n), or with slope its derivative in w,
+    # term by term: (n-1)/u sum_{s<n-1} (-1)^s (n-2)!/(n-2-s)! u^-s (DLMF
+    # 13.7.2, terminating at integer n; the dropped (n-1)! e^-u (-u)^(1-n) is
+    # below eps there).  Each term is at most half the last, so 64 reach eps.
     acc = 0.0
     for s in range(min(n - 1, 64) - 1, -1, -1):
         acc = (s + 1.0 if slope else 1.0) - (n - 2 - s) / u * acc

@@ -45,6 +45,9 @@ DATA_200 = "".join(f"{-math.log1p(-(k + 0.5) / 200):.6f}\n" for k in range(200))
 # means at the end of double range: one observation of 1.7e308, and 30 of 1e11
 DATA_HUGE = "1.7e308\n"
 DATA_BIG_30 = "1e11\n" * 30
+# one observation on the mean-past-lifetime kink 2t at t = 0.5, and 2000 exp(1) quantiles
+DATA_KINK = "1.0\n"
+DATA_2000 = "".join(f"{-math.log1p(-(k + 0.5) / 2000):.6f}\n" for k in range(2000))
 HIST = "hist.csv"
 
 
@@ -149,6 +152,13 @@ def manifests() -> list[tuple[str, list[str]]]:
         # scipy's M(1, 30, w) is nan at w = -3e12
         ("estimate mgf t=-1 n=30 mean=1e11",
          ["estimate", "--kind", "mgf", "--t", "-1", "--data", "big30.txt"]),
+        # about 5e45 indicator terms, summed by the closed form
+        ("estimate mean-past-lifetime --t 1.4e-45",
+         ["estimate", "--kind", "mean-past-lifetime", "--t", "1.4e-45", "--data", "data.txt"]),
+        ("estimate mean-past-lifetime n=1 on a kink",
+         ["estimate", "--kind", "mean-past-lifetime", "--t", "0.5", "--data", "kink.txt"]),
+        ("estimate mean-past-lifetime n=2000",
+         ["estimate", "--kind", "mean-past-lifetime", "--t", "0.5", "--data", "data2000.txt"]),
     ]
     # the generic engine refuses these kinds (exit 3)
     for kind in DELTA_KINDS:
@@ -184,7 +194,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         for name, text in (("data.txt", DATA), ("data200.txt", DATA_200),
                            ("data50.txt", "".join(DATA_200.splitlines(True)[::4])),
-                           ("huge.txt", DATA_HUGE), ("big30.txt", DATA_BIG_30)):
+                           ("huge.txt", DATA_HUGE), ("big30.txt", DATA_BIG_30),
+                           ("kink.txt", DATA_KINK), ("data2000.txt", DATA_2000)):
             with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
         for label, argv in manifests():

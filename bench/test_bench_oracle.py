@@ -7,10 +7,9 @@ commit of the package:
         --benchmark-json=bench-oracle.json
 
 ``testpaths`` in pyproject.toml is ``tests``, so the plain test run does
-not collect these cases.  The mean-past-lifetime estimator is the costliest
-integrand of the catalogue: the first case evaluates it on as many points as
-one quadrature call at n = 200 hands it, the next three run whole oracle
-cells (the last of them at t = 0.05, with about 50,000 kinks tk/n below the
+not collect these cases.  The first case evaluates the mean-past-lifetime
+estimator on as many points as one quadrature call at n = 200 hands it, the
+next three run whole oracle cells of it (the last of them at t = 0.05, with about 50,000 kinks tk/n below the
 cutoff, once: an oracle that splits at each of them takes seconds), and the
 last runs a cheap ``verify`` through the CLI, where argument parsing is a
 visible share of the op.  The checks after each timed call

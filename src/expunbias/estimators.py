@@ -256,11 +256,25 @@ def pdf_at(sample_mean, n, t):
 def mean_past_lifetime(sample_mean, n, t):
     """Unbiased estimate of E[t - X | X <= t].
 
-    t * sum_k 1{mean >= tk/n} (1 - tk/(n mean))^{n-1} - mean.  Indicator
-    terms vanish beyond floor(n mean / t); for n >= 2 the sum is also cut
-    per point where its remaining tail falls below 2^-60 of the k = 0 term,
-    which is below double precision, so the work per point is bounded
-    independently of n.  Memory is O(points).
+    t * sum_{k >= 0} 1{mean >= tk/n} (1 - tk/(n mean))^{n-1} - mean, in O(1)
+    work per point for every n, mean and t:
+
+    - n = 1: t (1 + K) - mean, K the count of k >= 1 with mean >= tk, from
+      floor(mean/t) checked against both neighbouring kinks.  The subtraction
+      leaves an error of about K ulps of t; past K = 2^52 the value is pure
+      rounding and raises :class:`RangeError`.
+    - n >= 2, mean >= t: the terminating Euler-Maclaurin form, in which the
+      mean cancels exactly.  With c = t/(n mean) and f = frac(n mean/t),
+      t [1/2 + sum_{j=1}^{n/2} B_2j/(2j)! (n-1)!/(n-2j)! c^(2j-1)
+      - c^(n-1) B_n(f)/n], B the Bernoulli numbers and polynomials.  Its
+      terms fall by (t/(2 pi mean))^2 a step, so twelve of them serve every
+      n; the B_n(f) term is kept up to n = 24, past which it is below eps.
+    - n >= 2, mean < t: the sum itself, at most about 45 terms, each term
+      exp((n-1) log1p(-tk/(n mean))) and the sum cut where its tail falls
+      below 2^-60 of the k = 0 term.
+
+    For n >= 2 either form is within a few ulps of the exact value.  Memory
+    is O(points).
     """
     return phi_function(FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=t), n)(sample_mean)
 
@@ -554,64 +568,125 @@ def _pdf_phi(spec: FunctionalSpec, n: int) -> _Phi:
 
 
 def _mean_past_lifetime_phi(spec: FunctionalSpec, n: int) -> _Phi:
-    # t (1 + sum_{k >= 1} 1{x >= tk/n} (1 - tk/(n x))^{n-1}) - x: the value has
-    # its own kernel, the derivative and kinks read the terms up to a bound
+    # t sum_{k >= 0} 1{x >= tk/n} (1 - tk/(n x))^(n-1) - x in the forms that
+    # mean_past_lifetime states; the kinks tk/n stay for the oracle's splits
     t = float(spec.t)
 
     def kinks(upper):
         return [k * t / n for k in range(1, math.ceil(_mpl_terms(n * upper / t, t)) + 1)]
-    return _Phi(lambda x: _mean_past_lifetime_sum(x, n, t),
-                lambda mu: _indicator_sum([(t, a) for a in kinks(mu)], n - 1, t).prime(mu) - 1.0,
-                kinks, n - 1)
+    if n == 1:
+        return _Phi(lambda x: t * (1.0 + _mpl_step_count(x, t)) - x, lambda mu: -1.0, kinks, 0)
+    a, switch = t / n, _MPL_SWITCH * t
+    # With c = a/x and w = nc = t/x, the sum over j of B_2j/(2j)! (n-1)_(2j-1)
+    # c^(2j-1) is (n-1)c sum_j b_j w^(2j-2), b_j = B_2j/(2j)! prod_{i=2}^{2j-1}
+    # (1 - i/n): every factor is at most 1, so nothing overflows at any n, and
+    # the sum ends at j = n // 2, past which (n-1)_(2j-1) is 0.
+    b, scale = [], 1.0
+    for j in range(1, min(n // 2, len(_BERNOULLI_EVEN)) + 1):
+        num, den = _BERNOULLI_EVEN[j - 1]
+        b.append(num / (den * math.factorial(2 * j)) * scale)
+        scale *= (1.0 - 2 * j / n) * (1.0 - (2 * j + 1) / n)
+    value_coefs = b[::-1]
+    slope_coefs = [(2 * j - 1) * b_j for j, b_j in enumerate(b, 1)][::-1]
+    # the periodic Bernoulli remainder c^(n-1) B_n(f)/n, f = frac(x/a), and its
+    # slope term c^(n-2) B_(n-1)(f)
+    remainder = n <= _MPL_REMAINDER_N
+    b_n, b_n1 = (_bernoulli_polynomial(m) if remainder else None for m in (n, n - 1))
+
+    def value(x):
+        flat = x.reshape(-1)
+        xe = np.maximum(flat, switch)  # the points below the switch are overwritten
+        c = a / xe
+        bracket = 0.5 + (n - 1) * c * np.polyval(value_coefs, (t / xe) ** 2)
+        if remainder:
+            # x/a past 2^52 is an integer; the bound keeps an overflow from giving inf - inf
+            ratio = np.minimum(xe / a, 2.0 ** 52)
+            bracket -= c ** (n - 1) * np.polyval(b_n, ratio - np.floor(ratio)) / n
+        out = t * bracket
+        low = np.flatnonzero(flat < switch)
+        if low.size:
+            out[low] = _mpl_direct(flat[low], n, t)
+        return out.reshape(x.shape)
+
+    def prime(mu):
+        if mu < switch:
+            k_max = _mpl_direct_count(n, t, mu)
+            return _indicator_sum([(t, k * t / n) for k in range(1, k_max + 1)],
+                                  n - 1).prime(mu) - 1.0
+        # d/dx of t * bracket, through dc/dx = -c/x and df/dc = -1/c^2
+        c = a / mu
+        inner = (n - 1) * c * np.polyval(slope_coefs, (t / mu) ** 2)
+        if remainder:
+            # fmod is exact, and at n = 2, where B_1(f) enters the slope
+            # undamped, so is a = t/2: f carries one rounding, not the
+            # n mu/t ulps of a rounded quotient
+            f = math.fmod(mu, a) / a
+            inner += c ** (n - 2) * np.polyval(b_n1, f) - (n - 1) * c ** (n - 1) * np.polyval(b_n, f) / n
+        return float(-t / mu * inner)
+    return _Phi(value, prime, kinks, n - 1)
 
 
-# most terms one mean-past-lifetime evaluation takes: a point holds about 32
-# bytes per term, and the sum over many points makes one numpy call per term
+# B_2, B_4, ..., B_24 as (numerator, denominator)
+_BERNOULLI_EVEN = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+                   (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
+                   (-236364091, 2730))
+# the mean over t from which the mean-past-lifetime takes its Euler-Maclaurin
+# form: there its terms fall by (t/(2 pi mean))^2 <= 1/39.5 a step, so the
+# twelve in _BERNOULLI_EVEN reach 2^-60 of the value
+_MPL_SWITCH = 1.0
+# the largest n that keeps the Bernoulli remainder: past it, at mean >= t,
+# it is below 2^-86 of the value and its slope term below 2^-86 of the slope
+_MPL_REMAINDER_N = 24
+
+
+def _bernoulli_polynomial(m: int) -> list[float]:
+    # coefficients of B_m(f) = sum_k C(m, k) B_k f^(m-k), highest power first
+    numbers = [(1, 1), (-1, 2)] + [_BERNOULLI_EVEN[k // 2 - 1] if k % 2 == 0 else (0, 1)
+                                   for k in range(2, m + 1)]
+    return [math.comb(m, k) * num / den for k, (num, den) in enumerate(numbers[:m + 1])]
+
+
+# most kinks one mean-past-lifetime build lists, and the most indicator terms
+# at n = 1, past which the step count t k <= mean is pure rounding
 _MPL_MAX_TERMS = 1 << 20
+_MPL_MAX_STEPS = 1 << 52
 
 
-def _mpl_terms(count: float, t: float) -> float:
-    # a term count, refused before anything that size is allocated
-    if not count <= _MPL_MAX_TERMS:
+def _mpl_terms(count: float, t: float, most: int = _MPL_MAX_TERMS) -> float:
+    # a term count, refused before anything that size is allocated or summed
+    if not count <= most:
         raise RangeError(f"mean-past-lifetime at t = {t!r} needs {count:.3g} indicator terms,"
-                         f" more than {_MPL_MAX_TERMS}")
+                         f" more than {most}")
     return count
 
 
-def _mean_past_lifetime_sum(x: np.ndarray, n: int, t: float) -> np.ndarray:
-    if x.size == 0:
-        return np.empty(x.shape)
-    order = np.argsort(x, axis=None, kind="stable")
-    xs = x.reshape(-1)[order]
-    k_hi = n * float(xs[-1]) / t
-    if n > 1:
-        # Term k is at most e^{-ck} with c = (n-1)t/(n mean), so the tail
-        # after K is at most e^{-c(K+1)}/(1 - e^{-c}) <= e^{-c(K+1)}(1+c)/c.
-        # That is below 2^-60 (60 ln 2 = 41.59 nats) once
-        # c(K+1) >= 41.59 + ln(1 + 1/c), which K = ceil((42 + ln(1 + 1/c))/c)
-        # satisfies.  K grows with the mean, so for each k the points that
-        # still need term k form a suffix of the sorted means.
-        c = (n - 1) * t / (n * xs)
-        k_tail = np.ceil((42.0 + np.log1p(1.0 / c)) / c)
-        k_hi = min(k_hi, float(k_tail[-1]))
-    ks = np.arange(1, math.floor(_mpl_terms(k_hi, t)) + 1)
-    a = t * ks / n
-    lo = np.searchsorted(xs, a)  # first point with x >= a_k
-    if n > 1:
-        lo = np.maximum(lo, np.searchsorted(k_tail, ks))
-    total = np.zeros_like(xs)
-    # smallest terms first, so each point's sum is added from its tail up
-    if xs.size == 1:
-        # one point: its terms in one vector, accumulated in the same order
-        terms = _indicator_power(xs, a[lo == 0], n - 1)
-        if terms.size:
-            total[0] = np.cumsum(terms[::-1])[-1]
-    else:
-        for s, a_k in zip(lo[::-1].tolist(), a[::-1].tolist()):
-            total[s:] += _indicator_power(xs[s:], a_k, n - 1)
-    val = np.empty_like(xs)
-    val[order] = t * (1.0 + total) - xs
-    return val.reshape(x.shape)
+def _mpl_step_count(x: np.ndarray, t: float) -> np.ndarray:
+    # the n = 1 count of k >= 1 with x >= t k, t k rounded as stated: floor(x/t),
+    # moved by one where the rounded quotient lies across a kink from x
+    q = np.floor(x / t)
+    q = q + (x >= t * (q + 1.0)) - (x < t * q)
+    _mpl_terms(float(np.max(q, initial=0.0)), t, _MPL_MAX_STEPS)
+    return q
+
+
+def _mpl_direct_count(n: int, t: float, x_max: float) -> int:
+    # The terms k >= 1 that points up to x_max need, for n >= 2.  Term k is at
+    # most e^{-ck} with c = (n-1)t/(n x), so the tail after K is at most
+    # e^{-c(K+1)}/(1 - e^{-c}) <= e^{-c(K+1)}(1+c)/c.  That is below 2^-60
+    # (60 ln 2 = 41.59 nats) once c(K+1) >= 41.59 + ln(1 + 1/c), which
+    # K = ceil((42 + ln(1 + 1/c))/c) satisfies; the indicator ends the sum at
+    # n x/t, one more covering its rounding.  Below the switch c >= 1/2; c is
+    # inf only where x_max < t/n, and the one term k = 1 is then 0.
+    c = (n - 1) * t / (n * x_max)
+    return min(int(n * x_max / t) + 1, max(1, math.ceil((42.0 + math.log1p(1.0 / c)) / c)))
+
+
+def _mpl_direct(x: np.ndarray, n: int, t: float) -> np.ndarray:
+    # the sum itself below the switch, at most about 45 terms, smallest first
+    total = 0.0
+    for k in range(_mpl_direct_count(n, t, float(x.max())), 0, -1):
+        total = total + _indicator_power(x, t * k / n, n - 1)
+    return t * (1.0 + total) - x
 
 
 def _mgf_negative_tail(n: int, u, slope: bool = False):
@@ -635,9 +710,12 @@ def _mgf_phi(spec: FunctionalSpec, n: int) -> _Phi:
     x_cut = w_cut / abs(w_per_mean) if t != 0.0 else math.inf
 
     def prime(mu):
-        # d/dw M(1, n, w) = M(2, n+1, w)/n (DLMF 13.3.15), w = n t mean
-        if t >= 0.0 or mu < x_cut:
+        # d/dw M(1, n, w) = M(2, n+1, w)/n (DLMF 13.3.15), w = n t mean; past the
+        # cut at t > 0 it is n M(1, n, w) or more, and overflows with the value
+        if mu < x_cut:
             return t * float(hyp1f1(2.0, n + 1.0, w_per_mean * mu))
+        if t > 0.0:
+            return math.inf
         return w_per_mean * _mgf_negative_tail(n, -w_per_mean * mu, slope=True)
     return _Phi(lambda x: np.where(x < x_cut, hyp1f1(1.0, n, w_per_mean * np.minimum(x, x_cut)),
                                    np.inf if t >= 0.0 else

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from expunbias import estimators
 from expunbias.errors import DomainError, RangeError, SpecError
-from expunbias.estimators import (EstimateResult, Family, FunctionalSpec,
+from expunbias.estimators import (_BERNOULLI_EVEN, EstimateResult, Family, FunctionalSpec,
                                   Kind, Sample, _estimator, closed_form_variance_mle,
                                   closed_form_variance_unbiased, estimate,
                                   expected_shortfall, max_cdf_power,
@@ -23,6 +24,7 @@ from expunbias.estimators import (EstimateResult, Family, FunctionalSpec,
                                   mle_estimate, moment, pdf_at, phi_function,
                                   quantile, rate_power, survival,
                                   target_value)
+from expunbias.montecarlo import asymptotic_variance
 from expunbias.oracle import tate_estimate
 from expunbias.special import gamma_ratio, log_gamma
 
@@ -264,6 +266,52 @@ def test_exact_kinks_with_exponent_zero(call, expected):
         np.testing.assert_array_equal(call(), expected)
 
 
+def _mean_past_lifetime_reference(x, n, t):
+    """(value, slope) of the mean-past-lifetime estimator at the double mean x,
+    in 40-digit mpmath.
+
+    The defining sum term by term, the indicator x >= tk/n in double as
+    stated, wherever it has at most about 3000 terms.  Past that (n >= 2 and
+    x/t > 30) the terminating Euler-Maclaurin form, with mpmath's own
+    Bernoulli numbers and polynomials; on the grids below, which reach the
+    sum at every n up to x/t = 30, the estimator matches both."""
+    with mp.workdps(40):
+        xm, tm = mp.mpf(x), mp.mpf(t)
+        if n == 1 or min(n, 100) * x / t <= 3000:
+            total = slope = mp.mpf(0)
+            k = 0
+            while x >= t * k / n:
+                u = 1 - tm * k / (n * xm)
+                term = u ** (n - 1)
+                total += term
+                if n > 1:
+                    slope += (n - 1) * u ** (n - 2) * tm * k / (n * xm ** 2)
+                    if term < mp.mpf(10) ** -38 * total:
+                        break
+                k += 1
+            return float(tm * total - xm), float(tm * slope - 1)
+
+        def em(z):
+            c = tm / (n * z)
+            ratio = 1 / c
+            bracket = mp.mpf(0.5)
+            for j in range(1, n // 2 + 1):
+                term = mp.bernoulli(2 * j) / mp.factorial(2 * j) * mp.ff(n - 1, 2 * j - 1) * c ** (2 * j - 1)
+                bracket += term
+                if abs(term) < mp.mpf(10) ** -45:
+                    break
+            if n <= 40:  # past it, at x/t > 30, below 1e-60 of the value
+                bracket -= c ** (n - 1) * mp.bernpoly(n, ratio - mp.floor(ratio)) / n
+            return tm * bracket
+        return float(em(xm)), float(mp.diff(em, xm))
+
+
+def _on_kink(x, n, t):
+    # x is one of the kinks tk/n, rounded as the estimator rounds them
+    k = round(n * x / t)
+    return any(x == j * t / n for j in (k - 1, k, k + 1))
+
+
 class TestMeanPastLifetime:
     def test_small_mean_leaves_only_constant_term(self):
         # mean < t/n: only k = 0 survives, value is t - mean
@@ -276,12 +324,30 @@ class TestMeanPastLifetime:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n,mean", [(1, 1.0), (5, np.array([1.0, 2.0]))])
     def test_term_count_is_bounded(self, n, mean):
-        # about n mean / t terms: at t = 1e-45 numpy refused the arange with an
-        # untyped ValueError, and near 1e9 terms it would have run out of memory
+        # At t = 1e-45 the sum has about n mean/t = 1e45 terms.  At n = 1 the
+        # value t(1 + K) - mean is pure rounding there: RangeError.  At n = 5
+        # it is a number, checked against the exact power sums
+        # sum_{k<=m} (N - k)^4 = sum_i C(4, i) N^(4-i) (-1)^i sum_{k<=m} k^i,
+        # N = 5 mean/t, m = floor(N) (Faulhaber), in 250-digit mpmath.  The
+        # kinks tk/n stay capped, since the oracle and the delta method list them.
+        t = 1e-45
+        if n == 1:
+            with pytest.raises(RangeError, match="indicator terms"):
+                mean_past_lifetime(mean, n, t)
+        else:
+            with mp.workdps(250):
+                for x, got in zip(mean, mean_past_lifetime(mean, n, t)):
+                    big_n = n * mp.mpf(float(x)) / mp.mpf(t)
+                    m = mp.floor(big_n)
+                    power_sums = [m + 1, m * (m + 1) / 2, m * (m + 1) * (2 * m + 1) / 6,
+                                  (m * (m + 1) / 2) ** 2,
+                                  m * (m + 1) * (2 * m + 1) * (3 * m ** 2 + 3 * m - 1) / 30]
+                    total = sum(math.comb(4, i) * big_n ** (4 - i) * (-1) ** i * power_sums[i]
+                                for i in range(5)) / big_n ** 4
+                    ref = mp.mpf(t) * total - mp.mpf(float(x))
+                    assert got == pytest.approx(float(ref), rel=1e-14, abs=0.0)
         with pytest.raises(RangeError, match="indicator terms"):
-            mean_past_lifetime(mean, n, 1e-45)
-        with pytest.raises(RangeError, match="indicator terms"):
-            _estimator(FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=1e-9), n).prime(1.0)
+            _estimator(FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=1e-9), n).kinks(1.0)
 
     def test_truncation_is_exact(self):
         # adding terms beyond K = floor(n mean / t) changes nothing
@@ -294,29 +360,60 @@ class TestMeanPastLifetime:
         ) - xb
         assert base == pytest.approx(manual, rel=1e-13)
 
-    @staticmethod
-    def _reference(x, n, t):
-        # the sum in 40 digits, the indicator x >= tk/n in double as stated
-        with mp.workdps(40):
-            xm, total, k = mp.mpf(x), mp.mpf(0), 0
-            while x >= t * k / n:
-                term = (1 - mp.mpf(t) * k / (n * xm)) ** (n - 1)
-                total += term
-                if n > 1 and term < mp.mpf(10) ** -36 * total:
-                    break
-                k += 1
-            return float(t * total - xm)
+    _GRID_N = [1, 2, 3, 4, 7, 13, 30, 200, 2000, 20000]
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 30, 200, 1000])
+    @staticmethod
+    def _check(x, n, t, got, slope=None):
+        # the value within 1e-14 (at n = 1 within the rounding of t(1 + K) - x,
+        # about K ulps of t), and off the kinks the slope within 1e-13
+        value, ref_slope = _mean_past_lifetime_reference(x, n, t)
+        floor = 2.0 ** -52 * (t * (1.0 + n * x / t) + x) if n == 1 else 0.0
+        assert got == pytest.approx(value, rel=1e-14, abs=floor), (x, n, t)
+        if slope is not None and not _on_kink(x, n, t):
+            assert slope == pytest.approx(ref_slope, rel=1e-13, abs=0.0), (x, n, t)
+
+    @pytest.mark.parametrize("n", sorted({*_GRID_N, 5, 1000}))
     @pytest.mark.parametrize("t", [0.05, 0.5, 3.0])
     def test_accuracy_against_mpmath(self, n, t):
         # below the first kink, between kinks, around the mean and far in the
-        # tail of the sample-mean law (no mean sits on a kink, where n = 1
-        # leaves a value that is pure rounding)
+        # tail of the sample-mean law
         xs = np.array([0.37 * t / n, 2.5 * t / n, 0.4137, 0.9713, 1.7319, 4.3211, 12.577])
-        got = mean_past_lifetime(xs, n, t)
-        for x, g in zip(xs, got):
-            assert g == pytest.approx(self._reference(float(x), n, t), rel=1e-11, abs=0.0)
+        for x, g in zip(xs, mean_past_lifetime(xs, n, t)):
+            self._check(float(x), n, t, g)
+
+    @pytest.mark.parametrize("n", _GRID_N)
+    def test_value_and_slope_on_the_ratio_grid(self, n):
+        # mean/t across the switch between the sum (below 1) and the
+        # Euler-Maclaurin form (from 1 on), one ulp either side of it included
+        t = 0.7
+        xs = np.array([0.3 * t, 0.77 * t, np.nextafter(t, 0.0), np.nextafter(t, 1.0), 1.3 * t,
+                       3.0 * t, 10.0 * t, 100.0 * t, 1000.0 * t])
+        est = _estimator(FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=t), n)
+        for x, g in zip(xs, mean_past_lifetime(xs, n, t)):
+            self._check(float(x), n, t, g, est.prime(float(x)))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_means_on_kinks(self, n):
+        # each kink tk/n as the indicator rounds it and its two neighbours; at
+        # t = 0.7, floor(mean/t) is one under the count on the kink k = 3 and
+        # one over it just below k = 5
+        t = 0.7
+        for k in (1, 2, 3, 5, 10, 49):
+            kink = k * t / n
+            xs = np.array([np.nextafter(kink, 0.0), kink, np.nextafter(kink, 2.0 * kink)])
+            for x, g in zip(xs, mean_past_lifetime(xs, n, t)):
+                self._check(float(x), n, t, g)
+        assert math.floor(3 * t / t) == 2 and math.floor(np.nextafter(5 * t, 0.0) / t) == 5
+
+    @pytest.mark.parametrize("n", [2, 5, 30, 200])
+    def test_delta_method_slope(self, n):
+        # asymptotic_variance checks prime against a central difference of the
+        # value, on either side of the switch
+        for lam in (0.3, 0.9, 1.5, 4.0):
+            assert asymptotic_variance(FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=0.7), n, lam) > 0.0
+
+    def test_bernoulli_table(self):
+        assert [tuple(mp.bernfrac(2 * j)) for j in range(1, 13)] == list(_BERNOULLI_EVEN)
 
     @pytest.mark.parametrize("n", [1, 7, 200])
     def test_array_matches_scalar_in_input_order_and_shape(self, n):
@@ -654,3 +751,22 @@ class TestOutputRange:
         # below that point the value is scipy's, unchanged
         mean = 500.0 / 15.0
         assert mgf(mean, 30, 0.5) == float(sp.hyp1f1(1.0, 30, 15.0 * mean))
+
+    @pytest.mark.filterwarnings("error")
+    def test_mgf_slope_beyond_its_overflow_point_is_immediate(self, monkeypatch):
+        # the slope t M(2, n+1, w) is cut where the value is: hyp1f1(2, 31, 1.5e12)
+        # ran 4 s in scipy to return inf, which the delta method's range check
+        # now reads at once
+        spec = FunctionalSpec(Kind.MGF, t=0.5)
+        below = _estimator(spec, 30).prime(2000.0 / 15.0)
+
+        def refuse(*args):
+            raise AssertionError(f"hyp1f1{args} called past the cut")
+        monkeypatch.setattr(estimators, "hyp1f1", refuse)
+        est = _estimator(spec, 30)
+        for mean in (2060.0 / 15.0, 1e11, 1e20, 1.7e308):
+            assert est.prime(mean) == math.inf
+        with pytest.raises(RangeError, match="derivative"):
+            asymptotic_variance(spec, 30, 1e-11)
+        monkeypatch.undo()
+        assert below == 0.5 * float(sp.hyp1f1(2.0, 31.0, 2000.0))

@@ -23,7 +23,11 @@ The bounds, with eps = 2^-52:
   1 + |y| + kappa, with kappa = e (a/x)/(1 - a/x) the condition number of
   the base; and a sum of K terms adds K eps of its absolute size.  The
   bound is ``_SUM_EPS`` eps times sum |c term| (1 + |y| + kappa + K), plus
-  the constant and linear parts, and the same over the derivative's terms.
+  the constant part, and the same over the derivative's terms;
+- mean-past-lifetime: 1e-14 relative, and at n = 1 also ``_SUM_EPS`` eps
+  times t + 2x, the rounding of t(1 + K) - x; the derivative 1e-13 relative
+  plus 4 eps (1 + t/x), the size of its terms (``test_mean_past_lifetime_grid``
+  adds fixed means across the switch of forms and on kinks).
 
 Exponents and MGF arguments are drawn with |p|, |t/lambda| >= 1e-6: below
 about 1e-25 ``mp.diff`` at 60 digits cannot resolve the slope, which is how
@@ -49,6 +53,7 @@ or 4 and nothing on stderr otherwise, and emit no warning.
 
 import contextlib
 import io
+import json
 import math
 import warnings
 
@@ -75,39 +80,62 @@ _N_MAX = 20_000
 
 
 def _indicator_form(spec, n):
-    """(c0, [(c, a_double, a_exact, e)], over_x, linear) of an indicator kind.
+    """(c0, [(c, a_double, a_exact, e)], over_x) of an indicator kind.
 
     The estimator is c0 + sum c 1{x >= a} (1 - a/x)^e, divided by x when
-    over_x, minus linear * x; the indicator compares in double, as stated.
+    over_x; the indicator compares in double, as stated.
     """
     t = mp.mpf(spec.t)
     if spec.kind is Kind.SURVIVAL:
-        return 0, [(1, spec.t / n, t / n, n - 1)], False, 0
+        return 0, [(1, spec.t / n, t / n, n - 1)], False
     if spec.kind is Kind.MIN_SURVIVAL:
-        return 0, [(1, spec.m * spec.t / n, spec.m * t / n, n - 1)], False, 0
+        return 0, [(1, spec.m * spec.t / n, spec.m * t / n, n - 1)], False
     if spec.kind is Kind.MAX_CDF_POWER:
         return 1, [((-1) ** k * math.comb(spec.m, k), k * spec.t / n, k * t / n, n - 1)
-                   for k in range(1, spec.m + 1)], False, 0
-    if spec.kind is Kind.PDF:
-        return 0, [(mp.mpf(n - 1) / n, spec.t / n, t / n, n - 2)], True, 0
-    assert spec.kind is Kind.MEAN_PAST_LIFETIME
-    return t, None, False, 1
+                   for k in range(1, spec.m + 1)], False
+    assert spec.kind is Kind.PDF
+    return 0, [(mp.mpf(n - 1) / n, spec.t / n, t / n, n - 2)], True
 
 
-def _mpl_terms(spec, n, x):
-    # terms until the rest is below 1e-40 of the sum (they decay geometrically)
+def _mpl_reference(spec, n, x):
+    """The mean-past-lifetime estimator as an mp function of the mean, and
+    its slope at x.
+
+    The defining sum t sum_k 1{x >= tk/n} (1 - tk/(n z))^(n-1) - z over the
+    terms k that are live at x, while they number at most about 3000; past
+    that (n >= 2, x/t > 30) the terminating Euler-Maclaurin form with
+    mpmath's Bernoulli numbers and polynomials.
+    """
     t, xm = mp.mpf(spec.t), mp.mpf(x)
-    terms, k = [], 1
-    while x >= k * spec.t / n:
-        terms.append((t, k * spec.t / n, t * k / n, n - 1))
-        if n > 1 and (1 - t * k / (n * xm)) ** (n - 1) < mp.mpf(10) ** -40:
-            break
-        k += 1
-    return terms
+    if n == 1 or min(n, 100) * x / spec.t <= 3000:
+        ks, k = [], 0
+        while x >= k * spec.t / n:
+            ks.append(k)
+            if n > 1 and (1 - t * k / (n * xm)) ** (n - 1) < mp.mpf(10) ** -40:
+                break
+            k += 1
+        f = lambda z: t * mp.fsum((1 - t * k / (n * z)) ** (n - 1) for k in ks) - z
+        slope = t * mp.fsum((n - 1) * (1 - t * k / (n * xm)) ** (n - 2) * t * k / (n * xm ** 2)
+                            for k in ks if k) - 1 if n > 1 else mp.mpf(-1)
+        return f, slope
+
+    def f(z):
+        c = t / (n * z)
+        bracket = mp.mpf(0.5)
+        for j in range(1, n // 2 + 1):
+            term = mp.bernoulli(2 * j) / mp.factorial(2 * j) * mp.ff(n - 1, 2 * j - 1) * c ** (2 * j - 1)
+            bracket += term
+            if abs(term) < mp.mpf(10) ** -65:
+                break
+        if n <= 40:  # past it, at x/t > 30, below 1e-60 of the value
+            bracket -= c ** (n - 1) * mp.bernpoly(n, 1 / c - mp.floor(1 / c)) / n
+        return t * bracket
+    return f, mp.diff(f, xm)
 
 
 def _reference(spec, n, x):
-    """mp function of the mean, and the error budgets of value and derivative."""
+    """mp function of the mean, the error budgets of value and derivative, and
+    the derivative at x."""
     if spec.kind in _SMOOTH_REL:
         p, q, t = (mp.mpf(v) if v is not None else None for v in (spec.p, spec.q, spec.t))
         if spec.kind is Kind.RATE_POWER:
@@ -120,21 +148,25 @@ def _reference(spec, n, x):
             f = lambda xm: (1 - mp.log1p(-p)) * xm
         else:
             f = lambda xm: mp.hyp1f1(1, n, n * t * xm, maxterms=10 ** 6)
-        rel = _SMOOTH_REL[spec.kind]
-        return f, rel * abs(f(mp.mpf(x))), rel * abs(mp.diff(f, mp.mpf(x)))
-    c0, terms, over_x, linear = _indicator_form(spec, n)
-    if terms is None:
-        terms = _mpl_terms(spec, n, x)
+        rel, slope = _SMOOTH_REL[spec.kind], mp.diff(f, mp.mpf(x))
+        return f, rel * abs(f(mp.mpf(x))), rel * abs(slope), slope
     xm = mp.mpf(x)
+    if spec.kind is Kind.MEAN_PAST_LIFETIME:
+        f, slope = _mpl_reference(spec, n, x)
+        # at n = 1, t(1 + K) - x rounds to a few ulps of t(1 + K) + x; the
+        # slope's terms are O(1) below the switch and O(t/x) above it
+        value_tol = 1e-14 * abs(f(xm)) + (_SUM_EPS * EPS * (spec.t + 2 * xm) if n == 1 else 0)
+        return f, value_tol, 1e-13 * abs(slope) + 4 * EPS * (1 + spec.t / xm), slope
+    c0, terms, over_x = _indicator_form(spec, n)
 
     def f(z):
         live = [(c, a, e) for c, a_dbl, a, e in terms if x >= a_dbl]
         s = c0 + sum(c * (1 - a / z) ** e for c, a, e in live)
-        return (s / z if over_x else s) - linear * z
+        return s / z if over_x else s
 
     k = len(terms)
-    value_budget = abs(c0) + linear * xm
-    slope_budget = linear
+    value_budget = abs(c0)
+    slope_budget = 0
     for c, a_dbl, a, e in terms:
         if x < a_dbl or x == a:
             continue
@@ -147,7 +179,16 @@ def _reference(spec, n, x):
         if over_x:
             slope_budget += term * (1 + abs(e * mp.log(u)) + kappa + k) / xm
     scale = 1 / xm if over_x else 1
-    return f, _SUM_EPS * EPS * value_budget * scale, _SUM_EPS * EPS * slope_budget * scale
+    return (f, _SUM_EPS * EPS * value_budget * scale, _SUM_EPS * EPS * slope_budget * scale,
+            mp.diff(f, xm))
+
+
+def _on_kink(spec, est, n, x):
+    if spec.kind is Kind.MEAN_PAST_LIFETIME:
+        # its kink list is capped at 2^20 entries: test the neighbours of n x/t
+        k = round(n * x / spec.t)
+        return any(x == j * spec.t / n for j in (k - 1, k, k + 1))
+    return x in est.kinks(x)
 
 
 def _check(spec, n, x):
@@ -159,14 +200,13 @@ def _check(spec, n, x):
             return
         assert math.isfinite(got)
         with mp.workdps(60):
-            f, value_tol, slope_tol = _reference(spec, n, x)
+            f, value_tol, slope_tol, ref_slope = _reference(spec, n, x)
             ref = f(mp.mpf(x))
             assert abs(got - ref) <= value_tol, (got, float(ref), float(value_tol))
             est = _estimator(spec, n)
-            if x in est.kinks(x):
+            if _on_kink(spec, est, n, x):
                 return  # no derivative on a kink
             slope = est.prime(x)
-            ref_slope = mp.diff(f, mp.mpf(x))
             assert abs(slope - ref_slope) <= slope_tol, (slope, float(ref_slope),
                                                           float(slope_tol))
 
@@ -197,9 +237,7 @@ def _cells(draw, kind):
         spec = FunctionalSpec(kind, t=draw(_log_uniform(0.05, 5.0)) / lam,
                               m=draw(st.integers(1, 4)))
     else:
-        # the mean-past-lifetime reference sums about 90 x / t terms
-        lo = 0.2 if kind is Kind.MEAN_PAST_LIFETIME else 0.05
-        spec = FunctionalSpec(kind, t=draw(_log_uniform(lo, 5.0)) / lam)
+        spec = FunctionalSpec(kind, t=draw(_log_uniform(0.05, 5.0)) / lam)
     return spec, n, x
 
 
@@ -219,10 +257,8 @@ def _verify_cells(draw, kind, n_min=1):
 
     Time-like parameters are u/lam with u log-uniform in [0.05, 30], so the
     targets run from (lam t)^m ~ 1e-6 (max-cdf-power) to e^{-120}
-    (min-survival).  Mean-past-lifetime draws lam t in [0.025, 5] only: its
-    estimator sums about 42 mean/t terms per point, one numpy call per term,
-    so a cell at lam t = 0.0025 takes up to 28 s (at n <= 7 the oracle also
-    splits at each of about 40/(lam t) kinks).
+    (min-survival).  Mean-past-lifetime draws lam t from 0.0025: at n <= 7
+    the oracle splits its cells at each of about 40 n/(lam t) kinks.
     """
     n = min(_N_MAX, max(n_min, round(draw(_log_uniform(n_min, _N_MAX)))))
     lam = draw(_log_uniform(0.05, 30.0))
@@ -241,7 +277,7 @@ def _verify_cells(draw, kind, n_min=1):
         spec = FunctionalSpec(kind, t=draw(_log_uniform(0.05, 30.0)) / lam,
                               m=draw(st.integers(1, 4)))
     elif kind is Kind.MEAN_PAST_LIFETIME:
-        spec = FunctionalSpec(kind, t=draw(_log_uniform(0.025, 5.0)) / lam)
+        spec = FunctionalSpec(kind, t=draw(_log_uniform(0.0025, 30.0)) / lam)
     else:
         spec = FunctionalSpec(kind, t=draw(_log_uniform(0.05, 30.0)) / lam)
     return spec, n, lam
@@ -311,9 +347,7 @@ def _cli_runs(draw, data_dir):
     except for the MGF), levels lie in [0.01, 0.99] or [-0.2, 1.2], copies m
     in [1, 5] or 0, and exponents in [-3, 3] or [-1000, 1000]; the second,
     partly invalid, range is drawn one time in ten.  ``verify --tate`` draws
-    the kinds with a 1959 form.  Mean-past-lifetime draws u >= 0.025, since
-    its cost grows like 1/u (see ``_verify_cells``); ``_CLI_REGRESSIONS``
-    holds a t far below that.
+    the kinds with a 1959 form.
     """
     command = draw(st.sampled_from(_CLI_COMMANDS))
     kind = draw(st.sampled_from(_TATE_KINDS if command == "verify --tate" else _CLOSED_FORM))
@@ -321,7 +355,6 @@ def _cli_runs(draw, data_dir):
     # integers spread the log scale more evenly than Hypothesis's floats do
     n_max = 2000 if command == "compare" else _N_MAX
     n = round(n_max ** (draw(st.integers(0, 100)) / 100))
-    u_lo = 0.025 if kind is Kind.MEAN_PAST_LIFETIME else 1e-3
 
     def mostly(usual, rare):
         # one draw in ten from ``rare``
@@ -331,7 +364,7 @@ def _cli_runs(draw, data_dir):
     exponent = _number(mostly(st.floats(-3.0, 3.0), st.floats(-1000.0, 1000.0)))
     values = {
         "p": level if kind is Kind.EXPECTED_SHORTFALL else exponent, "q": level,
-        "t": _number(mostly(_log_uniform(u_lo, 30.0), st.floats(-1.0, 0.0)) / lam),
+        "t": _number(mostly(_log_uniform(1e-3, 30.0), st.floats(-1.0, 0.0)) / lam),
         "m": mostly(st.integers(1, 5), st.just(0)),
     }
     seed = draw(st.integers(0, 2 ** 32))
@@ -395,9 +428,10 @@ _CLI_REGRESSIONS = [
     # the empirical variance overflowed with a RuntimeWarning first
     pytest.param(["compare", "--p", "60", "--n", "5", "--lambda", "0.001", "--reps", "300",
                   "--seed", "1"], 4, id="compare-p60"),
-    # the mean-past-lifetime sum asked numpy for about 1e45 terms: ValueError
+    # the mean-past-lifetime sum asked numpy for about 1e45 terms: ValueError;
+    # its value is checked in test_cli_mean_past_lifetime_tiny_t
     pytest.param(["estimate", "--kind", "mean-past-lifetime", "--t", "1.4e-45",
-                  "--data", "DATA"], 4, id="estimate-mpl-tiny-t"),
+                  "--data", "DATA"], 0, id="estimate-mpl-tiny-t"),
     # s^n underflowed to 0 on the Talbot contour: ZeroDivisionError
     pytest.param(["estimate", "--kind", "mgf", "--t", "0", "--data", "DATA200",
                   "--engine", "talbot"], 4, id="estimate-mgf-talbot"),
@@ -417,6 +451,47 @@ def test_cli_regressions(argv, code, cli_data_dir):
     for name, text in data.items():
         (cli_data_dir / name).write_text(text)
     assert _check_cli([str(cli_data_dir / arg) if arg in data else arg for arg in argv]) == code
+
+
+def test_cli_mean_past_lifetime_tiny_t(cli_data_dir):
+    # about 1.6e45 indicator terms at n = 3, once a RangeError (exit 4): the
+    # value against the exact power sums sum_{k<=m} (N - k)^2
+    # = (m + 1) N^2 - 2 N S_1 + S_2, N = 3 mean/t, m = floor(N), in mpmath
+    path = cli_data_dir / "tiny_t.txt"
+    path.write_text("0.43\n1.12\n0.71\n")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["estimate", "--kind", "mean-past-lifetime", "--t", "1.4e-45",
+                         "--data", str(path)]) == 0
+    got = json.loads(out.getvalue())["results"][0]["value"]
+    mean, t = Sample([0.43, 1.12, 0.71]).mean, 1.4e-45
+    with mp.workdps(150):
+        big_n = 3 * mp.mpf(mean) / mp.mpf(t)
+        m = mp.floor(big_n)
+        total = ((m + 1) * big_n ** 2 - 2 * big_n * m * (m + 1) / 2
+                 + m * (m + 1) * (2 * m + 1) / 6) / big_n ** 2
+        ref = mp.mpf(t) * total - mp.mpf(mean)
+    assert got == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+
+
+_MPL_GRID_N = [1, 2, 3, 4, 7, 13, 30, 200, 2000, 20000]
+
+
+@pytest.mark.parametrize("n", _MPL_GRID_N)
+def test_mean_past_lifetime_grid(n):
+    """Value and slope on both sides of the switch between the sum (mean < t)
+    and the Euler-Maclaurin form, one ulp either side of it included, out to
+    mean/t = 1000, and at n = 1 and 2 on kinks tk/n and their neighbours."""
+    t = 3.0
+    spec = FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=t)
+    xs = [0.3 * t, 0.77 * t, math.nextafter(t, 0.0), math.nextafter(t, math.inf), 1.3 * t,
+          3.0 * t, 10.0 * t, 100.0 * t, 1000.0 * t]
+    for k in (1, 2, 3, 7, 20) if n <= 2 else ():
+        kink = k * t / n
+        xs += [math.nextafter(kink, 0.0), kink, math.nextafter(kink, math.inf)]
+    assert np.all(np.isfinite(phi_function(spec, n)(np.array(xs))))
+    for x in xs:
+        _check(spec, n, x)
 
 
 _REGRESSIONS = [

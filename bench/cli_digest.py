@@ -100,6 +100,17 @@ def manifests() -> list[tuple[str, list[str]]]:
          ["verify", "--kinds", "quantile", "--threshold", "nan"]),
         ("malformed verify --rel-tol nan", ["verify", "--kinds", "quantile", "--rel-tol", "nan"]),
         ("verify --lambda 1e-320", ["verify", "--kinds", "quantile", "--lambda", "1e-320"]),
+        # one failing cell amid certified ones: the run ends with that cell's
+        # error, a window DomainError (exit 3), a QuadratureError (exit 4)
+        # and a power estimator whose factors leave double range apart
+        ("verify quantile --lambda 1,1e-320,2",
+         ["verify", "--kinds", "quantile", "--lambda", "1,1e-320,2"]),
+        ("verify max-cdf-power --m 5 --lambda 1,0.00667,2",
+         ["verify", "--kinds", "max-cdf-power", "--t", "1", "--m", "5", "--n", "2",
+          "--lambda", "1,0.00667,2"]),
+        ("verify rate-power --p 99.5 --n 100 --lambda 0.05,1,30",
+         ["verify", "--kinds", "rate-power", "--p", "99.5", "--n", "100",
+          "--lambda", "0.05,1,30"]),
         ("verify moment --moment-p 0.5",
          ["verify", "--kinds", "moment", "--moment-p", "0.5", "--n", "1,2,5,10,30,100,200",
           "--lambda", "0.5,1,2"]),

@@ -10,10 +10,13 @@ commit of the package:
 not collect these cases.  The first case evaluates the mean-past-lifetime
 estimator on as many points as one quadrature call at n = 200 hands it, the
 next three run whole oracle cells of it (the last of them at t = 0.05, with about 50,000 kinks tk/n below the
-cutoff, once: an oracle that splits at each of them takes seconds), and the
-last runs a cheap ``verify`` through the CLI, where argument parsing is a
-visible share of the op.  The checks after each timed call
-keep a wrong answer from passing as a fast one.
+cutoff, once: an oracle that splits at each of them takes seconds), the
+next runs a cheap ``verify`` through the CLI, where argument parsing is a
+visible share of the op, and the last two certify one three-rate row of the
+moment estimator, through the CLI and in process (one ``verify_row`` call
+where the package has it, one ``verify_unbiasedness`` call per rate
+before).  The checks after each timed call keep a wrong answer from passing
+as a fast one.
 """
 
 import json
@@ -22,8 +25,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from expunbias import cli
-from expunbias.estimators import FunctionalSpec, Kind, mean_past_lifetime
+from expunbias import cli, oracle
+from expunbias.estimators import Family, FunctionalSpec, Kind, mean_past_lifetime
 from expunbias.oracle import verify_unbiasedness
 
 T = 0.5
@@ -69,3 +72,29 @@ def test_cli_verify_cheap_cell(benchmark, tmp_path):
     assert benchmark(cli.main, argv) == 0
     rows = json.loads(out.read_text())["results"]
     assert len(rows) == 1 and rows[0]["rel_bias"] < 1e-9
+
+
+ROW_LAMS = [0.5, 1.0, 2.0]
+
+
+def test_cli_verify_row(benchmark, tmp_path):
+    out = tmp_path / "verify.json"
+    argv = ["verify", "--kinds", "moment", "--n", "30", "--lambda", "0.5,1,2",
+            "--out", str(out)]
+    assert benchmark(cli.main, argv) == 0
+    rows = json.loads(out.read_text())["results"]
+    assert len(rows) == 3 and all(row["rel_bias"] < 1e-9 for row in rows)
+
+
+def _verify_row(spec, n, lams):
+    row = getattr(oracle, "verify_row", None)
+    if row is None:
+        return [verify_unbiasedness(spec, n, lam) for lam in lams]
+    return row(spec, n, Family.CLOSED_FORM_UNBIASED, lams)
+
+
+def test_verify_row_in_process(benchmark):
+    spec = FunctionalSpec(Kind.MOMENT, p=2.0)
+    reports = benchmark(_verify_row, spec, 30, ROW_LAMS)
+    assert [r.lam for r in reports] == ROW_LAMS
+    assert all(r.rel_bias < 1e-9 for r in reports)

@@ -32,7 +32,7 @@ from .montecarlo import (McConfig, McSummary, asymptotic_variance, clt_check,
                          clt_replicates, clt_summary, empirical_bias,
                          sample_exponential, variance_comparison)
 from .oracle import (VerificationReport, expectation, gamma_mean_density,
-                     verify_tate_bias, verify_unbiasedness)
+                     verify_row, verify_tate_bias, verify_unbiasedness)
 from .special import gamma_ratio, log_gamma, lower_incomplete_gamma_int
 
 __all__ = [
@@ -54,7 +54,7 @@ __all__ = [
     # oracle
     "VerificationReport", "gamma_mean_density", "expectation",
     "verify_unbiasedness", "tate_estimate", "tate_expected_value",
-    "verify_tate_bias",
+    "verify_tate_bias", "verify_row",
     # special functions
     "log_gamma", "gamma_ratio", "lower_incomplete_gamma_int",
     # monte carlo

@@ -5,7 +5,9 @@ segment; segments whose error dominates are bisected until the summed error
 estimate drops below the relative tolerance.  The integrand is called on
 whole arrays of abscissae (one call per refinement round), which keeps the
 oracle sweeps fast even when the integrand itself is numpy-vectorized and
-expensive per call.
+expensive per call.  ``gauss_kronrod_row`` refines several integrals in
+lockstep, with one integrand call per round for all of them, and
+``adaptive_gauss_kronrod`` is its one-integral call.
 """
 
 from __future__ import annotations
@@ -44,16 +46,76 @@ _W_GAUSS = np.array([
 _MAX_ROUNDS = 200
 
 
-def _evaluate_segments(f: Callable[[np.ndarray], np.ndarray],
-                       lo: np.ndarray, hi: np.ndarray):
-    """Return (kronrod, |kronrod - gauss|) estimates for each [lo, hi]."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    x = mid[None, :] + half[None, :] * _NODES[:, None]
-    fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    k15 = half * np.einsum("i,ij->j", _W_KRONROD, fx)
-    g7 = half * np.einsum("i,ij->j", _W_GAUSS, fx)
-    return k15, np.abs(k15 - g7)
+def gauss_kronrod_row(f: Callable[[list[int], list[np.ndarray]], list],
+                      intervals: list[tuple[float, float, Iterable[float]]], *,
+                      rel_tol: float = 1e-9, max_segments: int = 4096) -> list:
+    """Integrate over each ``(a, b, breakpoints)`` of ``intervals`` at once.
+
+    ``f(active, xs)`` takes the indices of the integrals still refining and
+    one array of abscissae for each, and returns for each an array of values
+    or an exception, which ends that integral.  Each integral refines
+    exactly as it would alone, so its value, error estimate and segment
+    count do not depend on the others; one call of ``f`` per round serves
+    them all.  Returns per interval ``(value, err_estimate, n_segments)`` or
+    the exception that ended it, a :class:`QuadratureError` where the error
+    target was not met within ``max_segments`` subintervals.
+    """
+    out: list = [None] * len(intervals)
+    # per refining integral: its segments, the values and error estimates of
+    # those kept from the last round, and the new segments to evaluate
+    live = {}
+    for i, (a, b, breakpoints) in enumerate(intervals):
+        if not (b > a):
+            out[i] = QuadratureError(f"empty integration interval [{a}, {b}]")
+            continue
+        pts = sorted({float(p) for p in breakpoints if a < p < b})
+        edges = np.array([a, *pts, b], dtype=float)
+        lo, hi = edges[:-1].copy(), edges[1:].copy()
+        live[i] = (lo, hi, None, None, (lo, hi))
+
+    for rnd in range(_MAX_ROUNDS + 1):
+        if not live:
+            break
+        halves = [0.5 * (b - a) for *_, (a, b) in live.values()]
+        nodes = [(0.5 * (b + a))[None, :] + half[None, :] * _NODES[:, None]
+                 for (*_, (a, b)), half in zip(live.values(), halves)]
+        fxs = f(list(live), [x.ravel() for x in nodes])
+        refining = {}
+        for (i, (lo, hi, vals, errs, _)), x, half, fx in zip(live.items(), nodes, halves, fxs):
+            if isinstance(fx, Exception):
+                out[i] = fx
+                continue
+            fx = np.asarray(fx, dtype=float).reshape(x.shape)
+            k15 = half * np.einsum("i,ij->j", _W_KRONROD, fx)
+            g7 = half * np.einsum("i,ij->j", _W_GAUSS, fx)
+            err = np.abs(k15 - g7)
+            vals = k15 if vals is None else np.concatenate([vals, k15])
+            errs = err if errs is None else np.concatenate([errs, err])
+            total = float(vals.sum())
+            err_total = float(errs.sum())
+            if rnd < _MAX_ROUNDS and (err_total <= rel_tol * abs(total) or err_total == 0.0):
+                out[i] = (total, err_total, lo.size)
+            elif rnd == _MAX_ROUNDS or lo.size >= max_segments:
+                out[i] = QuadratureError(
+                    f"quadrature did not reach rel_tol={rel_tol:g} "
+                    f"(err={err_total:.3e}, value={total:.6e}, segments={lo.size})",
+                    partial_value=total, err_estimate=err_total, segments=int(lo.size))
+            else:
+                # bisect the segments holding the top half of the error budget
+                order = np.argsort(errs)[::-1]
+                cum = np.cumsum(errs[order])
+                n_split = int(np.searchsorted(cum, 0.5 * err_total)) + 1
+                n_split = min(n_split, max_segments - lo.size, lo.size)
+                split = order[:max(n_split, 1)]
+                keep = np.ones(lo.size, dtype=bool)
+                keep[split] = False
+                mid = 0.5 * (lo[split] + hi[split])
+                refining[i] = (np.concatenate([lo[keep], lo[split], mid]),
+                               np.concatenate([hi[keep], mid, hi[split]]), vals[keep],
+                               errs[keep], (np.concatenate([lo[split], mid]),
+                                            np.concatenate([mid, hi[split]])))
+        live = refining
+    return out
 
 
 def adaptive_gauss_kronrod(
@@ -71,42 +133,8 @@ def adaptive_gauss_kronrod(
     :class:`QuadratureError` (carrying the partial result) if the error
     target is not met within ``max_segments`` subintervals.
     """
-    if not (b > a):
-        raise QuadratureError(f"empty integration interval [{a}, {b}]")
-    pts = sorted({float(p) for p in breakpoints if a < p < b})
-    edges = np.array([a, *pts, b], dtype=float)
-    lo = edges[:-1].copy()
-    hi = edges[1:].copy()
-    vals, errs = _evaluate_segments(f, lo, hi)
-
-    for _ in range(_MAX_ROUNDS):
-        total = float(np.sum(vals))
-        err_total = float(np.sum(errs))
-        if err_total <= rel_tol * abs(total) or err_total == 0.0:
-            return total, err_total, lo.size
-        if lo.size >= max_segments:
-            break
-        # bisect the segments holding the top half of the error budget
-        order = np.argsort(errs)[::-1]
-        cum = np.cumsum(errs[order])
-        n_split = int(np.searchsorted(cum, 0.5 * err_total)) + 1
-        n_split = min(n_split, max_segments - lo.size, lo.size)
-        split = order[:max(n_split, 1)]
-        keep = np.ones(lo.size, dtype=bool)
-        keep[split] = False
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[keep], lo[split], mid])
-        new_hi = np.concatenate([hi[keep], mid, hi[split]])
-        new_vals, new_errs = _evaluate_segments(f, np.concatenate([lo[split], mid]),
-                                                np.concatenate([mid, hi[split]]))
-        vals = np.concatenate([vals[keep], new_vals])
-        errs = np.concatenate([errs[keep], new_errs])
-        lo, hi = new_lo, new_hi
-
-    total = float(np.sum(vals))
-    err_total = float(np.sum(errs))
-    raise QuadratureError(
-        f"quadrature did not reach rel_tol={rel_tol:g} "
-        f"(err={err_total:.3e}, value={total:.6e}, segments={lo.size})",
-        partial_value=total, err_estimate=err_total, segments=int(lo.size),
-    )
+    result, = gauss_kronrod_row(lambda active, xs: [f(xs[0])], [(a, b, breakpoints)],
+                                rel_tol=rel_tol, max_segments=max_segments)
+    if isinstance(result, Exception):
+        raise result
+    return result

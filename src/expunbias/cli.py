@@ -34,7 +34,7 @@ from .estimators import (_CATALOGUE, Family, FunctionalSpec, Kind, Sample,
                          _estimator, estimate, target_value)
 from .montecarlo import (McConfig, clt_replicates, clt_summary,
                          variance_comparison)
-from .oracle import verify_tate_bias, verify_unbiasedness
+from .oracle import verify_row
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -180,10 +180,10 @@ def _cmd_verify(args) -> int:
         if name not in _KIND_NAMES:
             raise SpecError(f"unknown kind {name!r}")
 
-    # the grid's cells in the domain: an n at which the family's estimator
-    # builds, a lambda above the target's pole
+    # the grid's rows in the domain: an n at which the family's estimator
+    # builds, and its lambdas above the target's pole
     family = Family.TATE_BIASED if args.tate else Family.CLOSED_FORM_UNBIASED
-    cells = []
+    grid = []
     for name in kinds:
         row = _CATALOGUE[_KIND_NAMES[name]]
         if args.tate and name not in _TATE_KIND_NAMES:
@@ -196,18 +196,21 @@ def _cmd_verify(args) -> int:
                 _estimator(spec, n, family)
             except DomainError:
                 continue
-            cells += [(name, spec, n, lam) for lam in lam_grid if lam > row.pole(spec)]
-    if not cells:
+            lams = [lam for lam in lam_grid if lam > row.pole(spec)]
+            if lams:
+                grid.append((spec, n, lams))
+    if not grid:
         raise DomainError("no cell of the verify grid lies in the kinds' domains")
 
-    def run_cell(cell):
-        name, spec, n, lam = cell
-        report = (verify_tate_bias if args.tate else verify_unbiasedness)(
-            spec, n, lam, rel_tol=args.rel_tol)
+    def output_row(report):
+        # one verified cell; a cell's error ends the run, the first in grid order
+        if isinstance(report, ExpunbiasError):
+            raise report
+        spec, lam = report.spec, report.lam
         row = {
-            "kind": name,
+            "kind": spec.kind.value,
             **spec.params(),
-            "n": n,
+            "n": report.n,
             "lambda": lam,
             "target": report.target,
             "oracle_expectation": report.oracle_expectation,
@@ -220,7 +223,8 @@ def _cmd_verify(args) -> int:
             row["tate_minus_corrected"] = report.target - target_value(spec, lam)
         return row
 
-    rows = [run_cell(c) for c in cells]
+    rows = [output_row(report) for spec, n, lams in grid
+            for report in verify_row(spec, n, family, lams, rel_tol=args.rel_tol)]
 
     manifest = _manifest("verify", {
         "kinds": ",".join(kinds), "n": args.n, "lambda": getattr(args, "lambda"),

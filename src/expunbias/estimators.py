@@ -329,13 +329,18 @@ def _mean_checked(spec: FunctionalSpec, n: int, family: Family):
     # the family's estimator at n behind the one check on the means, its
     # values computed under the range rule; float for a scalar
     kernel = _estimator(spec, n, family).value
-    what = f"the {family.value} {spec.kind.value} estimate at n={n}"
+    what = _estimate_name(spec, n, family)
 
     def phi(sample_mean):
         x = _check_positive("sample mean", sample_mean, arrays=True)
         out = _in_range(what, lambda: kernel(np.asarray(x)))
         return float(out) if isinstance(x, float) else out
     return phi
+
+
+def _estimate_name(spec: FunctionalSpec, n: int, family: Family) -> str:
+    # how the range rule names the family's estimate at n
+    return f"the {family.value} {spec.kind.value} estimate at n={n}"
 
 
 def estimate(spec: FunctionalSpec, sample: Sample) -> EstimateResult:
@@ -491,8 +496,13 @@ class _Phi(NamedTuple):
     ``support_start``, the mean below which the estimator is 0 (0 where it
     is not 0 on any interval (0, L)); ``small_mean_power``, the r with the
     estimator proportional to mean^r as the mean falls to 0 (0 for the
-    estimators bounded there).  The oracle reads the last three to choose
-    its window, whether to split at the kinks and how to integrate from 0.
+    estimators bounded there); ``log_coef``, ln c of a power estimator
+    c mean^r, c > 0 (None for the others); ``pointwise``, False where a value also
+    depends on the other means of the call (mean-past-lifetime's direct sum
+    takes its term count from the largest).  The oracle reads these to
+    choose its window, whether to split at the kinks, how to integrate from
+    0, how to form a power times the density, and which means to evaluate
+    in one call.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -501,12 +511,14 @@ class _Phi(NamedTuple):
     exponent: float = math.inf
     support_start: float = 0.0
     small_mean_power: float = 0.0
+    log_coef: Optional[float] = None
+    pointwise: bool = True
 
 
-def _power(coef: float, r: float) -> _Phi:
-    # coef * mean^r
+def _power(coef: float, r: float, log_coef: Optional[float] = None) -> _Phi:
+    # coef * mean^r, coef > 0; log_coef where ln coef is known beyond coef's range
     return _Phi(lambda x: coef * x ** r, lambda mu: r * coef * mu ** (r - 1),
-                small_mean_power=r)
+                small_mean_power=r, log_coef=math.log(coef) if log_coef is None else log_coef)
 
 
 def _indicator_power(x, a, e: int):
@@ -545,8 +557,10 @@ def _rate_power_phi(spec: FunctionalSpec, n: int, shift: int = 0) -> _Phi:
     name, bound = ("Tate rate-power", "n-1") if shift else ("rate-power", "n")
     if p >= n - shift:
         raise DomainError(f"{name} needs p < {bound} (got p={spec.p}, n={n})")
-    return _power(_in_range(f"the {name} estimator coefficient at n={n}", lambda: math.exp(
-        -_log_gamma_ratio(n - shift, -p) - p * math.log(n))), -p)
+    # the coefficient underflows as p nears n, its log does not
+    what = f"the {name} estimator coefficient at n={n}"
+    log_coef = _in_range(what, lambda: float(-_log_gamma_ratio(n - shift, -p) - p * math.log(n)))
+    return _power(_in_range(what, lambda: math.exp(log_coef)), -p, log_coef)
 
 
 def _moment_phi(spec: FunctionalSpec, n: int) -> _Phi:
@@ -575,7 +589,8 @@ def _mean_past_lifetime_phi(spec: FunctionalSpec, n: int) -> _Phi:
     def kinks(upper):
         return [k * t / n for k in range(1, math.ceil(_mpl_terms(n * upper / t, t)) + 1)]
     if n == 1:
-        return _Phi(lambda x: t * (1.0 + _mpl_step_count(x, t)) - x, lambda mu: -1.0, kinks, 0)
+        return _Phi(lambda x: t * (1.0 + _mpl_step_count(x, t)) - x, lambda mu: -1.0, kinks, 0,
+                    pointwise=False)
     a, switch = t / n, _MPL_SWITCH * t
     # With c = a/x and w = nc = t/x, the sum over j of B_2j/(2j)! (n-1)_(2j-1)
     # c^(2j-1) is (n-1)c sum_j b_j w^(2j-2), b_j = B_2j/(2j)! prod_{i=2}^{2j-1}
@@ -623,7 +638,7 @@ def _mean_past_lifetime_phi(spec: FunctionalSpec, n: int) -> _Phi:
             f = math.fmod(mu, a) / a
             inner += c ** (n - 2) * np.polyval(b_n1, f) - (n - 1) * c ** (n - 1) * np.polyval(b_n, f) / n
         return float(-t / mu * inner)
-    return _Phi(value, prime, kinks, n - 1)
+    return _Phi(value, prime, kinks, n - 1, pointwise=False)
 
 
 # B_2, B_4, ..., B_24 as (numerator, denominator)

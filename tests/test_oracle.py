@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from expunbias import estimators, oracle
-from expunbias.errors import DomainError, QuadratureError, RangeError, SpecError
-from expunbias.estimators import Family, FunctionalSpec, Kind, target_value
+from expunbias._quadrature import adaptive_gauss_kronrod, gauss_kronrod_row
+from expunbias.errors import (DomainError, ExpunbiasError, QuadratureError, RangeError,
+                              SpecError)
+from expunbias.estimators import _CATALOGUE, Family, FunctionalSpec, Kind, target_value
 from expunbias.oracle import (expectation, gamma_mean_density, kink_points,
                               tate_estimate, tate_expected_value,
-                              verify_tate_bias, verify_unbiasedness)
+                              verify_row, verify_tate_bias, verify_unbiasedness)
 
 
 class TestGammaMeanDensity:
@@ -374,3 +376,117 @@ class TestTateBiasReproduction:
             gap = abs(tate_expected_value(spec, n, 1.0) - target_value(spec, 1.0))
             assert gap > 0.01
             assert verify_unbiasedness(spec, n, 1.0).rel_bias < 1e-9
+
+
+# every closed-form kind at the verify subcommand's default parameters
+_ROW_SPECS = [
+    FunctionalSpec(Kind.RATE_POWER, p=0.5), FunctionalSpec(Kind.QUANTILE, q=0.5),
+    FunctionalSpec(Kind.MOMENT, p=2.0), FunctionalSpec(Kind.SURVIVAL, t=0.5),
+    FunctionalSpec(Kind.MAX_CDF_POWER, t=0.5, m=2), FunctionalSpec(Kind.MIN_SURVIVAL, t=0.5, m=2),
+    FunctionalSpec(Kind.PDF, t=0.5), FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=0.5),
+    FunctionalSpec(Kind.MGF, t=0.5), FunctionalSpec(Kind.EXPECTED_SHORTFALL, p=0.5),
+]
+_TATE_SPECS = [spec for spec in _ROW_SPECS if _CATALOGUE[spec.kind].tate_phi is not None]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ExpunbiasError as exc:
+        return exc
+
+
+def _same(row_outcome, cell_outcome):
+    # the same report bit for bit, or the same error type and message
+    if isinstance(cell_outcome, ExpunbiasError):
+        return type(row_outcome) is type(cell_outcome) and str(row_outcome) == str(cell_outcome)
+    return row_outcome == cell_outcome
+
+
+class TestVerifyRow:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family,specs,ns", [
+        (Family.CLOSED_FORM_UNBIASED, _ROW_SPECS, (1, 2, 5, 10, 30, 100, 200)),
+        (Family.TATE_BIASED, _TATE_SPECS, (2, 3, 10, 30)),
+    ], ids=["corrected", "tate"])
+    def test_row_equals_its_cells(self, family, specs, ns, monkeypatch):
+        # one pass over a row gives each cell's value, quad_err, segment count
+        # and target to the bit, and the error a cell raises alone
+        segments = []
+
+        def spy(*args, **kwargs):
+            out = gauss_kronrod_row(*args, **kwargs)
+            segments.extend(o[2] if isinstance(o, tuple) else None for o in out)
+            return out
+        monkeypatch.setattr(oracle, "gauss_kronrod_row", spy)
+        verify = verify_tate_bias if family is Family.TATE_BIASED else verify_unbiasedness
+        lams = [0.5, 1.0, 2.0]
+        for spec in specs:
+            for n in ns:
+                segments.clear()
+                try:
+                    row = verify_row(spec, n, family, lams)
+                except DomainError:  # the estimator does not build at this n
+                    with pytest.raises(DomainError):
+                        verify(spec, n, 1.0)
+                    continue
+                row_segments = segments[:]
+                segments.clear()
+                for lam, got in zip(lams, row):
+                    want = _outcome(lambda: verify(spec, n, lam))
+                    assert _same(got, want), (spec, n, lam, got, want)
+                assert row_segments == segments, (spec, n)
+
+    @pytest.mark.parametrize("spec,n,bad,error", [
+        (FunctionalSpec(Kind.QUANTILE, q=0.5), 5, 1e-320, DomainError),
+        # the target lambda^p leaves double range
+        (FunctionalSpec(Kind.RATE_POWER, p=106.0), 148, 854.0, RangeError),
+        # eps-level cancellation noise in the estimator: no refinement converges
+        (FunctionalSpec(Kind.MAX_CDF_POWER, t=1.0, m=5), 2, 0.00667, QuadratureError),
+    ], ids=["window", "target", "quadrature"])
+    def test_failing_cell_keeps_its_error(self, spec, n, bad, error):
+        with pytest.raises(error) as alone:
+            verify_unbiasedness(spec, n, bad)
+        first, middle, last = verify_row(spec, n, Family.CLOSED_FORM_UNBIASED, [1.0, bad, 2.0])
+        assert type(middle) is error and str(middle) == str(alone.value)
+        assert first == verify_unbiasedness(spec, n, 1.0)
+        assert last == verify_unbiasedness(spec, n, 2.0)
+
+    def test_build_error_is_raised_for_the_row(self):
+        with pytest.raises(DomainError, match="density estimator requires n >= 2"):
+            verify_row(FunctionalSpec(Kind.PDF, t=1.0), 1, Family.CLOSED_FORM_UNBIASED, [1.0])
+
+    def test_standard_window_is_cached_per_shape(self):
+        oracle._standard_window.cache_clear()
+        spec = FunctionalSpec(Kind.QUANTILE, q=0.5)
+        verify_row(spec, 7, Family.CLOSED_FORM_UNBIASED, [0.5, 1.0, 2.0])
+        verify_unbiasedness(spec, 7, 3.0)
+        info = oracle._standard_window.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+
+class TestGaussKronrodRow:
+    def test_exhausted_integral_leaves_the_others(self):
+        # one integral cannot converge within 64 segments; the two smooth ones
+        # still converge, to the numbers they reach alone
+        wild = lambda x: np.sqrt(np.abs(np.sin(7.0 / (x + 1e-12))))
+        fs = [np.exp, wild, np.cos]
+        calls = []
+
+        def f(active, xs):
+            calls.append(list(active))
+            return [fs[i](x) for i, x in zip(active, xs)]
+        out = gauss_kronrod_row(f, [(0.0, 2.0, ()), (0.0, 2.0, ()), (0.0, 3.0, [1.0])],
+                                rel_tol=1e-12, max_segments=64)
+        assert out[0] == adaptive_gauss_kronrod(np.exp, 0.0, 2.0, rel_tol=1e-12, max_segments=64)
+        assert out[2] == adaptive_gauss_kronrod(np.cos, 0.0, 3.0, breakpoints=[1.0],
+                                                rel_tol=1e-12, max_segments=64)
+        assert isinstance(out[1], QuadratureError) and out[1].segments == 64
+        assert calls[0] == [0, 1, 2] and all(1 in c for c in calls)
+
+    def test_error_from_the_integrand_ends_only_its_integral(self):
+        def f(active, xs):
+            return [RangeError("out") if i == 0 else np.exp(x) for i, x in zip(active, xs)]
+        bad, good = gauss_kronrod_row(f, [(0.0, 1.0, ()), (0.0, 1.0, ())])
+        assert isinstance(bad, RangeError)
+        assert good == adaptive_gauss_kronrod(np.exp, 0.0, 1.0)

@@ -324,6 +324,21 @@ def test_large_rate_power_certifies_or_range_error(p, n, lam):
     _check_verify(FunctionalSpec(Kind.RATE_POWER, p=p), n, lam, typed=RangeError)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p,n,lam", [
+    (99.5, 100, 0.05), (99.5, 100, 1.0), (99.5, 100, 30.0), (150.5, 200, 30.0),
+    # the coefficient Gamma(n)/(n^p Gamma(n - p)) underflows to 0 here, its
+    # log does not
+    (19999.9, 20_000, 1.0),
+])
+def test_rate_power_factors_out_of_range_apart_certify(p, n, lam):
+    # x^-p overflows near 0 where the density underflows, so each factor
+    # leaves double range where their product does not: RangeError before
+    # the product was formed from logs there
+    report = verify_unbiasedness(FunctionalSpec(Kind.RATE_POWER, p=p), n, lam)
+    assert report.rel_bias < 1e-9
+
+
 _CLI_COMMANDS = ("estimate closed", "estimate talbot", "estimate gaver-stehfest",
                  "verify", "verify --tate", "compare", "clt")
 
@@ -439,6 +454,10 @@ _CLI_REGRESSIONS = [
     # density: rel_bias 2.5e-7, exit 1 on correct code
     pytest.param(["verify", "--tate", "--kinds", "rate-power", "--p=-11.5", "--n", "2"], 0,
                  id="verify-tate-rate-power-p-11.5"),
+    # a power estimator's factors leave double range apart: exit 4 with a
+    # RangeError naming the estimate
+    pytest.param(["verify", "--kinds", "rate-power", "--p", "99.5", "--n", "100",
+                  "--lambda", "0.05,1,30"], 0, id="verify-rate-power-p99.5"),
     # no cell in the domain: exit 0 with no rows
     pytest.param(["verify", "--tate", "--kinds", "quantile", "--n", "1"], 3,
                  id="verify-tate-empty-grid"),

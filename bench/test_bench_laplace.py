@@ -14,8 +14,10 @@ climbs to the top order, 40, at n = 10; the real-only user transform has no
 complex evaluator and stops at 32 at n = 5.  The MGF case sums on the
 abscissae shifted right of its pole (sigma > 0), the one path that still
 divides by s^n at every abscissa.  The float-only transform answers in
-double precision, so its ladder stops at order 20.  The Talbot case is a
-control whose code path the Gaver-Stehfest work does not touch.  The last case is the
+double precision, so its ladder stops at order 20.  The Talbot cases sum
+the fixed 32-node contour: the moment at n = 5, and the user transform
+with a complex evaluator (the default engine for it) at n = 20, the
+largest n of the ``inversion`` workload.  The last case is the
 mean-past-lifetime estimator on one point, as the CLI ``estimate`` command
 and the finite-difference check of ``asymptotic_variance`` call it.  The
 checks after each timed call keep a wrong answer from passing as a fast one.
@@ -79,12 +81,21 @@ def test_gaver_stehfest_float_only(benchmark):
     assert res.value == pytest.approx(_user_real_reference(sample.mean, n), rel=1e-5)
 
 
-def test_talbot_moment_control(benchmark):
+def test_talbot_moment(benchmark):
     n = 5
     sample = _sample(n)
     xi = builtin_transfer_function(MOMENT)
     res = benchmark(generic_unbiased_estimate, xi, sample, TALBOT, MOMENT)
     assert res.value == pytest.approx(moment(sample.mean, n, 0.5), rel=1e-9)
+
+
+def test_talbot_user_complex(benchmark):
+    n = 20
+    sample = _sample(n)
+    user = lambda lam: lam / (lam + 1.0)
+    xi = TransferFunction(eval_real=user, eval_complex=user)
+    res = benchmark(generic_unbiased_estimate, xi, sample)
+    assert res.value == pytest.approx(_user_real_reference(sample.mean, n), rel=1e-9)
 
 
 def test_mean_past_lifetime_one_point(benchmark):

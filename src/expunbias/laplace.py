@@ -8,20 +8,24 @@ unbiased estimator of xi from an exp(lambda) sample of size n is
 Two engines realise the inversion:
 
 * Gaver-Stehfest: real-axis sampling with Salzer weights.  The weights are
-  computed exactly as rationals; the summation runs in extended precision
-  (mpmath) because the weights grow like 10^{0.45*order} and would otherwise
-  drown the result in rounding noise.  The estimator path escalates the
-  order automatically until two consecutive orders agree, since the
-  composed transform's original grows like x^{n-1} and needs high orders
-  for large n.  The abscissae do not depend on the order, so the ladder
-  evaluates each one once, at the precision of its top order, and every
-  order sums a prefix of the same values.  Unshifted, s_k^{-n} is
-  mean^n (k ln2)^{-n}, and the (k ln2)^{-n} sit in cached weights, so an
-  abscissa costs one multiply and one call xi(k ln2/(n mean)).  A transform
-  that answers the first call in mpmath climbs the whole ladder; one that
-  answers in double precision (or only takes floats) stops at order 20.
+  computed exactly as rationals; they grow like 10^{0.64*order} (max |w| is
+  10^12.2 at order 20 and 10^25.7 at order 40), so the summation runs in
+  extended precision (mpmath), at 1.1 digits per order + 15, the rate Abate
+  & Valko (Int. J. Numer. Meth. Eng. 60, 2004) give for the Gaver-Stehfest
+  sum.  The estimator path escalates the order until two consecutive
+  orders agree, since the composed transform's original grows like x^{n-1}
+  and needs high orders for large n.  The abscissae do not depend on the
+  order, so the ladder evaluates each one once, at the precision of its
+  top order, and every order sums a prefix of the same values, exactly in
+  integers and rounded once.  Unshifted, s_k^{-n} is mean^n (k ln2)^{-n},
+  and the (k ln2)^{-n} sit in cached weights, so an abscissa costs one
+  multiply and one call xi(k ln2/(n mean)).  A transform that answers the
+  first call in mpmath climbs the whole ladder; one that answers in double
+  precision (or only takes floats) stops at order 20.
 * Fixed Talbot: deformed Bromwich contour, double-precision complex
-  arithmetic; requires a complex evaluator.
+  arithmetic; requires a complex evaluator.  The node angles, cotangents
+  and contour derivatives do not depend on t and sit in a table cached per
+  node count.
 
 Transforms whose composed original carries Dirac content or indicator
 kinks (survival-type functionals) are rejected here by declaration and
@@ -96,10 +100,11 @@ class InversionConfig:
             raise ConfigurationError(f"unknown inversion method {self.method!r}")
 
 
-# escalation ladder for the estimator-path Gaver-Stehfest order; beyond the
-# public [8, 20] window the summation runs at ~2.2 digits per order, which
-# mpmath makes exact.  Transforms that answer in double precision only stop
-# at 20.
+# escalation ladder for the estimator-path Gaver-Stehfest order, summed at
+# 1.1 digits per order + 15 (59 at order 40): for n <= 30 and means in
+# [0.01, 100] the terms of the smooth built-ins and of lam/(lam + 1) cancel
+# by at most 35.9 digits there, leaving 23 beyond a double's 17.
+# Transforms that answer in double precision only stop at 20.
 _GS_LADDER = (16, 20, 26, 32, 40)
 _TALBOT_NODES = 32  # also the largest n the fixed contour serves
 
@@ -135,14 +140,28 @@ def _eval_mp(fn: Callable, x) -> tuple:
     return mp.mpf(float(val)), False
 
 
+def _man_exp(x: mp.mpf) -> tuple[int, int]:
+    # x as (signed mantissa, exponent): x = man * 2^exp, man = 0 for 0, inf, nan
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man), exp
+
+
 @lru_cache(maxsize=256)
 def _stehfest_weights_mp(order: int, dps: int, n: int = 0) -> tuple:
-    # w_k (k ln2)^-n rounded to ``dps`` digits, n = 0 giving the plain Salzer
-    # weights; bounded, since n takes any value
+    # w_k (k ln2)^-n rounded to ``dps`` digits, as _man_exp pairs, n = 0
+    # giving the plain Salzer weights; bounded, since n takes any value
     with mp.workdps(dps):
         ln2 = mp.ln(2)
-        return tuple(mp.mpf(w.numerator) / mp.mpf(w.denominator) / (k * ln2) ** n
+        return tuple(_man_exp(mp.mpf(w.numerator) / mp.mpf(w.denominator) / (k * ln2) ** n)
                      for k, w in enumerate(_stehfest_weight_fractions(order), 1))
+
+
+def _dot(weights: Sequence[tuple], values: Sequence[tuple]) -> mp.mpf:
+    """Sum of w_k v_k over _man_exp pairs: the products summed exactly in
+    ints and rounded once at the working precision, as mp.fdot rounds."""
+    terms = [(wm * vm, we + ve) for (wm, we), (vm, ve) in zip(weights, values)]
+    low = min(e for _, e in terms)
+    return mp.mpf((sum(m << (e - low) for m, e in terms), low))
 
 
 def _gs_ladder(fn: Callable, t: float, orders: Sequence[int], n: int = 0,
@@ -152,7 +171,7 @@ def _gs_ladder(fn: Callable, t: float, orders: Sequence[int], n: int = 0,
     Returns invL{ F(sigma + .) }(t) * e^{sigma t} for F(s) = fn(s/m) s^-n,
     m = max(n, 1), i.e. the inversion of F shifted so its singularities sit
     left of every sample point.  Each abscissa s_k = sigma + k ln2/t is
-    evaluated once, at the precision of the last order (2.2 digits per order
+    evaluated once, at the precision of the last order (1.1 digits per order
     + 15), and every order sums a prefix of the same values; with sigma = 0
     the weights carry (k ln2)^-n and t^n multiplies the sum.  The climb
     stops at 20 if fn does not answer the first abscissa in mpf, and at the
@@ -160,7 +179,7 @@ def _gs_ladder(fn: Callable, t: float, orders: Sequence[int], n: int = 0,
     last two still differ by more than 1e-3 it raises.  A single order is
     the plain fixed-order sum.
     """
-    dps = int(2.2 * orders[-1]) + 15
+    dps = int(1.1 * orders[-1]) + 15
     with mp.workdps(dps):
         ln2_t = mp.ln(2) / mp.mpf(t)
         sig = mp.mpf(sigma)
@@ -181,15 +200,16 @@ def _gs_ladder(fn: Callable, t: float, orders: Sequence[int], n: int = 0,
                     fk /= s ** n
                 else:
                     fk, extended = _eval_mp(fn, k * step)
-                if not mp.isfinite(fk):
+                man, exp = _man_exp(fk)
+                if not man and exp:  # inf or nan
                     raise InversionError(
                         "transform evaluated non-finite on the Gaver-Stehfest abscissae",
                         {"method": "gaver-stehfest", "order": order, "t": t,
                          "abscissa": float(sig + k * ln2_t)})
                 if k == 1 and not extended:  # past 20, weights over 1e12 amplify 1e-16 noise
                     top = 20
-                fvals.append(fk)
-            val = float(mp.fdot(_stehfest_weights_mp(order, dps, folded), fvals) * factor)
+                fvals.append((man, exp))
+            val = float(_dot(_stehfest_weights_mp(order, dps, folded), fvals) * factor)
             if values:
                 prev = values[-1]
                 if abs(val - prev) <= 5e-9 * max(abs(val), abs(prev), 1e-300):
@@ -229,19 +249,26 @@ def invert_talbot(transform: TransferFunction, t: float, nodes: int = 32) -> flo
     return _talbot_sum(transform.eval_complex, t, int(nodes))
 
 
+@lru_cache(maxsize=None)
+def _talbot_table(nodes: int) -> tuple:
+    # per node (theta_k, cot theta_k + i, contour derivative factor), so that
+    # p_k = r * theta_k * (cot theta_k + i); node 0 is p = r, stored as
+    # 1 * (1 + 0i), and carries the factor 1/2
+    table = [(1.0, complex(1.0, 0.0), 0.5)]
+    for k in range(1, nodes):
+        theta = k * math.pi / nodes
+        cot = 1.0 / math.tan(theta)
+        table.append((theta, complex(cot, 1.0), 1.0 + 1j * theta * (1.0 + cot * cot) - 1j * cot))
+    return tuple(table)
+
+
 def _talbot_sum(fn: Callable[[complex], complex], t: float, nodes: int,
                 sigma: float = 0.0) -> float:
     r = 2.0 * nodes / (5.0 * t)
     total = 0.0 + 0.0j
-    for k in range(nodes):
-        if k == 0:
-            p = complex(r, 0.0)
-            gamma = 0.5 * cmath.exp(t * p)
-        else:
-            theta = k * math.pi / nodes
-            cot = 1.0 / math.tan(theta)
-            p = r * theta * complex(cot, 1.0)
-            gamma = cmath.exp(t * p) * (1.0 + 1j * theta * (1.0 + cot * cot) - 1j * cot)
+    for theta, cot_i, factor in _talbot_table(nodes):
+        p = r * theta * cot_i
+        gamma = cmath.exp(t * p) * factor
         fp = fn(p + sigma)
         if not (math.isfinite(fp.real) and math.isfinite(fp.imag)):
             raise InversionError("transform evaluated non-finite on the Talbot contour",

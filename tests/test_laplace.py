@@ -1,11 +1,14 @@
 """Inverse-Laplace engine tests: primitives, the generic estimator and the
 method-consistency/linearity contracts."""
 
+import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from expunbias import laplace
 from expunbias.errors import (ConfigurationError, DomainError, ExpunbiasError,
                               InversionError, RangeError, UnsupportedTransformError)
 from expunbias.estimators import (FunctionalSpec, Family, Kind, Sample, mgf,
@@ -466,3 +469,167 @@ class TestLargeN:
             generic_phi(xi, n, cfg)(xbar)
         assert info.value.diagnostics == {"method": cfg.method.value, "n": n, "t": xbar}
         assert isinstance(info.value.__cause__, OverflowError)
+
+
+# ---------------------------------------------------------------------------
+# same bits as the plain mpmath ladder and the per-node Talbot loop
+# ---------------------------------------------------------------------------
+
+def _fdot_ladder(fn, t, orders, n=0, sigma=0.0):
+    # the ladder summed with mp.fdot over mpf weights, at 2.2 digits per
+    # order + 15, and its finiteness check by mp.isfinite
+    dps = int(2.2 * orders[-1]) + 15
+    with mp.workdps(dps):
+        ln2_t, sig = mp.ln(2) / mp.mpf(t), mp.mpf(sigma)
+        if sigma:
+            factor, folded = ln2_t * mp.e ** (sig * mp.mpf(t)), 0
+        else:
+            factor, folded, step = ln2_t * mp.mpf(t) ** n, n, ln2_t / max(n, 1)
+        top, fvals, values = orders[-1], [], []
+        for order in orders:
+            if order > top:
+                break
+            for k in range(len(fvals) + 1, order + 1):
+                s = sig + k * ln2_t
+                fk, extended = laplace._eval_mp(fn, s / n if sigma else k * step)
+                fk = fk / s ** n if sigma else fk
+                if not mp.isfinite(fk):
+                    raise InversionError(
+                        "transform evaluated non-finite on the Gaver-Stehfest abscissae",
+                        {"method": "gaver-stehfest", "order": order, "t": t,
+                         "abscissa": float(s)})
+                top = 20 if k == 1 and not extended else top
+                fvals.append(fk)
+            weights = [mp.mpf(w.numerator) / mp.mpf(w.denominator) / (k * mp.ln(2)) ** folded
+                       for k, w in enumerate(laplace._stehfest_weight_fractions(order), 1)]
+            val = float(mp.fdot(weights, fvals) * factor)
+            if values and abs(val - values[-1]) <= 5e-9 * max(abs(val), abs(values[-1]), 1e-300):
+                return val
+            values.append(val)
+    if len(values) >= 2 and abs(values[-1] - values[-2]) > 1e-3 * max(abs(values[-1]), 1e-300):
+        raise InversionError(
+            "Gaver-Stehfest results kept oscillating beyond tolerance",
+            {"method": "gaver-stehfest", "orders": [o for o in orders if o <= top],
+             "values": values, "t": t})
+    return values[-1]
+
+
+def _talbot_loop(fn, t, nodes, sigma=0.0):
+    # the Talbot sum recomputing each node's angle, cotangent and contour
+    # derivative on every call
+    r = 2.0 * nodes / (5.0 * t)
+    total = 0.0 + 0.0j
+    for k in range(nodes):
+        if k == 0:
+            p = complex(r, 0.0)
+            gamma = 0.5 * cmath.exp(t * p)
+        else:
+            theta = k * math.pi / nodes
+            cot = 1.0 / math.tan(theta)
+            p = r * theta * complex(cot, 1.0)
+            gamma = cmath.exp(t * p) * (1.0 + 1j * theta * (1.0 + cot * cot) - 1j * cot)
+        fp = fn(p + sigma)
+        if not (math.isfinite(fp.real) and math.isfinite(fp.imag)):
+            raise InversionError("transform evaluated non-finite on the Talbot contour",
+                                 {"method": "talbot", "nodes": nodes, "t": t})
+        total += gamma * fp
+    return (2.0 / (5.0 * t)) * total.real * math.exp(sigma * t)
+
+
+def _outcome(call):
+    # a value as float.hex, or an error as its type, message and diagnostics
+    try:
+        return call().hex()
+    except ExpunbiasError as exc:
+        return type(exc), str(exc), repr(exc.diagnostics)
+
+
+def _floats_only(lam):
+    if not isinstance(lam, float):
+        raise TypeError("floats only")
+    return lam / (lam + 1.0)
+
+
+# every smooth built-in (the MGF on the shifted abscissae sigma > 0), the
+# real-only user transform, one that answers in double precision and one
+# that refuses mpf input
+_GRID_XI = {
+    **{name: builtin_transfer_function(spec) for name, spec in _LADDER_XI.items() if spec},
+    "user-real": TransferFunction(eval_real=lambda lam: lam / (lam + 1.0)),
+    "float-answer": TransferFunction(eval_real=lambda lam: float(lam / (lam + 1.0))),
+    "float-input": TransferFunction(eval_real=_floats_only),
+}
+_GRID_N = (1, 2, 3, 5, 8, 10, 13)
+_GRID_XBAR = (0.01, 0.1, 0.5, 0.9, 1.3, 3.0, 10.0, 100.0)
+
+
+class TestSameBits:
+    @pytest.mark.parametrize("name", sorted(_GRID_XI))
+    def test_ladder_matches_fdot_ladder(self, name, monkeypatch):
+        xi = _GRID_XI[name]
+        for n in _GRID_N:
+            phi = generic_phi(xi, n, _GS)
+            got = [_outcome(lambda: phi(x)) for x in _GRID_XBAR]
+            with monkeypatch.context() as m:
+                m.setattr(laplace, "_gs_ladder", _fdot_ladder)
+                want = [_outcome(lambda: phi(x)) for x in _GRID_XBAR]
+            assert got == want, (name, n)
+
+    @pytest.mark.parametrize("order", [8, 12, 16, 20])
+    def test_fixed_order_matches_fdot_ladder(self, order):
+        for fn in (lambda s: 1.0 / s, lambda s: 1.0 / (s + 1.0), lambda s: s ** -0.5):
+            for t in (0.1, 1.0, 3.0):
+                got = invert_gaver_stehfest(_tf(fn), t, order)
+                assert got.hex() == _fdot_ladder(fn, t, [order]).hex()
+
+    @pytest.mark.parametrize("order", [20, 40])
+    def test_precision_covers_the_cancellation(self, order):
+        # log10(sum |w_k F_k| / |sum w_k F_k|) at 150 digits, plus the 17
+        # digits a double needs, fits in the digits a ladder topping out at
+        # this order works at, as its transform sees them (worst on the grid:
+        # 18.2 of 37 at order 20, 35.9 of 59 at order 40, both user-real at
+        # n = 1, mean 100)
+        seen = []
+
+        def probe(s):
+            seen.append(mp.mp.dps)
+            return 1.0 / s
+        laplace._gs_ladder(probe, 1.0, [order])
+        worst = 0.0
+        for name, xi in _GRID_XI.items():
+            if order > 20 and name.startswith("float"):
+                continue  # a double-precision transform stops at order 20
+            hint = xi.largest_real_singularity
+            for n in _GRID_N:
+                sigma = n * hint if hint else 0.0
+                for x in _GRID_XBAR:
+                    with mp.workdps(150):
+                        terms = []
+                        for k, w in enumerate(laplace._stehfest_weight_fractions(order), 1):
+                            s = sigma + k * mp.ln(2) / x
+                            fk, _ = laplace._eval_mp(xi.eval_real, s / n)
+                            terms.append(mp.mpf(w.numerator) / w.denominator * fk / s ** n)
+                        cancel = mp.log10(mp.fsum(terms, absolute=True) / abs(mp.fsum(terms)))
+                    worst = max(worst, float(cancel))
+        assert worst + 17 <= seen[0]
+
+    @pytest.mark.parametrize("nodes", [16, 24, 32, 64])
+    def test_talbot_table_matches_node_loop(self, nodes, monkeypatch):
+        fn = lambda s: 1.0 / (s * s + 1.0)
+        for t in (0.05, 0.7, 1.3, 20.0):
+            assert invert_talbot(_tf(fn), t, nodes).hex() == _talbot_loop(fn, t, nodes).hex()
+        # through the estimator, unshifted (moment) and at sigma = 5 * 0.3 (MGF)
+        monkeypatch.setattr(laplace, "_TALBOT_NODES", nodes)
+        for spec in (FunctionalSpec(Kind.MOMENT, p=0.5), FunctionalSpec(Kind.MGF, t=0.3)):
+            phi = generic_phi(builtin_transfer_function(spec), 5, _TALBOT)
+            got = [_outcome(lambda: phi(x)) for x in (0.05, 0.7, 1.3, 20.0)]
+            with monkeypatch.context() as m:
+                m.setattr(laplace, "_talbot_sum", _talbot_loop)
+                want = [_outcome(lambda: phi(x)) for x in (0.05, 0.7, 1.3, 20.0)]
+            assert got == want
+
+    def test_talbot_non_finite_node_raises(self):
+        fn = lambda s: complex(math.nan, 0.0) if s.imag > 1.0 else 1.0 / s
+        with pytest.raises(InversionError) as info:
+            invert_talbot(_tf(fn), 0.7, 32)
+        assert info.value.diagnostics == {"method": "talbot", "nodes": 32, "t": 0.7}

@@ -17,6 +17,7 @@ import math
 import pytest
 from scipy import integrate, stats
 
+from expunbias import cli
 from expunbias.estimators import Family, FunctionalSpec, Kind, target_value
 from expunbias.montecarlo import McConfig, clt_check, empirical_bias
 
@@ -28,7 +29,7 @@ def _check_unbiased(summary, spec):
     assert abs(summary.mean - target_value(spec, 1.0)) < 5.0 * summary.std_error
 
 
-@pytest.mark.parametrize("n", [2, 30, 200])
+@pytest.mark.parametrize("n", [1, 2, 30, 200])
 def test_empirical_bias_closed_form(benchmark, n):
     spec = FunctionalSpec(Kind.SURVIVAL, t=0.5)
     summary = benchmark(empirical_bias, spec, McConfig(REPS, n, 1.0, SEED))
@@ -51,3 +52,13 @@ def test_clt_check(benchmark):
     assert abs(summary.mean) < 5.0 * summary.std_error
     assert abs(summary.variance - 1.0) < 0.05
     assert math.isfinite(summary.ks_statistic)
+
+
+def test_cli_clt_hist(benchmark, tmp_path):
+    # the clt subcommand in process: draw, standardise, summarise, write both files
+    out, hist = tmp_path / "out.json", tmp_path / "hist.csv"
+    argv = ["clt", "--kind", "moment", "--p", "1", "--n", "200", "--lambda", "1",
+            "--reps", str(REPS), "--seed", str(SEED), "--out", str(out), "--hist", str(hist)]
+    assert benchmark(cli.main, argv) == 0
+    counts = [int(row.split(",")[2]) for row in hist.read_text().splitlines()[1:]]
+    assert sum(counts) == REPS

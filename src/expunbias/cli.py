@@ -32,8 +32,7 @@ from .errors import (DomainError, ExpunbiasError, InversionError, QuadratureErro
                      SpecError, _check_n, _check_positive)
 from .estimators import (_CATALOGUE, Family, FunctionalSpec, Kind, Sample,
                          _estimator, estimate, target_value)
-from .montecarlo import (McConfig, clt_replicates, clt_summary,
-                         variance_comparison)
+from .montecarlo import McConfig, _clt_summary, clt_replicates, variance_comparison
 from .oracle import verify_row
 
 EXIT_OK = 0
@@ -267,7 +266,8 @@ def _cmd_clt(args) -> int:
     config = McConfig(args.reps, args.n, getattr(args, "lambda"), args.seed,
                       parallel_chunks=args.jobs)
     z = clt_replicates(spec, config)
-    summary = clt_summary(z)
+    zs = np.sort(z)  # one sort serves the KS statistic and the histogram
+    summary = _clt_summary(z, zs)
     manifest = _manifest("clt", {
         "kind": args.kind, **spec.params(), "n": args.n,
         "lambda": getattr(args, "lambda"), "reps": args.reps,
@@ -284,21 +284,20 @@ def _cmd_clt(args) -> int:
     }]
     _emit(_render(manifest, rows), args.out)
     if args.hist:
-        _emit(_histogram_csv(z, args.hist_bins), args.hist)
+        _emit(_histogram_csv(zs, args.hist_bins), args.hist)
     return EXIT_OK
 
 
-def _histogram_csv(z: np.ndarray, bins: int) -> str:
-    # binned standardized replicates on fixed [-6, 6] edges for plotting
-    edges = np.linspace(-6.0, 6.0, bins + 1)
-    counts, _ = np.histogram(z, bins=edges)
+def _histogram_csv(zs: np.ndarray, bins: int) -> str:
+    # the sorted standardized replicates binned on fixed [-6, 6] edges for
+    # plotting; every row is half-open, [a, b), so the counts sum to zs.size
+    edges = np.linspace(-6.0, 6.0, bins + 1).tolist()
+    below = np.searchsorted(zs, edges).tolist()  # replicates under each edge
+    counts = np.diff([0, *below, zs.size]).tolist()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["bin_left", "bin_right", "count"])
-    writer.writerow(["-inf", edges[0], int(np.sum(z < edges[0]))])
-    for i in range(bins):
-        writer.writerow([edges[i], edges[i + 1], int(counts[i])])
-    writer.writerow([edges[-1], "inf", int(np.sum(z >= edges[-1]))])
+    writer.writerows(zip(["-inf", *edges], [*edges, "inf"], counts))
     return buf.getvalue()
 
 

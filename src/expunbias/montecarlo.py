@@ -16,6 +16,7 @@ are used: ``variance_comparison`` and the MLE arm of the pth moment,
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -74,10 +75,17 @@ def sample_exponential(lam: float, n: int, stream: np.random.Generator) -> Sampl
     return Sample((-np.log(u) / lam).tolist())
 
 
+def _block_generator(seed: int, block_index: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=[seed, block_index]))
+
+
 def _draw_block(seed: int, block_index: int, rows: int, n: int, lam: float) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=[seed, block_index]))
-    u = np.maximum(gen.random((rows, n)), _U_FLOOR)
-    return -np.log(u) / lam
+    x = _block_generator(seed, block_index).random((rows, n))
+    np.maximum(x, _U_FLOOR, out=x)
+    np.log(x, out=x)
+    np.negative(x, out=x)
+    x /= lam
+    return x
 
 
 def _draw_means(seed: int, block_index: int, rows: int, n: int, lam: float) -> np.ndarray:
@@ -90,8 +98,10 @@ def _draw_means(seed: int, block_index: int, rows: int, n: int, lam: float) -> n
     inverse-CDF path; it binds with probability about 2**-53 at n = 1 and
     about 2**(-53 n) / n! at larger n.
     """
-    gen = np.random.Generator(np.random.Philox(key=[seed, block_index]))
-    return np.maximum(gen.standard_gamma(n, rows), _U_FLOOR) / (n * lam)
+    means = _block_generator(seed, block_index).standard_gamma(n, rows)
+    np.maximum(means, _U_FLOOR, out=means)
+    means /= n * lam
+    return means
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _summary raises RangeError instead
@@ -217,12 +227,21 @@ def asymptotic_variance(spec: FunctionalSpec, n: int, lam: float) -> float:
     return variance
 
 
-def _ks_statistic(z: np.ndarray) -> float:
-    zs = np.sort(z)
+@functools.lru_cache(maxsize=4)
+def _ecdf_grid(size: int) -> np.ndarray:
+    # the empirical CDF levels 0, 1/size, ..., 1: the KS statistic reads the
+    # values after each order statistic from [1:] and before it from [:-1]
+    grid = np.arange(size + 1) / size
+    grid.flags.writeable = False
+    return grid
+
+
+def _ks_statistic(zs: np.ndarray) -> float:
+    """KS distance of the sorted replicates ``zs`` to N(0,1)."""
     cdf = _sp.ndtr(zs)
-    i = np.arange(1, zs.size + 1)
-    d_plus = np.max(i / zs.size - cdf)
-    d_minus = np.max(cdf - (i - 1) / zs.size)
+    grid = _ecdf_grid(zs.size)
+    d_plus = np.max(grid[1:] - cdf)
+    d_minus = np.max(cdf - grid[:-1])
     return float(max(d_plus, d_minus))
 
 
@@ -237,7 +256,13 @@ def clt_replicates(spec: FunctionalSpec, config: McConfig) -> np.ndarray:
     xi = target_value(spec, config.lam)
     phi = phi_function(spec, config.n)
     scale = math.sqrt(config.n / sigma2)
-    z, = _collect(config, lambda xbar: ((phi(xbar) - xi) * scale,), 1, _draw_means)
+
+    def standardize(xbar: np.ndarray) -> tuple[np.ndarray]:
+        z = phi(xbar) - xi
+        z *= scale
+        return z,
+
+    z, = _collect(config, standardize, 1, _draw_means)
     return z
 
 
@@ -247,6 +272,12 @@ def clt_summary(z: np.ndarray) -> McSummary:
     Equal replicates raise :class:`DegenerateError`; a moment outside double
     range raises :class:`RangeError`.
     """
+    return _clt_summary(z, np.sort(z))
+
+
+def _clt_summary(z: np.ndarray, zs: np.ndarray) -> McSummary:
+    # clt_summary with the replicates also given sorted, for a caller that
+    # needs them sorted too; the moments sum z in replicate order
     def moments():
         c = z - z.mean()
         c2 = c * c  # products, not pow: c ** 3 and c ** 4 take longer than the rest
@@ -256,7 +287,7 @@ def clt_summary(z: np.ndarray) -> McSummary:
                                   " skewness and kurtosis are undefined")
         return float(np.mean(c2 * c)) / m2 ** 1.5, float(np.mean(c2 * c2)) / m2 ** 2 - 3.0
     skew, exkurt = _in_range("a moment of the standardized replicates", moments)
-    return _summary(z, ks_statistic=_ks_statistic(z),
+    return _summary(z, ks_statistic=_ks_statistic(zs),
                     standardized_moments=(skew, exkurt))
 
 

@@ -3,11 +3,13 @@ replication counts, the direct Gamma(n) draw of the mean, the vectorised
 target, the delta-method variance table and the CLT diagnostics.
 The full 1e6-replication sweeps live in the acceptance suite."""
 
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from expunbias import cli, montecarlo
 from expunbias.errors import (DegenerateError, DomainError,
@@ -17,8 +19,8 @@ from expunbias.estimators import (Family, FunctionalSpec, Kind, phi_function,
 from expunbias.laplace import TransferFunction
 from expunbias.montecarlo import (BLOCK_SIZE, McConfig, McSummary, _collect,
                                   _draw_means, asymptotic_variance, clt_check,
-                                  clt_summary, empirical_bias, sample_exponential,
-                                  variance_comparison)
+                                  clt_replicates, clt_summary, empirical_bias,
+                                  sample_exponential, variance_comparison)
 
 
 class TestSampling:
@@ -452,3 +454,67 @@ class TestCltHistogram:
         assert len(calls) == 1
         counts = [int(r.split(",")[2]) for r in hist.read_text().splitlines()[1:]]
         assert sum(counts) == reps
+
+    def test_counts_every_edge_once(self):
+        # every row is [a, b) and the overflow row [6, inf): a replicate at
+        # exactly 6.0 was counted in the last bin and again in the overflow
+        z = np.array([-7., -6., 0., 5.99, 6., 6., 9.])
+        assert _hist_counts(cli._histogram_csv(z, 4)) == [1, 1, 0, 1, 1, 3]
+        for bins in (1, 4, 12, 100):
+            edges = np.linspace(-6.0, 6.0, bins + 1)
+            z = np.sort(np.concatenate([[-7.0, 9.0], edges, edges]))
+            counts = _hist_counts(cli._histogram_csv(z, bins))
+            assert sum(counts) == z.size
+            # the two replicates on each left edge, one below -6, and 6.0 twice with 9
+            assert counts == [1] + [2] * bins + [3]
+
+    @pytest.mark.parametrize("bins", [1, 7, 100])
+    @pytest.mark.parametrize("spec,n,seed", [
+        (FunctionalSpec(Kind.MOMENT, p=1.0), 200, 3),
+        (FunctionalSpec(Kind.SURVIVAL, t=0.5), 2, 4),
+        (FunctionalSpec(Kind.RATE_POWER, p=0.5), 30, 5),
+    ])
+    def test_matches_numpy_histogram_off_the_top_edge(self, spec, n, seed, bins):
+        z = clt_replicates(spec, McConfig(3000, n, 1.0, seed))
+        # a replicate on -6 or an inner edge is binned alike by both
+        z = np.concatenate([z, np.linspace(-6.0, 6.0, bins + 1)[:-1], [-9.0, 8.0]])
+        assert not np.any(z == 6.0)
+        assert cli._histogram_csv(np.sort(z), bins) == _numpy_histogram_csv(z, bins)
+
+
+def _hist_counts(text: str) -> list[int]:
+    return [int(row.split(",")[2]) for row in text.splitlines()[1:]]
+
+
+def _numpy_histogram_csv(z: np.ndarray, bins: int) -> str:
+    # the histogram as written from np.histogram and two masked sums
+    edges = np.linspace(-6.0, 6.0, bins + 1)
+    counts, _ = np.histogram(z, bins=edges)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["bin_left", "bin_right", "count"])
+    writer.writerow(["-inf", edges[0], int(np.sum(z < edges[0]))])
+    for i in range(bins):
+        writer.writerow([edges[i], edges[i + 1], int(counts[i])])
+    writer.writerow([edges[-1], "inf", int(np.sum(z >= edges[-1]))])
+    return buf.getvalue()
+
+
+def _arange_ks_statistic(z: np.ndarray) -> float:
+    # the KS statistic with its ECDF levels from two arange divisions per call
+    zs = np.sort(z)
+    cdf = special.ndtr(zs)
+    i = np.arange(1, zs.size + 1)
+    return float(max(np.max(i / zs.size - cdf), np.max(cdf - (i - 1) / zs.size)))
+
+
+@pytest.mark.parametrize("spec,n,reps,seed", [
+    (FunctionalSpec(Kind.MOMENT, p=2.0), 200, BLOCK_SIZE + 7, 42),
+    (FunctionalSpec(Kind.SURVIVAL, t=0.5), 2, 2, 8),
+    (FunctionalSpec(Kind.QUANTILE, q=0.5), 5, 1000, 9),
+])
+def test_ks_statistic_bits_unchanged(spec, n, reps, seed):
+    z = clt_replicates(spec, McConfig(reps, n, 1.0, seed))
+    expected = _arange_ks_statistic(z)
+    assert montecarlo._ks_statistic(np.sort(z)) == expected
+    assert clt_check(spec, McConfig(reps, n, 1.0, seed)).ks_statistic == expected

@@ -18,7 +18,7 @@ from expunbias.estimators import (Family, FunctionalSpec, Kind, phi_function,
                                   target_value)
 from expunbias.laplace import TransferFunction
 from expunbias.montecarlo import (BLOCK_SIZE, McConfig, McSummary, _collect,
-                                  _draw_means, asymptotic_variance, clt_check,
+                                  _draw_block, _draw_means, asymptotic_variance, clt_check,
                                   clt_replicates, clt_summary, empirical_bias,
                                   sample_exponential, variance_comparison)
 
@@ -331,9 +331,10 @@ class TestCltCheck:
         # c^3 overflowed with a RuntimeWarning and gave inf or nan moments
         with pytest.raises(RangeError):
             clt_summary(np.array([1e200, -1e200, 0.0]))
+        # replicates near -2.675e128 that differ from the 4th digit: c^3 overflows
         spec = FunctionalSpec(Kind.MGF, t=-4.381588271667991)
-        with pytest.raises(RangeError):
-            clt_check(spec, McConfig(2, 1, 0.014264233908999256, 0))
+        with pytest.raises(RangeError, match="moment"):
+            clt_check(spec, McConfig(3, 1, 0.014264233908999256, 11))
 
     def test_deterministic(self):
         spec = FunctionalSpec(Kind.QUANTILE, q=0.5)
@@ -343,6 +344,13 @@ class TestCltCheck:
 
 class TestMeanDrawer:
     """The x-bar paths draw the replicate means directly from Gamma(n, n*lam)."""
+
+    def test_golden_streams(self):
+        # first three draws of block 0 for seed 12345 on SFC64, lambda = 1
+        assert _draw_means(12345, 0, 3, 30, 1.0).tolist() == pytest.approx(
+            [1.0996056139021124, 1.0646900184902186, 1.1055740455637268], rel=1e-15)
+        assert _draw_block(12345, 0, 1, 3, 1.0)[0].tolist() == pytest.approx(
+            [1.654420924298928, 1.183580993582341, 0.7105820934735774], rel=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2, 30, 200])
     def test_matches_gamma_law(self, n):

@@ -92,10 +92,6 @@ def manifests() -> list[tuple[str, list[str]]]:
         ("malformed clt --hist-bins 0",
          ["clt", "--kind", "quantile", "--q", "0.5", "--n", "5", "--lambda", "1",
           "--reps", "1000", "--hist", HIST, "--hist-bins", "0"]),
-        ("malformed verify --jobs 0", ["verify", "--kinds", "quantile", "--jobs", "0"]),
-        ("malformed compare --jobs 0",
-         ["compare", "--p", "1", "--n", "5", "--lambda", "1", "--reps", "1000",
-          "--jobs", "0"]),
         ("malformed verify --threshold nan",
          ["verify", "--kinds", "quantile", "--threshold", "nan"]),
         ("malformed verify --rel-tol nan", ["verify", "--kinds", "quantile", "--rel-tol", "nan"]),

@@ -33,7 +33,7 @@ from .montecarlo import (McConfig, McSummary, asymptotic_variance, clt_check,
                          sample_exponential, variance_comparison)
 from .oracle import (VerificationReport, expectation, gamma_mean_density,
                      verify_row, verify_tate_bias, verify_unbiasedness)
-from .special import gamma_ratio, log_gamma, lower_incomplete_gamma_int
+from .special import log_gamma
 
 __all__ = [
     "__version__",
@@ -56,7 +56,7 @@ __all__ = [
     "verify_unbiasedness", "tate_estimate", "tate_expected_value",
     "verify_tate_bias", "verify_row",
     # special functions
-    "log_gamma", "gamma_ratio", "lower_incomplete_gamma_int",
+    "log_gamma",
     # monte carlo
     "McConfig", "McSummary", "sample_exponential", "empirical_bias",
     "variance_comparison", "asymptotic_variance", "clt_replicates",

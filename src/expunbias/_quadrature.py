@@ -5,9 +5,9 @@ segment; segments whose error dominates are bisected until the summed error
 estimate drops below the relative tolerance.  The integrand is called on
 whole arrays of abscissae (one call per refinement round), which keeps the
 oracle sweeps fast even when the integrand itself is numpy-vectorized and
-expensive per call.  ``gauss_kronrod_row`` refines several integrals in
-lockstep, with one integrand call per round for all of them, and
-``adaptive_gauss_kronrod`` is its one-integral call.
+expensive per call.  ``gauss_kronrod_row``, the one entry point, refines
+several integrals in lockstep, with one integrand call per round for all of
+them; a single integral is a row of one.
 """
 
 from __future__ import annotations
@@ -116,25 +116,3 @@ def gauss_kronrod_row(f: Callable[[list[int], list[np.ndarray]], list],
                                             np.concatenate([mid, hi[split]])))
         live = refining
     return out
-
-
-def adaptive_gauss_kronrod(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    *,
-    breakpoints: Iterable[float] = (),
-    rel_tol: float = 1e-9,
-    max_segments: int = 4096,
-) -> tuple[float, float, int]:
-    """Integrate ``f`` over [a, b], splitting first at ``breakpoints``.
-
-    Returns ``(value, err_estimate, n_segments)``; raises
-    :class:`QuadratureError` (carrying the partial result) if the error
-    target is not met within ``max_segments`` subintervals.
-    """
-    result, = gauss_kronrod_row(lambda active, xs: [f(xs[0])], [(a, b, breakpoints)],
-                                rel_tol=rel_tol, max_segments=max_segments)
-    if isinstance(result, Exception):
-        raise result
-    return result

@@ -126,8 +126,11 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _InputError(f"cannot write {out!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +240,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config = McConfig(args.reps, args.n, getattr(args, "lambda"), args.seed,
-                      parallel_chunks=args.jobs)
+    config = McConfig(args.reps, args.n, getattr(args, "lambda"), args.seed)
     emp_unbiased, emp_mle, closed_unbiased, closed_mle = \
         variance_comparison(args.p, config)
     manifest = _manifest("compare", {
@@ -263,8 +265,7 @@ def _cmd_clt(args) -> int:
     if args.hist_bins < 1:
         raise _InputError(f"--hist-bins must be at least 1, got {args.hist_bins}")
     spec = _spec_from_args(args)
-    config = McConfig(args.reps, args.n, getattr(args, "lambda"), args.seed,
-                      parallel_chunks=args.jobs)
+    config = McConfig(args.reps, args.n, getattr(args, "lambda"), args.seed)
     z = clt_replicates(spec, config)
     zs = np.sort(z)  # one sort serves the KS statistic and the histogram
     summary = _clt_summary(z, zs)
@@ -323,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; results do not depend on it")
 
     p_est = sub.add_parser("estimate", help="estimate a functional from data")
     add_spec_options(p_est)
@@ -386,8 +385,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.jobs < 1:
-            raise _InputError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

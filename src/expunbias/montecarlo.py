@@ -3,11 +3,10 @@
 Replications are organised in fixed-size blocks of 2**14; block b of a run
 seeded with s draws from an SFC64 stream seeded by ``SeedSequence([s, b])``.
 The draw for replication r therefore depends only on (seed, block r // 2**14,
-row r % 2**14), and blocks run one after another; ``parallel_chunks`` is
-accepted and validated but has no effect on results.  SFC64 replaced
-Philox4x64-10 keyed (s, b): nothing used Philox's counter property, SFC64
-makes each 64-bit word several times cheaper than Philox's ten rounds, and
-numpy's Gamma sampler takes about two words per variate.
+row r % 2**14), and blocks run one after another in one thread.  SFC64
+replaced Philox4x64-10 keyed (s, b): nothing used Philox's counter property,
+SFC64 makes each 64-bit word several times cheaper than Philox's ten rounds,
+and numpy's Gamma sampler takes about two words per variate.
 
 The sample mean is sufficient and mean ~ Gamma(n, n*lambda), so paths whose
 estimators read only the mean (closed form, Tate, the MLE plug-in outside
@@ -50,7 +49,6 @@ class McConfig:
     n: int
     lam: float
     seed: int
-    parallel_chunks: int = 1
 
     def __post_init__(self):
         _check_n(self.replications, "replications")
@@ -58,7 +56,6 @@ class McConfig:
         _check_positive("lambda", self.lam)
         if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2 ** 64):
             raise DomainError("seed must be a 64-bit unsigned integer")
-        _check_n(self.parallel_chunks, "parallel_chunks")
 
 
 @dataclass(frozen=True)

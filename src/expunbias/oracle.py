@@ -68,7 +68,7 @@ from .special import _stirling_remainder
 __all__ = [
     "VerificationReport", "gamma_mean_density", "expectation",
     "verify_unbiasedness", "tate_estimate", "tate_expected_value",
-    "verify_tate_bias", "verify_row", "kink_points",
+    "verify_tate_bias", "verify_row",
 ]
 
 _REL_BIAS_FLOOR = 1e-300
@@ -275,11 +275,6 @@ def expectation(estimator: Callable[[np.ndarray], np.ndarray], n: int, lam: floa
     rate = n * lam if tail_rate is None else float(tail_rate)
     return _one(_integrate_row(estimator, n, [(lam, _window(n, lam, rate, 0.0), kinks)],
                                rel_tol, max_segments))
-
-
-def kink_points(spec: FunctionalSpec, n: int, upper: float) -> list[float]:
-    """Indicator-boundary abscissae of the closed-form estimator below ``upper``."""
-    return _estimator(spec, n).kinks(upper)
 
 
 def verify_row(spec: FunctionalSpec, n: int, family: Family, lams: Sequence[float],

@@ -1,37 +1,32 @@
 """Gamma-function kernel on scipy.
 
-``log_gamma`` is scipy's ``gammaln`` behind the package's domain checks;
+``log_gamma`` is scipy's ``gammaln`` behind the package's domain checks, and
 every ratio Gamma(b+d)/Gamma(b) goes through :func:`_log_gamma_ratio`, whose
-Stirling form never cancels the O(b ln b) parts of two log-gammas; and
-``lower_incomplete_gamma_int`` keeps full precision for either sign of x.
-All functions accept scalars or numpy arrays and are pure.  The arguments of
-``log_gamma`` and ``gamma_ratio`` pass the input rule
-``errors._check_positive``, and a result outside double range raises
-:class:`RangeError` through ``errors._in_range``.  A scalar skips numpy's
-0-d arrays, with the array path's bits: ``log_gamma`` of a positive finite
-scalar is ``gammaln`` of that float, and ``_stirling_remainder`` from 10 on
-sums its series in floats.
+Stirling form never cancels the O(b ln b) parts of two log-gammas.
+``log_gamma`` and ``_log_gamma_ratio`` accept scalars or numpy arrays and
+are pure; the argument of ``log_gamma`` passes the input rule
+``errors._check_positive``.  A scalar skips numpy's 0-d arrays, with the
+array path's bits: ``log_gamma`` of a positive finite scalar is ``gammaln``
+of that float, and ``_stirling_remainder`` from 10 on sums its series in
+floats.  The incomplete gamma function and a plain Gamma ratio have no
+caller in the package, and scipy's ``gammainc``·``gamma`` and ``poch`` cover
+them, so they are not kept here.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
-from scipy.special import gammaln, hyp1f1
+from scipy.special import gammaln
 
-from .errors import DomainError, RangeError, _check_positive, _in_range
+from .errors import _check_positive
 
-__all__ = ["log_gamma", "gamma_ratio", "lower_incomplete_gamma_int"]
+__all__ = ["log_gamma"]
 
 _HALF_LOG_TWO_PI = 0.918938533204672741780329736406
 
 _STIRLING_MIN_X = 10.0
-
-# |x| guard for the incomplete-gamma routine: past this the exp factors
-# leave double range before the result does.
-_GAMMA_INC_MAX_ABS_X = 700.0
 
 
 def _stirling_remainder(x):
@@ -85,47 +80,3 @@ def log_gamma(x):
     """Natural logarithm of the gamma function for x > 0 (scipy's gammaln)."""
     x = _check_positive("x", x, arrays=True)
     return float(gammaln(x)) if isinstance(x, float) else gammaln(x)
-
-
-def gamma_ratio(a, b):
-    """Gamma(a)/Gamma(b) without intermediate overflow.
-
-    Raises :class:`RangeError` where the ratio itself leaves double range.
-    """
-    a, b = _check_positive("a", a, arrays=True), _check_positive("b", b, arrays=True)
-    out = _in_range("the gamma ratio", lambda: np.exp(_log_gamma_ratio(b, a - b)))
-    return float(out) if isinstance(a, float) and isinstance(b, float) else out
-
-
-def _check_order(n) -> int:
-    if not (isinstance(n, numbers.Integral)
-            or isinstance(n, numbers.Real) and float(n).is_integer()):
-        raise DomainError("order n must be an integer")
-    n_int = int(n)
-    if n_int == 0:
-        raise RangeError("order n = 0 is outside the supported range")
-    if n_int < 0:
-        raise DomainError("order n must be positive")
-    return n_int
-
-
-def lower_incomplete_gamma_int(n, x):
-    """Lower incomplete gamma function gamma(n, x) for integer n >= 1.
-
-    x^n e^{-x} M(1, n+1, x)/n with Kummer's function M (DLMF 8.5.1),
-    assembled in logs with the sign of x^n, so it keeps full relative
-    precision for either sign of x.
-
-    Raises :class:`RangeError` for |x| > 700 or when the result overflows.
-    """
-    n_int = _check_order(n)
-    arr = np.asarray(x, dtype=float)
-    if not np.isfinite(arr).all():
-        raise DomainError("x must be finite")
-    if np.any(np.abs(arr) > _GAMMA_INC_MAX_ABS_X):
-        raise RangeError(f"|x| > {_GAMMA_INC_MAX_ABS_X:.0f} is outside the supported range")
-    # M(1, n+1, x) > 0 for every real x
-    out = _in_range("the incomplete gamma function", lambda: np.where(
-        (arr < 0.0) & (n_int % 2 == 1), -1.0, 1.0) * np.exp(n_int * np.log(np.abs(arr)) - arr
-        + np.log(hyp1f1(1.0, n_int + 1.0, arr)) - np.log(n_int)))
-    return float(out) if arr.ndim == 0 else out

@@ -69,8 +69,6 @@ class TestConfig:
             McConfig(10, 5, 1.0, -1)
         with pytest.raises(DomainError):
             McConfig(10, 5, 1.0, 2 ** 64)
-        with pytest.raises(DomainError):
-            McConfig(10, 5, 1.0, 1, parallel_chunks=0)
         # accepted before: 2.5 replications or n failed later as a TypeError,
         # and a seed of 1.5 ran
         with pytest.raises(DomainError, match="replications"):
@@ -81,18 +79,9 @@ class TestConfig:
             McConfig(10, 5, 1.0, 1.5)
         with pytest.raises(DomainError, match="lambda"):
             McConfig(10, 5, math.nan, 1)
-        with pytest.raises(DomainError, match="parallel_chunks"):
-            McConfig(10, 5, 1.0, 1, parallel_chunks=1.5)
 
 
 class TestDeterminism:
-    def test_chunking_is_invisible(self):
-        spec = FunctionalSpec(Kind.SURVIVAL, t=1.0)
-        reps = 3 * BLOCK_SIZE + 17
-        serial = empirical_bias(spec, McConfig(reps, 4, 1.0, 99, parallel_chunks=1))
-        chunked = empirical_bias(spec, McConfig(reps, 4, 1.0, 99, parallel_chunks=5))
-        assert serial == chunked  # bit-identical dataclasses
-
     def test_seed_changes_results(self):
         spec = FunctionalSpec(Kind.MOMENT, p=1.0)
         a = empirical_bias(spec, McConfig(1000, 4, 1.0, 1))
@@ -338,7 +327,7 @@ class TestCltCheck:
 
     def test_deterministic(self):
         spec = FunctionalSpec(Kind.QUANTILE, q=0.5)
-        cfg = McConfig(10 ** 4, 50, 1.0, 77, parallel_chunks=3)
+        cfg = McConfig(10 ** 4, 50, 1.0, 77)
         assert clt_check(spec, cfg) == clt_check(spec, cfg)
 
 
@@ -370,7 +359,7 @@ class TestMeanDrawer:
 
     def test_collect_rows_follow_block_keys(self):
         reps = BLOCK_SIZE + 100
-        cfg = McConfig(reps, 7, 2.0, 13, parallel_chunks=2)
+        cfg = McConfig(reps, 7, 2.0, 13)
         means, = _collect(cfg, lambda xbar: (xbar,), 1, _draw_means)
         assert np.array_equal(means[:BLOCK_SIZE], _draw_means(13, 0, BLOCK_SIZE, 7, 2.0))
         assert np.array_equal(means[BLOCK_SIZE:], _draw_means(13, 1, 100, 7, 2.0))

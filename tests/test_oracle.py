@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from expunbias import estimators, oracle
-from expunbias._quadrature import adaptive_gauss_kronrod, gauss_kronrod_row
+from expunbias._quadrature import gauss_kronrod_row
 from expunbias.errors import (DomainError, ExpunbiasError, QuadratureError, RangeError,
                               SpecError)
-from expunbias.estimators import _CATALOGUE, Family, FunctionalSpec, Kind, target_value
-from expunbias.oracle import (expectation, gamma_mean_density, kink_points,
-                              tate_estimate, tate_expected_value,
+from expunbias.estimators import (_CATALOGUE, Family, FunctionalSpec, Kind, _estimator,
+                                  target_value)
+from expunbias.oracle import (expectation, gamma_mean_density, tate_estimate, tate_expected_value,
                               verify_row, verify_tate_bias, verify_unbiasedness)
 
 
@@ -104,7 +104,7 @@ class TestExpectation:
     def test_self_consistency_under_tolerance_halving(self):
         from expunbias.estimators import mean_past_lifetime
         est = lambda x: mean_past_lifetime(x, 5, 1.0)
-        kinks = kink_points(FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=1.0), 5, 12.0)
+        kinks = _estimator(FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=1.0), 5).kinks(12.0)
         v1, e1 = expectation(est, 5, 1.0, rel_tol=1e-8, kinks=kinks)
         v2, _ = expectation(est, 5, 1.0, rel_tol=5e-9, kinks=kinks)
         assert abs(v2 - v1) <= e1
@@ -167,7 +167,7 @@ class TestVerifyUnbiasedness:
 
     def test_mean_past_lifetime_kinks_from_tail(self):
         spec = FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=0.5)
-        pts = kink_points(spec, 5, 8.0)
+        pts = _estimator(spec, 5).kinks(8.0)
         assert pts[0] == pytest.approx(0.1)
         assert len(pts) == math.ceil(5 * 8.0 / 0.5)
 
@@ -465,6 +465,12 @@ class TestVerifyRow:
         assert (info.misses, info.hits) == (1, 3)
 
 
+def _alone(g, a, b, breakpoints=(), **options):
+    # one integral refined by itself: a row of one
+    out, = gauss_kronrod_row(lambda active, xs: [g(xs[0])], [(a, b, breakpoints)], **options)
+    return out
+
+
 class TestGaussKronrodRow:
     def test_exhausted_integral_leaves_the_others(self):
         # one integral cannot converge within 64 segments; the two smooth ones
@@ -478,9 +484,8 @@ class TestGaussKronrodRow:
             return [fs[i](x) for i, x in zip(active, xs)]
         out = gauss_kronrod_row(f, [(0.0, 2.0, ()), (0.0, 2.0, ()), (0.0, 3.0, [1.0])],
                                 rel_tol=1e-12, max_segments=64)
-        assert out[0] == adaptive_gauss_kronrod(np.exp, 0.0, 2.0, rel_tol=1e-12, max_segments=64)
-        assert out[2] == adaptive_gauss_kronrod(np.cos, 0.0, 3.0, breakpoints=[1.0],
-                                                rel_tol=1e-12, max_segments=64)
+        assert out[0] == _alone(np.exp, 0.0, 2.0, rel_tol=1e-12, max_segments=64)
+        assert out[2] == _alone(np.cos, 0.0, 3.0, [1.0], rel_tol=1e-12, max_segments=64)
         assert isinstance(out[1], QuadratureError) and out[1].segments == 64
         assert calls[0] == [0, 1, 2] and all(1 in c for c in calls)
 
@@ -489,4 +494,4 @@ class TestGaussKronrodRow:
             return [RangeError("out") if i == 0 else np.exp(x) for i, x in zip(active, xs)]
         bad, good = gauss_kronrod_row(f, [(0.0, 1.0, ()), (0.0, 1.0, ())])
         assert isinstance(bad, RangeError)
-        assert good == adaptive_gauss_kronrod(np.exp, 0.0, 1.0)
+        assert good == _alone(np.exp, 0.0, 1.0)

@@ -70,7 +70,6 @@ from expunbias.estimators import (_CATALOGUE, FunctionalSpec, Kind, Sample, _est
                                   mle_estimate, phi_function, target_value,
                                   tate_expected_value, tate_phi_function)
 from expunbias.oracle import verify_tate_bias, verify_unbiasedness
-from expunbias.special import gamma_ratio, lower_incomplete_gamma_int
 
 EPS = 2.0 ** -52
 _SUM_EPS = 8.0
@@ -585,10 +584,3 @@ def test_range_sweep_variances_and_special_functions():
             for lam in (*_RANGE_RATES, 1.0):
                 _finite_or_typed(lambda: closed_form_variance_unbiased(p, n, lam), p, n, lam)
                 _finite_or_typed(lambda: closed_form_variance_mle(p, n, lam), p, n, lam)
-    args = (1e-300, 0.5, 171.0, 1e6, 1e300)
-    for a in args:
-        for b in args:
-            _finite_or_typed(lambda: gamma_ratio(a, b), a, b)
-    for n in (1, 30, 171, 200):
-        for x in (-700.0, -1e-300, 1e-300, 60.0, 700.0):
-            _finite_or_typed(lambda: lower_incomplete_gamma_int(n, x), n, x)

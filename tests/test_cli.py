@@ -254,6 +254,8 @@ class TestMalformedInput:
         ["verify", "--kinds", "quantile", "--n", "2,x"],
         ["verify", "--kinds", "quantile", "--n", ""],
         ["verify", "--kinds", "quantile", "--lambda", "1,abc"],
+        ["verify", "--kinds", "quantile", "--n", "2.5"],
+        ["verify", "--kinds", "quantile", "--lambda", "1,,2"],
         ["verify", "--kinds", "quantile", "--threshold", "nan"],
         ["verify", "--kinds", "quantile", "--threshold", "0"],
         ["verify", "--kinds", "quantile", "--threshold=-1e-7"],
@@ -262,7 +264,8 @@ class TestMalformedInput:
         ["verify", "--kinds", "quantile", "--rel-tol", "0"],
         ["verify", "--kinds", "quantile", "--rel-tol=-1e-9"],
         ["verify", "--kinds", "quantile", "--rel-tol", "inf"],
-    ], ids=["n-not-integer", "n-empty", "lambda-not-number", "threshold-nan", "threshold-0",
+    ], ids=["n-not-integer", "n-empty", "lambda-not-number", "n-fractional",
+            "lambda-empty-item", "threshold-nan", "threshold-0",
             "threshold-negative", "threshold-inf", "rel-tol-nan", "rel-tol-0",
             "rel-tol-negative", "rel-tol-inf"])
     def test_exits_with_input_error(self, argv, capsys):

@@ -23,7 +23,7 @@ from expunbias.estimators import (_BERNOULLI_EVEN, EstimateResult, Family, Funct
                                   mean_past_lifetime, mgf, min_survival,
                                   mle_estimate, moment, pdf_at, phi_function,
                                   quantile, rate_power, survival,
-                                  target_value)
+                                  target_value, tate_phi_function)
 from expunbias.montecarlo import asymptotic_variance
 from expunbias.oracle import tate_estimate
 from expunbias.special import log_gamma
@@ -478,6 +478,76 @@ class TestMgf:
                                                                 abs=1e-300)
 
 
+def _kummer(n, w):
+    # the MGF estimator at n is M(1, n, w), w = n t mean: reach w with t = +-1
+    return mgf(abs(w) / n, n, math.copysign(1.0, w))
+
+
+class TestMgfAsKummer:
+    """M(1, n, w) = 1 + e^w gamma(n, w) / w^(n-1) (DLMF 8.5.1) with the lower
+    incomplete gamma function gamma(n, w) = int_0^w s^(n-1) e^(-s) ds; oracles
+    are closed antiderivatives, the incomplete-gamma recurrence and direct
+    quadrature of that integral."""
+
+    @pytest.mark.parametrize("w", [-5.0, -0.3, 1e-12, 0.2, 1.0, 7.0, 50.0])
+    def test_n2_closed_form(self, w):
+        # gamma(2, w) = 1 - (1 + w) e^{-w}, so M(1, 2, w) = expm1(w)/w
+        assert _kummer(2, w) == pytest.approx(math.expm1(w) / w, rel=1e-13)
+
+    def test_quadrature_oracle_3_1(self):
+        # gamma(3, 1) = 2 - 5/e, so M(1, 3, 1) = 2e - 4
+        assert _kummer(3, 1.0) == pytest.approx(2.0 * math.e - 4.0, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 3, 17])
+    def test_zero_argument(self, n):
+        # w = 0 at t = 0 for every mean, scalar or array
+        assert mgf(1.7, n, 0.0) == 1.0
+        assert np.array_equal(mgf(np.array([0.3, 1.7, 40.0]), n, 0.0), np.ones(3))
+
+    @pytest.mark.parametrize("n", list(range(1, 41, 3)))
+    @pytest.mark.parametrize("w", [0.1, 0.7, 3.0, 11.0, 50.0])
+    def test_recurrence(self, n, w):
+        # gamma(n+1, w) = n gamma(n, w) - w^n e^{-w} is
+        # M(1, n, w) = 1 + w M(1, n+1, w)/n across sample sizes at one w
+        assert _kummer(n, w) == pytest.approx(1.0 + w * _kummer(n + 1, w) / n, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 5, 12, 20])
+    def test_saturates_to_gamma(self, n):
+        # gamma(n, 700) = (n-1)! to double precision
+        got = (_kummer(n, 700.0) - 1.0) * math.exp((n - 1) * math.log(700.0) - 700.0)
+        assert got == pytest.approx(math.factorial(n - 1), rel=1e-12)
+
+    def test_negative_argument_antiderivative_oracle(self):
+        # gamma(3, -2) = 2 - 2 e^2 (from -(s^2+2s+2)e^{-s}): M = 1/2 + e^{-2}/2
+        assert _kummer(3, -2.0) == pytest.approx(0.5 + 0.5 * math.exp(-2.0), rel=1e-12)
+        # gamma(4, -1) = 6 - 2e (from -(s^3+3s^2+6s+6)e^{-s}): M = 3 - 6/e
+        assert _kummer(4, -1.0) == pytest.approx(3.0 - 6.0 / math.e, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 6, 15])
+    @pytest.mark.parametrize("w", [-20.0, -3.0, -0.5, 0.4, 2.5, 30.0])
+    def test_against_quadrature(self, n, w):
+        with mp.workdps(40):
+            wm = mp.mpf(w)
+            ref = 1 + mp.exp(wm) * mp.quad(lambda s: s ** (n - 1) * mp.exp(-s), [0, wm]) \
+                / wm ** (n - 1)
+        assert _kummer(n, w) == pytest.approx(float(ref), rel=1e-10)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n,w,ref", [(2, 700.0, 1.448902935335720727793e301),
+                                         (200, 1265.0, 4.595827030582116306593e304)])
+    def test_just_below_double_range_is_finite(self, n, w, ref):
+        # reference values from mpmath's hyp1f1 at 40 digits
+        assert _kummer(n, w) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n,w", [(2, 720.0), (200, 1500.0)])
+    def test_past_double_range_is_range_error(self, n, w):
+        # M(1, 2, 720) = 6.8e309 and M(1, 200, 1500) = 9.9e391, both below
+        # the cut where the estimator stops calling scipy
+        with pytest.raises(RangeError, match="mgf estimate at n=.* leaves double range"):
+            _kummer(n, w)
+
+
 class TestExpectedShortfall:
     def test_unit_level(self):
         p = 1.0 - math.exp(-1.0)
@@ -680,6 +750,10 @@ _POSITIVE_INPUTS = {
                      "sample mean"),
     "Sample": (lambda v: Sample(np.atleast_1d(v)), "observations"),
     "log_gamma": (log_gamma, "x"),
+    "tate_phi_function": (
+        lambda v: tate_phi_function(FunctionalSpec(Kind.QUANTILE, q=0.5), 3)(v),
+        "sample mean"),
+    "mgf": (lambda v: mgf(v, 3, 0.5), "sample mean"),
 }
 
 

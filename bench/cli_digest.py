@@ -166,6 +166,15 @@ def manifests() -> list[tuple[str, list[str]]]:
          ["estimate", "--kind", "mean-past-lifetime", "--t", "0.5", "--data", "kink.txt"]),
         ("estimate mean-past-lifetime n=2000",
          ["estimate", "--kind", "mean-past-lifetime", "--t", "0.5", "--data", "data2000.txt"]),
+        # most of the sample-mean law below the direct-sum switch at t, and
+        # the kinks split up to n = 7
+        ("verify mean-past-lifetime --t 0.05",
+         ["verify", "--kinds", "mean-past-lifetime", "--t", "0.05", "--n", "1,2,3,7,8,30,200",
+          "--lambda", "0.5,1,2"]),
+        # the mean 0.25 lies below the switch, so the delta-method slope is the direct sum's
+        ("clt mean-past-lifetime t=0.5 n=30 lambda=4",
+         ["clt", "--kind", "mean-past-lifetime", "--t", "0.5", "--n", "30", "--lambda", "4",
+          "--reps", "20000", "--seed", "11", "--hist", HIST]),
     ]
     # the generic engine refuses these kinds (exit 3)
     for kind in DELTA_KINDS:

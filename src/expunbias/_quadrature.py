@@ -7,7 +7,8 @@ whole arrays of abscissae (one call per refinement round), which keeps the
 oracle sweeps fast even when the integrand itself is numpy-vectorized and
 expensive per call.  ``gauss_kronrod_row``, the one entry point, refines
 several integrals in lockstep, with one integrand call per round for all of
-them; a single integral is a row of one.
+them; a single integral is a row of one.  No integral is cut into more than
+``_MAX_SEGMENTS`` subintervals, a budget stated here alone.
 """
 
 from __future__ import annotations
@@ -44,11 +45,12 @@ _W_GAUSS = np.array([
 ])
 # refinement rounds before giving up; each round bisects at least one segment
 _MAX_ROUNDS = 200
+_MAX_SEGMENTS = 4096
 
 
 def gauss_kronrod_row(f: Callable[[list[int], list[np.ndarray]], list],
                       intervals: list[tuple[float, float, Iterable[float]]], *,
-                      rel_tol: float = 1e-9, max_segments: int = 4096) -> list:
+                      rel_tol: float = 1e-9) -> list:
     """Integrate over each ``(a, b, breakpoints)`` of ``intervals`` at once.
 
     ``f(active, xs)`` takes the indices of the integrals still refining and
@@ -58,7 +60,7 @@ def gauss_kronrod_row(f: Callable[[list[int], list[np.ndarray]], list],
     count do not depend on the others; one call of ``f`` per round serves
     them all.  Returns per interval ``(value, err_estimate, n_segments)`` or
     the exception that ended it, a :class:`QuadratureError` where the error
-    target was not met within ``max_segments`` subintervals.
+    target was not met within ``_MAX_SEGMENTS`` subintervals.
     """
     out: list = [None] * len(intervals)
     # per refining integral: its segments, the values and error estimates of
@@ -95,7 +97,7 @@ def gauss_kronrod_row(f: Callable[[list[int], list[np.ndarray]], list],
             err_total = float(errs.sum())
             if rnd < _MAX_ROUNDS and (err_total <= rel_tol * abs(total) or err_total == 0.0):
                 out[i] = (total, err_total, lo.size)
-            elif rnd == _MAX_ROUNDS or lo.size >= max_segments:
+            elif rnd == _MAX_ROUNDS or lo.size >= _MAX_SEGMENTS:
                 out[i] = QuadratureError(
                     f"quadrature did not reach rel_tol={rel_tol:g} "
                     f"(err={err_total:.3e}, value={total:.6e}, segments={lo.size})",
@@ -105,7 +107,7 @@ def gauss_kronrod_row(f: Callable[[list[int], list[np.ndarray]], list],
                 order = np.argsort(errs)[::-1]
                 cum = np.cumsum(errs[order])
                 n_split = int(np.searchsorted(cum, 0.5 * err_total)) + 1
-                n_split = min(n_split, max_segments - lo.size, lo.size)
+                n_split = min(n_split, _MAX_SEGMENTS - lo.size, lo.size)
                 split = order[:max(n_split, 1)]
                 keep = np.ones(lo.size, dtype=bool)
                 keep[split] = False

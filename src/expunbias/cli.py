@@ -283,9 +283,10 @@ def _cmd_clt(args) -> int:
         "ks_statistic": summary.ks_statistic,
         "skewness": skew, "excess_kurtosis": exkurt,
     }]
-    _emit(_render(manifest, rows), args.out)
+    # the histogram first: an unwritable path leaves no result on stdout
     if args.hist:
         _emit(_histogram_csv(zs, args.hist_bins), args.hist)
+    _emit(_render(manifest, rows), args.out)
     return EXIT_OK
 
 

@@ -270,8 +270,8 @@ def mean_past_lifetime(sample_mean, n, t):
       terms fall by (t/(2 pi mean))^2 a step, so twelve of them serve every
       n; the B_n(f) term is kept up to n = 24, past which it is below eps.
     - n >= 2, mean < t: the sum itself, at most about 45 terms, each term
-      exp((n-1) log1p(-tk/(n mean))) and the sum cut where its tail falls
-      below 2^-60 of the k = 0 term.
+      exp((n-1) log1p(-tk/(n mean))) and the sum cut, at a count set by n
+      alone, where its tail falls below 2^-60 of the k = 0 term.
 
     For n >= 2 either form is within a few ulps of the exact value.  Memory
     is O(points).
@@ -497,12 +497,10 @@ class _Phi(NamedTuple):
     is not 0 on any interval (0, L)); ``small_mean_power``, the r with the
     estimator proportional to mean^r as the mean falls to 0 (0 for the
     estimators bounded there); ``log_coef``, ln c of a power estimator
-    c mean^r, c > 0 (None for the others); ``pointwise``, False where a value also
-    depends on the other means of the call (mean-past-lifetime's direct sum
-    takes its term count from the largest).  The oracle reads these to
-    choose its window, whether to split at the kinks, how to integrate from
-    0, how to form a power times the density, and which means to evaluate
-    in one call.
+    c mean^r, c > 0 (None for the others).  A value at a mean depends on
+    that mean alone, so any means may share a call.  The oracle reads these
+    to choose its window, whether to split at the kinks, how to integrate
+    from 0 and how to form a power times the density.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -512,7 +510,6 @@ class _Phi(NamedTuple):
     support_start: float = 0.0
     small_mean_power: float = 0.0
     log_coef: Optional[float] = None
-    pointwise: bool = True
 
 
 def _power(coef: float, r: float, log_coef: Optional[float] = None) -> _Phi:
@@ -589,9 +586,12 @@ def _mean_past_lifetime_phi(spec: FunctionalSpec, n: int) -> _Phi:
     def kinks(upper):
         return [k * t / n for k in range(1, math.ceil(_mpl_terms(n * upper / t, t)) + 1)]
     if n == 1:
-        return _Phi(lambda x: t * (1.0 + _mpl_step_count(x, t)) - x, lambda mu: -1.0, kinks, 0,
-                    pointwise=False)
+        return _Phi(lambda x: t * (1.0 + _mpl_step_count(x, t)) - x, lambda mu: -1.0, kinks, 0)
     a, switch = t / n, _MPL_SWITCH * t
+    # below the switch, the sum itself over the abscissae tk/n, smallest term first
+    abscissae = [t * k / n for k in range(_mpl_direct_count(n), 0, -1)]
+    direct = _indicator_sum([(1, a_k) for a_k in abscissae], n - 1).value
+    direct_prime = _indicator_sum([(t, a_k) for a_k in abscissae], n - 1).prime
     # With c = a/x and w = nc = t/x, the sum over j of B_2j/(2j)! (n-1)_(2j-1)
     # c^(2j-1) is (n-1)c sum_j b_j w^(2j-2), b_j = B_2j/(2j)! prod_{i=2}^{2j-1}
     # (1 - i/n): every factor is at most 1, so nothing overflows at any n, and
@@ -620,14 +620,12 @@ def _mean_past_lifetime_phi(spec: FunctionalSpec, n: int) -> _Phi:
         out = t * bracket
         low = np.flatnonzero(flat < switch)
         if low.size:
-            out[low] = _mpl_direct(flat[low], n, t)
+            out[low] = t * (1.0 + direct(flat[low])) - flat[low]
         return out.reshape(x.shape)
 
     def prime(mu):
         if mu < switch:
-            k_max = _mpl_direct_count(n, t, mu)
-            return _indicator_sum([(t, k * t / n) for k in range(1, k_max + 1)],
-                                  n - 1).prime(mu) - 1.0
+            return direct_prime(mu) - 1.0
         # d/dx of t * bracket, through dc/dx = -c/x and df/dc = -1/c^2
         c = a / mu
         inner = (n - 1) * c * np.polyval(slope_coefs, (t / mu) ** 2)
@@ -638,7 +636,7 @@ def _mean_past_lifetime_phi(spec: FunctionalSpec, n: int) -> _Phi:
             f = math.fmod(mu, a) / a
             inner += c ** (n - 2) * np.polyval(b_n1, f) - (n - 1) * c ** (n - 1) * np.polyval(b_n, f) / n
         return float(-t / mu * inner)
-    return _Phi(value, prime, kinks, n - 1, pointwise=False)
+    return _Phi(value, prime, kinks, n - 1)
 
 
 # B_2, B_4, ..., B_24 as (numerator, denominator)
@@ -684,24 +682,16 @@ def _mpl_step_count(x: np.ndarray, t: float) -> np.ndarray:
     return q
 
 
-def _mpl_direct_count(n: int, t: float, x_max: float) -> int:
-    # The terms k >= 1 that points up to x_max need, for n >= 2.  Term k is at
-    # most e^{-ck} with c = (n-1)t/(n x), so the tail after K is at most
-    # e^{-c(K+1)}/(1 - e^{-c}) <= e^{-c(K+1)}(1+c)/c.  That is below 2^-60
+def _mpl_direct_count(n: int) -> int:
+    # The terms k >= 1 that every point below the switch needs, for n >= 2.
+    # Term k is at most e^{-ck} with c = (n-1)t/(n x), so the tail after K is at
+    # most e^{-c(K+1)}/(1 - e^{-c}) <= e^{-c(K+1)}(1+c)/c.  That is below 2^-60
     # (60 ln 2 = 41.59 nats) once c(K+1) >= 41.59 + ln(1 + 1/c), which
-    # K = ceil((42 + ln(1 + 1/c))/c) satisfies; the indicator ends the sum at
-    # n x/t, one more covering its rounding.  Below the switch c >= 1/2; c is
-    # inf only where x_max < t/n, and the one term k = 1 is then 0.
-    c = (n - 1) * t / (n * x_max)
-    return min(int(n * x_max / t) + 1, max(1, math.ceil((42.0 + math.log1p(1.0 / c)) / c)))
-
-
-def _mpl_direct(x: np.ndarray, n: int, t: float) -> np.ndarray:
-    # the sum itself below the switch, at most about 45 terms, smallest first
-    total = 0.0
-    for k in range(_mpl_direct_count(n, t, float(x.max())), 0, -1):
-        total = total + _indicator_power(x, t * k / n, n - 1)
-    return t * (1.0 + total) - x
+    # K = ceil((42 + ln(1 + 1/c))/c) satisfies for every x below the switch t
+    # at its c there, (n-1)/n >= 1/2.  The indicator ends the sum at n x/t < n,
+    # term n covering the rounding of its abscissa.
+    c = (n - 1) / n
+    return min(n, math.ceil((42.0 + math.log1p(1.0 / c)) / c))
 
 
 def _mgf_negative_tail(n: int, u, slope: bool = False):

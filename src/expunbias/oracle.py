@@ -13,13 +13,12 @@ re-exported here.
 ``verify_row`` checks one (kind, n, family) at a list of rates in one pass:
 it builds the estimator once, and ``_quadrature.gauss_kronrod_row`` refines
 all the cells together, so each round calls the estimator once and the
-density once for every cell still refining (mean-past-lifetime, whose value
-at a mean depends on the other means of a call, once per cell).  Each cell
-refines exactly as it would alone, so its numbers, and the typed error it
-raises, do not depend on the other rates of the row; ``verify_unbiasedness``,
-``verify_tate_bias`` and ``expectation`` are rows of one.  The standard
-Gamma(k) quantiles behind each window are cached per k and divided by the
-cell's rate.
+density once for every cell still refining.  Each cell refines exactly as it
+would alone, and an estimator's value at a mean depends on that mean alone,
+so its numbers, and the typed error it raises, do not depend on the other
+rates of the row; ``verify_unbiasedness``, ``verify_tate_bias`` and
+``expectation`` are rows of one.  The standard Gamma(k) quantiles behind
+each window are cached per k and divided by the cell's rate.
 
 Each cell is integrated over a window [L, U] taken from the integrand
 phi * density, not from the density alone.  L is where the estimator's
@@ -77,7 +76,6 @@ _TAIL_MASS = 1e-16
 _MESH_SCORES = np.arange(-8.0, 9.0)
 # indicator exponents up to this one get a split at each kink
 _SPLIT_EXPONENT = 6
-_MAX_SEGMENTS = 4096
 # width of the closed-form head of a singular integrand, relative to the
 # first quantile
 _HEAD_SCALE = 2.0 ** -52
@@ -113,12 +111,13 @@ def gamma_mean_density(x, n, lam):
 
     With y = lam x and Stirling's form of Gamma(n), the log density is
     ln lam + ln(n/2pi)/2 - R(n) + (n-1) ln y - n (y-1), which has no n ln n
-    terms to cancel (nor, at n = 1, the ln y term).  Vectorized over x.
+    terms to cancel (nor, at n = 1, the ln y term).  Vectorized over x; a
+    density outside double range raises :class:`RangeError`.
     """
     n, lam = _check_n(n), _check_positive("lambda", lam)
     arr = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore"):
-        out = np.exp(_log_density(lam * arr, n, _log_norm(n, lam)))
+    out = _in_range("the sample-mean density", lambda: np.exp(
+        _log_density(lam * arr, n, _log_norm(n, lam))))
     return float(out) if arr.ndim == 0 else out
 
 
@@ -153,8 +152,7 @@ def _attempt(compute: Callable, *args):
 
 
 def _row_integrand(phi: Callable[[np.ndarray], np.ndarray], n: int, lams: dict[int, float],
-                   name: Optional[str] = None, log_coef: Optional[float] = None, r: float = 0.0,
-                   pointwise: bool = True):
+                   name: Optional[str] = None, log_coef: Optional[float] = None, r: float = 0.0):
     # phi * density for the cells at the rates lams[cell], as gauss_kronrod_row
     # calls it.  The cells of a call are evaluated together; if one breaks a
     # rule, each is evaluated alone, which gives it the first error the rules
@@ -183,15 +181,14 @@ def _row_integrand(phi: Callable[[np.ndarray], np.ndarray], n: int, lams: dict[i
     def f(active: list[int], xs: list[np.ndarray]) -> list:
         sizes = [part.size for part in xs]
         x = np.concatenate(xs)
-        if pointwise or len(active) == 1:
-            try:
-                out = product(active, x, sizes)[1]
-            except (ArithmeticError, ExpunbiasError):
-                out = None
-            if (out is not None and np.isfinite(out).all()
-                    and (name is None or ((x > 0.0) & (x < math.inf)).all())):
-                ends = itertools.accumulate(sizes)
-                return [out[end - size:end] for size, end in zip(sizes, ends)]
+        try:
+            out = product(active, x, sizes)[1]
+        except (ArithmeticError, ExpunbiasError):
+            out = None
+        if (out is not None and np.isfinite(out).all()
+                and (name is None or ((x > 0.0) & (x < math.inf)).all())):
+            ends = itertools.accumulate(sizes)
+            return [out[end - size:end] for size, end in zip(sizes, ends)]
         if len(active) > 1:
             return [f([c], [part])[0] for c, part in zip(active, xs)]
         c = active[0]
@@ -210,7 +207,7 @@ def _row_integrand(phi: Callable[[np.ndarray], np.ndarray], n: int, lams: dict[i
 
 
 def _integrate_row(phi: Callable[[np.ndarray], np.ndarray], n: int, cells: list, rel_tol: float,
-                   max_segments: int = _MAX_SEGMENTS, alpha: float = 0.0, **integrand) -> list:
+                   alpha: float = 0.0, **integrand) -> list:
     # Per cell -- (lam, window, kinks, ...) or the error it raised -- the
     # integral of phi * density at lam over the window as (value, err), or the error;
     # the cells refine in one gauss_kronrod_row pass.  alpha: the integrand
@@ -243,8 +240,7 @@ def _integrate_row(phi: Callable[[np.ndarray], np.ndarray], n: int, cells: list,
                 (*out[i][:3], float(v[0]) * out[i][3] / (alpha + 1.0))
         live = [i for i in live if not isinstance(out[i], ExpunbiasError)]
     results = gauss_kronrod_row(lambda active, xs: f([live[a] for a in active], xs),
-                                [out[i][:3] for i in live], rel_tol=rel_tol,
-                                max_segments=max_segments)
+                                [out[i][:3] for i in live], rel_tol=rel_tol)
     for i, result in zip(live, results):
         out[i] = result if isinstance(result, Exception) else (out[i][3] + result[0], result[1])
     return out
@@ -260,8 +256,7 @@ def _one(outcomes: list):
 
 def expectation(estimator: Callable[[np.ndarray], np.ndarray], n: int, lam: float,
                 rel_tol: float = 1e-9, *, kinks: Iterable[float] = (),
-                tail_rate: Optional[float] = None,
-                max_segments: int = _MAX_SEGMENTS) -> tuple[float, float]:
+                tail_rate: Optional[float] = None) -> tuple[float, float]:
     """E[estimator(mean)] for mean ~ Gamma(n, n*lam), with an error estimate.
 
     The integral runs over [0, U], U the Gamma(n, rate) quantile at upper
@@ -273,8 +268,7 @@ def expectation(estimator: Callable[[np.ndarray], np.ndarray], n: int, lam: floa
     (indicator boundaries).
     """
     rate = n * lam if tail_rate is None else float(tail_rate)
-    return _one(_integrate_row(estimator, n, [(lam, _window(n, lam, rate, 0.0), kinks)],
-                               rel_tol, max_segments))
+    return _one(_integrate_row(estimator, n, [(lam, _window(n, lam, rate, 0.0), kinks)], rel_tol))
 
 
 def verify_row(spec: FunctionalSpec, n: int, family: Family, lams: Sequence[float],
@@ -312,7 +306,7 @@ def verify_row(spec: FunctionalSpec, n: int, family: Family, lams: Sequence[floa
     alpha = n - 1 + est.small_mean_power if est.support_start == 0.0 else 0.0
     results = _integrate_row(est.value, n, cells, rel_tol, alpha=alpha,
                              name=_estimate_name(spec, n, family), log_coef=est.log_coef,
-                             r=est.small_mean_power, pointwise=est.pointwise)
+                             r=est.small_mean_power)
     reports: list = []
     for lam, c, result in zip(lams, cells, results):
         if isinstance(result, Exception):

@@ -5,7 +5,8 @@ every ratio Gamma(b+d)/Gamma(b) goes through :func:`_log_gamma_ratio`, whose
 Stirling form never cancels the O(b ln b) parts of two log-gammas.
 ``log_gamma`` and ``_log_gamma_ratio`` accept scalars or numpy arrays and
 are pure; the argument of ``log_gamma`` passes the input rule
-``errors._check_positive``.  A scalar skips numpy's 0-d arrays, with the
+``errors._check_positive`` and its value the output-range rule
+``errors._in_range``.  A scalar skips numpy's 0-d arrays, with the
 array path's bits: ``log_gamma`` of a positive finite scalar is ``gammaln``
 of that float, and ``_stirling_remainder`` from 10 on sums its series in
 floats.  The incomplete gamma function and a plain Gamma ratio have no
@@ -20,7 +21,7 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import _check_positive
+from .errors import _check_positive, _in_range
 
 __all__ = ["log_gamma"]
 
@@ -79,4 +80,5 @@ def _log_variance_ratio(n: int, p: float) -> float:
 def log_gamma(x):
     """Natural logarithm of the gamma function for x > 0 (scipy's gammaln)."""
     x = _check_positive("x", x, arrays=True)
-    return float(gammaln(x)) if isinstance(x, float) else gammaln(x)
+    return _in_range("ln Gamma(x)", lambda: float(gammaln(x)) if isinstance(x, float)
+                     else gammaln(x))

@@ -281,10 +281,11 @@ class TestMalformedInput:
     ], ids=["verify-out", "clt-hist"])
     def test_unwritable_path_is_input_error(self, argv, tmp_path, capsys):
         # an OSError from writing escaped as a traceback with exit 1, the
-        # code of a failed verification
+        # code of a failed verification; clt also left its full result on stdout
         missing = tmp_path / "no" / "such" / "dir"
-        code, _, err = run([a.format(missing=missing) for a in argv], capsys)
+        code, out, err = run([a.format(missing=missing) for a in argv], capsys)
         assert code == EXIT_INPUT
+        assert out == ""
         assert err.startswith("error: cannot write ") and err.count("\n") == 1
         assert str(missing) in err
 

@@ -25,7 +25,7 @@ from expunbias.estimators import (_BERNOULLI_EVEN, EstimateResult, Family, Funct
                                   quantile, rate_power, survival,
                                   target_value, tate_phi_function)
 from expunbias.montecarlo import asymptotic_variance
-from expunbias.oracle import tate_estimate
+from expunbias.oracle import gamma_mean_density, tate_estimate
 from expunbias.special import log_gamma
 
 
@@ -633,6 +633,46 @@ class TestDispatch:
         assert out[0] == 0.0
 
 
+# every closed-form kind at the verify subcommand's default parameters, and
+# mean-past-lifetime at a t that puts more of the sample-mean law below the switch
+_POINTWISE_SPECS = [
+    FunctionalSpec(Kind.RATE_POWER, p=0.5), FunctionalSpec(Kind.QUANTILE, q=0.5),
+    FunctionalSpec(Kind.MOMENT, p=2.0), FunctionalSpec(Kind.SURVIVAL, t=0.5),
+    FunctionalSpec(Kind.MAX_CDF_POWER, t=0.5, m=2), FunctionalSpec(Kind.MIN_SURVIVAL, t=0.5, m=2),
+    FunctionalSpec(Kind.PDF, t=0.5), FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=0.5),
+    FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=0.05), FunctionalSpec(Kind.MGF, t=0.5),
+    FunctionalSpec(Kind.EXPECTED_SHORTFALL, p=0.5),
+]
+
+
+class TestPointwise:
+    @pytest.mark.parametrize("family", [Family.CLOSED_FORM_UNBIASED, Family.TATE_BIASED],
+                             ids=lambda f: f.value)
+    @pytest.mark.parametrize("spec", _POINTWISE_SPECS,
+                             ids=lambda s: f"{s.kind.value}-{s.params()}")
+    def test_value_at_a_mean_depends_on_that_mean_alone(self, spec, family):
+        # the kernel over a concatenation gives each part's values bit for bit,
+        # for parts drawn across the direct-sum switch at t and the kinks
+        rng = np.random.default_rng(23)
+        for n in (1, 2, 3, 7, 30, 200, 2000):
+            try:
+                est = _estimator(spec, n, family)
+            except (DomainError, SpecError):  # outside the family's domain
+                continue
+            kinks = est.kinks(10.0)
+            pts = np.array([*np.geomspace(1e-3, 30.0, 61), *kinks[:10],
+                            *kinks[::max(1, len(kinks) // 30)], spec.t or 1.0])
+            x = np.concatenate([np.nextafter(pts, 0.0), pts, np.nextafter(pts, np.inf)])
+            with np.errstate(all="ignore"):
+                whole = est.value(x)
+                for order in (np.argsort(x), rng.permutation(x.size)):
+                    parts = np.array_split(order, 7)
+                    got = np.empty_like(whole)
+                    for part in parts:
+                        got[part] = est.value(x[part])
+                    assert got.tobytes() == whole.tobytes(), (spec, family, n)
+
+
 class TestVarianceFormulas:
     def test_p1_both_equal_mean_variance(self):
         for n in (2, 7, 30):
@@ -806,9 +846,16 @@ class TestOutputRange:
         lambda: Sample([1.7e308, 1.7e308]),
         # x^p of an observation overflowed with a warning
         lambda: mle_estimate(FunctionalSpec(Kind.MOMENT, p=400.0), Sample([10.0, 20.0])),
+        # gammaln overflowed to inf without a warning
+        lambda: log_gamma(1.7e308),
+        lambda: log_gamma(np.array([1.0, 1.7e308])),
+        # the density's exp overflowed with a warning
+        lambda: gamma_mean_density(1e-308, 100, 1e308),
+        lambda: gamma_mean_density(np.array([1.0, 1e-308]), 100, 1e308),
     ], ids=["rate-power", "moment", "expected-shortfall", "tate-quantile",
             "quantile-target", "expected-shortfall-target", "moment-target",
-            "rate-power-target-array", "sample-mean", "moment-mle"])
+            "rate-power-target-array", "sample-mean", "moment-mle", "log-gamma",
+            "log-gamma-array", "density", "density-array"])
     def test_range_error(self, call):
         with pytest.raises(RangeError, match="leaves double range"):
             call()

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from expunbias import estimators, oracle
+from expunbias import _quadrature, estimators, oracle
 from expunbias._quadrature import gauss_kronrod_row
 from expunbias.errors import (DomainError, ExpunbiasError, QuadratureError, RangeError,
                               SpecError)
@@ -94,10 +94,11 @@ class TestExpectation:
                                rel_tol=1e-10, kinks=[0.2])
         assert value == pytest.approx(math.exp(-1.0), abs=1e-9)
 
-    def test_impossible_tolerance_raises_with_partial(self):
+    def test_impossible_tolerance_raises_with_partial(self, monkeypatch):
+        monkeypatch.setattr(_quadrature, "_MAX_SEGMENTS", 64)
         with pytest.raises(QuadratureError) as exc:
             expectation(lambda x: np.sqrt(np.abs(np.sin(7.0 / (x + 1e-12)))),
-                        2, 1.0, rel_tol=1e-30, max_segments=64)
+                        2, 1.0, rel_tol=1e-30)
         assert math.isfinite(exc.value.partial_value)
         assert exc.value.segments == 64
 
@@ -408,7 +409,10 @@ class TestVerifyRow:
     @pytest.mark.parametrize("family,specs,ns", [
         (Family.CLOSED_FORM_UNBIASED, _ROW_SPECS, (1, 2, 5, 10, 30, 100, 200)),
         (Family.TATE_BIASED, _TATE_SPECS, (2, 3, 10, 30)),
-    ], ids=["corrected", "tate"])
+        # more means below the direct-sum switch, and kinks split up to n = 7
+        (Family.CLOSED_FORM_UNBIASED, [FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=0.05)],
+         (1, 2, 3, 7, 8, 30, 200)),
+    ], ids=["corrected", "tate", "mean-past-lifetime-t0.05"])
     def test_row_equals_its_cells(self, family, specs, ns, monkeypatch):
         # one pass over a row gives each cell's value, quad_err, segment count
         # and target to the bit, and the error a cell raises alone
@@ -472,9 +476,10 @@ def _alone(g, a, b, breakpoints=(), **options):
 
 
 class TestGaussKronrodRow:
-    def test_exhausted_integral_leaves_the_others(self):
+    def test_exhausted_integral_leaves_the_others(self, monkeypatch):
         # one integral cannot converge within 64 segments; the two smooth ones
         # still converge, to the numbers they reach alone
+        monkeypatch.setattr(_quadrature, "_MAX_SEGMENTS", 64)
         wild = lambda x: np.sqrt(np.abs(np.sin(7.0 / (x + 1e-12))))
         fs = [np.exp, wild, np.cos]
         calls = []
@@ -483,9 +488,9 @@ class TestGaussKronrodRow:
             calls.append(list(active))
             return [fs[i](x) for i, x in zip(active, xs)]
         out = gauss_kronrod_row(f, [(0.0, 2.0, ()), (0.0, 2.0, ()), (0.0, 3.0, [1.0])],
-                                rel_tol=1e-12, max_segments=64)
-        assert out[0] == _alone(np.exp, 0.0, 2.0, rel_tol=1e-12, max_segments=64)
-        assert out[2] == _alone(np.cos, 0.0, 3.0, [1.0], rel_tol=1e-12, max_segments=64)
+                                rel_tol=1e-12)
+        assert out[0] == _alone(np.exp, 0.0, 2.0, rel_tol=1e-12)
+        assert out[2] == _alone(np.cos, 0.0, 3.0, [1.0], rel_tol=1e-12)
         assert isinstance(out[1], QuadratureError) and out[1].segments == 64
         assert calls[0] == [0, 1, 2] and all(1 in c for c in calls)
 

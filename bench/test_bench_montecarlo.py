@@ -8,8 +8,11 @@ commit of the package:
 
 ``testpaths`` in pyproject.toml is ``tests``, so the plain test run does
 not collect these cases.  Each op simulates 2**15 replications (two blocks)
-at lambda = 1 on one thread; the checks after the timed call keep a wrong
-answer from passing as a fast one.
+at lambda = 1, except the ``_collect`` cases, which time the block loop
+itself (Gamma(n) mean draws and the survival estimator) at 2 and 16 blocks;
+blocks run on one thread per CPU, so report the core count with the
+numbers.  The checks after the timed call keep a wrong answer from passing
+as a fast one.
 """
 
 import math
@@ -18,8 +21,9 @@ import pytest
 from scipy import integrate, stats
 
 from expunbias import cli
-from expunbias.estimators import Family, FunctionalSpec, Kind, target_value
-from expunbias.montecarlo import McConfig, clt_check, empirical_bias
+from expunbias.estimators import Family, FunctionalSpec, Kind, phi_function, target_value
+from expunbias.montecarlo import (BLOCK_SIZE, McConfig, _collect, _draw_means, clt_check,
+                                  empirical_bias)
 
 REPS = 1 << 15
 SEED = 20_251
@@ -62,3 +66,14 @@ def test_cli_clt_hist(benchmark, tmp_path):
     assert benchmark(cli.main, argv) == 0
     counts = [int(row.split(",")[2]) for row in hist.read_text().splitlines()[1:]]
     assert sum(counts) == REPS
+
+
+@pytest.mark.parametrize("n", [2, 30, 200])
+@pytest.mark.parametrize("blocks", [2, 16])
+def test_collect_means(benchmark, blocks, n):
+    spec = FunctionalSpec(Kind.SURVIVAL, t=0.5)
+    phi = phi_function(spec, n)
+    config = McConfig(blocks * BLOCK_SIZE, n, 1.0, SEED)
+    values, = benchmark(_collect, config, lambda xbar: (phi(xbar),), 1, _draw_means)
+    std_error = math.sqrt(values.var(ddof=1) / values.size)
+    assert abs(values.mean() - target_value(spec, 1.0)) < 5.0 * std_error

@@ -22,6 +22,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -120,6 +121,18 @@ def _render(manifest: dict, rows: list[dict]) -> str:
         out["manifest"] = manifest_json
         writer.writerow(out)
     return buf.getvalue()
+
+
+def _check_writable(out: Optional[str]) -> None:
+    # an output path found unwritable ends the run before any work; the
+    # file itself is made only by _emit, so a run that fails makes none
+    if out is None or out == "-":
+        return
+    directory = os.path.dirname(out) or "."
+    if not os.path.isdir(directory):
+        raise _InputError(f"cannot write {out!r}: no directory {directory!r}")
+    if os.path.isdir(out) or not os.access(out if os.path.exists(out) else directory, os.W_OK):
+        raise _InputError(f"cannot write {out!r}: not a writable file")
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -386,6 +399,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        for out in (args.out, getattr(args, "hist", None)):
+            _check_writable(out)
         return args.func(args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,7 +3,8 @@
 Replications are organised in fixed-size blocks of 2**14; block b of a run
 seeded with s draws from an SFC64 stream seeded by ``SeedSequence([s, b])``.
 The draw for replication r therefore depends only on (seed, block r // 2**14,
-row r % 2**14), and blocks run one after another in one thread.  SFC64
+row r % 2**14), so blocks run concurrently on a thread pool with one thread
+per CPU the process may use, and a run's outputs do not depend on it.  SFC64
 replaced Philox4x64-10 keyed (s, b): nothing used Philox's counter property,
 SFC64 makes each 64-bit word several times cheaper than Philox's ten rounds,
 and numpy's Gamma sampler takes about two words per variate.
@@ -21,6 +22,8 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -41,6 +44,19 @@ __all__ = [
 
 BLOCK_SIZE = 1 << 14
 _U_FLOOR = 2.0 ** -53  # smallest positive value random() can produce
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _new_pool() -> None:
+    # threads start at the first submit; a forked child inherits the pool
+    # object but none of its threads, so it gets a pool of its own
+    global _POOL
+    _POOL = ThreadPoolExecutor(_CPUS, "expunbias-mc") if _CPUS > 1 else None
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 @dataclass(frozen=True)
@@ -104,7 +120,6 @@ def _draw_means(seed: int, block_index: int, rows: int, n: int, lam: float) -> n
     return means
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _summary raises RangeError instead
 def _collect(config: McConfig, row_stat: Callable[[np.ndarray], tuple[np.ndarray, ...]],
              n_outputs: int, draw: Callable[..., np.ndarray] = _draw_block
              ) -> tuple[np.ndarray, ...]:
@@ -112,18 +127,38 @@ def _collect(config: McConfig, row_stat: Callable[[np.ndarray], tuple[np.ndarray
 
     ``draw`` makes one block: ``_draw_block`` (rows x n observations, the
     default) or ``_draw_means`` (the rows' sample means only).  A statistic
-    outside double range is left inf or nan, without a warning.
+    outside double range is left inf or nan, without a warning.  Blocks run
+    on ``_POOL`` with the outputs and the error of a serial loop.
     """
     reps = config.replications
     outs = tuple(np.empty(reps) for _ in range(n_outputs))
     n_blocks = (reps + BLOCK_SIZE - 1) // BLOCK_SIZE
 
-    for b in range(n_blocks):
+    def block(b: int) -> None:
         start = b * BLOCK_SIZE
         stop = min(start + BLOCK_SIZE, reps)
-        stats = row_stat(draw(config.seed, b, stop - start, config.n, config.lam))
-        for out, stat in zip(outs, stats):
-            out[start:stop] = stat
+        # errstate is per thread; _summary raises RangeError instead
+        with np.errstate(over="ignore", invalid="ignore"):
+            stats = row_stat(draw(config.seed, b, stop - start, config.n, config.lam))
+            for out, stat in zip(outs, stats):
+                out[start:stop] = stat
+
+    if _POOL is None:
+        for b in range(n_blocks):
+            block(b)
+        return outs
+    # the caller runs block 0; results are read in block order, so the error
+    # raised is the lowest failing block's, once no block is left running
+    futures = [_POOL.submit(block, b) for b in range(1, n_blocks)]
+    try:
+        block(0)
+        for future in futures:
+            future.result()
+    except BaseException:
+        for future in futures:
+            future.cancel()
+        wait(futures)
+        raise
     return outs
 
 

@@ -111,13 +111,14 @@ def gamma_mean_density(x, n, lam):
 
     With y = lam x and Stirling's form of Gamma(n), the log density is
     ln lam + ln(n/2pi)/2 - R(n) + (n-1) ln y - n (y-1), which has no n ln n
-    terms to cancel (nor, at n = 1, the ln y term).  Vectorized over x; a
-    density outside double range raises :class:`RangeError`.
+    terms to cancel (nor, at n = 1, the ln y term).  Vectorized over x; the
+    density is 0 at x < 0, and one outside double range raises
+    :class:`RangeError`.
     """
     n, lam = _check_n(n), _check_positive("lambda", lam)
     arr = np.asarray(x, dtype=float)
-    out = _in_range("the sample-mean density", lambda: np.exp(
-        _log_density(lam * arr, n, _log_norm(n, lam))))
+    out = _in_range("the sample-mean density", lambda: np.where(arr < 0.0, 0.0, np.exp(
+        _log_density(lam * np.abs(arr), n, _log_norm(n, lam)))))
     return float(out) if arr.ndim == 0 else out
 
 

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from expunbias import cli
 from expunbias.cli import main
 
 EXIT_OK = 0
@@ -288,6 +289,44 @@ class TestMalformedInput:
         assert out == ""
         assert err.startswith("error: cannot write ") and err.count("\n") == 1
         assert str(missing) in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--kinds", "quantile", "--out", "{dest}"],
+        ["clt", "--kind", "moment", "--p", "1", "--n", "2", "--lambda", "1",
+         "--reps", "1000000", "--out", "{dest}"],
+        ["clt", "--kind", "moment", "--p", "1", "--n", "2", "--lambda", "1",
+         "--reps", "1000000", "--hist", "{dest}"],
+        ["compare", "--p", "2", "--n", "5", "--lambda", "1", "--out", "{dest}"],
+        ["estimate", "--kind", "quantile", "--q", "0.5", "--data", "{data}", "--out", "{dest}"],
+    ], ids=["verify-out", "clt-out", "clt-hist", "compare-out", "estimate-out"])
+    @pytest.mark.parametrize("dest", ["no/such/dir/out.csv", "."], ids=["missing-dir", "dir"])
+    def test_unwritable_path_ends_the_run_before_any_work(self, argv, dest, tmp_path,
+                                                         data_file, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the output path was checked")
+
+        for name in ("verify_row", "clt_replicates", "variance_comparison", "estimate",
+                     "read_observations"):
+            monkeypatch.setattr(cli, name, no_work)
+        dest = str(tmp_path / dest)
+        code, out, err = run([a.format(dest=dest, data=data_file) for a in argv], capsys)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith(f"error: cannot write {dest!r}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["clt", "--kind", "quantile", "--q", "0.5", "--n", "5", "--lambda", "1",
+         "--reps", "1", "--seed", "3"],
+        ["verify", "--kinds", "quantile", "--lambda", "1,1e-320,2"],
+        ["compare", "--p", "400", "--n", "5", "--lambda", "1000", "--reps", "300"],
+    ], ids=["clt-degenerate", "verify-domain", "compare-range"])
+    def test_failed_run_makes_no_file(self, argv, tmp_path, capsys):
+        out, hist = tmp_path / "out.json", tmp_path / "hist.csv"
+        extra = ["--hist", str(hist)] if argv[0] == "clt" else []
+        code, stdout, err = run([*argv, "--out", str(out), *extra], capsys)
+        assert code in (EXIT_DOMAIN, EXIT_NUMERICAL)
+        assert stdout == "" and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("bins", ["-3", "0"])
     def test_hist_bins_must_be_positive(self, bins, tmp_path, capsys):

@@ -6,6 +6,13 @@ The full 1e6-replication sweeps live in the acceptance suite."""
 import csv
 import io
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -390,6 +397,131 @@ class TestMeanDrawer:
         direct = empirical_bias(spec, cfg)
         se = math.sqrt(np.var(full, ddof=1) / full.size + direct.std_error ** 2)
         assert abs(full.mean() - direct.mean) < 5.0 * se
+
+
+@pytest.fixture
+def two_pool_threads(monkeypatch):
+    # the pool path on any machine: two pool threads beside the caller
+    monkeypatch.setattr(montecarlo, "_CPUS", 2)
+    monkeypatch.setattr(montecarlo, "_POOL", None)
+    montecarlo._new_pool()
+    pool = montecarlo._POOL
+    yield
+    pool.shutdown()
+
+
+def _serial_loop(cfg, row_stat, draw):
+    # the block loop written out: block b's rows come from its own draw
+    reps = cfg.replications
+    blocks = [row_stat(draw(cfg.seed, b, min(BLOCK_SIZE, reps - b * BLOCK_SIZE), cfg.n, cfg.lam))
+              for b in range(-(-reps // BLOCK_SIZE))]
+    return tuple(np.concatenate(column) for column in zip(*blocks))
+
+
+def _block_index_draw(seed, block_index, rows, n, lam):
+    # a draw whose every row holds its block index
+    return np.full(rows, float(block_index))
+
+
+@pytest.mark.usefixtures("two_pool_threads")
+class TestBlockPool:
+    """Blocks run on a thread pool and give the serial loop's outputs and errors."""
+
+    @pytest.mark.parametrize("reps", [1, BLOCK_SIZE, BLOCK_SIZE + 100, 17 * BLOCK_SIZE + 3])
+    @pytest.mark.parametrize("draw", [_draw_means, _draw_block])
+    def test_equals_the_serial_block_loop(self, draw, reps):
+        cfg = McConfig(reps, 3, 1.5, 99)
+
+        def row_stat(x):
+            xbar = x if x.ndim == 1 else x.mean(axis=1)
+            return xbar, np.sqrt(xbar)
+
+        pooled = _collect(cfg, row_stat, 2, draw)
+        for out, want in zip(pooled, _serial_loop(cfg, row_stat, draw)):
+            assert np.array_equal(out, want)
+
+    def test_lowest_failing_block_raises_once_no_block_runs(self):
+        # block 3 fails first in time, block 1 first in block order; the
+        # blocks still queued when block 1 fails never start
+        lock, running, started = threading.Lock(), [0], set()
+
+        def row_stat(x):
+            b = int(x[0])
+            with lock:
+                running[0] += 1
+                started.add(b)
+            try:
+                time.sleep({1: 0.2, 3: 0.0}.get(b, 0.1))
+                if b in (1, 3):
+                    raise ValueError(f"block {b}")
+                return x,
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        with pytest.raises(ValueError, match="block 1"):
+            _collect(McConfig(12 * BLOCK_SIZE, 1, 1.0, 1), row_stat, 1, _block_index_draw)
+        assert running[0] == 0
+        assert {0, 1, 2, 3} <= started and 11 not in started
+
+    def test_overflow_in_a_pool_block_is_silent(self):
+        # exp(1000 b) overflows from block 1 on, and inf - inf is invalid
+        def row_stat(x):
+            big = np.exp(1000.0 * x)
+            return big - big,
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, = _collect(McConfig(3 * BLOCK_SIZE, 1, 1.0, 1), row_stat, 1,
+                            _block_index_draw)
+        assert np.all(out[:BLOCK_SIZE] == 0.0) and np.all(np.isnan(out[BLOCK_SIZE:]))
+
+    def test_two_callers_on_an_oversubscribed_pool(self, monkeypatch):
+        # more pool threads than cores, two callers at once and a thread
+        # switch every microsecond: a row written to the wrong run or block
+        # shows as a difference from the serial loop
+        pool = ThreadPoolExecutor(4)
+        monkeypatch.setattr(montecarlo, "_POOL", pool)
+        configs = [McConfig(9 * BLOCK_SIZE + 5, n, 1.0, 40 + n) for n in (2, 3)]
+        results = [None, None]
+
+        def run(i):
+            results[i] = _collect(configs[i], lambda xbar: (xbar,), 1, _draw_means)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown()
+        assert not any(caller.is_alive() for caller in callers)
+        for cfg, (got,) in zip(configs, results):
+            want, = _serial_loop(cfg, lambda xbar: (xbar,), _draw_means)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_forked_child_gets_its_own_pool(self):
+        # the child inherits the parent's pool object but not its threads
+        cfg = McConfig(3 * BLOCK_SIZE, 2, 1.0, 5)
+        expected, = _collect(cfg, lambda xbar: (xbar,), 1, _draw_means)
+
+        def child():
+            means, = _collect(cfg, lambda xbar: (xbar,), 1, _draw_means)
+            os._exit(0 if np.array_equal(means, expected) else 1)
+
+        process = multiprocessing.get_context("fork").Process(target=child)
+        process.start()
+        process.join(60.0)
+        if process.is_alive():
+            process.kill()
+            process.join()
+        assert process.exitcode == 0
 
 
 _MLE_SPECS = [

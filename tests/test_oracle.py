@@ -49,6 +49,16 @@ class TestGammaMeanDensity:
         out = gamma_mean_density(np.array([0.0, 1.0]), 1, lam)
         assert out[1] == gamma_mean_density(1.0, 1, lam)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [1, 2, 30])
+    def test_zero_at_a_negative_mean(self, n):
+        # n = 1 gave e^(-n(y-1)) at y = lam x < 0, and n >= 2 a RangeError
+        xs = np.array([-1e300, -1.0, -1e-300, 0.0, 0.5, 1.0])
+        out = gamma_mean_density(xs, n, 1.5)
+        assert gamma_mean_density(-1.0, n, 1.5) == 0.0
+        assert np.all(out[:3] == 0.0)
+        assert out[3:].tolist() == [gamma_mean_density(x, n, 1.5) for x in xs[3:]]
+
     def test_vectorized(self):
         xs = np.array([0.5, 1.0, 2.0])
         out = gamma_mean_density(xs, 3, 1.0)

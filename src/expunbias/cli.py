@@ -8,7 +8,11 @@ Subcommands:
 * ``clt``       -- standardized-replicate normality diagnostics
 
 Every output (JSON or CSV) embeds the run manifest, and identical manifests
-produce byte-identical outputs: no timestamps, explicit seeds only.
+produce byte-identical outputs: no timestamps, explicit seeds only.  JSON
+output is byte-identical to ``json.dumps(doc, sort_keys=True, indent=2)``:
+``_json`` lays out the containers of containers and hands each flat dict or
+list to CPython's C encoder, which ``json.dumps`` uses only without an
+indent.  An output file is written in one binary write.
 
 Exit codes: 0 success, 1 verification threshold exceeded, 2 input error,
 3 domain/spec error, 4 numerical failure.
@@ -31,8 +35,8 @@ import numpy as np
 from . import __version__
 from .errors import (DomainError, ExpunbiasError, InversionError, QuadratureError, RangeError,
                      SpecError, _check_n, _check_positive)
-from .estimators import (_CATALOGUE, Family, FunctionalSpec, Kind, Sample,
-                         _estimator, estimate, target_value)
+from .estimators import (_CATALOGUE, Family, FunctionalSpec, Kind, Sample, estimate,
+                         target_value)
 from .montecarlo import McConfig, _clt_summary, clt_replicates, variance_comparison
 from .oracle import verify_row
 
@@ -105,10 +109,43 @@ def _number_list(text: str, convert, option: str) -> list:
 # output plumbing
 # ---------------------------------------------------------------------------
 
+_INDENT = "  "
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _flat_encoder(depth: int):
+    # json's C encoder for a dict or list of scalars at this depth, with the
+    # newline and indent of its items in the item separator
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+        ": ", ",\n" + _INDENT * (depth + 1), True, False, True)
+
+
+def _json(value, depth: int = 0) -> str:
+    # json.dumps(value, sort_keys=True, indent=2) at this depth: a container of
+    # containers is laid out here, anything else by the C encoder; the keys of
+    # a dict of containers must be strings, as the CLI's are
+    pad = "\n" + _INDENT * depth
+    if isinstance(value, dict) and any(isinstance(v, _CONTAINERS) for v in value.values()):
+        items = [f"{json.encoder.encode_basestring_ascii(k)}: {_json(v, depth + 1)}"
+                 for k, v in sorted(value.items())]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)) and any(isinstance(v, _CONTAINERS) for v in value):
+        items = [_json(v, depth + 1) for v in value]
+        brackets = "[]"
+    else:
+        text = "".join(_flat_encoder(depth)(value, 0))
+        if len(text) > 2 and text[0] in "[{":  # not empty: open the first item's line
+            return text[0] + pad + _INDENT + text[1:-1] + pad + text[-1]
+        return text
+    inner = pad + _INDENT
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
 def _render(manifest: dict, rows: list[dict]) -> str:
     if manifest["output_format"] == "json":
-        doc = {"manifest": manifest, "results": rows}
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return _json({"manifest": manifest, "results": rows}) + "\n"
     # RFC-4180-style CSV: header row, quoted where needed; the manifest is
     # carried in a dedicated column so each row is self-describing.
     manifest_json = json.dumps(manifest, sort_keys=True)
@@ -140,8 +177,8 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
     else:
         try:
-            with open(out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+            with open(out, "wb") as fh:
+                fh.write(text.encode("utf-8"))
         except OSError as exc:
             raise _InputError(f"cannot write {out!r}: {exc}") from exc
 
@@ -195,27 +232,20 @@ def _cmd_verify(args) -> int:
         if name not in _KIND_NAMES:
             raise SpecError(f"unknown kind {name!r}")
 
-    # the grid's rows in the domain: an n at which the family's estimator
-    # builds, and its lambdas above the target's pole
     family = Family.TATE_BIASED if args.tate else Family.CLOSED_FORM_UNBIASED
-    grid = []
-    for name in kinds:
-        row = _CATALOGUE[_KIND_NAMES[name]]
-        if args.tate and name not in _TATE_KIND_NAMES:
-            raise SpecError(f"--tate supports only {', '.join(_TATE_KIND_NAMES)}")
-        spec = FunctionalSpec(_KIND_NAMES[name], **{
-            param: getattr(args, option)
-            for param, option in zip(row.params, row.verify_args or row.params)})
-        for n in n_grid:
-            try:
-                _estimator(spec, n, family)
-            except DomainError:
-                continue
+
+    def grid():
+        # the grid's rows, each with its lambdas above the target's pole
+        for name in kinds:
+            row = _CATALOGUE[_KIND_NAMES[name]]
+            if args.tate and name not in _TATE_KIND_NAMES:
+                raise SpecError(f"--tate supports only {', '.join(_TATE_KIND_NAMES)}")
+            spec = FunctionalSpec(_KIND_NAMES[name], **{
+                param: getattr(args, option)
+                for param, option in zip(row.params, row.verify_args or row.params)})
             lams = [lam for lam in lam_grid if lam > row.pole(spec)]
-            if lams:
-                grid.append((spec, n, lams))
-    if not grid:
-        raise DomainError("no cell of the verify grid lies in the kinds' domains")
+            for n in n_grid:
+                yield spec, n, lams
 
     def output_row(report):
         # one verified cell; a cell's error ends the run, the first in grid order
@@ -238,8 +268,22 @@ def _cmd_verify(args) -> int:
             row["tate_minus_corrected"] = report.target - target_value(spec, lam)
         return row
 
-    rows = [output_row(report) for spec, n, lams in grid
-            for report in verify_row(spec, n, family, lams, rel_tol=args.rel_tol)]
+    # verify_row builds each row's estimator once, and one that does not build
+    # (DomainError) leaves its row out.  Past a failed cell the rows are only
+    # built, so any other error of a row or a kind comes before the cell's,
+    # as if every row were checked before any quadrature.
+    reports, cells, ok = [], 0, True
+    for spec, n, lams in grid():
+        try:
+            row_reports = verify_row(spec, n, family, lams if ok else [], rel_tol=args.rel_tol)
+        except DomainError:
+            continue
+        cells += len(lams)
+        reports += row_reports
+        ok = ok and not any(isinstance(report, ExpunbiasError) for report in row_reports)
+    if not cells:
+        raise DomainError("no cell of the verify grid lies in the kinds' domains")
+    rows = [output_row(report) for report in reports]
 
     manifest = _manifest("verify", {
         "kinds": ",".join(kinds), "n": args.n, "lambda": getattr(args, "lambda"),

@@ -396,9 +396,14 @@ def tate_expected_value(spec: FunctionalSpec, n: int, lam: float) -> float:
     max CDF power: [lam m t / ((n-1)(1 - e^{lam t})) + 1] * (1 - e^{-lam t})^m.
     """
     _estimator(spec, n, Family.TATE_BIASED)  # the 1959 rules on the kind and n
-    lam = _check_positive("lambda", lam)
+    return _tate_mean(spec, int(n), _check_positive("lambda", lam))
+
+
+def _tate_mean(spec: FunctionalSpec, n: int, lam: float) -> float:
+    # tate_expected_value past its rules on the kind, n and lambda, for a
+    # caller that has built the 1959 estimator at n and checked the rate
     return _in_range(f"Tate {spec.kind.value} expectation",
-                     lambda: _CATALOGUE[spec.kind].tate_mean(spec, int(n), lam))
+                     lambda: _CATALOGUE[spec.kind].tate_mean(spec, n, lam))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,9 @@ Two engines realise the inversion:
 
 Transforms whose composed original carries Dirac content or indicator
 kinks (survival-type functionals) are rejected here by declaration and
-served by the closed-form catalogue.
+served by the closed-form catalogue.  Only the Gaver-Stehfest functions use
+mpmath, and they import it where they run, so importing the package (or
+inverting on the Talbot contour) does not load it.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
-
-import mpmath as mp
 
 from .errors import (ConfigurationError, InversionError, RangeError,
                      UnsupportedTransformError, _check_n, _check_positive, _in_range)
@@ -129,6 +129,7 @@ def _stehfest_weight_fractions(order: int) -> tuple[Fraction, ...]:
 def _eval_mp(fn: Callable, x) -> tuple:
     """``fn`` at an mpmath abscissa as an mpf, and whether it answered in mpf;
     a callable that cannot digest mpf input is evaluated in double precision."""
+    import mpmath as mp
     try:
         val = fn(x)
     except (TypeError, ValueError, OverflowError):
@@ -140,8 +141,8 @@ def _eval_mp(fn: Callable, x) -> tuple:
     return mp.mpf(float(val)), False
 
 
-def _man_exp(x: mp.mpf) -> tuple[int, int]:
-    # x as (signed mantissa, exponent): x = man * 2^exp, man = 0 for 0, inf, nan
+def _man_exp(x) -> tuple[int, int]:
+    # an mpf x as (signed mantissa, exponent): x = man * 2^exp, man = 0 for 0, inf, nan
     sign, man, exp, _ = x._mpf_
     return (-man if sign else man), exp
 
@@ -150,15 +151,17 @@ def _man_exp(x: mp.mpf) -> tuple[int, int]:
 def _stehfest_weights_mp(order: int, dps: int, n: int = 0) -> tuple:
     # w_k (k ln2)^-n rounded to ``dps`` digits, as _man_exp pairs, n = 0
     # giving the plain Salzer weights; bounded, since n takes any value
+    import mpmath as mp
     with mp.workdps(dps):
         ln2 = mp.ln(2)
         return tuple(_man_exp(mp.mpf(w.numerator) / mp.mpf(w.denominator) / (k * ln2) ** n)
                      for k, w in enumerate(_stehfest_weight_fractions(order), 1))
 
 
-def _dot(weights: Sequence[tuple], values: Sequence[tuple]) -> mp.mpf:
+def _dot(weights: Sequence[tuple], values: Sequence[tuple]):
     """Sum of w_k v_k over _man_exp pairs: the products summed exactly in
     ints and rounded once at the working precision, as mp.fdot rounds."""
+    import mpmath as mp
     terms = [(wm * vm, we + ve) for (wm, we), (vm, ve) in zip(weights, values)]
     low = min(e for _, e in terms)
     return mp.mpf((sum(m << (e - low) for m, e in terms), low))
@@ -179,6 +182,7 @@ def _gs_ladder(fn: Callable, t: float, orders: Sequence[int], n: int = 0,
     last two still differ by more than 1e-3 it raises.  A single order is
     the plain fixed-order sum.
     """
+    import mpmath as mp
     dps = int(1.1 * orders[-1]) + 15
     with mp.workdps(dps):
         ln2_t = mp.ln(2) / mp.mpf(t)

@@ -14,7 +14,9 @@ estimators read only the mean (closed form, Tate, the MLE plug-in outside
 the moment kind, and the CLT replicates) draw one Gamma(n) variate per
 replication.  Full n-observation samples are drawn only where observations
 are used: ``variance_comparison`` and the MLE arm of the pth moment,
-(1/n) sum X_i^p.
+(1/n) sum X_i^p.  A block draws them in chunks of rows, about 2**18
+observations each, one after another from its one stream: the bits are
+those of drawing the block at once, and a thread holds one chunk at a time.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 1 << 14
+# observations a full-sample block draws at a time (2 MB)
+_CHUNK_DOUBLES = 1 << 18
 _U_FLOOR = 2.0 ** -53  # smallest positive value random() can produce
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -95,13 +99,27 @@ def _block_generator(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64([seed, block_index]))
 
 
-def _draw_block(seed: int, block_index: int, rows: int, n: int, lam: float) -> np.ndarray:
-    x = _block_generator(seed, block_index).random((rows, n))
+def _exponentials(stream: np.random.Generator, rows: int, n: int, lam: float) -> np.ndarray:
+    # the next rows x n exp(lam) observations of the stream, by the inverse CDF
+    x = stream.random((rows, n))
     np.maximum(x, _U_FLOOR, out=x)
     np.log(x, out=x)
     np.negative(x, out=x)
     x /= lam
     return x
+
+
+def _draw_block(seed: int, block_index: int, rows: int, n: int, lam: float) -> np.ndarray:
+    return _exponentials(_block_generator(seed, block_index), rows, n, lam)
+
+
+def _draw_chunks(seed: int, block_index: int, rows: int, n: int, lam: float):
+    """The rows of ``_draw_block`` as (first row, rows x n) chunks of about
+    ``_CHUNK_DOUBLES`` values, drawn one after another from the block's one
+    stream, so they hold its bits and a thread holds one chunk at a time."""
+    stream, step = _block_generator(seed, block_index), max(1, _CHUNK_DOUBLES // n)
+    for first in range(0, rows, step):
+        yield first, _exponentials(stream, min(step, rows - first), n, lam)
 
 
 def _draw_means(seed: int, block_index: int, rows: int, n: int, lam: float) -> np.ndarray:
@@ -121,14 +139,16 @@ def _draw_means(seed: int, block_index: int, rows: int, n: int, lam: float) -> n
 
 
 def _collect(config: McConfig, row_stat: Callable[[np.ndarray], tuple[np.ndarray, ...]],
-             n_outputs: int, draw: Callable[..., np.ndarray] = _draw_block
-             ) -> tuple[np.ndarray, ...]:
+             n_outputs: int, draw: Callable = _draw_chunks) -> tuple[np.ndarray, ...]:
     """Per-replication statistics over all blocks; block-index deterministic.
 
-    ``draw`` makes one block: ``_draw_block`` (rows x n observations, the
-    default) or ``_draw_means`` (the rows' sample means only).  A statistic
-    outside double range is left inf or nan, without a warning.  Blocks run
-    on ``_POOL`` with the outputs and the error of a serial loop.
+    ``draw`` makes one block: ``_draw_chunks`` (rows x n observations in
+    chunks, the default), ``_draw_block`` (the same rows at once) or
+    ``_draw_means`` (the rows' sample means only); it returns the rows, or
+    an iterator of (first row, rows) chunks.  ``row_stat`` must give each row
+    the statistics it gets alone.  A statistic outside double range is left
+    inf or nan, without a warning.  Blocks run on ``_POOL`` with the outputs
+    and the error of a serial loop.
     """
     reps = config.replications
     outs = tuple(np.empty(reps) for _ in range(n_outputs))
@@ -139,9 +159,11 @@ def _collect(config: McConfig, row_stat: Callable[[np.ndarray], tuple[np.ndarray
         stop = min(start + BLOCK_SIZE, reps)
         # errstate is per thread; _summary raises RangeError instead
         with np.errstate(over="ignore", invalid="ignore"):
-            stats = row_stat(draw(config.seed, b, stop - start, config.n, config.lam))
-            for out, stat in zip(outs, stats):
-                out[start:stop] = stat
+            drawn = draw(config.seed, b, stop - start, config.n, config.lam)
+            for first, rows in [(0, drawn)] if isinstance(drawn, np.ndarray) else drawn:
+                at = start + first
+                for out, stat in zip(outs, row_stat(rows)):
+                    out[at:at + len(rows)] = stat
 
     if _POOL is None:
         for b in range(n_blocks):

@@ -61,7 +61,8 @@ from ._quadrature import gauss_kronrod_row
 from .errors import (DomainError, ExpunbiasError, RangeError, _check_n, _check_positive,
                      _in_range)
 from .estimators import (_CATALOGUE, Family, FunctionalSpec, _estimate_name, _estimator,
-                         tate_estimate, tate_expected_value, tate_phi_function, target_value)
+                         _tate_mean, tate_estimate, tate_expected_value, tate_phi_function,
+                         target_value)
 from .special import _stirling_remainder
 
 __all__ = [
@@ -97,12 +98,14 @@ class VerificationReport:
     estimator_family: Family
 
 
-def _log_norm(n: int, lam: float) -> float:
-    return math.log(lam) + 0.5 * math.log(n / (2.0 * math.pi)) - _stirling_remainder(n)
+def _log_norms(n: int, lams: Iterable[float]) -> list[float]:
+    # ln lam + ln(n/2pi)/2 - R(n) at each rate, R(n) taken once
+    half, remainder = 0.5 * math.log(n / (2.0 * math.pi)), _stirling_remainder(n)
+    return [math.log(lam) + half - remainder for lam in lams]
 
 
 def _log_density(y, n: int, log_norm):
-    # the log density of the mean at y = lam x, log_norm = _log_norm(n, lam)
+    # the log density of the mean at y = lam x, log_norm from _log_norms
     return (log_norm + (n - 1) * np.log(y) if n > 1 else log_norm) - n * (y - 1.0)
 
 
@@ -118,7 +121,7 @@ def gamma_mean_density(x, n, lam):
     n, lam = _check_n(n), _check_positive("lambda", lam)
     arr = np.asarray(x, dtype=float)
     out = _in_range("the sample-mean density", lambda: np.where(arr < 0.0, 0.0, np.exp(
-        _log_density(lam * np.abs(arr), n, _log_norm(n, lam)))))
+        _log_density(lam * np.abs(arr), n, _log_norms(n, [lam])[0]))))
     return float(out) if arr.ndim == 0 else out
 
 
@@ -161,8 +164,10 @@ def _row_integrand(phi: Callable[[np.ndarray], np.ndarray], n: int, lams: dict[i
     # positive, then an estimate out of range where the product is too (named
     # so), then the product out of range.  log_coef: ln c of a power
     # estimator c mean^r, see the module docstring.
-    log_norms = {c: _log_norm(n, lam) for c, lam in lams.items()}
-    products = {c: f"estimator * density at n={n}, lambda={lam!r}" for c, lam in lams.items()}
+    log_norms = dict(zip(lams, _log_norms(n, lams.values())))
+
+    def product_name(c: int) -> str:
+        return f"estimator * density at n={n}, lambda={lams[c]!r}"
 
     def product(active, x, sizes):
         with np.errstate(all="ignore"):
@@ -199,9 +204,9 @@ def _row_integrand(phi: Callable[[np.ndarray], np.ndarray], n: int, lams: dict[i
             try:
                 value, out = product(active, x, sizes)
             except (OverflowError, ZeroDivisionError) as exc:
-                raise RangeError(f"{name or products[c]} leaves double range") from exc
-            _in_range(name or products[c], lambda: value[~np.isfinite(out)])
-            return [_in_range(products[c], lambda: out)]
+                raise RangeError(f"{name or product_name(c)} leaves double range") from exc
+            _in_range(name or product_name(c), lambda: value[~np.isfinite(out)])
+            return [_in_range(product_name(c), lambda: out)]
         except ExpunbiasError as exc:
             return [exc]
     return f
@@ -214,10 +219,14 @@ def _integrate_row(phi: Callable[[np.ndarray], np.ndarray], n: int, cells: list,
     # the cells refine in one gauss_kronrod_row pass.  alpha: the integrand
     # grows like (x - lower)^alpha at each window's start; integrand: the
     # rules _row_integrand applies.
-    def start(cell):
-        # the cell's interval, breakpoints and head width
+    try:
         _check_positive("rel_tol", rel_tol)
         _check_n(n)
+    except ExpunbiasError as exc:  # every cell not failed yet fails alike
+        return [c if isinstance(c, ExpunbiasError) else exc for c in cells]
+
+    def start(cell):
+        # the cell's interval, breakpoints and head width
         lam, (lower, mesh, upper), kinks, *_ = cell
         _check_positive("lambda", lam)
         breakpoints = [*mesh.tolist(), *kinks]
@@ -295,10 +304,12 @@ def verify_row(spec: FunctionalSpec, n: int, family: Family, lams: Sequence[floa
 
     def cell(lam):
         # the window names a lambda whose cutoff leaves double range, so it
-        # comes before the target; past exponent _SPLIT_EXPONENT the estimator
-        # is smooth enough at its kinks for the mesh and the 15-point rule
+        # comes before the target; a window puts lam in (0, inf), which the
+        # Tate expectation takes past the rules the build checked.  Past
+        # exponent _SPLIT_EXPONENT the estimator is smooth enough at its
+        # kinks for the mesh and the 15-point rule
         window = _window(k, lam, n * (lam - pole), est.support_start)
-        target = (tate_expected_value(spec, n, lam) if family is Family.TATE_BIASED
+        target = (_tate_mean(spec, n, float(lam)) if family is Family.TATE_BIASED
                   else target_value(spec, lam))
         return lam, window, est.kinks(window[2]) if est.exponent <= _SPLIT_EXPONENT else (), target
 

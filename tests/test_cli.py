@@ -337,3 +337,142 @@ class TestMalformedInput:
         assert code == EXIT_INPUT
         assert out == "" and not hist.exists()
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestVerifyBuilds:
+    """verify builds each row's estimator once, in verify_row, and a run ends
+    as checking every row before any quadrature would end it."""
+
+    def test_one_build_per_row(self, monkeypatch, capsys):
+        from expunbias import oracle
+
+        built = []
+
+        def counting(spec, n, family):
+            built.append(n)
+            return estimator(spec, n, family)
+
+        estimator = oracle._estimator
+        monkeypatch.setattr(oracle, "_estimator", counting)
+        code, out, _ = run(["verify", "--kinds", "pdf", "--n", "1,2,5",
+                            "--lambda", "0.5,1,2"], capsys)
+        assert code == EXIT_OK
+        assert built == [1, 2, 5]
+        assert [row["n"] for row in json.loads(out)["results"]] == [2] * 3 + [5] * 3
+
+    def test_empty_grid_runs_no_quadrature(self, monkeypatch, capsys):
+        from expunbias import oracle
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran on an empty grid")
+
+        monkeypatch.setattr(oracle, "gauss_kronrod_row", no_quadrature)
+        code, out, err = run(["verify", "--tate", "--kinds", "quantile,rate-power",
+                              "--n", "1"], capsys)
+        assert code == EXIT_DOMAIN and out == ""
+        assert err == "error: no cell of the verify grid lies in the kinds' domains\n"
+
+    @pytest.mark.parametrize("argv,code,message", [
+        # the n = 1 cell fails (its target overflows), and the n = 200
+        # estimator does not build
+        (["--kinds", "moment", "--moment-p", "500", "--n", "1,200"], EXIT_NUMERICAL,
+         "numerical failure: the moment estimator coefficient at n=200 leaves double range\n"),
+        # the quantile cells fail (their cutoffs leave double range), and
+        # survival has no Tate form
+        (["--tate", "--kinds", "quantile,survival", "--lambda", "1e-320"], EXIT_DOMAIN,
+         "error: --tate supports only rate-power, quantile, max-cdf-power\n"),
+    ], ids=["build-error", "kind-error"])
+    def test_a_later_row_error_comes_before_a_cell_error(self, argv, code, message, capsys):
+        assert run(["verify", *argv], capsys) == (code, "", message)
+
+
+def _cli_document(argv, monkeypatch, capsys, tmp_path):
+    # the (manifest, rows) a CLI run renders, and the text it writes
+    seen = []
+
+    def spy(manifest, rows):
+        seen.append((manifest, rows))
+        return render(manifest, rows)
+
+    render = cli._render
+    monkeypatch.setattr(cli, "_render", spy)
+    out = tmp_path / "out.json"
+    code = main([*argv, "--out", str(out)])
+    capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_VERIFY_FAILED)
+    (manifest, rows), = seen
+    return manifest, rows, out.read_bytes()
+
+
+def _dumps(manifest, rows):
+    return json.dumps({"manifest": manifest, "results": rows}, sort_keys=True, indent=2) + "\n"
+
+
+class TestRender:
+    """JSON output is json.dumps(doc, sort_keys=True, indent=2) byte for byte."""
+
+    EDGE_VALUES = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e16, 1e-7, 0.1,
+                   2 ** 64 + 1, -(10 ** 30), 0, True, False, None, "", "plain"]
+    ODD_STRINGS = ['say "hi"', "back\\slash", "tab\tnew\nline\r", "\x00\x1f\x7f",
+                   "café", "☃ snow", "\U0001f600", "\ud800"]
+
+    @staticmethod
+    def manifest(output_format="json", **parameters):
+        return cli._manifest("verify", parameters, output_format, seed=7)
+
+    @pytest.mark.parametrize("value", EDGE_VALUES + ODD_STRINGS)
+    def test_edge_values(self, value):
+        manifest = self.manifest(value=value, **{"kéy \"q\"": value})
+        rows = [{"a": value, "b": [value, value], "z": 1.5}, {"value": value}]
+        assert cli._render(manifest, rows) == _dumps(manifest, rows)
+
+    def test_empty_parameters_and_results(self):
+        manifest = self.manifest()
+        assert manifest["parameters"] == {}
+        for rows in ([], [{}], [{}, {"a": []}]):
+            assert cli._render(manifest, rows) == _dumps(manifest, rows)
+
+    def test_nested_containers(self):
+        manifest = self.manifest(grid=[[1, [2, {}]], (3.5, {"b": [], "a": {"c": ()}})])
+        rows = [{"x": {"y": [1, {"z": [None]}]}, "w": ()}]
+        assert cli._render(manifest, rows) == _dumps(manifest, rows)
+
+    def test_unserialisable_value_raises_json_type_error(self):
+        class Opaque:
+            pass
+
+        manifest = self.manifest(value=Opaque())
+        with pytest.raises(TypeError) as expected:
+            _dumps(manifest, [])
+        with pytest.raises(TypeError) as got:
+            cli._render(manifest, [])
+        assert str(got.value) == str(expected.value)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._render(self.manifest(), [{"a": {1j}}])
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--kind", "moment", "--p", "2", "--data", "{data}"],
+        ["verify", "--kinds", "survival,mgf", "--n", "2,30", "--lambda", "0.5,1,2"],
+        ["verify", "--tate", "--n", "2,5", "--lambda", "0.5,2"],
+        ["verify", "--kinds", "max-cdf-power", "--n", "5", "--threshold", "1e-300"],
+        ["compare", "--p", "2", "--n", "5", "--lambda", "1", "--reps", "1000"],
+        ["clt", "--kind", "survival", "--t", "0.5", "--n", "10", "--lambda", "1",
+         "--reps", "1000", "--seed", "4"],
+    ], ids=["estimate", "verify", "verify-tate", "verify-failed", "compare", "clt"])
+    def test_cli_documents(self, argv, data_file, monkeypatch, capsys, tmp_path):
+        argv = [a.format(data=data_file) for a in argv]
+        manifest, rows, written = _cli_document(argv, monkeypatch, capsys, tmp_path)
+        assert rows
+        assert written == _dumps(manifest, rows).encode("utf-8")
+        main(argv)
+        assert capsys.readouterr().out == written.decode("utf-8")
+
+    def test_csv_is_unchanged(self):
+        manifest = self.manifest("csv", kinds="survival", n="2")
+        rows = [{"n": 2, "kind": "survival", "rel_bias": 1e-16, "note": 'a "b", c'},
+                {"n": 3, "lambda": math.nan}]
+        manifest_json = json.dumps(manifest, sort_keys=True).replace('"', '""')
+        assert cli._render(manifest, rows) == (
+            "kind,lambda,n,note,rel_bias,manifest\n"
+            f'survival,,2,"a ""b"", c",1e-16,"{manifest_json}"\n'
+            f',nan,3,,,"{manifest_json}"\n')

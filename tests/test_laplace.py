@@ -3,11 +3,15 @@ method-consistency/linearity contracts."""
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import expunbias
 from expunbias import laplace
 from expunbias.errors import (ConfigurationError, DomainError, ExpunbiasError,
                               InversionError, RangeError, UnsupportedTransformError)
@@ -633,3 +637,24 @@ class TestSameBits:
         with pytest.raises(InversionError) as info:
             invert_talbot(_tf(fn), 0.7, 32)
         assert info.value.diagnostics == {"method": "talbot", "nodes": 32, "t": 0.7}
+
+
+class TestLazyMpmath:
+    """Only the Gaver-Stehfest sums use mpmath, and they import it where they run."""
+
+    def _loads_mpmath(self, code: str) -> bool:
+        src = os.path.dirname(os.path.dirname(os.path.abspath(expunbias.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", f"import sys\n{code}\nprint('mpmath' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+        return out.stdout.split()[-1] == "True"
+
+    def test_importing_the_cli_leaves_mpmath_out(self):
+        assert not self._loads_mpmath("import expunbias.cli")
+
+    def test_talbot_leaves_mpmath_out_and_gaver_stehfest_loads_it(self):
+        run = ("from expunbias import laplace\n"
+               "tf = laplace.TransferFunction(lambda s: 1 / (s + 1), lambda s: 1 / (s + 1))\n"
+               "assert abs(laplace.invert_talbot(tf, 1.0) - 0.36787944117144233) < 1e-10\n")
+        assert not self._loads_mpmath(run)
+        assert self._loads_mpmath(run + "laplace.invert_gaver_stehfest(tf, 1.0)")

@@ -11,6 +11,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -25,7 +26,8 @@ from expunbias.estimators import (Family, FunctionalSpec, Kind, phi_function,
                                   target_value)
 from expunbias.laplace import TransferFunction
 from expunbias.montecarlo import (BLOCK_SIZE, McConfig, McSummary, _collect,
-                                  _draw_block, _draw_means, asymptotic_variance, clt_check,
+                                  _draw_block, _draw_chunks, _draw_means, asymptotic_variance,
+                                  clt_check,
                                   clt_replicates, clt_summary, empirical_bias,
                                   sample_exponential, variance_comparison)
 
@@ -522,6 +524,48 @@ class TestBlockPool:
             process.kill()
             process.join()
         assert process.exitcode == 0
+
+
+class TestChunkedDraw:
+    """A full-sample block is drawn in row chunks with the bits of one draw."""
+
+    @pytest.mark.parametrize("n", [1, 3, 37, 500])
+    @pytest.mark.parametrize("chunk_doubles", [1, 1000, montecarlo._CHUNK_DOUBLES])
+    def test_chunks_are_the_whole_block(self, monkeypatch, n, chunk_doubles):
+        monkeypatch.setattr(montecarlo, "_CHUNK_DOUBLES", chunk_doubles)
+        rows = 300
+        chunks = list(_draw_chunks(8, 2, rows, n, 1.5))
+        assert [first for first, _ in chunks] == list(
+            range(0, rows, max(1, chunk_doubles // n)))
+        assert np.array_equal(np.concatenate([x for _, x in chunks]),
+                              _draw_block(8, 2, rows, n, 1.5))
+
+    def test_collect_equals_the_whole_block_draw(self, monkeypatch):
+        # 27-row chunks, which divide neither a block nor the last block's rows
+        monkeypatch.setattr(montecarlo, "_CHUNK_DOUBLES", 1000)
+        cfg = McConfig(2 * BLOCK_SIZE + 5, 37, 1.0, 3)
+
+        def stats(x):
+            return x.mean(axis=1), np.mean(x ** 2.5, axis=1)
+
+        chunked = _collect(cfg, stats, 2)
+        for got, want in zip(chunked, _collect(cfg, stats, 2, _draw_block)):
+            assert np.array_equal(got, want)
+
+    def test_variance_comparison_holds_less_than_one_block(self):
+        # drawn at once, one block of 2**14 x 500 observations is 65.5 MB and
+        # x ** p as much again, per block in flight; drawn in chunks, all the
+        # blocks in flight together stay below one such draw
+        n = 500
+        tracemalloc.start()
+        try:
+            result = variance_comparison(2, McConfig(4 * BLOCK_SIZE, n, 1.0, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < BLOCK_SIZE * n * 8
+        unbiased, mle, _, _ = result
+        assert unbiased.replications == mle.replications == 4 * BLOCK_SIZE
 
 
 _MLE_SPECS = [

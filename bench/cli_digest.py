@@ -133,6 +133,14 @@ def manifests() -> list[tuple[str, list[str]]]:
         ("verify rate-power --p 2.5 --n 1,2,3",
          ["verify", "--kinds", "rate-power", "--p", "2.5", "--n", "1,2,3"]),
         ("verify pdf --n 1,2", ["verify", "--kinds", "pdf", "--n", "1,2"]),
+        ("verify --tate max-cdf-power --m 3 --n 1,2,3",
+         ["verify", "--tate", "--kinds", "max-cdf-power", "--m", "3", "--n", "1,2,3"]),
+        ("verify min-survival --m 3 --n 1,2,30",
+         ["verify", "--kinds", "min-survival", "--m", "3", "--n", "1,2,30"]),
+        # an estimator that does not build at the sample's n (exit 3)
+        ("estimate pdf n=1", ["estimate", "--kind", "pdf", "--t", "0.5", "--data", "huge.txt"]),
+        ("estimate rate-power p=9 n=7",
+         ["estimate", "--kind", "rate-power", "--p", "9", "--data", "data.txt"]),
         ("verify mgf --t 0.5 --lambda 0.25,0.5,1",
          ["verify", "--kinds", "mgf", "--t", "0.5", "--lambda", "0.25,0.5,1"]),
         # power estimators whose integrand's mass lies past the Gamma(n) window

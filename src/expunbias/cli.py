@@ -216,7 +216,7 @@ def _cmd_estimate(args) -> int:
 
 
 _TATE_KIND_NAMES = [name for name, kind in _KIND_NAMES.items()
-                    if _CATALOGUE[kind].tate_phi is not None]
+                    if _CATALOGUE[kind].tate_mean is not None]
 
 
 def _cmd_verify(args) -> int:

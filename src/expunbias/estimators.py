@@ -19,12 +19,16 @@ and the Tate form where one exists -- is one row of the ``_CATALOGUE``
 table at the end of this module; the public estimator functions and the
 dispatching functions here and in the other modules look rows up instead
 of branching on the kind.  ``_estimator(spec, n, family)`` builds both
-families from the rows: a ``_Phi`` whose value, derivative and kinks, and
-the facts the oracle reads (support start, indicator exponent, power at 0),
-all come from ``_power`` (coef * mean^r) or ``_indicator_sum``
-(c0 + sum c 1{mean >= a} (1 - a/mean)^e, each term through the one kernel
-``_indicator_power``).  A build is also the one statement of a family's
-domain in n: ``verify`` keeps the (kind, n) cells that build.  Rates, means
+families from the rows.  Eight rows state xi as atoms c lam^r e^{-a lam},
+and ``_mapped`` sends each to c Gamma(N)/(n^r Gamma(N-r)) mean^-r
+(1 - a/(n mean))_+^(N-1-r): the corrected estimator at N = n, Tate's 1959
+one at N = n - 1, both defined where N >= 1 and N - r > 0.  The MGF and
+mean-past-lifetime rows, infinite atom series, keep a ``phi`` of their own.
+A ``_Phi``'s value, derivative, kinks and the facts the oracle reads
+(support start, indicator exponent, power at 0) are one statement: c mean^-r
+or ``_indicator_sum`` (c0 + sum c 1{mean >= a} (1 - a/mean)^e through the
+one kernel ``_indicator_power``).  A build is also the one statement of a
+family's domain in n: ``verify`` keeps the (kind, n) cells that build.  Rates, means
 and observations, scalar or array, pass the input rule
 ``errors._check_positive``; ``_mean_checked`` computes every estimator
 value of both families under the output-range rule ``errors._in_range``,
@@ -37,6 +41,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -315,14 +320,15 @@ def _estimator(spec: FunctionalSpec, n: int,
     # kinks; the one statement of each family's rules on the kind and n
     n, row = _check_n(n), _CATALOGUE[spec.kind]
     if family is Family.TATE_BIASED:
-        if row.tate_phi is None:
+        if row.tate_mean is None:
             raise SpecError(f"no Tate form for kind {spec.kind.value!r}")
-        if n < 2:
-            raise DomainError("the Tate estimators require n >= 2")
-    elif row.phi is None:
+        return _mapped(spec, n, n - 1)
+    if row.atoms is not None:
+        return _mapped(spec, n, n)
+    if row.phi is None:
         raise SpecError(f"no closed form for kind {spec.kind.value!r};"
                         " use the Laplace inversion engine")
-    return (row.tate_phi if family is Family.TATE_BIASED else row.phi)(spec, n)
+    return row.phi(spec, n)
 
 
 def _mean_checked(spec: FunctionalSpec, n: int, family: Family):
@@ -374,10 +380,10 @@ def mle_estimate(spec: FunctionalSpec, sample: Sample, *,
 def tate_phi_function(spec: FunctionalSpec, n: int) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized biased estimator from the original transform tables.
 
-    Compared with the corrected forms, the power/normalisation uses n-1
-    where n belongs: rate powers carry Gamma(n-1)/(n^p Gamma(n-1-p)),
-    quantiles an extra n/(n-1), and max-CDF powers exponent n-2.  Defined
-    for integer n >= 2 and the kinds with a row ``tate_phi``.
+    The corrected forms' map with N = n - 1 where N = n belongs: rate powers
+    carry Gamma(n-1)/(n^p Gamma(n-1-p)), quantiles an extra n/(n-1), and
+    max-CDF powers exponent n-2.  Defined for integer n >= 2 (and p < n-1)
+    and the kinds with a row ``tate_mean``.
     """
     return _mean_checked(spec, n, Family.TATE_BIASED)
 
@@ -466,13 +472,13 @@ class _KindRow:
     the rates ``target_value`` accepts; ``delta_content``: the estimator
     arises from Dirac sifting, so the inversion engines refuse the kind and
     its transfer function has no complex evaluator;
-    ``phi(spec, n)``: checks the n-domain, binds the coefficients once and
-    returns the unbiased estimator as a :class:`_Phi` from ``_power`` or
-    ``_indicator_sum``, so its value, derivative and kinks are one statement;
-    ``verify_args``: the ``verify`` options read for ``params`` (default:
-    ``params``); ``tate_phi(spec, n)``: the biased 1959 estimator, a
-    :class:`_Phi` built the same way; ``tate_mean``: its exact expectation
-    (a row has both or neither).
+    ``atoms(spec)``: xi as atoms c lam^r e^{-a lam} for ``_mapped``, as
+    ``(r, [(c, a), ...])`` at an integer r or ``(r, (), ln c)`` for c lam^r
+    (xi stays beside them: max-cdf-power's atom sum cancels as lam t -> 0);
+    ``phi(spec, n)``: the unbiased :class:`_Phi` of a row without atoms, its
+    n-domain checked; ``verify_args``: the ``verify`` options read for
+    ``params`` (default: ``params``); ``tate_mean``: the exact expectation
+    of the 1959 estimator, on the rows that have one.
     """
 
     params: tuple[str, ...]
@@ -482,7 +488,7 @@ class _KindRow:
     delta_content: bool = False
     pole: Callable = lambda spec: 0.0
     verify_args: Optional[tuple[str, ...]] = None
-    tate_phi: Optional[Callable] = None
+    atoms: Optional[Callable] = None
     tate_mean: Optional[Callable] = None
 
 
@@ -517,12 +523,6 @@ class _Phi(NamedTuple):
     log_coef: Optional[float] = None
 
 
-def _power(coef: float, r: float, log_coef: Optional[float] = None) -> _Phi:
-    # coef * mean^r, coef > 0; log_coef where ln coef is known beyond coef's range
-    return _Phi(lambda x: coef * x ** r, lambda mu: r * coef * mu ** (r - 1),
-                small_mean_power=r, log_coef=math.log(coef) if log_coef is None else log_coef)
-
-
 def _indicator_power(x, a, e: int):
     # 1{x >= a} (1 - a/x)^e as exp(e log1p(-a/x)), a few ulps whatever e where
     # the power of a rounded base loses about e ulps.  Clamping x to a makes
@@ -553,34 +553,35 @@ def _indicator_sum(terms, e: int, c0: float = 0.0, over_x: bool = False) -> _Phi
                 min(a for _, a in terms) if c0 == 0.0 else 0.0)
 
 
-def _rate_power_phi(spec: FunctionalSpec, n: int, shift: int = 0) -> _Phi:
-    # Gamma(n-shift)/(n^p Gamma(n-shift-p)) mean^-p; shift 1 is the 1959 form
-    p = float(spec.p)
-    name, bound = ("Tate rate-power", "n-1") if shift else ("rate-power", "n")
-    if p >= n - shift:
-        raise DomainError(f"{name} needs p < {bound} (got p={spec.p}, n={n})")
-    # the coefficient underflows as p nears n, its log does not
-    what = f"the {name} estimator coefficient at n={n}"
-    log_coef = _in_range(what, lambda: float(-_log_gamma_ratio(n - shift, -p) - p * math.log(n)))
-    return _power(_in_range(what, lambda: math.exp(log_coef)), -p, log_coef)
-
-
-def _moment_phi(spec: FunctionalSpec, n: int) -> _Phi:
-    p = float(spec.p)
-    return _power(_in_range(f"the moment estimator coefficient at n={n}", lambda: math.exp(
-        log_gamma(p + 1.0) + p * math.log(n) - _log_gamma_ratio(n, p))), p)
-
-
-def _max_cdf_terms(spec: FunctionalSpec, n: int) -> list[tuple[int, float]]:
-    # [P(X <= t)]^m = (1 - e^{-lam t})^m expanded: C(m, k) (-1)^k at a = kt/n
-    t, m = float(spec.t), int(spec.m)
-    return [(math.comb(m, k) * (-1) ** k, k * t / n) for k in range(1, m + 1)]
-
-
-def _pdf_phi(spec: FunctionalSpec, n: int) -> _Phi:
-    if n < 2:
-        raise DomainError("the density estimator requires n >= 2")
-    return _indicator_sum([((n - 1.0) / n, float(spec.t) / n)], n - 2, over_x=True)
+def _mapped(spec: FunctionalSpec, n: int, N: int) -> _Phi:
+    # the map of the module docstring at N; its domain rule, N >= 1 and
+    # N - r > 0, in the terms of the rows it fails: the 1959 forms at n = 1,
+    # the rate power (r = p) and the density (r = 1)
+    r, atoms, *log_c = _CATALOGUE[spec.kind].atoms(spec)
+    tate = "" if N == n else "Tate "
+    if N < 1:
+        raise DomainError("the Tate estimators require n >= 2")
+    if N - r <= 0:
+        raise DomainError(f"{tate}{spec.kind.value} needs p < {'n' if N == n else 'n-1'}"
+                          f" (got p={spec.p}, n={n})" if log_c else
+                          f"the {tate}density estimator requires n >= {n - N + r + 1}")
+    if log_c:
+        # the coefficient underflows as r nears N, its log does not
+        what = f"the {tate}{spec.kind.value} estimator coefficient at n={n}"
+        log_coef = _in_range(what, lambda: float(
+            log_c[0] - r * math.log(n) - _log_gamma_ratio(N, -r)))
+        atoms = [(_in_range(what, lambda: math.exp(log_coef)), 0.0)]
+    else:
+        # integer r: the exact ratio in lowest terms, so a factor 1 leaves c as it is
+        ratio = (Fraction(math.perm(N - 1, r), n ** r) if r >= 0
+                 else Fraction(n ** -r, math.perm(N - 1 - r, -r)))
+        atoms = [(c * ratio.numerator / ratio.denominator, a) for c, a in atoms]
+    terms = [(c, a / n) for c, a in atoms if a > 0.0]
+    c0 = sum(c for c, a in atoms if a == 0.0)
+    if terms:
+        return _indicator_sum(terms, N - 1 - r, c0, over_x=r == 1)
+    return _Phi(lambda x: c0 * x ** -r, lambda mu: -r * c0 * mu ** (-r - 1),
+                small_mean_power=-r, log_coef=log_coef if log_c else math.log(c0))
 
 
 def _mean_past_lifetime_phi(spec: FunctionalSpec, n: int) -> _Phi:
@@ -742,15 +743,13 @@ _CATALOGUE: dict[Kind, _KindRow] = {
                  or not (s.p < 0.0 and float(s.p).is_integer()),
                  "negative integer rate-power exponents need allow_negative_integer_p=True")),
         xi=lambda s: lambda lam, xp=math, p=float(s.p): lam ** p,
-        phi=_rate_power_phi,
-        tate_phi=lambda s, n: _rate_power_phi(s, n, shift=1),
+        atoms=lambda s: (float(s.p), (), 0.0),
         tate_mean=lambda s, n, lam: (1.0 - s.p / (n - 1.0)) * lam ** s.p),
     Kind.QUANTILE: _KindRow(
         params=("q",),
         checks=((lambda s: 0.0 < s.q < 1.0, "quantile level q must lie in (0, 1)"),),
         xi=lambda s: lambda lam, xp=math, c=-math.log1p(-s.q): c / lam,
-        phi=lambda s, n: _power(-math.log1p(-s.q), 1),
-        tate_phi=lambda s, n: _power(-math.log1p(-s.q) * n / (n - 1.0), 1),
+        atoms=lambda s: (-1, [(-math.log1p(-s.q), 0.0)]),
         tate_mean=lambda s, n, lam: (n / (n - 1.0)) * (-math.log1p(-s.q) / lam)),
     Kind.MOMENT: _KindRow(
         params=("p",),
@@ -758,22 +757,22 @@ _CATALOGUE: dict[Kind, _KindRow] = {
         xi=lambda s: (lambda lam, xp=math, p=float(s.p), g=_in_range(
             "the moment target coefficient", lambda: math.exp(log_gamma(s.p + 1.0))):
                       g / lam ** p),
-        phi=_moment_phi,
+        atoms=lambda s: (-float(s.p), (), log_gamma(float(s.p) + 1.0)),
         verify_args=("moment_p",)),
     Kind.SURVIVAL: _KindRow(
         params=("t",),
         checks=(_POSITIVE_T,),
         xi=lambda s: lambda lam, xp=math, t=float(s.t): xp.exp(-lam * t),
-        phi=lambda s, n: _indicator_sum([(1, float(s.t) / n)], n - 1),
+        atoms=lambda s: (0, [(1, float(s.t))]),
         delta_content=True),
     Kind.MAX_CDF_POWER: _KindRow(
         params=("t", "m"),
         checks=(_POSITIVE_T, _COPIES),
         xi=lambda s: lambda lam, xp=math, t=float(s.t), m=int(s.m): (-xp.expm1(-lam * t)) ** m,
-        phi=lambda s, n: _indicator_sum(_max_cdf_terms(s, n), n - 1, 1.0),
+        # (1 - e^{-lam t})^m expanded: C(m, k) (-1)^k e^{-k t lam}
+        atoms=lambda s: (0, [(math.comb(int(s.m), k) * (-1) ** k, k * float(s.t))
+                             for k in range(int(s.m) + 1)]),
         delta_content=True,
-        # the 1959 form carries exponent n-2 where n-1 belongs
-        tate_phi=lambda s, n: _indicator_sum(_max_cdf_terms(s, n), n - 2, 1.0),
         tate_mean=lambda s, n, lam: (
             (lam * s.m * s.t / ((n - 1.0) * -math.expm1(lam * s.t)) + 1.0)
             * (-math.expm1(-lam * s.t)) ** s.m)),
@@ -781,13 +780,13 @@ _CATALOGUE: dict[Kind, _KindRow] = {
         params=("t", "m"),
         checks=(_POSITIVE_T, _COPIES),
         xi=lambda s: lambda lam, xp=math, t=float(s.t), m=int(s.m): xp.exp(-lam * m * t),
-        phi=lambda s, n: _indicator_sum([(1, int(s.m) * float(s.t) / n)], n - 1),
+        atoms=lambda s: (0, [(1, int(s.m) * float(s.t))]),
         delta_content=True),
     Kind.PDF: _KindRow(
         params=("t",),
         checks=(_POSITIVE_T,),
         xi=lambda s: lambda lam, xp=math, t=float(s.t): lam * xp.exp(-lam * t),
-        phi=_pdf_phi,
+        atoms=lambda s: (1, [(1, float(s.t))]),
         delta_content=True),
     Kind.MEAN_PAST_LIFETIME: _KindRow(
         params=("t",),
@@ -805,7 +804,7 @@ _CATALOGUE: dict[Kind, _KindRow] = {
         params=("p",),
         checks=((lambda s: 0.0 < s.p < 1.0, "expected-shortfall level p must lie in (0, 1)"),),
         xi=lambda s: lambda lam, xp=math, c=-math.log1p(-s.p) + 1.0: c / lam,
-        phi=lambda s, n: _power(-math.log1p(-s.p) + 1.0, 1),
+        atoms=lambda s: (-1, [(-math.log1p(-s.p) + 1.0, 0.0)]),
         verify_args=("q",)),
     Kind.CUSTOM: _KindRow(
         params=("custom_transform",),

@@ -397,7 +397,7 @@ _ROW_SPECS = [
     FunctionalSpec(Kind.PDF, t=0.5), FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=0.5),
     FunctionalSpec(Kind.MGF, t=0.5), FunctionalSpec(Kind.EXPECTED_SHORTFALL, p=0.5),
 ]
-_TATE_SPECS = [spec for spec in _ROW_SPECS if _CATALOGUE[spec.kind].tate_phi is not None]
+_TATE_SPECS = [spec for spec in _ROW_SPECS if _CATALOGUE[spec.kind].tate_mean is not None]
 
 
 def _outcome(call):

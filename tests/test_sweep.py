@@ -250,6 +250,30 @@ def test_sweep_against_mpmath(kind, data):
     _check(*data.draw(_cells(kind)))
 
 
+_ATOM_KINDS = [kind for kind in _CLOSED_FORM if _CATALOGUE[kind].atoms is not None]
+
+
+@pytest.mark.parametrize("kind", _ATOM_KINDS, ids=lambda k: k.value)
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_atoms_sum_to_target(kind, data):
+    """A row's atoms c lam^r e^{-a lam} sum to its xi, in double, within
+    _SUM_EPS eps sum |term| (1 + |ln |c|| + a lam + K) for K atoms: each term
+    rounds its exp of ln c or of -a lam, and the sum adds K roundings of its
+    absolute size.  Max-cdf-power's terms are O(1) and cancel, so there the
+    bound is absolute, about eps 2^m, however small the target."""
+    spec, _, x = data.draw(_cells(kind))
+    lam = data.draw(_log_uniform(0.05, 20.0)) / x
+    r, atoms, *log_c = _CATALOGUE[kind].atoms(spec)
+    if log_c:
+        atoms = [(math.exp(log_c[0]), 0.0)]
+    terms = [c * lam ** r * math.exp(-a * lam) for c, a in atoms]
+    budget = sum(abs(term) * (1 + abs(math.log(abs(c))) + a * lam + len(atoms))
+                 for term, (c, a) in zip(terms, atoms))
+    got, want = sum(terms), target_value(spec, lam)
+    assert abs(got - want) <= _SUM_EPS * EPS * budget, (got, want, budget)
+
+
 @st.composite
 def _verify_cells(draw, kind, n_min=1):
     """(spec, n, lam) with n log-uniform in [n_min, 2e4] and lam in [0.05, 30].
@@ -289,7 +313,7 @@ def test_sweep_verify_unbiasedness(kind, data):
     _check_verify(*data.draw(_verify_cells(kind)))
 
 
-_TATE_KINDS = [kind for kind in _CLOSED_FORM if _CATALOGUE[kind].tate_phi is not None]
+_TATE_KINDS = [kind for kind in _CLOSED_FORM if _CATALOGUE[kind].tate_mean is not None]
 
 
 @pytest.mark.parametrize("kind", _TATE_KINDS, ids=lambda k: k.value)

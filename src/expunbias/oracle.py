@@ -31,19 +31,21 @@ for a power c x^r x^(n-1) e^{-n lam x} a Gamma(n + r) one, so the window
 keeps all but 1e-16 of the integrand however small the target.  The window
 starts split at L plus the Gamma(n + r, rate) quantiles at the normal
 scores -8..8, which puts 17 breakpoints across the peak, so most cells
-certify in the first round.  The quadrature also splits at the estimator's
-indicator kinks, but only where its indicator exponent e is at most 6: the
-estimator is C^(e-1) there, and past that the mesh and the 15-point rule
-resolve the kinks unsplit.  At e = 4 and 5 they did not: across its kinks
-the 15- and 7-point rules err alike, so their difference is no bound, and
-mean-past-lifetime cells at n = 5 and 6 read up to 3e-9 and 3e-10.  A power
-estimator whose integrand grows like x^alpha, alpha < 0, at 0 (a rate power
-p > n - 1, a negative moment at n = 1) gets its first 2^-52 of the first
-quantile in closed form.  The integrand, phi * density, is computed under
-the output-range rule ``errors._in_range``, per cell: where a power
-estimator c mean^r or the density is not a normal double, the product is
-exp(ln c + r ln mean + ln density), so a rate power x^-p that overflows
-where the density underflows still gives its integrand.
+certify in the first round.  A pole c > 0 moves that mesh to 1/(lam - c), so
+the density's own Gamma(n, n lam) mesh is added: the MGF's integrand peaks
+at 1/lam, narrower at n = 1e6 than the first mesh segment.  The quadrature
+also splits at the estimator's indicator kinks, but only where its indicator
+exponent e is at most 6: the estimator is C^(e-1) there, and past that the
+mesh and the 15-point rule resolve the kinks unsplit.  At e = 4 and 5 they
+did not: across its kinks the 15- and 7-point rules err alike, so their
+difference is no bound, and mean-past-lifetime cells at n = 5 and 6 read up
+to 3e-9 and 3e-10.  A power estimator whose integrand grows like x^alpha,
+alpha < 0, at 0 (a rate power p > n - 1, a negative moment at n = 1) gets
+its first 2^-52 of the first quantile in closed form.  The integrand, phi *
+density, is computed under the output-range rule ``errors._in_range``, per
+cell: where a power estimator c mean^r or the density is not a normal
+double, the product is exp(ln c + r ln mean + ln density), so a rate power
+x^-p that overflows where the density underflows still gives its integrand.
 """
 
 from __future__ import annotations
@@ -311,7 +313,10 @@ def verify_row(spec: FunctionalSpec, n: int, family: Family, lams: Sequence[floa
         window = _window(k, lam, n * (lam - pole), est.support_start)
         target = (_tate_mean(spec, n, float(lam)) if family is Family.TATE_BIASED
                   else target_value(spec, lam))
-        return lam, window, est.kinks(window[2]) if est.exponent <= _SPLIT_EXPONENT else (), target
+        splits = est.kinks(window[2]) if est.exponent <= _SPLIT_EXPONENT else []
+        if pole > 0.0:  # and the density's own mesh, see the module docstring
+            splits = [*splits, *_window(n, lam, n * lam, 0.0)[1].tolist()]
+        return lam, window, splits, target
 
     cells = [_attempt(cell, lam) for lam in lams]
     # phi times the density x^(n-1) grows like x^(n - 1 + r) near a window's start at 0

@@ -176,6 +176,17 @@ class TestVerifyUnbiasedness:
         with pytest.raises(DomainError, match="lambda"):
             verify_unbiasedness(FunctionalSpec(Kind.MGF, t=0.5), 4, lam)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [10 ** 6, 10 ** 7])
+    @pytest.mark.parametrize("t,lam", [(0.5, 2.0), (0.5, 1.0), (0.25, 1.0)])
+    def test_mgf_mesh_covers_the_density_peak(self, t, lam, n):
+        # the window's mesh sits at 1/(lam - t) and the integrand peaks at
+        # 1/lam; every node of the first segment underflowed, and the oracle
+        # certified 0.0 with quad_err 0.0 (rel_bias 1)
+        r = verify_unbiasedness(FunctionalSpec(Kind.MGF, t=t), n, lam)
+        assert r.oracle_expectation > 0.0
+        assert r.rel_bias < 1e-12
+
     def test_mean_past_lifetime_kinks_from_tail(self):
         spec = FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=0.5)
         pts = _estimator(spec, 5).kinks(8.0)

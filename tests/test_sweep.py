@@ -36,10 +36,15 @@ n = 1, mean 1) failed.  ``_REGRESSIONS`` keeps, as explicit cases, cells
 where indicator powers computed as a power of the rounded base 1 - a/x lost
 about e ulps per term.
 
-The oracle sweeps draw n the same way and lambda in [0.05, 30], and check
+The oracle sweeps draw n log-uniformly in [1, 1e7] (the MGF's in [1, 1e6],
+where a cell already costs 0.13 s) and lambda in [0.05, 30], and check
 that ``verify_unbiasedness`` (every closed-form kind, n >= 1) and
 ``verify_tate_bias`` (every kind with a 1959 form, n >= 2) certify each cell
 below the 1e-9 tolerance or raise ``ExpunbiasError``, without a warning.
+
+``test_atoms_sum_to_target`` checks each finite-atom row's two statements
+of xi against each other: its atoms c lam^r e^{-a lam} summed in double
+against ``target_value``, to the rounding bound in its docstring.
 
 The CLI sweep (``test_sweep_cli``) runs ``cli.main`` on drawn argument lists
 of every subcommand: ``estimate`` under all three engines, ``verify``,
@@ -76,6 +81,9 @@ _SUM_EPS = 8.0
 _SMOOTH_REL = {Kind.RATE_POWER: 1e-13, Kind.MOMENT: 1e-13,
               Kind.QUANTILE: 1e-15, Kind.EXPECTED_SHORTFALL: 1e-15, Kind.MGF: 1e-10}
 _N_MAX = 20_000
+# the oracle sweeps' largest n, and the MGF's (scipy's hyp1f1 costs 0.13 s a
+# cell at 1e6 and 0.4 s at 1e7)
+_ORACLE_N_MAX, _MGF_ORACLE_N_MAX = 10 ** 7, 10 ** 6
 
 
 def _indicator_form(spec, n):
@@ -276,14 +284,16 @@ def test_atoms_sum_to_target(kind, data):
 
 @st.composite
 def _verify_cells(draw, kind, n_min=1):
-    """(spec, n, lam) with n log-uniform in [n_min, 2e4] and lam in [0.05, 30].
+    """(spec, n, lam) with n log-uniform in [n_min, 1e7] (1e6 for the MGF) and
+    lam in [0.05, 30].
 
     Time-like parameters are u/lam with u log-uniform in [0.05, 30], so the
     targets run from (lam t)^m ~ 1e-6 (max-cdf-power) to e^{-120}
     (min-survival).  Mean-past-lifetime draws lam t from 0.0025: at n <= 7
     the oracle splits its cells at each of about 40 n/(lam t) kinks.
     """
-    n = min(_N_MAX, max(n_min, round(draw(_log_uniform(n_min, _N_MAX)))))
+    n_max = _MGF_ORACLE_N_MAX if kind is Kind.MGF else _ORACLE_N_MAX
+    n = min(n_max, max(n_min, round(draw(_log_uniform(n_min, n_max)))))
     lam = draw(_log_uniform(0.05, 30.0))
     if kind is Kind.RATE_POWER:
         spec = FunctionalSpec(kind, p=draw(st.floats(-3.0, 3.0).filter(bool)),

@@ -20,15 +20,14 @@ table at the end of this module; the public estimator functions and the
 dispatching functions here and in the other modules look rows up instead
 of branching on the kind.  ``_estimator(spec, n, family)`` builds both
 families from the rows.  Eight rows state xi as atoms c lam^r e^{-a lam},
-and ``_mapped`` sends each to c Gamma(N)/(n^r Gamma(N-r)) mean^-r
+each of which ``_mapped`` sends to c Gamma(N)/(n^r Gamma(N-r)) mean^-r
 (1 - a/(n mean))_+^(N-1-r): the corrected estimator at N = n, Tate's 1959
-one at N = n - 1, both defined where N >= 1 and N - r > 0.  The MGF and
-mean-past-lifetime rows, infinite atom series, keep a ``phi`` of their own.
-A ``_Phi``'s value, derivative, kinks and the facts the oracle reads
-(support start, indicator exponent, power at 0) are one statement: c mean^-r
-or ``_indicator_sum`` (c0 + sum c 1{mean >= a} (1 - a/mean)^e through the
-one kernel ``_indicator_power``).  A build is also the one statement of a
-family's domain in n: ``verify`` keeps the (kind, n) cells that build.  Rates, means
+one at N = n - 1.  The MGF and mean-past-lifetime rows, infinite atom
+series, keep a ``phi``.  A ``_Phi``'s value, derivative, kinks and the
+facts the oracle reads are one statement, c mean^-r or an ``_indicator_sum``
+through the one kernel ``_indicator_power``.  A build is also the one
+statement of a family's domain in n (for the map, N >= 1 and N - r > 0):
+``verify`` keeps the (kind, n) cells that build.  Rates, means
 and observations, scalar or array, pass the input rule
 ``errors._check_positive``; ``_mean_checked`` computes every estimator
 value of both families under the output-range rule ``errors._in_range``,
@@ -316,8 +315,7 @@ def phi_function(spec: FunctionalSpec, n: int) -> Callable[[np.ndarray], np.ndar
 
 def _estimator(spec: FunctionalSpec, n: int,
                family: Family = Family.CLOSED_FORM_UNBIASED) -> _Phi:
-    # the row's corrected or 1959 estimator at this n: value, derivative and
-    # kinks; the one statement of each family's rules on the kind and n
+    # the row's corrected or 1959 estimator at n, and the one statement of their rules
     n, row = _check_n(n), _CATALOGUE[spec.kind]
     if family is Family.TATE_BIASED:
         if row.tate_mean is None:
@@ -380,10 +378,9 @@ def mle_estimate(spec: FunctionalSpec, sample: Sample, *,
 def tate_phi_function(spec: FunctionalSpec, n: int) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized biased estimator from the original transform tables.
 
-    The corrected forms' map with N = n - 1 where N = n belongs: rate powers
-    carry Gamma(n-1)/(n^p Gamma(n-1-p)), quantiles an extra n/(n-1), and
-    max-CDF powers exponent n-2.  Defined for integer n >= 2 (and p < n-1)
-    and the kinds with a row ``tate_mean``.
+    The corrected forms' map at N = n - 1: rate powers carry Gamma(n-1)/(n^p
+    Gamma(n-1-p)), quantiles an extra n/(n-1), max-CDF powers exponent n-2.
+    Defined for integer n >= 2 (p < n-1) and the kinds with a ``tate_mean``.
     """
     return _mean_checked(spec, n, Family.TATE_BIASED)
 
@@ -475,10 +472,9 @@ class _KindRow:
     ``atoms(spec)``: xi as atoms c lam^r e^{-a lam} for ``_mapped``, as
     ``(r, [(c, a), ...])`` at an integer r or ``(r, (), ln c)`` for c lam^r
     (xi stays beside them: max-cdf-power's atom sum cancels as lam t -> 0);
-    ``phi(spec, n)``: the unbiased :class:`_Phi` of a row without atoms, its
-    n-domain checked; ``verify_args``: the ``verify`` options read for
-    ``params`` (default: ``params``); ``tate_mean``: the exact expectation
-    of the 1959 estimator, on the rows that have one.
+    ``phi(spec, n)``: the unbiased :class:`_Phi` of a row without atoms;
+    ``verify_args``: the ``verify`` options read for ``params`` (default:
+    ``params``); ``tate_mean``: the 1959 estimator's exact expectation.
     """
 
     params: tuple[str, ...]
@@ -554,9 +550,8 @@ def _indicator_sum(terms, e: int, c0: float = 0.0, over_x: bool = False) -> _Phi
 
 
 def _mapped(spec: FunctionalSpec, n: int, N: int) -> _Phi:
-    # the map of the module docstring at N; its domain rule, N >= 1 and
-    # N - r > 0, in the terms of the rows it fails: the 1959 forms at n = 1,
-    # the rate power (r = p) and the density (r = 1)
+    # the module docstring's map at N; its rule N >= 1, N - r > 0 said as it
+    # fails: the 1959 forms at n = 1, the rate power (r = p), the density (r = 1)
     r, atoms, *log_c = _CATALOGUE[spec.kind].atoms(spec)
     tate = "" if N == n else "Tate "
     if N < 1:
@@ -573,9 +568,9 @@ def _mapped(spec: FunctionalSpec, n: int, N: int) -> _Phi:
         atoms = [(_in_range(what, lambda: math.exp(log_coef)), 0.0)]
     else:
         # integer r: the exact ratio in lowest terms, so a factor 1 leaves c as it is
-        ratio = (Fraction(math.perm(N - 1, r), n ** r) if r >= 0
-                 else Fraction(n ** -r, math.perm(N - 1 - r, -r)))
-        atoms = [(c * ratio.numerator / ratio.denominator, a) for c, a in atoms]
+        frac = (Fraction(math.perm(N - 1, r), n ** r) if r >= 0
+                else Fraction(n ** -r, math.perm(N - 1 - r, -r)))
+        atoms = [(c if frac == 1 else c * frac.numerator / frac.denominator, a) for c, a in atoms]
     terms = [(c, a / n) for c, a in atoms if a > 0.0]
     c0 = sum(c for c, a in atoms if a == 0.0)
     if terms:

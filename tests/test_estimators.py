@@ -852,10 +852,14 @@ class TestOutputRange:
         # the density's exp overflowed with a warning
         lambda: gamma_mean_density(1e-308, 100, 1e308),
         lambda: gamma_mean_density(np.array([1.0, 1e-308]), 100, 1e308),
+        # binomial coefficients C(1100, k) past double range, in both families
+        lambda: max_cdf_power(1.0, 10, 0.5, 1100),
+        lambda: tate_estimate(FunctionalSpec(Kind.MAX_CDF_POWER, t=0.5, m=1100), 1.0, 10),
     ], ids=["rate-power", "moment", "expected-shortfall", "tate-quantile",
             "quantile-target", "expected-shortfall-target", "moment-target",
             "rate-power-target-array", "sample-mean", "moment-mle", "log-gamma",
-            "log-gamma-array", "density", "density-array"])
+            "log-gamma-array", "density", "density-array", "max-cdf-power-m1100",
+            "tate-max-cdf-power-m1100"])
     def test_range_error(self, call):
         with pytest.raises(RangeError, match="leaves double range"):
             call()

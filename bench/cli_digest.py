@@ -155,6 +155,24 @@ def manifests() -> list[tuple[str, list[str]]]:
         ("clt mgf t=8.918e-05 n=8202",
          ["clt", "--kind", "mgf", "--t=8.918e-05", "--n", "8202", "--lambda=32.13",
           "--reps", "2000", "--seed", "1"]),
+        # where the clt scale ends: survival on its kink t/n and in its dead
+        # zone below it, mean-past-lifetime with a kink every t/n, the density
+        # at lambda t = 1 and the MGF at t = 0, where xi is flat
+        ("clt survival t=1 n=2 lambda=2",
+         ["clt", "--kind", "survival", "--t", "1", "--n", "2", "--lambda", "2",
+          "--reps", "2000", "--seed", "1"]),
+        ("clt survival t=1 n=2 lambda=5",
+         ["clt", "--kind", "survival", "--t", "1", "--n", "2", "--lambda", "5",
+          "--reps", "2000", "--seed", "1"]),
+        ("clt mean-past-lifetime t=1e-7 n=2",
+         ["clt", "--kind", "mean-past-lifetime", "--t", "1e-7", "--n", "2", "--lambda", "1",
+          "--reps", "2000", "--seed", "1"]),
+        ("clt pdf t=0.5 lambda=2",
+         ["clt", "--kind", "pdf", "--t", "0.5", "--n", "30", "--lambda", "2",
+          "--reps", "2000", "--seed", "1"]),
+        ("clt mgf t=0",
+         ["clt", "--kind", "mgf", "--t", "0", "--n", "5", "--lambda", "1",
+          "--reps", "2000", "--seed", "1"]),
         # fixed Talbot past n = 32 (exit 4)
         ("estimate moment p=0.5 talbot n=50",
          ["estimate", "--kind", "moment", "--p", "0.5", "--data", "data50.txt",

@@ -148,7 +148,7 @@ def manifests() -> list[tuple[str, list[str]]]:
          ["verify", "--tate", "--kinds", "rate-power", "--p=-11.5", "--n", "2"]),
         ("verify moment --moment-p 30 --n 30",
          ["verify", "--kinds", "moment", "--moment-p", "30", "--n", "30"]),
-        # a small slope next to an O(1) estimate, within the difference's rounding
+        # a small target slope next to an O(1) target
         ("clt moment p=1e-07 n=16406",
          ["clt", "--kind", "moment", "--p=1e-07", "--n", "16406", "--lambda=1.0000001",
           "--reps", "2000", "--seed", "1"]),
@@ -197,7 +197,7 @@ def manifests() -> list[tuple[str, list[str]]]:
         ("verify mean-past-lifetime --t 0.05",
          ["verify", "--kinds", "mean-past-lifetime", "--t", "0.05", "--n", "1,2,3,7,8,30,200",
           "--lambda", "0.5,1,2"]),
-        # the mean 0.25 lies below the switch, so the delta-method slope is the direct sum's
+        # the mean 0.25 lies below the switch, so most replicates take the direct sum
         ("clt mean-past-lifetime t=0.5 n=30 lambda=4",
          ["clt", "--kind", "mean-past-lifetime", "--t", "0.5", "--n", "30", "--lambda", "4",
           "--reps", "20000", "--seed", "11", "--hist", HIST]),

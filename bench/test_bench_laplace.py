@@ -19,7 +19,7 @@ the fixed 32-node contour: the moment at n = 5, and the user transform
 with a complex evaluator (the default engine for it) at n = 20, the
 largest n of the ``inversion`` workload.  The last case is the
 mean-past-lifetime estimator on one point, as the CLI ``estimate`` command
-and the finite-difference check of ``asymptotic_variance`` call it.  The
+calls it.  The
 checks after each timed call keep a wrong answer from passing as a fast one.
 """
 

@@ -7,15 +7,15 @@ lifetime, the MGF and expected shortfall, next to the historically biased
 construction to arbitrary smooth user-supplied functionals by numerical
 inverse Laplace transforms; ``oracle`` certifies by quadrature that the
 corrected estimators are unbiased and that the 1959 ones carry their exact
-bias; ``montecarlo`` adds seeded simulation and delta-method CLT diagnostics.
+bias; ``montecarlo`` adds seeded simulation and CLT diagnostics, which
+standardise by the paper's limit variance (lambda xi'(lambda))^2.
 """
 
 __version__ = "0.1.0"
 
 from .errors import (ConfigurationError, DegenerateError, DomainError,
-                     ExpunbiasError, InversionError, NondifferentiableError,
-                     QuadratureError, RangeError, SpecError,
-                     UnsupportedTransformError)
+                     ExpunbiasError, InversionError, QuadratureError,
+                     RangeError, SpecError, UnsupportedTransformError)
 from .estimators import (EstimateResult, Family, FunctionalSpec, Kind, Sample,
                          closed_form_variance_mle,
                          closed_form_variance_unbiased, estimate,
@@ -40,7 +40,7 @@ __all__ = [
     # errors
     "ExpunbiasError", "DomainError", "SpecError", "RangeError",
     "ConfigurationError", "UnsupportedTransformError", "InversionError",
-    "QuadratureError", "NondifferentiableError", "DegenerateError",
+    "QuadratureError", "DegenerateError",
     # estimators
     "Kind", "Family", "FunctionalSpec", "Sample", "EstimateResult",
     "target_value", "rate_power", "quantile", "moment", "survival",

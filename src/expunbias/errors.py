@@ -112,11 +112,6 @@ class QuadratureError(ExpunbiasError, ArithmeticError):
         self.segments = segments
 
 
-class NondifferentiableError(ExpunbiasError, ValueError):
-    """The estimator is not differentiable at the requested point (indicator
-    kink), so no delta-method variance exists there."""
-
-
-class DegenerateError(NondifferentiableError):
-    """The estimator derivative vanishes at the evaluation point; the CLT
-    normalisation would divide by zero."""
+class DegenerateError(DomainError):
+    """The CLT scale vanishes: the target's slope is 0 or within its rounding
+    at the rate, or the standardized replicates are all equal."""

@@ -23,12 +23,13 @@ families from the rows.  Eight rows state xi as atoms c lam^r e^{-a lam},
 each of which ``_mapped`` sends to c Gamma(N)/(n^r Gamma(N-r)) mean^-r
 (1 - a/(n mean))_+^(N-1-r): the corrected estimator at N = n, Tate's 1959
 one at N = n - 1.  The MGF and mean-past-lifetime rows, infinite atom
-series, keep a ``phi``.  A ``_Phi``'s value, derivative, kinks and the
-facts the oracle reads are one statement, c mean^-r or an ``_indicator_sum``
-through the one kernel ``_indicator_power``.  A build is also the one
-statement of a family's domain in n (for the map, N >= 1 and N - r > 0):
-``verify`` keeps the (kind, n) cells that build.  Rates, means
-and observations, scalar or array, pass the input rule
+series, keep a ``phi``.  A ``_Phi``'s value, kinks and the facts the
+oracle reads are one statement, c mean^-r or an ``_indicator_sum`` through
+the one kernel ``_indicator_power``; the CLT scale reads xi' off xi itself
+(``_xi_slope``).  A build is also the one statement of a family's domain
+in n (for the map, N >= 1 and N - r > 0): ``verify`` keeps the (kind, n)
+cells that build.  Rates, means and observations, scalar or array, pass
+the input rule
 ``errors._check_positive``; ``_mean_checked`` computes every estimator
 value of both families under the output-range rule ``errors._in_range``,
 and the targets and exact variances go through it too.
@@ -173,6 +174,20 @@ def target_value(spec: FunctionalSpec, lam):
     if pole > 0.0 and np.any(lam <= pole):
         raise DomainError(f"{spec.kind.value} target requires lambda > {pole:g}")
     return _in_range(f"{spec.kind.value} target", lambda: row.xi(spec)(lam, xp))
+
+
+def _xi_slope(spec: FunctionalSpec, lam: float) -> float:
+    # xi'(lam) as Im xi(lam + ih)/h, the complex step: a built-in xi is analytic
+    # on the rates its row accepts (a user's need not take a complex rate) and no
+    # difference is taken, so the slope carries xi's own rounding (a few tens of
+    # eps of xi in lam xi' where xi's expression cancels).  The truncation, (h/d)^2
+    # at a distance d from a pole of xi, is below eps for d > 2^-34 lam.
+    if spec.kind is Kind.CUSTOM:
+        raise SpecError("the custom kind has no complex-step slope")
+    h = lam * 2.0 ** -60
+    z = _in_range(f"the {spec.kind.value} target's slope",
+                  lambda: _CATALOGUE[spec.kind].xi(spec)(np.array([complex(lam, h)]), np)[0])
+    return float(z.imag) / h
 
 
 # below this lam*t the mean-past-lifetime target uses its series form
@@ -496,22 +511,20 @@ _COPIES = (lambda s: isinstance(s.m, numbers.Integral) and s.m >= 1,
 
 class _Phi(NamedTuple):
     """One estimator at a fixed n: ``value``, a kernel over an ndarray of
-    means; ``prime(mu)``, its derivative off the kinks; ``kinks(upper)``,
-    its indicator boundaries (an unbounded sum's up to the first >= upper);
-    ``exponent``, the indicator exponent e, so that the estimator is
-    C^(e-1) at its kinks (e = 0: a jump; inf for a smooth estimator);
-    ``support_start``, the mean below which the estimator is 0 (0 where it
-    is not 0 on any interval (0, L)); ``small_mean_power``, the r with the
-    estimator proportional to mean^r as the mean falls to 0 (0 for the
-    estimators bounded there); ``log_coef``, ln c of a power estimator
-    c mean^r, c > 0 (None for the others).  A value at a mean depends on
-    that mean alone, so any means may share a call.  The oracle reads these
-    to choose its window, whether to split at the kinks, how to integrate
-    from 0 and how to form a power times the density.
+    means; ``kinks(upper)``, its indicator boundaries (an unbounded sum's up
+    to the first >= upper); ``exponent``, the indicator exponent e, so that
+    the estimator is C^(e-1) at its kinks (e = 0: a jump; inf for a smooth
+    estimator); ``support_start``, the mean below which the estimator is 0
+    (0 where it is not 0 on any interval (0, L)); ``small_mean_power``, the
+    r with the estimator proportional to mean^r as the mean falls to 0 (0
+    for the estimators bounded there); ``log_coef``, ln c of a power
+    estimator c mean^r, c > 0 (None for the others).  A value at a mean
+    depends on that mean alone, so any means may share a call.  The oracle
+    reads these to choose its window, whether to split at the kinks, how to
+    integrate from 0 and how to form a power times the density.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
-    prime: Callable[[float], float]
     kinks: Callable[[float], list[float]] = lambda upper: []
     exponent: float = math.inf
     support_start: float = 0.0
@@ -538,14 +551,7 @@ def _indicator_sum(terms, e: int, c0: float = 0.0, over_x: bool = False) -> _Phi
         for c, a in terms:
             total = total + c * _indicator_power(x, a, e)
         return total / x if over_x else total
-
-    def prime(mu):
-        c, a = np.array([(c, a) for c, a in terms if mu > a], dtype=float).reshape(-1, 2).T
-        slope = math.fsum(c * e * _indicator_power(mu, a, e - 1) * a / mu ** 2)
-        if over_x:  # (S/mu)' = (S' - S/mu)/mu
-            return (slope - math.fsum(c * _indicator_power(mu, a, e)) / mu) / mu
-        return slope
-    return _Phi(value, prime, lambda upper: [a for _, a in terms], e,
+    return _Phi(value, lambda upper: [a for _, a in terms], e,
                 min(a for _, a in terms) if c0 == 0.0 else 0.0)
 
 
@@ -575,8 +581,8 @@ def _mapped(spec: FunctionalSpec, n: int, N: int) -> _Phi:
     c0 = sum(c for c, a in atoms if a == 0.0)
     if terms:
         return _indicator_sum(terms, N - 1 - r, c0, over_x=r == 1)
-    return _Phi(lambda x: c0 * x ** -r, lambda mu: -r * c0 * mu ** (-r - 1),
-                small_mean_power=-r, log_coef=log_coef if log_c else math.log(c0))
+    return _Phi(lambda x: c0 * x ** -r, small_mean_power=-r,
+                log_coef=log_coef if log_c else math.log(c0))
 
 
 def _mean_past_lifetime_phi(spec: FunctionalSpec, n: int) -> _Phi:
@@ -587,34 +593,29 @@ def _mean_past_lifetime_phi(spec: FunctionalSpec, n: int) -> _Phi:
     def kinks(upper):
         return [k * t / n for k in range(1, math.ceil(_mpl_terms(n * upper / t, t)) + 1)]
     if n == 1:
-        return _Phi(lambda x: t * (1.0 + _mpl_step_count(x, t)) - x, lambda mu: -1.0, kinks, 0)
+        return _Phi(lambda x: t * (1.0 + _mpl_step_count(x, t)) - x, kinks, 0)
     a, switch = t / n, _MPL_SWITCH * t
     # below the switch, the sum itself over the abscissae tk/n, smallest term first
     abscissae = [t * k / n for k in range(_mpl_direct_count(n), 0, -1)]
     direct = _indicator_sum([(1, a_k) for a_k in abscissae], n - 1).value
-    direct_prime = _indicator_sum([(t, a_k) for a_k in abscissae], n - 1).prime
     # With c = a/x and w = nc = t/x, the sum over j of B_2j/(2j)! (n-1)_(2j-1)
     # c^(2j-1) is (n-1)c sum_j b_j w^(2j-2), b_j = B_2j/(2j)! prod_{i=2}^{2j-1}
     # (1 - i/n): every factor is at most 1, so nothing overflows at any n, and
     # the sum ends at j = n // 2, past which (n-1)_(2j-1) is 0.
-    b, scale = [], 1.0
+    b, scale = [], 1.0  # highest power first
     for j in range(1, min(n // 2, len(_BERNOULLI_EVEN)) + 1):
         num, den = _BERNOULLI_EVEN[j - 1]
-        b.append(num / (den * math.factorial(2 * j)) * scale)
+        b.insert(0, num / (den * math.factorial(2 * j)) * scale)
         scale *= (1.0 - 2 * j / n) * (1.0 - (2 * j + 1) / n)
-    value_coefs = b[::-1]
-    slope_coefs = [(2 * j - 1) * b_j for j, b_j in enumerate(b, 1)][::-1]
-    # the periodic Bernoulli remainder c^(n-1) B_n(f)/n, f = frac(x/a), and its
-    # slope term c^(n-2) B_(n-1)(f)
-    remainder = n <= _MPL_REMAINDER_N
-    b_n, b_n1 = (_bernoulli_polynomial(m) if remainder else None for m in (n, n - 1))
+    # the periodic Bernoulli remainder c^(n-1) B_n(f)/n, f = frac(x/a)
+    b_n = _bernoulli_polynomial(n) if n <= _MPL_REMAINDER_N else None
 
     def value(x):
         flat = x.reshape(-1)
         xe = np.maximum(flat, switch)  # the points below the switch are overwritten
         c = a / xe
-        bracket = 0.5 + (n - 1) * c * np.polyval(value_coefs, (t / xe) ** 2)
-        if remainder:
+        bracket = 0.5 + (n - 1) * c * np.polyval(b, (t / xe) ** 2)
+        if b_n is not None:
             # x/a past 2^52 is an integer; the bound keeps an overflow from giving inf - inf
             ratio = np.minimum(xe / a, 2.0 ** 52)
             bracket -= c ** (n - 1) * np.polyval(b_n, ratio - np.floor(ratio)) / n
@@ -623,21 +624,7 @@ def _mean_past_lifetime_phi(spec: FunctionalSpec, n: int) -> _Phi:
         if low.size:
             out[low] = t * (1.0 + direct(flat[low])) - flat[low]
         return out.reshape(x.shape)
-
-    def prime(mu):
-        if mu < switch:
-            return direct_prime(mu) - 1.0
-        # d/dx of t * bracket, through dc/dx = -c/x and df/dc = -1/c^2
-        c = a / mu
-        inner = (n - 1) * c * np.polyval(slope_coefs, (t / mu) ** 2)
-        if remainder:
-            # fmod is exact, and at n = 2, where B_1(f) enters the slope
-            # undamped, so is a = t/2: f carries one rounding, not the
-            # n mu/t ulps of a rounded quotient
-            f = math.fmod(mu, a) / a
-            inner += c ** (n - 2) * np.polyval(b_n1, f) - (n - 1) * c ** (n - 1) * np.polyval(b_n, f) / n
-        return float(-t / mu * inner)
-    return _Phi(value, prime, kinks, n - 1)
+    return _Phi(value, kinks, n - 1)
 
 
 # B_2, B_4, ..., B_24 as (numerator, denominator)
@@ -649,7 +636,7 @@ _BERNOULLI_EVEN = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (
 # twelve in _BERNOULLI_EVEN reach 2^-60 of the value
 _MPL_SWITCH = 1.0
 # the largest n that keeps the Bernoulli remainder: past it, at mean >= t,
-# it is below 2^-86 of the value and its slope term below 2^-86 of the slope
+# it is below 2^-86 of the value
 _MPL_REMAINDER_N = 24
 
 
@@ -695,15 +682,24 @@ def _mpl_direct_count(n: int) -> int:
     return min(n, math.ceil((42.0 + math.log1p(1.0 / c)) / c))
 
 
-def _mgf_negative_tail(n: int, u, slope: bool = False):
-    # M(1, n, -u) for u >= max(1000, 2n), or with slope its derivative in w,
-    # term by term: (n-1)/u sum_{s<n-1} (-1)^s (n-2)!/(n-2-s)! u^-s (DLMF
-    # 13.7.2, terminating at integer n; the dropped (n-1)! e^-u (-u)^(1-n) is
-    # below eps there).  Each term is at most half the last, so 64 reach eps.
+def _max_cdf_atoms(spec: FunctionalSpec):
+    # (1 - e^{-lam t})^m expanded: C(m, k) (-1)^k e^{-k t lam}.  An estimate takes each
+    # C(m, k) to double, so one past it, C(m, m//2) >= 2^m/(m + 1), is refused first
+    m, t = int(spec.m), float(spec.t)
+    _in_range(f"the binomial C({m}, {m // 2}) of max-cdf-power", lambda: (
+        math.inf if m - math.log2(m + 1) > 1024 else float(math.comb(m, m // 2))))
+    return 0, [(math.comb(m, k) * (-1) ** k, k * t) for k in range(m + 1)]
+
+
+def _mgf_negative_tail(n: int, u):
+    # M(1, n, -u) for u >= max(1000, 2n), term by term: (n-1)/u sum_{s<n-1}
+    # (-1)^s (n-2)!/(n-2-s)! u^-s (DLMF 13.7.2, terminating at integer n; the
+    # dropped (n-1)! e^-u (-u)^(1-n) is below eps there).  Each term is at
+    # most half the last, so 64 reach eps.
     acc = 0.0
     for s in range(min(n - 1, 64) - 1, -1, -1):
-        acc = (s + 1.0 if slope else 1.0) - (n - 2 - s) / u * acc
-    return (n - 1) / u / (u if slope else 1.0) * acc
+        acc = 1.0 - (n - 2 - s) / u * acc
+    return (n - 1) / u * acc
 
 
 def _mgf_phi(spec: FunctionalSpec, n: int) -> _Phi:
@@ -714,19 +710,9 @@ def _mgf_phi(spec: FunctionalSpec, n: int) -> _Phi:
     # end there): inf.  For t < 0 scipy is nan from about w = -1e11: the series serves.
     w_cut = 2.0 * n + 2000.0 if t > 0.0 else max(1000.0, 2.0 * n)
     x_cut = w_cut / abs(w_per_mean) if t != 0.0 else math.inf
-
-    def prime(mu):
-        # d/dw M(1, n, w) = M(2, n+1, w)/n (DLMF 13.3.15), w = n t mean; past the
-        # cut at t > 0 it is n M(1, n, w) or more, and overflows with the value
-        if mu < x_cut:
-            return t * float(hyp1f1(2.0, n + 1.0, w_per_mean * mu))
-        if t > 0.0:
-            return math.inf
-        return w_per_mean * _mgf_negative_tail(n, -w_per_mean * mu, slope=True)
     return _Phi(lambda x: np.where(x < x_cut, hyp1f1(1.0, n, w_per_mean * np.minimum(x, x_cut)),
                                    np.inf if t >= 0.0 else
-                                   _mgf_negative_tail(n, -w_per_mean * np.maximum(x, x_cut))),
-                prime)
+                                   _mgf_negative_tail(n, -w_per_mean * np.maximum(x, x_cut))))
 
 
 _CATALOGUE: dict[Kind, _KindRow] = {
@@ -764,9 +750,7 @@ _CATALOGUE: dict[Kind, _KindRow] = {
         params=("t", "m"),
         checks=(_POSITIVE_T, _COPIES),
         xi=lambda s: lambda lam, xp=math, t=float(s.t), m=int(s.m): (-xp.expm1(-lam * t)) ** m,
-        # (1 - e^{-lam t})^m expanded: C(m, k) (-1)^k e^{-k t lam}
-        atoms=lambda s: (0, [(math.comb(int(s.m), k) * (-1) ** k, k * float(s.t))
-                             for k in range(int(s.m) + 1)]),
+        atoms=_max_cdf_atoms,
         delta_content=True,
         tate_mean=lambda s, n, lam: (
             (lam * s.m * s.t / ((n - 1.0) * -math.expm1(lam * s.t)) + 1.0)

@@ -17,6 +17,8 @@ are used: ``variance_comparison`` and the MLE arm of the pth moment,
 (1/n) sum X_i^p.  A block draws them in chunks of rows, about 2**18
 observations each, one after another from its one stream: the bits are
 those of drawing the block at once, and a thread holds one chunk at a time.
+The CLT replicates are standardised by the paper's limit variance
+(lambda xi')^2, n times the Cramer-Rao bound for xi, at any n and kink.
 """
 
 from __future__ import annotations
@@ -32,9 +34,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special as _sp
 
-from .errors import (DegenerateError, DomainError, NondifferentiableError, _check_n,
-                     _check_positive, _in_range)
-from .estimators import (Family, FunctionalSpec, Kind, Sample, _estimator,
+from .errors import DegenerateError, DomainError, _check_n, _check_positive, _in_range
+from .estimators import (Family, FunctionalSpec, Kind, Sample, _xi_slope,
                          closed_form_variance_mle, closed_form_variance_unbiased,
                          moment, phi_function, target_value, tate_phi_function)
 
@@ -242,45 +243,26 @@ def variance_comparison(p: float, config: McConfig
 
 
 # ---------------------------------------------------------------------------
-# delta-method asymptotics
+# the CLT limit
 # ---------------------------------------------------------------------------
 
-def asymptotic_variance(spec: FunctionalSpec, n: int, lam: float) -> float:
-    """Delta-method variance [phi'(1/lambda)/lambda]^2 of the CLT limit.
+def asymptotic_variance(spec: FunctionalSpec, lam: float) -> float:
+    """The paper's limit variance (lambda xi'(lambda))^2 of sqrt(n) (phi - xi).
 
-    The analytic derivative is validated on the spot against a central
-    finite difference: they must agree to 1e-6 relative, plus the
-    difference's own rounding error, 4 eps |phi| / h.  Evaluation at an
-    indicator kink where the estimator has no derivative (indicator exponent
-    e <= 1, e.g. survival at n <= 2) raises :class:`NondifferentiableError`;
-    with e >= 2 the estimator is C^(e-1) there and the kink is no obstacle.  A
-    vanishing derivative raises :class:`DegenerateError` (the CLT scaling
-    would divide by zero).
+    It is n times the Cramer-Rao bound for xi, so n Var phi over it is >= 1
+    and falls to 1 as n grows.  The rate and pole checks are
+    ``target_value``'s.  Where the value underflows or lambda xi' is within
+    4 eps of xi (the MGF at t = 0, the density at lambda = 1/t), standardising
+    by it would divide by rounding: :class:`DegenerateError`.
     """
     lam = _check_positive("lambda", lam)
-    mu = 1.0 / lam
-    h = 5e-6 * mu
-    est = _estimator(spec, n)
-    if est.exponent <= 1:
-        for kink in est.kinks(mu + 4.0 * h):
-            if abs(mu - kink) < 4.0 * h:
-                raise NondifferentiableError(
-                    f"1/lambda = {mu:g} sits on an indicator kink of {spec.kind.value}")
-    deriv = _in_range(f"the {spec.kind.value} estimator's derivative", lambda: est.prime(mu))
-    variance = _in_range(f"the {spec.kind.value} CLT variance", lambda: (deriv / lam) ** 2)
-    if variance == 0.0:  # also where the square underflows
-        raise DegenerateError(
-            f"estimator derivative vanishes at 1/lambda for {spec.kind.value}; "
-            "the asymptotic variance is degenerate")
-    phi = phi_function(spec, n)
-    above, below = float(phi(mu + h)), float(phi(mu - h))
-    fd = (above - below) / (2.0 * h)
-    # the difference carries the rounding of phi: 4 eps = 2^-50 of phi, over h
-    rounding = 2.0 ** -50 * max(abs(above), abs(below)) / h
-    if abs(fd - deriv) > 1e-6 * max(abs(deriv), 1e-300) + rounding:
-        raise NondifferentiableError(
-            f"analytic derivative {deriv:g} disagrees with finite difference {fd:g} "
-            f"for {spec.kind.value} at 1/lambda={mu:g}")
+    xi = target_value(spec, lam)
+    scale = lam * _xi_slope(spec, lam)
+    variance = _in_range(f"the {spec.kind.value} CLT variance", lambda: scale * scale)
+    if variance < 2.0 ** -1022 or abs(scale) <= 2.0 ** -50 * abs(xi):
+        raise DegenerateError(f"lambda xi' = {scale:.3g} of {spec.kind.value} at lambda = {lam:g}"
+                              f" is within the rounding of xi = {xi:.3g} or squares below"
+                              " double range; the asymptotic variance is degenerate")
     return variance
 
 
@@ -303,16 +285,16 @@ def _ks_statistic(zs: np.ndarray) -> float:
 
 
 def clt_replicates(spec: FunctionalSpec, config: McConfig) -> np.ndarray:
-    """Standardized replicates Z_r = sqrt(n) (phi(mean_r) - xi(lambda)) / sigma_n.
+    """Standardized replicates Z_r = sqrt(n) (phi(mean_r) - xi(lambda)) / sigma.
 
-    sigma_n^2 is the delta-method variance (see :func:`asymptotic_variance`,
-    whose errors propagate).  A replicate outside double range is inf or nan,
-    and :func:`clt_summary` raises :class:`RangeError` on it.
+    sigma^2 is :func:`asymptotic_variance`, so Z has mean 0 and variance
+    n Var phi / sigma^2 >= 1.  The estimator's build, ``target_value`` and
+    the scale raise in that order.  A replicate outside double range is inf
+    or nan, and :func:`clt_summary` raises :class:`RangeError` on it.
     """
-    sigma2 = asymptotic_variance(spec, config.n, config.lam)
-    xi = target_value(spec, config.lam)
     phi = phi_function(spec, config.n)
-    scale = math.sqrt(config.n / sigma2)
+    xi = target_value(spec, config.lam)
+    scale = math.sqrt(config.n / asymptotic_variance(spec, config.lam))
 
     def standardize(xbar: np.ndarray) -> tuple[np.ndarray]:
         z = phi(xbar) - xi

@@ -170,11 +170,22 @@ class TestClt:
         assert counts == 5000
 
     def test_degenerate_exit(self, capsys):
-        # survival with 1/lambda inside the flat indicator region
-        code, _, err = run(["clt", "--kind", "survival", "--t", "1", "--n", "2",
+        # the MGF at t = 0: xi = 1 has no slope to standardise by
+        code, _, err = run(["clt", "--kind", "mgf", "--t", "0", "--n", "2",
                             "--lambda", "5", "--reps", "100", "--seed", "1"],
                            capsys)
-        assert code == EXIT_DOMAIN
+        assert code == EXIT_DOMAIN and "degenerate" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "survival", "--t", "1", "--n", "2", "--lambda", "2"],
+        ["--kind", "survival", "--t", "1", "--n", "2", "--lambda", "5"],
+        ["--kind", "mean-past-lifetime", "--t", "1e-7", "--n", "2", "--lambda", "1"],
+    ], ids=["survival-kink", "survival-dead-zone", "mean-past-lifetime-t1e-7"])
+    def test_estimator_kinks_exit_0(self, argv, capsys):
+        # the scale is the target's, so an estimator kink or flat stretch at
+        # 1/lambda, or 2e7 kinks below it, do not matter
+        code, _, err = run(["clt", *argv, "--reps", "2000", "--seed", "1"], capsys)
+        assert code == EXIT_OK and err == ""
 
     def test_seed_repeatability_bytes(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -238,7 +249,7 @@ class TestVerifyEmptyGrid:
 
 
 class TestCltSmallSlope:
-    # the finite-difference check refused these correct derivatives: exit 3
+    # a target slope of about 1e-7 next to an O(1) target
     @pytest.mark.parametrize("argv", [
         ["--kind", "moment", "--p=1e-07", "--n", "16406", "--lambda=1.0000001"],
         ["--kind", "mgf", "--t=8.918e-05", "--n", "8202", "--lambda=32.13"],

@@ -1,5 +1,6 @@
 """The export lists: every name in ``expunbias.__all__`` and in each
-submodule's ``__all__`` resolves, and none is listed twice."""
+submodule's ``__all__`` resolves, and none is listed twice; the error
+hierarchy's CLT member."""
 
 import importlib
 import pkgutil
@@ -21,3 +22,10 @@ def test_every_exported_name_resolves(name):
     assert len(set(exported)) == len(exported)
     assert [attr for attr in exported if not hasattr(module, attr)] == []
 
+
+
+def test_degenerate_error_is_a_domain_error():
+    # the CLT scale is the target's, so nothing is refused as nondifferentiable
+    assert issubclass(expunbias.DegenerateError, expunbias.DomainError)
+    assert not hasattr(expunbias, "NondifferentiableError")
+    assert not hasattr(expunbias.errors, "NondifferentiableError")

@@ -1,6 +1,6 @@
 """Monte Carlo harness tests: determinism, statistical sanity at reduced
 replication counts, the direct Gamma(n) draw of the mean, the vectorised
-target, the delta-method variance table and the CLT diagnostics.
+target, the CLT limit variance (lambda xi')^2 and the CLT diagnostics.
 The full 1e6-replication sweeps live in the acceptance suite."""
 
 import csv
@@ -15,15 +15,15 @@ import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special, stats
 
 from expunbias import cli, montecarlo
-from expunbias.errors import (DegenerateError, DomainError,
-                              NondifferentiableError, RangeError)
-from expunbias.estimators import (Family, FunctionalSpec, Kind, phi_function,
-                                  target_value)
+from expunbias.errors import DegenerateError, DomainError, RangeError, SpecError
+from expunbias.estimators import (Family, FunctionalSpec, Kind, closed_form_variance_unbiased,
+                                  phi_function, target_value)
 from expunbias.laplace import TransferFunction
 from expunbias.montecarlo import (BLOCK_SIZE, McConfig, McSummary, _collect,
                                   _draw_block, _draw_chunks, _draw_means, asymptotic_variance,
@@ -163,129 +163,113 @@ class TestVarianceComparison:
             variance_comparison(p, McConfig(300, 5, lam, 1))
 
 
+# (spec, xi as an mp function of lambda): the built-in kinds at the CLI's
+# default parameters, and the MGF on both sides of t = 0
+_XI_MP = [
+    (FunctionalSpec(Kind.RATE_POWER, p=0.5), lambda lam: lam ** mp.mpf("0.5")),
+    (FunctionalSpec(Kind.QUANTILE, q=0.5), lambda lam: -mp.log1p(-mp.mpf("0.5")) / lam),
+    (FunctionalSpec(Kind.MOMENT, p=2.0), lambda lam: 2 / lam ** 2),
+    (FunctionalSpec(Kind.SURVIVAL, t=0.5), lambda lam: mp.exp(-lam / 2)),
+    (FunctionalSpec(Kind.MAX_CDF_POWER, t=0.5, m=2), lambda lam: (-mp.expm1(-lam / 2)) ** 2),
+    (FunctionalSpec(Kind.MIN_SURVIVAL, t=0.5, m=2), lambda lam: mp.exp(-lam)),
+    (FunctionalSpec(Kind.PDF, t=0.5), lambda lam: lam * mp.exp(-lam / 2)),
+    (FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=0.5),
+     lambda lam: mp.mpf("0.5") / -mp.expm1(-lam / 2) - 1 / lam),
+    (FunctionalSpec(Kind.MGF, t=0.5), lambda lam: lam / (lam - mp.mpf("0.5"))),
+    (FunctionalSpec(Kind.MGF, t=-2.0), lambda lam: lam / (lam + 2)),
+    (FunctionalSpec(Kind.EXPECTED_SHORTFALL, p=0.5), lambda lam: (1 - mp.log1p(-mp.mpf("0.5"))) / lam),
+]
+
+
 class TestAsymptoticVariance:
     def test_moment_p1(self):
         spec = FunctionalSpec(Kind.MOMENT, p=1.0)
-        assert asymptotic_variance(spec, 10, 2.0) == pytest.approx(0.25, rel=1e-12)
+        assert asymptotic_variance(spec, 2.0) == pytest.approx(0.25, rel=1e-15)
 
     def test_quantile(self):
         spec = FunctionalSpec(Kind.QUANTILE, q=0.5)
-        assert asymptotic_variance(spec, 10, 1.0) == pytest.approx(
-            math.log(2.0) ** 2, rel=1e-12)
+        assert asymptotic_variance(spec, 1.0) == pytest.approx(math.log(2.0) ** 2, rel=1e-15)
 
     def test_survival_matches_manual_derivative(self):
-        spec = FunctionalSpec(Kind.SURVIVAL, t=1.0)
-        n, lam = 5, 1.0
-        mu, a = 1.0 / lam, 1.0 / n
-        deriv = (n - 1) * (1 - a / mu) ** (n - 2) * a / mu ** 2
-        assert asymptotic_variance(spec, n, lam) == pytest.approx(
-            (deriv / lam) ** 2, rel=1e-10)
+        # xi = e^{-lam t}, so lambda xi' = -lam t e^{-lam t}
+        spec, lam = FunctionalSpec(Kind.SURVIVAL, t=1.0), 1.3
+        assert asymptotic_variance(spec, lam) == pytest.approx(
+            (lam * math.exp(-lam)) ** 2, rel=1e-15)
 
-    # 1/lambda = 1.25 at n = 2 and 200 sits on no kink of these specs (at
-    # lambda = 1, n = 2 it would sit on the max-cdf-power kink 2t/n)
-    @pytest.mark.parametrize("n,lam", [(2, 0.8), (6, 1.0), (200, 0.8)])
-    @pytest.mark.parametrize("kind,params", [
-        (Kind.RATE_POWER, {"p": 0.5}),
-        (Kind.QUANTILE, {"q": 0.3}),
-        (Kind.MOMENT, {"p": 2.0}),
-        (Kind.SURVIVAL, {"t": 1.0}),
-        (Kind.MAX_CDF_POWER, {"t": 1.0, "m": 2}),
-        (Kind.MIN_SURVIVAL, {"t": 1.0, "m": 2}),
-        (Kind.PDF, {"t": 1.0}),
-        (Kind.MEAN_PAST_LIFETIME, {"t": 0.7}),
-        (Kind.MGF, {"t": 0.3}),
-        (Kind.EXPECTED_SHORTFALL, {"p": 0.9}),
-    ])
-    def test_analytic_derivative_survives_fd_validation(self, kind, params, n, lam):
-        # asymptotic_variance cross-checks the estimator's analytic derivative
-        # against a central finite difference internally; passing means they agree
-        if kind is Kind.MAX_CDF_POWER and n == 2:
-            lam = 1.25  # at n = 2 this estimator is flat above 2t/n = 1
-        spec = FunctionalSpec(kind, **params)
-        assert asymptotic_variance(spec, n, lam) > 0.0
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec,xi", _XI_MP, ids=[f"{s.kind.value}-{s.params()}" for s, _ in _XI_MP])
+    def test_against_mpmath(self, spec, xi):
+        # (lambda xi')^2 against 60-digit mpmath over lambda in [1e-3, 1e3]:
+        # 1e-13 relative, past the rounding that xi's own expression leaves in
+        # lambda xi' (about eps xi at the MGF's lambda >> t, up to 20 eps xi for
+        # mean-past-lifetime's direct form just above its series cutoff)
+        checked = 0
+        for lam in np.geomspace(1e-3, 1e3, 301):
+            lam = float(lam)
+            if spec.kind is Kind.MGF and lam <= spec.t:
+                continue
+            # 60 digits past those that a slope of e^{-lam t} next to 1 needs
+            with mp.workdps(60 + int(abs(lam * (spec.t or 0.0)))):
+                x = mp.mpf(lam)
+                want, xi_lam = float((x * mp.diff(xi, x)) ** 2), float(xi(x))
+            if want < 2.0 ** -1020 or math.sqrt(want) < 2.0 ** -48 * abs(xi_lam):
+                continue  # underflowing or within the rounding of xi: degenerate
+            got = asymptotic_variance(spec, lam)
+            tol = 1e-13 * want + 2.0 * math.sqrt(want) * 32.0 * 2.0 ** -52 * abs(xi_lam)
+            assert abs(got - want) <= tol, (lam, got, want)
+            checked += 1
+        assert checked > 100
 
-    def test_kink_detection(self):
-        # 1/lambda exactly on the survival indicator kink t/n
-        spec = FunctionalSpec(Kind.SURVIVAL, t=1.0)
-        with pytest.raises(NondifferentiableError):
-            asymptotic_variance(spec, 2, 2.0)
+    @pytest.mark.parametrize("p", [0.5, 2.0])
+    def test_cramer_rao(self, p):
+        # n Var phi over n times the Cramer-Rao bound is >= 1 and falls to 1
+        spec, lam = FunctionalSpec(Kind.MOMENT, p=p), 1.7
+        ratios = [n * closed_form_variance_unbiased(p, n, lam) / asymptotic_variance(spec, lam)
+                  for n in (2, 5, 30, 200, 10 ** 4)]
+        assert all(r >= 1.0 for r in ratios)
+        assert ratios == sorted(ratios, reverse=True)
+        assert ratios[-1] - 1.0 < 1e-3
 
-    def test_smooth_kinks_pass(self):
-        # kinks tk/n lie within the finite-difference step of 1/lambda, but
-        # the estimator is C^(n-2) there
-        spec = FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=0.05)
-        assert asymptotic_variance(spec, 2000, 0.47) > 0.0
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec,lam,want", [
+        # survival at t = 1: on the n = 2 kink t/n = 1/lambda and in the dead
+        # zone below it, where the estimator has no derivative or a zero one
+        (FunctionalSpec(Kind.SURVIVAL, t=1.0), 2.0, (2.0 * math.exp(-2.0)) ** 2),
+        (FunctionalSpec(Kind.SURVIVAL, t=1.0), 5.0, (5.0 * math.exp(-5.0)) ** 2),
+        # a kink every t/n = 5e-8, 2e7 of them below 1/lambda
+        (FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=1e-7), 1.0, (1e-7 ** 2 / 12.0) ** 2),
+    ], ids=["survival-kink", "survival-dead-zone", "mean-past-lifetime-t1e-7"])
+    def test_estimator_kinks_do_not_matter(self, spec, lam, want):
+        assert asymptotic_variance(spec, lam) == pytest.approx(want, rel=1e-7)
 
-    def test_dead_zone_is_degenerate(self):
-        # 1/lambda below t/n: the estimator is flat zero there
-        spec = FunctionalSpec(Kind.SURVIVAL, t=1.0)
+    @pytest.mark.parametrize("spec,lam", [
+        (FunctionalSpec(Kind.MGF, t=0.0), 1.0),
+        (FunctionalSpec(Kind.PDF, t=0.5), 2.0),
+        (FunctionalSpec(Kind.PDF, t=0.3), 1.0 / 0.3),
+    ], ids=["mgf-t0", "pdf-peak", "pdf-peak-rounded"])
+    def test_flat_target_is_degenerate(self, spec, lam):
+        # xi' is 0 there; the complex step reads 0 or rounding of xi
         with pytest.raises(DegenerateError):
-            asymptotic_variance(spec, 2, 5.0)
-
-    def test_mgf_t0_degenerate(self):
-        spec = FunctionalSpec(Kind.MGF, t=0.0)
-        with pytest.raises(DegenerateError):
-            asymptotic_variance(spec, 5, 1.0)
+            asymptotic_variance(spec, lam)
 
     @pytest.mark.filterwarnings("error")
     def test_underflowing_variance_is_degenerate(self):
-        # the derivative is about 1e-133 and its square underflows to 0, so
-        # clt divided by it: ZeroDivisionError
-        spec = FunctionalSpec(Kind.MGF, t=-4.21955302971196)
+        # lambda xi' = p lambda^p = 6e-179, whose square underflows to 0
+        spec = FunctionalSpec(Kind.RATE_POWER, p=60.0)
         with pytest.raises(DegenerateError):
-            asymptotic_variance(spec, 1, 0.0111)
+            asymptotic_variance(spec, 1e-3)
 
     @pytest.mark.filterwarnings("error")
     def test_rejects_bad_rate(self):
         with pytest.raises(DomainError, match="lambda"):
-            asymptotic_variance(FunctionalSpec(Kind.QUANTILE, q=0.5), 5, math.nan)
+            asymptotic_variance(FunctionalSpec(Kind.QUANTILE, q=0.5), math.nan)
+        with pytest.raises(DomainError, match="lambda > 0.5"):
+            asymptotic_variance(FunctionalSpec(Kind.MGF, t=0.5), 0.25)
 
-    @pytest.mark.parametrize("n", [1, 2, 30, 200, 1000, 10_000])
-    @pytest.mark.parametrize("t", [-2.0, 0.5])
-    def test_mgf_against_mpmath(self, n, t):
-        # phi'(mean) = t M(2, n+1, n t mean); the reference is 50-digit
-        # mpmath (which needs more than its default terms at n = 10^4)
-        import mpmath as mp
-        lam = 1.0
-        with mp.workdps(50):
-            deriv = t * mp.hyp1f1(2, n + 1, n * mp.mpf(t) / lam, maxterms=10 ** 6)
-            ref = float((deriv / lam) ** 2)
-        got = asymptotic_variance(FunctionalSpec(Kind.MGF, t=t), n, lam)
-        assert got == pytest.approx(ref, rel=1e-13)
-
-
-class TestDerivativeCheck:
-    """asymptotic_variance checks the analytic derivative against a central
-    difference to 1e-6 relative plus the difference's own rounding error."""
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("spec,n,lam", [
-        (FunctionalSpec(Kind.MOMENT, p=1e-7), 16406, 1.0000001),
-        (FunctionalSpec(Kind.MGF, t=8.918e-05), 8202, 32.13),
-    ], ids=["moment-p1e-7", "mgf-small-t"])
-    def test_small_slope_is_accepted(self, spec, n, lam):
-        # the difference rounds phi ~ 1 to eps / h = 4e-11, above 1e-6 of a
-        # slope of 1e-7: a correct derivative read as NondifferentiableError
-        deriv = montecarlo._estimator(spec, n).prime(1.0 / lam)
-        assert asymptotic_variance(spec, n, lam) == (deriv / lam) ** 2
-
-    @pytest.mark.parametrize("spec,n,lam,factor", [
-        (FunctionalSpec(Kind.QUANTILE, q=0.5), 10, 1.0, 1.0 + 1e-5),
-        (FunctionalSpec(Kind.MOMENT, p=2.0), 30, 0.8, 1.0 - 1e-5),
-        (FunctionalSpec(Kind.SURVIVAL, t=1.0), 5, 1.0, 1.0 + 1e-5),
-        (FunctionalSpec(Kind.MGF, t=0.3), 6, 1.0, 1.0 + 1e-5),
-        (FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=0.7), 200, 0.8, 1.0 + 1e-5),
-        (FunctionalSpec(Kind.MOMENT, p=1e-7), 16406, 1.0000001, 1.0 + 1e-2),
-    ], ids=["quantile", "moment", "survival", "mgf", "mean-past-lifetime", "moment-p1e-7"])
-    def test_wrong_derivative_is_refused(self, monkeypatch, spec, n, lam, factor):
-        build = montecarlo._estimator
-
-        def perturbed(spec, n):
-            est = build(spec, n)
-            return est._replace(prime=lambda mu: factor * est.prime(mu))
-        monkeypatch.setattr(montecarlo, "_estimator", perturbed)
-        with pytest.raises(NondifferentiableError, match="finite difference"):
-            asymptotic_variance(spec, n, lam)
+    def test_custom_kind_is_refused(self):
+        spec = FunctionalSpec(Kind.CUSTOM, custom_transform=TransferFunction(lambda s: s / (s + 1.0)))
+        with pytest.raises(SpecError):
+            asymptotic_variance(spec, 1.0)
 
 
 class TestCltCheck:
@@ -310,9 +294,20 @@ class TestCltCheck:
         assert ks[0] > ks[1] > ks[2]
 
     def test_degenerate_raises(self):
-        spec = FunctionalSpec(Kind.SURVIVAL, t=1.0)
+        spec = FunctionalSpec(Kind.MGF, t=0.0)
         with pytest.raises(DegenerateError):
             clt_check(spec, McConfig(100, 2, 5.0, 1))
+
+    @pytest.mark.parametrize("spec,n,lam,error,match", [
+        # a build at n = 1 before a flat target
+        (FunctionalSpec(Kind.PDF, t=0.5), 1, 2.0, DomainError, "n >= 2"),
+        # the pole before a scale
+        (FunctionalSpec(Kind.MGF, t=1.0), 5, 0.5, DomainError, "lambda > 1"),
+        (FunctionalSpec(Kind.PDF, t=0.5), 5, 2.0, DegenerateError, "rounding of xi"),
+    ], ids=["build", "pole", "scale"])
+    def test_error_order(self, spec, n, lam, error, match):
+        with pytest.raises(error, match=match):
+            clt_replicates(spec, McConfig(100, n, lam, 1))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("z", [np.array([0.3]), np.full(10, 2.0)])
@@ -330,9 +325,8 @@ class TestCltCheck:
         with pytest.raises(RangeError):
             clt_summary(np.array([1e200, -1e200, 0.0]))
         # replicates near -2.675e128 that differ from the 4th digit: c^3 overflows
-        spec = FunctionalSpec(Kind.MGF, t=-4.381588271667991)
         with pytest.raises(RangeError, match="moment"):
-            clt_check(spec, McConfig(3, 1, 0.014264233908999256, 11))
+            clt_summary(np.array([-2.675e128, -2.676e128, -2.6745e128]))
 
     def test_deterministic(self):
         spec = FunctionalSpec(Kind.QUANTILE, q=0.5)

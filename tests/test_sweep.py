@@ -8,8 +8,12 @@ scale-free cell).  Each draw checks that
 
 - ``phi_function`` agrees with an mpmath evaluation of the paper's formula
   to the bound stated for its kind below, or raises ``ExpunbiasError``;
-- the estimator's derivative (``_Phi.prime``) agrees with ``mp.diff`` of
-  the same formula to its bound;
+- the target's slope xi'(lambda) that the CLT scale reads
+  (``estimators._xi_slope``, the complex step of the row's xi) agrees with
+  ``mp.diff`` of the target written out in mpmath, to 1e-13 relative plus
+  32 eps xi/lambda, the rounding that xi's own expression leaves in the
+  slope where it cancels (the MGF's lambda/(lambda - t) at lambda >> t,
+  mean-past-lifetime's direct form just above its series cutoff);
 - neither call emits a warning.
 
 The bounds, with eps = 2^-52:
@@ -23,10 +27,9 @@ The bounds, with eps = 2^-52:
   1 + |y| + kappa, with kappa = e (a/x)/(1 - a/x) the condition number of
   the base; and a sum of K terms adds K eps of its absolute size.  The
   bound is ``_SUM_EPS`` eps times sum |c term| (1 + |y| + kappa + K), plus
-  the constant part, and the same over the derivative's terms;
+  the constant part;
 - mean-past-lifetime: 1e-14 relative, and at n = 1 also ``_SUM_EPS`` eps
-  times t + 2x, the rounding of t(1 + K) - x; the derivative 1e-13 relative
-  plus 4 eps (1 + t/x), the size of its terms (``test_mean_past_lifetime_grid``
+  times t + 2x, the rounding of t(1 + K) - x (``test_mean_past_lifetime_grid``
   adds fixed means across the switch of forms and on kinks).
 
 Exponents and MGF arguments are drawn with |p|, |t/lambda| >= 1e-6: below
@@ -70,7 +73,7 @@ from hypothesis import strategies as st
 
 from expunbias import cli
 from expunbias.errors import DomainError, ExpunbiasError, RangeError
-from expunbias.estimators import (_CATALOGUE, FunctionalSpec, Kind, Sample, _estimator,
+from expunbias.estimators import (_CATALOGUE, FunctionalSpec, Kind, Sample, _xi_slope,
                                   closed_form_variance_mle, closed_form_variance_unbiased,
                                   mle_estimate, phi_function, target_value,
                                   tate_expected_value, tate_phi_function)
@@ -105,8 +108,7 @@ def _indicator_form(spec, n):
 
 
 def _mpl_reference(spec, n, x):
-    """The mean-past-lifetime estimator as an mp function of the mean, and
-    its slope at x.
+    """The mean-past-lifetime estimator as an mp function of the mean.
 
     The defining sum t sum_k 1{x >= tk/n} (1 - tk/(n z))^(n-1) - z over the
     terms k that are live at x, while they number at most about 3000; past
@@ -121,10 +123,7 @@ def _mpl_reference(spec, n, x):
             if n > 1 and (1 - t * k / (n * xm)) ** (n - 1) < mp.mpf(10) ** -40:
                 break
             k += 1
-        f = lambda z: t * mp.fsum((1 - t * k / (n * z)) ** (n - 1) for k in ks) - z
-        slope = t * mp.fsum((n - 1) * (1 - t * k / (n * xm)) ** (n - 2) * t * k / (n * xm ** 2)
-                            for k in ks if k) - 1 if n > 1 else mp.mpf(-1)
-        return f, slope
+        return lambda z: t * mp.fsum((1 - t * k / (n * z)) ** (n - 1) for k in ks) - z
 
     def f(z):
         c = t / (n * z)
@@ -137,12 +136,11 @@ def _mpl_reference(spec, n, x):
         if n <= 40:  # past it, at x/t > 30, below 1e-60 of the value
             bracket -= c ** (n - 1) * mp.bernpoly(n, 1 / c - mp.floor(1 / c)) / n
         return t * bracket
-    return f, mp.diff(f, xm)
+    return f
 
 
 def _reference(spec, n, x):
-    """mp function of the mean, the error budgets of value and derivative, and
-    the derivative at x."""
+    """mp function of the mean and the error budget of its value at x."""
     if spec.kind in _SMOOTH_REL:
         p, q, t = (mp.mpf(v) if v is not None else None for v in (spec.p, spec.q, spec.t))
         if spec.kind is Kind.RATE_POWER:
@@ -155,15 +153,12 @@ def _reference(spec, n, x):
             f = lambda xm: (1 - mp.log1p(-p)) * xm
         else:
             f = lambda xm: mp.hyp1f1(1, n, n * t * xm, maxterms=10 ** 6)
-        rel, slope = _SMOOTH_REL[spec.kind], mp.diff(f, mp.mpf(x))
-        return f, rel * abs(f(mp.mpf(x))), rel * abs(slope), slope
+        return f, _SMOOTH_REL[spec.kind] * abs(f(mp.mpf(x)))
     xm = mp.mpf(x)
     if spec.kind is Kind.MEAN_PAST_LIFETIME:
-        f, slope = _mpl_reference(spec, n, x)
-        # at n = 1, t(1 + K) - x rounds to a few ulps of t(1 + K) + x; the
-        # slope's terms are O(1) below the switch and O(t/x) above it
-        value_tol = 1e-14 * abs(f(xm)) + (_SUM_EPS * EPS * (spec.t + 2 * xm) if n == 1 else 0)
-        return f, value_tol, 1e-13 * abs(slope) + 4 * EPS * (1 + spec.t / xm), slope
+        f = _mpl_reference(spec, n, x)
+        # at n = 1, t(1 + K) - x rounds to a few ulps of t(1 + K) + x
+        return f, 1e-14 * abs(f(xm)) + (_SUM_EPS * EPS * (spec.t + 2 * xm) if n == 1 else 0)
     c0, terms, over_x = _indicator_form(spec, n)
 
     def f(z):
@@ -173,49 +168,51 @@ def _reference(spec, n, x):
 
     k = len(terms)
     value_budget = abs(c0)
-    slope_budget = 0
     for c, a_dbl, a, e in terms:
         if x < a_dbl or x == a:
             continue
         u = 1 - a / xm
         kappa = e * (a / xm) / u
-        term = abs(c) * u ** e
-        slope = abs(c) * e * u ** (e - 1) * a / xm ** 2
-        value_budget += term * (1 + abs(e * mp.log(u)) + kappa + k)
-        slope_budget += slope * (1 + abs((e - 1) * mp.log(u)) + kappa + k)
-        if over_x:
-            slope_budget += term * (1 + abs(e * mp.log(u)) + kappa + k) / xm
-    scale = 1 / xm if over_x else 1
-    return (f, _SUM_EPS * EPS * value_budget * scale, _SUM_EPS * EPS * slope_budget * scale,
-            mp.diff(f, xm))
+        value_budget += abs(c) * u ** e * (1 + abs(e * mp.log(u)) + kappa + k)
+    return f, _SUM_EPS * EPS * value_budget * (1 / xm if over_x else 1)
 
 
-def _on_kink(spec, est, n, x):
-    if spec.kind is Kind.MEAN_PAST_LIFETIME:
-        # its kink list is capped at 2^20 entries: test the neighbours of n x/t
-        k = round(n * x / spec.t)
-        return any(x == j * spec.t / n for j in (k - 1, k, k + 1))
-    return x in est.kinks(x)
+def _xi_reference(spec):
+    """The target xi as an mp function of lambda, written out."""
+    p, q, t = (mp.mpf(v) if v is not None else None for v in (spec.p, spec.q, spec.t))
+    return {
+        Kind.RATE_POWER: lambda lam: lam ** p,
+        Kind.QUANTILE: lambda lam: -mp.log1p(-q) / lam,
+        Kind.MOMENT: lambda lam: mp.gamma(p + 1) / lam ** p,
+        Kind.SURVIVAL: lambda lam: mp.exp(-lam * t),
+        Kind.MAX_CDF_POWER: lambda lam: (-mp.expm1(-lam * t)) ** spec.m,
+        Kind.MIN_SURVIVAL: lambda lam: mp.exp(-lam * spec.m * t),
+        Kind.PDF: lambda lam: lam * mp.exp(-lam * t),
+        Kind.MEAN_PAST_LIFETIME: lambda lam: t / -mp.expm1(-lam * t) - 1 / lam,
+        Kind.MGF: lambda lam: lam / (lam - t),
+        Kind.EXPECTED_SHORTFALL: lambda lam: (1 - mp.log1p(-p)) / lam,
+    }[spec.kind]
 
 
-def _check(spec, n, x):
+def _check(spec, n, x, lam=None):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        if lam is not None:
+            # xi' within 1e-13, past 32 eps xi/lambda where xi's expression cancels
+            got = _xi_slope(spec, lam)
+            with mp.workdps(60):
+                xi = _xi_reference(spec)
+                ref, bound = mp.diff(xi, mp.mpf(lam)), 32 * EPS * abs(xi(mp.mpf(lam))) / lam
+                assert abs(got - ref) <= 1e-13 * abs(ref) + bound, (got, float(ref), lam)
         try:
             got = phi_function(spec, n)(x)
         except ExpunbiasError:
             return
         assert math.isfinite(got)
         with mp.workdps(60):
-            f, value_tol, slope_tol, ref_slope = _reference(spec, n, x)
+            f, value_tol = _reference(spec, n, x)
             ref = f(mp.mpf(x))
             assert abs(got - ref) <= value_tol, (got, float(ref), float(value_tol))
-            est = _estimator(spec, n)
-            if _on_kink(spec, est, n, x):
-                return  # no derivative on a kink
-            slope = est.prime(x)
-            assert abs(slope - ref_slope) <= slope_tol, (slope, float(ref_slope),
-                                                          float(slope_tol))
 
 
 _log_uniform = lambda lo, hi: st.floats(math.log(lo), math.log(hi)).map(math.exp)
@@ -245,7 +242,7 @@ def _cells(draw, kind):
                               m=draw(st.integers(1, 4)))
     else:
         spec = FunctionalSpec(kind, t=draw(_log_uniform(0.05, 5.0)) / lam)
-    return spec, n, x
+    return spec, n, x, lam
 
 
 _CLOSED_FORM = [kind for kind in Kind if kind is not Kind.CUSTOM]
@@ -270,7 +267,7 @@ def test_atoms_sum_to_target(kind, data):
     rounds its exp of ln c or of -a lam, and the sum adds K roundings of its
     absolute size.  Max-cdf-power's terms are O(1) and cancel, so there the
     bound is absolute, about eps 2^m, however small the target."""
-    spec, _, x = data.draw(_cells(kind))
+    spec, _, x, _ = data.draw(_cells(kind))
     lam = data.draw(_log_uniform(0.05, 20.0)) / x
     r, atoms, *log_c = _CATALOGUE[kind].atoms(spec)
     if log_c:
@@ -531,7 +528,7 @@ _MPL_GRID_N = [1, 2, 3, 4, 7, 13, 30, 200, 2000, 20000]
 
 @pytest.mark.parametrize("n", _MPL_GRID_N)
 def test_mean_past_lifetime_grid(n):
-    """Value and slope on both sides of the switch between the sum (mean < t)
+    """Values on both sides of the switch between the sum (mean < t)
     and the Euler-Maclaurin form, one ulp either side of it included, out to
     mean/t = 1000, and at n = 1 and 2 on kinks tk/n and their neighbours."""
     t = 3.0

@@ -29,10 +29,9 @@ the one kernel ``_indicator_power``; the CLT scale reads xi' off xi itself
 (``_xi_slope``).  A build is also the one statement of a family's domain
 in n (for the map, N >= 1 and N - r > 0): ``verify`` keeps the (kind, n)
 cells that build.  Rates, means and observations, scalar or array, pass
-the input rule
-``errors._check_positive``; ``_mean_checked`` computes every estimator
-value of both families under the output-range rule ``errors._in_range``,
-and the targets and exact variances go through it too.
+the input rule ``errors._check_positive``; ``_mean_checked`` computes
+every estimator value of both families under the output-range rule
+``errors._in_range``, and the targets and exact variances go through it too.
 """
 
 from __future__ import annotations

@@ -220,6 +220,31 @@ class TestAsymptoticVariance:
             checked += 1
         assert checked > 100
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam", [0.5, 2.5, 20.0])
+    @pytest.mark.parametrize("kind,params", [
+        (Kind.RATE_POWER, {"p": 0.5}),
+        (Kind.QUANTILE, {"q": 0.3}),
+        (Kind.MOMENT, {"p": 2.0}),
+        (Kind.SURVIVAL, {"t": 1.0}),
+        (Kind.MAX_CDF_POWER, {"t": 1.0, "m": 2}),
+        (Kind.MIN_SURVIVAL, {"t": 1.0, "m": 2}),
+        (Kind.PDF, {"t": 1.0}),
+        (Kind.MEAN_PAST_LIFETIME, {"t": 0.7}),
+        (Kind.MGF, {"t": 0.3}),
+        (Kind.EXPECTED_SHORTFALL, {"p": 0.9}),
+    ])
+    def test_complex_step_agrees_with_a_central_difference(self, kind, params, lam):
+        # the complex step runs xi's array form on a complex rate, a central
+        # difference of the scalar target_value runs its math form on real
+        # ones: they agree to 1e-7 plus the difference's own rounding
+        spec = FunctionalSpec(kind, **params)
+        h = lam * 1e-5
+        fd = (target_value(spec, lam + h) - target_value(spec, lam - h)) / (2.0 * h)
+        rounding = 4.0 * 2.0 ** -52 * abs(target_value(spec, lam)) / h
+        got = math.sqrt(asymptotic_variance(spec, lam))
+        assert abs(got - lam * abs(fd)) <= lam * (1e-7 * abs(fd) + rounding), (got, lam * fd)
+
     @pytest.mark.parametrize("p", [0.5, 2.0])
     def test_cramer_rao(self, p):
         # n Var phi over n times the Cramer-Rao bound is >= 1 and falls to 1

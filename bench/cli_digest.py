@@ -135,6 +135,13 @@ def manifests() -> list[tuple[str, list[str]]]:
         ("verify pdf --n 1,2", ["verify", "--kinds", "pdf", "--n", "1,2"]),
         ("verify --tate max-cdf-power --m 3 --n 1,2,3",
          ["verify", "--tate", "--kinds", "max-cdf-power", "--m", "3", "--n", "1,2,3"]),
+        # the 1959 family of the other atom kinds, and two kinds of which
+        # the MGF has no Tate form (exit 3)
+        ("verify --tate moment,survival,min-survival,pdf,expected-shortfall",
+         ["verify", "--tate", "--kinds", "moment,survival,min-survival,pdf,expected-shortfall",
+          "--n", "1,2,3,30", "--lambda", "0.5,1,2"]),
+        ("verify --tate quantile,mgf",
+         ["verify", "--tate", "--kinds", "quantile,mgf"]),
         ("verify min-survival --m 3 --n 1,2,30",
          ["verify", "--kinds", "min-survival", "--m", "3", "--n", "1,2,30"]),
         # an estimator that does not build at the sample's n (exit 3)

@@ -12,11 +12,14 @@ estimator on as many points as one quadrature call at n = 200 hands it, the
 next three run whole oracle cells of it (the last of them at t = 0.05, with about 50,000 kinks tk/n below the
 cutoff, once: an oracle that splits at each of them takes seconds), the
 next runs a cheap ``verify`` through the CLI, where argument parsing is a
-visible share of the op, and the last two certify one three-rate row of the
+visible share of the op, the next two certify one three-rate row of the
 moment estimator, through the CLI and in process (one ``verify_row`` call
 where the package has it, one ``verify_unbiasedness`` call per rate
-before).  The checks after each timed call keep a wrong answer from passing
-as a fast one.
+before), and the last two time Tate's expectation at one rate and a
+three-rate 1959 row in process for the rate power, the quantile and
+max-cdf-power, so the cost of that expectation per cell is on record.  The
+checks after each timed call keep a wrong answer from passing as a fast
+one.
 """
 
 import json
@@ -26,7 +29,8 @@ import pytest
 from scipy import stats
 
 from expunbias import cli, oracle
-from expunbias.estimators import Family, FunctionalSpec, Kind, mean_past_lifetime
+from expunbias.estimators import (Family, FunctionalSpec, Kind, mean_past_lifetime,
+                                  tate_expected_value, target_value)
 from expunbias.oracle import verify_unbiasedness
 
 T = 0.5
@@ -96,5 +100,28 @@ def _verify_row(spec, n, lams):
 def test_verify_row_in_process(benchmark):
     spec = FunctionalSpec(Kind.MOMENT, p=2.0)
     reports = benchmark(_verify_row, spec, 30, ROW_LAMS)
+    assert [r.lam for r in reports] == ROW_LAMS
+    assert all(r.rel_bias < 1e-9 for r in reports)
+
+
+TATE_SPECS = [FunctionalSpec(Kind.RATE_POWER, p=0.5), FunctionalSpec(Kind.QUANTILE, q=0.5),
+              FunctionalSpec(Kind.MAX_CDF_POWER, t=0.5, m=2)]
+
+
+@pytest.mark.parametrize("spec", TATE_SPECS, ids=lambda s: s.kind.value)
+def test_tate_expected_value(benchmark, spec):
+    # below the target by the 1959 bias: (1 - p/(n-1)) lam^p and n/(n-1) times
+    # the quantile, and for max-cdf-power at lam t = 1 below it
+    value = benchmark(tate_expected_value, spec, 30, 2.0)
+    factor = {Kind.RATE_POWER: 1.0 - 0.5 / 29, Kind.QUANTILE: 30 / 29}.get(spec.kind)
+    if factor is not None:
+        assert value == pytest.approx(factor * target_value(spec, 2.0), rel=1e-14)
+    else:
+        assert 0.0 < value < target_value(spec, 2.0)
+
+
+@pytest.mark.parametrize("spec", TATE_SPECS, ids=lambda s: s.kind.value)
+def test_verify_tate_row_in_process(benchmark, spec):
+    reports = benchmark(oracle.verify_row, spec, 30, Family.TATE_BIASED, ROW_LAMS)
     assert [r.lam for r in reports] == ROW_LAMS
     assert all(r.rel_bias < 1e-9 for r in reports)

@@ -216,7 +216,7 @@ def _cmd_estimate(args) -> int:
 
 
 _TATE_KIND_NAMES = [name for name, kind in _KIND_NAMES.items()
-                    if _CATALOGUE[kind].tate_mean is not None]
+                    if _CATALOGUE[kind].atoms is not None]
 
 
 def _cmd_verify(args) -> int:
@@ -405,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--threshold", type=float, default=1e-7,
                        help="maximum acceptable relative bias")
     p_ver.add_argument("--tate", action="store_true",
-                       help="verify the biased 1959 estimators against their "
-                            "closed-form expectations instead")
+                       help="verify the biased 1959 estimators of the atom kinds "
+                            "against their expectations xi - lam xi'/(n-1) instead")
     add_common(p_ver)
     p_ver.set_defaults(func=_cmd_verify)
 

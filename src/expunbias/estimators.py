@@ -14,24 +14,24 @@ tables with their exact expectations (``tate_phi_function``,
 ``tate_estimate``, ``tate_expected_value``) are provided for comparison.
 
 Every per-kind fact -- parameters and their checks, the target xi (which
-the inversion engines also read as the transfer function), the estimator
-and the Tate form where one exists -- is one row of the ``_CATALOGUE``
-table at the end of this module; the public estimator functions and the
-dispatching functions here and in the other modules look rows up instead
-of branching on the kind.  ``_estimator(spec, n, family)`` builds both
-families from the rows.  Eight rows state xi as atoms c lam^r e^{-a lam},
-each of which ``_mapped`` sends to c Gamma(N)/(n^r Gamma(N-r)) mean^-r
-(1 - a/(n mean))_+^(N-1-r): the corrected estimator at N = n, Tate's 1959
-one at N = n - 1.  The MGF and mean-past-lifetime rows, infinite atom
-series, keep a ``phi``.  A ``_Phi``'s value, kinks and the facts the
-oracle reads are one statement, c mean^-r or an ``_indicator_sum`` through
-the one kernel ``_indicator_power``; the CLT scale reads xi' off xi itself
-(``_xi_slope``).  A build is also the one statement of a family's domain
-in n (for the map, N >= 1 and N - r > 0): ``verify`` keeps the (kind, n)
-cells that build.  Rates, means and observations, scalar or array, pass
-the input rule ``errors._check_positive``; ``_mean_checked`` computes
-every estimator value of both families under the output-range rule
-``errors._in_range``, and the targets and exact variances go through it too.
+the inversion engines also read as the transfer function) and the
+estimator -- is one row of the ``_CATALOGUE`` table at the end of this
+module; the public estimator functions and the dispatching functions here
+and in the other modules look rows up instead of branching on the kind.
+``_estimator(spec, n, family)`` builds both families from the rows.  Eight
+rows state xi as atoms c lam^r e^{-a lam}, each of which ``_mapped`` sends
+to c Gamma(N)/(n^r Gamma(N-r)) mean^-r (1 - a/(n mean))_+^(N-1-r): the
+corrected estimator at N = n, Tate's 1959 one, of mean xi - lam xi'/(n-1),
+at N = n - 1.  The MGF and mean-past-lifetime rows keep a ``phi`` and have
+no 1959 form.  A ``_Phi``'s value, kinks and the facts the oracle reads are
+one statement, c mean^-r or an ``_indicator_sum`` through the one kernel
+``_indicator_power``; the CLT scale and the Tate law read lam xi' off xi
+(``_lam_xi_slope``).  A build also states a family's domain in n (for the
+map, N >= 1 and N - r > 0): ``verify`` keeps the cells that build.  Rates,
+means and observations pass the input rule ``errors._check_positive``;
+``_mean_checked`` computes every estimator value under the output-range
+rule ``errors._in_range``, and the targets and exact variances go through
+it too.
 """
 
 from __future__ import annotations
@@ -175,18 +175,19 @@ def target_value(spec: FunctionalSpec, lam):
     return _in_range(f"{spec.kind.value} target", lambda: row.xi(spec)(lam, xp))
 
 
-def _xi_slope(spec: FunctionalSpec, lam: float) -> float:
-    # xi'(lam) as Im xi(lam + ih)/h, the complex step: a built-in xi is analytic
-    # on the rates its row accepts (a user's need not take a complex rate) and no
-    # difference is taken, so the slope carries xi's own rounding (a few tens of
-    # eps of xi in lam xi' where xi's expression cancels).  The truncation, (h/d)^2
-    # at a distance d from a pole of xi, is below eps for d > 2^-34 lam.
+def _lam_xi_slope(spec: FunctionalSpec, lam: float) -> float:
+    # lam xi'(lam) as (lam/h) Im xi(lam + ih), h = 2^-60 lam, the complex step: a
+    # built-in xi is analytic on the rates its row accepts and no difference is taken,
+    # so it carries xi's own rounding (a few tens of eps of xi where xi's expression
+    # cancels).  lam/h is 2^60, or at a subnormal h cancels h's rounding; xi' alone
+    # (never formed) leaves double range for the quantile at lam = 1e-300.  The
+    # truncation, (h/d)^2 at a distance d from a pole of xi, is below eps for
+    # d > 2^-34 lam.  From lam = 2^-1015 down, h is 0: RangeError.
     if spec.kind is Kind.CUSTOM:
         raise SpecError("the custom kind has no complex-step slope")
-    h = lam * 2.0 ** -60
-    z = _in_range(f"the {spec.kind.value} target's slope",
-                  lambda: _CATALOGUE[spec.kind].xi(spec)(np.array([complex(lam, h)]), np)[0])
-    return float(z.imag) / h
+    h, what = lam * 2.0 ** -60, f"the {spec.kind.value} target's slope"
+    z = _in_range(what, lambda: _CATALOGUE[spec.kind].xi(spec)(np.array([complex(lam, h)]), np)[0])
+    return _in_range(what, lambda: lam / h * float(z.imag))
 
 
 # below this lam*t the mean-past-lifetime target uses its series form
@@ -331,12 +332,10 @@ def _estimator(spec: FunctionalSpec, n: int,
                family: Family = Family.CLOSED_FORM_UNBIASED) -> _Phi:
     # the row's corrected or 1959 estimator at n, and the one statement of their rules
     n, row = _check_n(n), _CATALOGUE[spec.kind]
-    if family is Family.TATE_BIASED:
-        if row.tate_mean is None:
-            raise SpecError(f"no Tate form for kind {spec.kind.value!r}")
-        return _mapped(spec, n, n - 1)
     if row.atoms is not None:
-        return _mapped(spec, n, n)
+        return _mapped(spec, n, n - 1 if family is Family.TATE_BIASED else n)
+    if family is Family.TATE_BIASED:
+        raise SpecError(f"no Tate form for kind {spec.kind.value!r}")
     if row.phi is None:
         raise SpecError(f"no closed form for kind {spec.kind.value!r};"
                         " use the Laplace inversion engine")
@@ -394,7 +393,8 @@ def tate_phi_function(spec: FunctionalSpec, n: int) -> Callable[[np.ndarray], np
 
     The corrected forms' map at N = n - 1: rate powers carry Gamma(n-1)/(n^p
     Gamma(n-1-p)), quantiles an extra n/(n-1), max-CDF powers exponent n-2.
-    Defined for integer n >= 2 (p < n-1) and the kinds with a ``tate_mean``.
+    Defined for integer n >= 2 (p < n-1, the density n >= 3) and the kinds
+    whose row states xi as atoms: all but the MGF and mean-past-lifetime.
     """
     return _mean_checked(spec, n, Family.TATE_BIASED)
 
@@ -406,21 +406,27 @@ def tate_estimate(spec: FunctionalSpec, sample_mean: float, n: int) -> EstimateR
 
 
 def tate_expected_value(spec: FunctionalSpec, n: int, lam: float) -> float:
-    """Exact expectation of the biased estimator (closed form).
+    """Exact expectation of the biased estimator: xi(lam) - lam xi'(lam)/(n-1).
 
-    rate power: (1 - p/(n-1)) lambda^p on {p < n-1};
-    quantile: [n/(n-1)] * (-ln(1-q)/lambda);
-    max CDF power: [lam m t / ((n-1)(1 - e^{lam t})) + 1] * (1 - e^{-lam t})^m.
+    The map at N = n - 1 sends an atom c lam^r e^{-a lam} to an estimator of
+    mean c lam^r e^{-a lam} (1 + (a lam - r)/(n-1)): one law, by linearity, for
+    every kind with a 1959 form, within 32 eps (|xi| + |lam xi'|/(n-1)).  Where
+    the terms nearly cancel that is large: max-cdf-power at m = n-1, lam t =
+    1e-10 reads up to 2e-6 relative (the closed form it replaced, 8.3e-8; both
+    are ill-conditioned there).  The step's imaginary part rounds to a multiple
+    of 2^-1074, within that bound while |xi| >= 2^-962; below, :class:`RangeError`.
     """
     _estimator(spec, n, Family.TATE_BIASED)  # the 1959 rules on the kind and n
-    return _tate_mean(spec, int(n), _check_positive("lambda", lam))
+    return _tate_law(spec, int(n), _check_positive("lambda", lam))
 
 
-def _tate_mean(spec: FunctionalSpec, n: int, lam: float) -> float:
-    # tate_expected_value past its rules on the kind, n and lambda, for a
-    # caller that has built the 1959 estimator at n and checked the rate
-    return _in_range(f"Tate {spec.kind.value} expectation",
-                     lambda: _CATALOGUE[spec.kind].tate_mean(spec, n, lam))
+def _tate_law(spec: FunctionalSpec, n: int, lam: float) -> float:
+    # tate_expected_value past the rules that the 1959 build and the rate check state
+    xi, what = target_value(spec, lam), f"the Tate {spec.kind.value} expectation"
+    if abs(xi) < 2.0 ** -962:
+        raise RangeError(f"{what} at lambda={lam:g}: xi = {xi:.3g} is below 2^-962,"
+                         " where its complex step loses bits")
+    return _in_range(what, lambda: xi - _lam_xi_slope(spec, lam) / (n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +492,9 @@ class _KindRow:
     ``atoms(spec)``: xi as atoms c lam^r e^{-a lam} for ``_mapped``, as
     ``(r, [(c, a), ...])`` at an integer r or ``(r, (), ln c)`` for c lam^r
     (xi stays beside them: max-cdf-power's atom sum cancels as lam t -> 0);
-    ``phi(spec, n)``: the unbiased :class:`_Phi` of a row without atoms;
-    ``verify_args``: the ``verify`` options read for ``params`` (default:
-    ``params``); ``tate_mean``: the 1959 estimator's exact expectation.
+    ``phi(spec, n)``: the unbiased :class:`_Phi` of a row without atoms
+    (such a row has no 1959 form); ``verify_args``: the ``verify`` options
+    read for ``params`` (default: ``params``).
     """
 
     params: tuple[str, ...]
@@ -499,7 +505,6 @@ class _KindRow:
     pole: Callable = lambda spec: 0.0
     verify_args: Optional[tuple[str, ...]] = None
     atoms: Optional[Callable] = None
-    tate_mean: Optional[Callable] = None
 
 
 _FINITE_P = (lambda s: math.isfinite(s.p), "exponent p must be finite")
@@ -723,14 +728,12 @@ _CATALOGUE: dict[Kind, _KindRow] = {
                  or not (s.p < 0.0 and float(s.p).is_integer()),
                  "negative integer rate-power exponents need allow_negative_integer_p=True")),
         xi=lambda s: lambda lam, xp=math, p=float(s.p): lam ** p,
-        atoms=lambda s: (float(s.p), (), 0.0),
-        tate_mean=lambda s, n, lam: (1.0 - s.p / (n - 1.0)) * lam ** s.p),
+        atoms=lambda s: (float(s.p), (), 0.0)),
     Kind.QUANTILE: _KindRow(
         params=("q",),
         checks=((lambda s: 0.0 < s.q < 1.0, "quantile level q must lie in (0, 1)"),),
         xi=lambda s: lambda lam, xp=math, c=-math.log1p(-s.q): c / lam,
-        atoms=lambda s: (-1, [(-math.log1p(-s.q), 0.0)]),
-        tate_mean=lambda s, n, lam: (n / (n - 1.0)) * (-math.log1p(-s.q) / lam)),
+        atoms=lambda s: (-1, [(-math.log1p(-s.q), 0.0)])),
     Kind.MOMENT: _KindRow(
         params=("p",),
         checks=(_FINITE_P, (lambda s: s.p > -1.0, "moment exponent requires p > -1")),
@@ -750,10 +753,7 @@ _CATALOGUE: dict[Kind, _KindRow] = {
         checks=(_POSITIVE_T, _COPIES),
         xi=lambda s: lambda lam, xp=math, t=float(s.t), m=int(s.m): (-xp.expm1(-lam * t)) ** m,
         atoms=_max_cdf_atoms,
-        delta_content=True,
-        tate_mean=lambda s, n, lam: (
-            (lam * s.m * s.t / ((n - 1.0) * -math.expm1(lam * s.t)) + 1.0)
-            * (-math.expm1(-lam * s.t)) ** s.m)),
+        delta_content=True),
     Kind.MIN_SURVIVAL: _KindRow(
         params=("t", "m"),
         checks=(_POSITIVE_T, _COPIES),

@@ -35,7 +35,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import DegenerateError, DomainError, _check_n, _check_positive, _in_range
-from .estimators import (Family, FunctionalSpec, Kind, Sample, _xi_slope,
+from .estimators import (Family, FunctionalSpec, Kind, Sample, _lam_xi_slope,
                          closed_form_variance_mle, closed_form_variance_unbiased,
                          moment, phi_function, target_value, tate_phi_function)
 
@@ -256,8 +256,7 @@ def asymptotic_variance(spec: FunctionalSpec, lam: float) -> float:
     by it would divide by rounding: :class:`DegenerateError`.
     """
     lam = _check_positive("lambda", lam)
-    xi = target_value(spec, lam)
-    scale = lam * _xi_slope(spec, lam)
+    xi, scale = target_value(spec, lam), _lam_xi_slope(spec, lam)
     variance = _in_range(f"the {spec.kind.value} CLT variance", lambda: scale * scale)
     if variance < 2.0 ** -1022 or abs(scale) <= 2.0 ** -50 * abs(xi):
         raise DegenerateError(f"lambda xi' = {scale:.3g} of {spec.kind.value} at lambda = {lam:g}"

@@ -63,7 +63,7 @@ from ._quadrature import gauss_kronrod_row
 from .errors import (DomainError, ExpunbiasError, RangeError, _check_n, _check_positive,
                      _in_range)
 from .estimators import (_CATALOGUE, Family, FunctionalSpec, _estimate_name, _estimator,
-                         _tate_mean, tate_estimate, tate_expected_value, tate_phi_function,
+                         _tate_law, tate_estimate, tate_expected_value, tate_phi_function,
                          target_value)
 from .special import _stirling_remainder
 
@@ -311,7 +311,7 @@ def verify_row(spec: FunctionalSpec, n: int, family: Family, lams: Sequence[floa
         # exponent _SPLIT_EXPONENT the estimator is smooth enough at its
         # kinks for the mesh and the 15-point rule
         window = _window(k, lam, n * (lam - pole), est.support_start)
-        target = (_tate_mean(spec, n, float(lam)) if family is Family.TATE_BIASED
+        target = (_tate_law(spec, n, float(lam)) if family is Family.TATE_BIASED
                   else target_value(spec, lam))
         splits = est.kinks(window[2]) if est.exponent <= _SPLIT_EXPONENT else []
         if pole > 0.0:  # and the density's own mesh, see the module docstring
@@ -345,7 +345,7 @@ def verify_unbiasedness(spec: FunctionalSpec, n: int, lam: float,
 
 def verify_tate_bias(spec: FunctionalSpec, n: int, lam: float,
                      rel_tol: float = 1e-9) -> VerificationReport:
-    """Quadrature expectation of the biased estimator vs its closed form.
+    """Quadrature expectation of the biased estimator vs Tate's law.
 
     The ``target`` field of the report is the *biased* expectation, so a
     small rel_bias here means the historical bias is reproduced exactly.

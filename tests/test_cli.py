@@ -389,9 +389,10 @@ class TestVerifyBuilds:
         (["--kinds", "moment", "--moment-p", "500", "--n", "1,200"], EXIT_NUMERICAL,
          "numerical failure: the moment estimator coefficient at n=200 leaves double range\n"),
         # the quantile cells fail (their cutoffs leave double range), and
-        # survival has no Tate form
-        (["--tate", "--kinds", "quantile,survival", "--lambda", "1e-320"], EXIT_DOMAIN,
-         "error: --tate supports only rate-power, quantile, max-cdf-power\n"),
+        # the MGF has no Tate form
+        (["--tate", "--kinds", "quantile,mgf", "--lambda", "1e-320"], EXIT_DOMAIN,
+         "error: --tate supports only rate-power, quantile, moment, survival, max-cdf-power,"
+         " min-survival, pdf, expected-shortfall\n"),
     ], ids=["build-error", "kind-error"])
     def test_a_later_row_error_comes_before_a_cell_error(self, argv, code, message, capsys):
         assert run(["verify", *argv], capsys) == (code, "", message)

@@ -197,6 +197,17 @@ class TestAsymptoticVariance:
             (lam * math.exp(-lam)) ** 2, rel=1e-15)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec", [FunctionalSpec(Kind.SURVIVAL, t=0.5),
+                                      FunctionalSpec(Kind.QUANTILE, q=0.5)],
+                             ids=lambda s: s.kind.value)
+    def test_a_step_that_underflows_is_range_error(self, spec):
+        # from lambda = 2^-1015 down the step 2^-60 lambda is 0: an untyped
+        # ZeroDivisionError before
+        for lam in (2.0 ** -1015, 1e-307):
+            with pytest.raises(RangeError, match="slope"):
+                asymptotic_variance(spec, lam)
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("spec,xi", _XI_MP, ids=[f"{s.kind.value}-{s.params()}" for s, _ in _XI_MP])
     def test_against_mpmath(self, spec, xi):
         # (lambda xi')^2 against 60-digit mpmath over lambda in [1e-3, 1e3]:

@@ -282,12 +282,13 @@ class TestTateEstimators:
         assert res.value == pytest.approx(2.0 * math.log(2.0), rel=1e-13)
 
     def test_unsupported_kind(self):
-        spec = FunctionalSpec(Kind.MOMENT, p=1.0)
-        for call in (lambda: tate_estimate(spec, 1.0, 5),
-                     lambda: tate_expected_value(spec, 5, 1.0),
-                     lambda: verify_tate_bias(spec, 5, 1.0)):
-            with pytest.raises(SpecError, match="no Tate form"):
-                call()
+        # the rows without atoms have no 1959 form
+        for spec in (FunctionalSpec(Kind.MGF, t=0.5), FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=0.5)):
+            for call in (lambda: tate_estimate(spec, 1.0, 5),
+                         lambda: tate_expected_value(spec, 5, 1.0),
+                         lambda: verify_tate_bias(spec, 5, 1.0)):
+                with pytest.raises(SpecError, match="no Tate form"):
+                    call()
 
     def test_requires_n_ge_2(self):
         with pytest.raises(DomainError):
@@ -373,6 +374,49 @@ class TestTateExpectedValue:
                 * (1 - mp.exp(-u)) ** spec.m
         assert tate_expected_value(spec, n, lam) == pytest.approx(float(ref), rel=1e-15)
 
+    def test_slope_of_a_huge_target_stays_in_range(self):
+        # lam xi' is (lam/h) Im xi(lam + ih), never lam times xi': here lam xi'
+        # is -6.9e299 and xi' alone -6.9e599, past double range
+        import mpmath as mp
+        n, lam = 10, 1e-300
+        with mp.workdps(60):
+            xi = -mp.log1p(-mp.mpf(0.5)) / lam
+            ref = xi + xi / (n - 1)  # xi - lam xi'/(n-1), lam xi' = -xi
+            bound = 32 * 2.0 ** -52 * (xi + xi / (n - 1))
+        got = tate_expected_value(FunctionalSpec(Kind.QUANTILE, q=0.5), n, lam)
+        assert abs(got - ref) <= bound
+        assert got == pytest.approx(7.7016e299, rel=1e-5)
+        # a one-bit step h at 2^-1014 still reads n/(n-1) xi; from 2^-1015 down h is 0
+        spec, lam = FunctionalSpec(Kind.QUANTILE, q=0.5), 2.0 ** -1014
+        want = n / (n - 1) * target_value(spec, lam)
+        assert tate_expected_value(spec, n, lam) == pytest.approx(want, rel=1e-14)
+        with pytest.raises(RangeError, match="slope"):
+            tate_expected_value(spec, n, 2.0 ** -1015)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec,lam,r", [
+        # rate power p = 2: Im xi(lam + ih) = 2 lam h underflows, to 0 at 1e-153
+        (FunctionalSpec(Kind.RATE_POWER, p=2.0), 1e-150, 2),
+        (FunctionalSpec(Kind.RATE_POWER, p=2.0), 1e-153, 2),
+        # the quantile c/lam: Im xi(lam + ih) = -c 2^-60/lam is subnormal
+        (FunctionalSpec(Kind.QUANTILE, q=0.5), 1e300, -1),
+    ], ids=["rate-power-1e-150", "rate-power-1e-153", "quantile-1e300"])
+    def test_a_step_among_the_subnormals_is_refused(self, spec, lam, r):
+        # without the check the law read 1e-306 for 7.78e-307 at 1e-153, and
+        # the quantile at 1e300 was 1e-6 off: a value within the law's bound
+        # or RangeError, never a silently wrong number
+        import mpmath as mp
+        n = 10
+        try:
+            got = tate_expected_value(spec, n, lam)
+        except RangeError:
+            return
+        with mp.workdps(60):
+            xi = mp.mpf(target_value(spec, 1.0)) * mp.mpf(lam) ** r
+            ref = xi * (1 - mp.mpf(r) / (n - 1))  # lam xi' = r xi
+            bound = 32 * 2.0 ** -52 * abs(xi) * (1 + abs(r) / (n - 1))
+        assert abs(got - ref) <= bound, (got, float(ref))
+
 
 class TestTateBiasReproduction:
     @pytest.mark.parametrize("n", [3, 5, 10])
@@ -408,7 +452,7 @@ _ROW_SPECS = [
     FunctionalSpec(Kind.PDF, t=0.5), FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=0.5),
     FunctionalSpec(Kind.MGF, t=0.5), FunctionalSpec(Kind.EXPECTED_SHORTFALL, p=0.5),
 ]
-_TATE_SPECS = [spec for spec in _ROW_SPECS if _CATALOGUE[spec.kind].tate_mean is not None]
+_TATE_SPECS = [spec for spec in _ROW_SPECS if _CATALOGUE[spec.kind].atoms is not None]
 
 
 def _outcome(call):

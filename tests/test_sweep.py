@@ -8,12 +8,13 @@ scale-free cell).  Each draw checks that
 
 - ``phi_function`` agrees with an mpmath evaluation of the paper's formula
   to the bound stated for its kind below, or raises ``ExpunbiasError``;
-- the target's slope xi'(lambda) that the CLT scale reads
-  (``estimators._xi_slope``, the complex step of the row's xi) agrees with
-  ``mp.diff`` of the target written out in mpmath, to 1e-13 relative plus
-  32 eps xi/lambda, the rounding that xi's own expression leaves in the
-  slope where it cancels (the MGF's lambda/(lambda - t) at lambda >> t,
-  mean-past-lifetime's direct form just above its series cutoff);
+- the target's slope lambda xi'(lambda) that the CLT scale and the Tate law
+  read (``estimators._lam_xi_slope``, the complex step of the row's xi)
+  agrees with lambda times ``mp.diff`` of the target written out in mpmath,
+  to 1e-13 relative plus 32 eps xi, the rounding that xi's own expression
+  leaves in the slope where it cancels (the MGF's lambda/(lambda - t) at
+  lambda >> t, mean-past-lifetime's direct form just above its series
+  cutoff);
 - neither call emits a warning.
 
 The bounds, with eps = 2^-52:
@@ -42,8 +43,9 @@ about e ulps per term.
 The oracle sweeps draw n log-uniformly in [1, 1e7] (the MGF's in [1, 1e6],
 where a cell already costs 0.13 s) and lambda in [0.05, 30], and check
 that ``verify_unbiasedness`` (every closed-form kind, n >= 1) and
-``verify_tate_bias`` (every kind with a 1959 form, n >= 2) certify each cell
-below the 1e-9 tolerance or raise ``ExpunbiasError``, without a warning.
+``verify_tate_bias`` (every kind whose row states xi as atoms, n >= 2)
+certify each cell below the 1e-9 tolerance or raise ``ExpunbiasError``,
+without a warning.
 
 ``test_atoms_sum_to_target`` checks each finite-atom row's two statements
 of xi against each other: its atoms c lam^r e^{-a lam} summed in double
@@ -73,7 +75,7 @@ from hypothesis import strategies as st
 
 from expunbias import cli
 from expunbias.errors import DomainError, ExpunbiasError, RangeError
-from expunbias.estimators import (_CATALOGUE, FunctionalSpec, Kind, Sample, _xi_slope,
+from expunbias.estimators import (_CATALOGUE, FunctionalSpec, Kind, Sample, _lam_xi_slope,
                                   closed_form_variance_mle, closed_form_variance_unbiased,
                                   mle_estimate, phi_function, target_value,
                                   tate_expected_value, tate_phi_function)
@@ -198,11 +200,12 @@ def _check(spec, n, x, lam=None):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if lam is not None:
-            # xi' within 1e-13, past 32 eps xi/lambda where xi's expression cancels
-            got = _xi_slope(spec, lam)
+            # lambda xi' within 1e-13, past 32 eps xi where xi's expression cancels
+            got = _lam_xi_slope(spec, lam)
             with mp.workdps(60):
                 xi = _xi_reference(spec)
-                ref, bound = mp.diff(xi, mp.mpf(lam)), 32 * EPS * abs(xi(mp.mpf(lam))) / lam
+                ref = lam * mp.diff(xi, mp.mpf(lam))
+                bound = 32 * EPS * abs(xi(mp.mpf(lam)))
                 assert abs(got - ref) <= 1e-13 * abs(ref) + bound, (got, float(ref), lam)
         try:
             got = phi_function(spec, n)(x)
@@ -279,6 +282,52 @@ def test_atoms_sum_to_target(kind, data):
     assert abs(got - want) <= _SUM_EPS * EPS * budget, (got, want, budget)
 
 
+_LAW_NS = (2, 3, 4, 6, 10, 30, 1000)
+_LAW_RATES = (1e-10, 1e-7, 1e-4, 0.01, 0.3, 1.0, 2.0, 5.0, 17.0, 50.0)
+_LAW_CASES = [
+    (FunctionalSpec(Kind.RATE_POWER, p=0.5), _LAW_NS),
+    (FunctionalSpec(Kind.RATE_POWER, p=-1.5), _LAW_NS),
+    # 1 - p/(n-1) = 1/30 at n = 4: the bias cancels all but 1/30 of xi
+    (FunctionalSpec(Kind.RATE_POWER, p=2.9), _LAW_NS[2:]),
+    (FunctionalSpec(Kind.QUANTILE, q=0.3), _LAW_NS),
+    (FunctionalSpec(Kind.MOMENT, p=2.0), _LAW_NS),
+    (FunctionalSpec(Kind.MOMENT, p=-0.5), _LAW_NS),
+    (FunctionalSpec(Kind.SURVIVAL, t=0.5), _LAW_NS),
+    (FunctionalSpec(Kind.MAX_CDF_POWER, t=0.5, m=3), _LAW_NS),
+    (FunctionalSpec(Kind.MIN_SURVIVAL, t=0.5, m=3), _LAW_NS),
+    (FunctionalSpec(Kind.PDF, t=0.5), _LAW_NS[1:]),  # the Tate density needs n >= 3
+    (FunctionalSpec(Kind.EXPECTED_SHORTFALL, p=0.9), _LAW_NS),
+    # m = n - 1: xi - lam xi'/(n-1) is O(lam t) of xi, down to 1e-20 of it
+    *[(FunctionalSpec(Kind.MAX_CDF_POWER, t=1e-10, m=n - 1), (n,)) for n in _LAW_NS[:5]],
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec,ns", _LAW_CASES, ids=["-".join(
+    [s.kind.value, *(f"{name}={value}" for name, value in s.params().items())])
+    for s, _ in _LAW_CASES])
+def test_tate_law_against_mpmath(spec, ns):
+    """Tate's expectation xi - lam xi'/(n-1) against 60-digit mpmath, xi
+    written out and lam xi' taken by ``mp.diff`` in ln lam, within 32 eps
+    (|xi| + |lam xi'|/(n-1)): the rounding of xi and of the complex step.
+    Where the two terms nearly cancel that is large relative to the value,
+    and it is the trade-off of the law: max-cdf-power at m = n - 1 and
+    lam t = 1e-10 reads up to 2e-6 relative, where the closed form that the
+    law replaced read 8.3e-8; both forms are ill-conditioned there.  The
+    largest error here is 11 eps (|xi| + |lam xi'|/(n-1)), the rate power
+    p = 2.9 at n = 4, lam = 1e-10."""
+    for n in ns:
+        for lam in _LAW_RATES:
+            got = tate_expected_value(spec, n, lam)
+            with mp.workdps(60):
+                xi = _xi_reference(spec)
+                value = xi(mp.mpf(lam))
+                slope = mp.diff(lambda s: xi(mp.exp(s)), mp.log(mp.mpf(lam)))
+                ref = value - slope / (n - 1)
+                bound = 32 * EPS * (abs(value) + abs(slope) / (n - 1))
+                assert abs(got - ref) <= bound, (n, lam, got, float(ref), float(bound))
+
+
 @st.composite
 def _verify_cells(draw, kind, n_min=1):
     """(spec, n, lam) with n log-uniform in [n_min, 1e7] (1e6 for the MGF) and
@@ -320,10 +369,7 @@ def test_sweep_verify_unbiasedness(kind, data):
     _check_verify(*data.draw(_verify_cells(kind)))
 
 
-_TATE_KINDS = [kind for kind in _CLOSED_FORM if _CATALOGUE[kind].tate_mean is not None]
-
-
-@pytest.mark.parametrize("kind", _TATE_KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("kind", _ATOM_KINDS, ids=lambda k: k.value)
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
 def test_sweep_verify_tate_bias(kind, data):
@@ -392,10 +438,10 @@ def _cli_runs(draw, data_dir):
     except for the MGF), levels lie in [0.01, 0.99] or [-0.2, 1.2], copies m
     in [1, 5] or 0, and exponents in [-3, 3] or [-1000, 1000]; the second,
     partly invalid, range is drawn one time in ten.  ``verify --tate`` draws
-    the kinds with a 1959 form.
+    the kinds with a 1959 form, those whose row states xi as atoms.
     """
     command = draw(st.sampled_from(_CLI_COMMANDS))
-    kind = draw(st.sampled_from(_TATE_KINDS if command == "verify --tate" else _CLOSED_FORM))
+    kind = draw(st.sampled_from(_ATOM_KINDS if command == "verify --tate" else _CLOSED_FORM))
     lam = draw(_log_uniform(1e-3, 1e3))
     # integers spread the log scale more evenly than Hypothesis's floats do
     n_max = 2000 if command == "compare" else _N_MAX

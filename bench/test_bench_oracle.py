@@ -110,8 +110,8 @@ TATE_SPECS = [FunctionalSpec(Kind.RATE_POWER, p=0.5), FunctionalSpec(Kind.QUANTI
 
 @pytest.mark.parametrize("spec", TATE_SPECS, ids=lambda s: s.kind.value)
 def test_tate_expected_value(benchmark, spec):
-    # below the target by the 1959 bias: (1 - p/(n-1)) lam^p and n/(n-1) times
-    # the quantile, and for max-cdf-power at lam t = 1 below it
+    # off the target by the 1959 bias: (1 - p/(n-1)) lam^p, n/(n-1) times the
+    # quantile, and for max-cdf-power at lam t = 1 below it
     value = benchmark(tate_expected_value, spec, 30, 2.0)
     factor = {Kind.RATE_POWER: 1.0 - 0.5 / 29, Kind.QUANTILE: 30 / 29}.get(spec.kind)
     if factor is not None:

@@ -180,7 +180,7 @@ def manifests() -> list[tuple[str, list[str]]]:
         ("clt mgf t=0",
          ["clt", "--kind", "mgf", "--t", "0", "--n", "5", "--lambda", "1",
           "--reps", "2000", "--seed", "1"]),
-        # fixed Talbot past n = 32 (exit 4)
+        # past n = 32, where the fixed Talbot contour of earlier versions raised (exit 4)
         ("estimate moment p=0.5 talbot n=50",
          ["estimate", "--kind", "moment", "--p", "0.5", "--data", "data50.txt",
           "--engine", "talbot"]),

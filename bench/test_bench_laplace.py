@@ -14,10 +14,13 @@ climbs to the top order, 40, at n = 10; the real-only user transform has no
 complex evaluator and stops at 32 at n = 5.  The MGF case sums on the
 abscissae shifted right of its pole (sigma > 0), the one path that still
 divides by s^n at every abscissa.  The float-only transform answers in
-double precision, so its ladder stops at order 20.  The Talbot cases sum
-the fixed 32-node contour: the moment at n = 5, and the user transform
-with a complex evaluator (the default engine for it) at n = 20, the
-largest n of the ``inversion`` workload.  The last case is the
+double precision, so its ladder stops at order 20.  The Talbot cases run
+the saddle-centred contour ("talbot", the complex engine): the moment at
+n = 5 through ``generic_unbiased_estimate``, the user transform with a
+complex evaluator (the default engine for it) at n = 20, and one contour
+point, a built estimator called on one mean, at n = 2, 20 and 200 (past
+n = 32 the fixed Talbot contour of earlier versions raised
+``InversionError``, so n = 200 fails there).  The last case is the
 mean-past-lifetime estimator on one point, as the CLI ``estimate`` command
 calls it.  The
 checks after each timed call keep a wrong answer from passing as a fast one.
@@ -30,7 +33,8 @@ import pytest
 from expunbias.estimators import (FunctionalSpec, Kind, Sample, mean_past_lifetime, mgf,
                                   moment)
 from expunbias.laplace import (InversionConfig, InversionMethod, TransferFunction,
-                               builtin_transfer_function, generic_unbiased_estimate)
+                               builtin_transfer_function, generic_phi,
+                               generic_unbiased_estimate)
 
 GS = InversionConfig(method=InversionMethod.GAVER_STEHFEST)
 TALBOT = InversionConfig(method=InversionMethod.TALBOT)
@@ -87,6 +91,13 @@ def test_talbot_moment(benchmark):
     xi = builtin_transfer_function(MOMENT)
     res = benchmark(generic_unbiased_estimate, xi, sample, TALBOT, MOMENT)
     assert res.value == pytest.approx(moment(sample.mean, n, 0.5), rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 20, 200])
+def test_contour_point(benchmark, n):
+    phi = generic_phi(builtin_transfer_function(MOMENT), n, TALBOT)
+    value = benchmark(phi, 1.3)
+    assert value == pytest.approx(moment(1.3, n, 0.5), rel=1e-12)
 
 
 def test_talbot_user_complex(benchmark):

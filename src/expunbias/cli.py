@@ -388,7 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--data", required=True, help="one positive value per line")
     p_est.add_argument("--engine", choices=("closed", "talbot", "gaver-stehfest"),
                        default="closed",
-                       help="closed form (default) or numeric Laplace inversion")
+                       help="closed form (default), or numeric Laplace inversion: "
+                            "talbot (the saddle-centred contour, every n) or "
+                            "gaver-stehfest (real axis, n up to about 13)")
     add_common(p_est)
     p_est.set_defaults(func=_cmd_estimate)
 

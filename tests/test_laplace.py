@@ -359,15 +359,16 @@ class TestGaverStehfestLadder:
         assert info.value.diagnostics["order"] == 16
 
 
-# (spec, result of generic_phi at n = 7, mean 1.3 on the fixed Talbot
-# contour, as float.hex), one per built-in smooth kind
+# (spec, result of generic_phi at n = 7, mean 1.3 on the saddle-centred
+# contour, as float.hex), one per built-in smooth kind; each within 2.3e-15
+# of the closed form and 4e-16 of 50-digit mpmath when recorded
 _TALBOT_CASES = {
-    "rate-power": (FunctionalSpec(Kind.RATE_POWER, p=0.5), "0x1.a87c2634aa18bp-1"),
-    "quantile": (FunctionalSpec(Kind.QUANTILE, q=0.5), "0x1.cd5bd7eabb1bdp-1"),
-    "moment": (FunctionalSpec(Kind.MOMENT, p=2.0), "0x1.7a8f5c28f5c2ep+1"),
-    "mgf": (FunctionalSpec(Kind.MGF, t=0.5), "0x1.2c6921fa6a2b0p+1"),
+    "rate-power": (FunctionalSpec(Kind.RATE_POWER, p=0.5), "0x1.a87c2634aa173p-1"),
+    "quantile": (FunctionalSpec(Kind.QUANTILE, q=0.5), "0x1.cd5bd7eabb1b8p-1"),
+    "moment": (FunctionalSpec(Kind.MOMENT, p=2.0), "0x1.7a8f5c28f5c2cp+1"),
+    "mgf": (FunctionalSpec(Kind.MGF, t=0.5), "0x1.2c6921fa6a243p+1"),
     "expected-shortfall": (FunctionalSpec(Kind.EXPECTED_SHORTFALL, p=0.5),
-                           "0x1.19bd5c61152d8p+1"),
+                           "0x1.19bd5c61152d6p+1"),
 }
 
 
@@ -382,42 +383,79 @@ class TestTalbotEstimator:
     def test_recorded_results_match_closed_forms(self, case):
         spec, expected = _TALBOT_CASES[case]
         closed = float(phi_function(spec, 7)(1.3))
-        assert float.fromhex(expected) == pytest.approx(closed, rel=1e-12)
+        assert float.fromhex(expected) == pytest.approx(closed, rel=1e-14)
 
 
-class TestTalbotLimit:
-    """The fixed contour's worst relative error against the closed forms is
-    1.2e-10 at n = 32, 3.2e-6 at n = 40 and 1.8e7 at n = 50, so the estimator
-    path serves n <= 32 only."""
+class TestContourEveryN:
+    """The fixed 32-node Talbot contour read 1.2e-10 at n = 32, 3.2e-6 at
+    n = 40 and 1.8e7 at n = 50 against the closed forms, so the estimator
+    served n <= 32 only; the saddle-centred contour serves every n."""
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("n", [33, 40, 50])
-    def test_past_32_is_an_inversion_error(self, n):
-        # n = 50 returned 3.9e6 for a value near 0.89, with no error
-        xi = builtin_transfer_function(FunctionalSpec(Kind.MOMENT, p=0.5))
-        with pytest.raises(InversionError) as info:
-            generic_phi(xi, n, _TALBOT)(1.0)
-        assert info.value.diagnostics == {"method": "talbot", "n": n, "t": 1.0}
+    @pytest.mark.parametrize("n", [32, 33, 40, 50, 200, 10_000])
+    @pytest.mark.parametrize("spec", [FunctionalSpec(Kind.MOMENT, p=0.5),
+                                      FunctionalSpec(Kind.RATE_POWER, p=1.5),
+                                      FunctionalSpec(Kind.MGF, t=0.5)],
+                             ids=lambda s: s.kind.value)
+    def test_serves_within_the_bound(self, spec, n):
+        # n = 50 returned 3.9e6 for a value near 0.89 on the fixed contour
+        for xbar in (0.3, 1.0, 1.7):
+            got = generic_phi(builtin_transfer_function(spec), n, _TALBOT)(xbar)
+            assert got == pytest.approx(float(phi_function(spec, n)(xbar)), rel=1e-12)
 
-    def test_past_32_inverts_nothing(self):
-        # the limit was checked after the contour had been summed
+    @pytest.mark.parametrize("n", [1, 2, 7, 33, 200, 10_000, 10 ** 6])
+    def test_kernel_integrates_to_one(self, n):
+        # xi = 1 has the estimator 1 at every n and mean: the weights alone
+        one = _tf(lambda s: 1.0)
+        for xbar in (1e-3, 1.0, 1e3):
+            assert generic_phi(one, n)(xbar) == pytest.approx(1.0, rel=1e-14)
+
+    def test_one_array_call_per_mean_and_none_to_build(self):
         calls = []
 
         def fn(s):
             calls.append(s)
             return 1.0 / s
-        xi = TransferFunction(eval_real=fn, eval_complex=fn)
-        with pytest.raises(InversionError):
-            generic_phi(xi, 33, _TALBOT)(1.0)
+        phi = generic_phi(_tf(fn), 5)
         assert calls == []
+        assert phi(1.7) == pytest.approx(1.7, rel=1e-14)
+        assert len(calls) == 1 and isinstance(calls[0], np.ndarray)
 
-    @pytest.mark.parametrize("spec", [FunctionalSpec(Kind.MOMENT, p=0.5),
-                                      FunctionalSpec(Kind.RATE_POWER, p=1.5),
-                                      FunctionalSpec(Kind.MGF, t=0.5)],
-                             ids=lambda s: s.kind.value)
-    def test_at_32_it_serves(self, spec):
-        got = generic_phi(builtin_transfer_function(spec), 32, _TALBOT)(1.0)
-        assert got == pytest.approx(phi_function(spec, 32)(1.0), rel=1e-9)
+    def test_scalar_only_transform_is_evaluated_node_by_node(self):
+        # cmath takes no arrays (TypeError), and an array has no truth value
+        # (ValueError): then one call per node
+        array = _tf(lambda s: np.sqrt(s) / (s + 2.0))
+        scalars = (lambda s: cmath.sqrt(s) / (s + 2.0),
+                   lambda s: s ** 0.5 / (s + 2.0) if s != 0 else 0.0)
+        for fn in scalars:
+            for n in (1, 5, 50):
+                for xbar in (0.4, 1.0, 3.0):
+                    want = generic_phi(array, n)(xbar)
+                    assert generic_phi(_tf(fn), n)(xbar) == pytest.approx(want, rel=1e-14)
+
+    def test_weights_are_cached_and_read_only(self):
+        nodes, weights = laplace._contour(5, 0, 32)
+        assert laplace._contour(5, 0, 32)[1] is weights
+        assert nodes.shape == weights.shape == (65,)
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_cancellation_is_an_inversion_error_with_both_sums(self):
+        # the MGF's pole past the saddle: the contour's terms sum to 3e12 times
+        # the value in absolute size, which the rounding floor sees
+        xi = builtin_transfer_function(FunctionalSpec(Kind.MGF, t=1.0))
+        with pytest.raises(InversionError, match="cancel") as info:
+            generic_phi(xi, 200, _TALBOT)(3.0)
+        diag = info.value.diagnostics
+        assert {"fine", "coarse", "floor", "intervals"} <= set(diag)
+        assert diag["floor"] > 1e-13 * abs(diag["fine"])
+
+    @pytest.mark.filterwarnings("error")
+    def test_kernel_past_double_range_is_an_inversion_error(self):
+        xi = builtin_transfer_function(FunctionalSpec(Kind.MGF, t=2.0))
+        with pytest.raises(InversionError, match="double range"):
+            generic_phi(xi, 10_000, _TALBOT)(1.0)
 
 
 class TestArguments:
@@ -436,17 +474,17 @@ class TestArguments:
             builtin_transfer_function(FunctionalSpec(Kind.MOMENT, p=171.0))
 
     @pytest.mark.filterwarnings("error")
-    def test_contour_underflow_is_an_inversion_error(self):
-        # s^n underflowed to 0 on the Talbot contour: ZeroDivisionError (at
-        # n = 32, since past it the node limit is raised before any inversion)
+    def test_contour_at_a_huge_mean_serves(self):
+        # s^n underflowed to 0 on the fixed Talbot contour (ZeroDivisionError,
+        # then an InversionError); the saddle-centred contour has no s^n
         xi = builtin_transfer_function(FunctionalSpec(Kind.MGF, t=0.0))
-        with pytest.raises(InversionError, match="double range"):
-            generic_phi(xi, 32, _TALBOT)(1e12)
+        for n in (32, 200):
+            assert generic_phi(xi, n, _TALBOT)(1e12) == pytest.approx(1.0, rel=1e-14)
 
 
 class TestLargeN:
-    """At large n neither engine certifies; each point must still end in a
-    float or a typed error, never a bare OverflowError."""
+    """At large n Gaver-Stehfest does not certify; each point must still end
+    in a float or a typed error, never a bare OverflowError."""
 
     @pytest.mark.parametrize("spec", [FunctionalSpec(Kind.MOMENT, p=0.5),
                                       FunctionalSpec(Kind.MGF, t=0.5),
@@ -463,16 +501,21 @@ class TestLargeN:
                     continue
                 assert isinstance(value, float)
 
-    @pytest.mark.parametrize("cfg,n,xbar", [(_GS, 1000, 0.3), (_TALBOT, 32, 1e-10)])
+    @pytest.mark.parametrize("cfg,n,xbar", [(_GS, 1000, 0.3)])
     def test_overflow_is_an_inversion_error(self, cfg, n, xbar):
-        # Gaver-Stehfest: Gamma(n)/0.3^(n-1) leaves double range;
-        # Talbot: s^n on the contour does (at n = 32, since past it the node
-        # limit is raised before any inversion)
+        # Gaver-Stehfest: Gamma(n)/0.3^(n-1) leaves double range
         xi = builtin_transfer_function(FunctionalSpec(Kind.QUANTILE, q=0.5))
         with pytest.raises(InversionError) as info:
             generic_phi(xi, n, cfg)(xbar)
         assert info.value.diagnostics == {"method": cfg.method.value, "n": n, "t": xbar}
         assert isinstance(info.value.__cause__, OverflowError)
+
+    @pytest.mark.filterwarnings("error")
+    def test_contour_serves_where_s_to_the_n_overflowed(self):
+        # s^n on the fixed Talbot contour left double range at n = 32, mean 1e-10
+        spec = FunctionalSpec(Kind.QUANTILE, q=0.5)
+        got = generic_phi(builtin_transfer_function(spec), 32, _TALBOT)(1e-10)
+        assert got == pytest.approx(quantile(1e-10, 0.5), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +561,7 @@ def _fdot_ladder(fn, t, orders, n=0, sigma=0.0):
     return values[-1]
 
 
-def _talbot_loop(fn, t, nodes, sigma=0.0):
+def _talbot_loop(fn, t, nodes):
     # the Talbot sum recomputing each node's angle, cotangent and contour
     # derivative on every call
     r = 2.0 * nodes / (5.0 * t)
@@ -532,12 +575,12 @@ def _talbot_loop(fn, t, nodes, sigma=0.0):
             cot = 1.0 / math.tan(theta)
             p = r * theta * complex(cot, 1.0)
             gamma = cmath.exp(t * p) * (1.0 + 1j * theta * (1.0 + cot * cot) - 1j * cot)
-        fp = fn(p + sigma)
+        fp = fn(p)
         if not (math.isfinite(fp.real) and math.isfinite(fp.imag)):
             raise InversionError("transform evaluated non-finite on the Talbot contour",
                                  {"method": "talbot", "nodes": nodes, "t": t})
         total += gamma * fp
-    return (2.0 / (5.0 * t)) * total.real * math.exp(sigma * t)
+    return (2.0 / (5.0 * t)) * total.real
 
 
 def _outcome(call):
@@ -618,19 +661,10 @@ class TestSameBits:
         assert worst + 17 <= seen[0]
 
     @pytest.mark.parametrize("nodes", [16, 24, 32, 64])
-    def test_talbot_table_matches_node_loop(self, nodes, monkeypatch):
-        fn = lambda s: 1.0 / (s * s + 1.0)
-        for t in (0.05, 0.7, 1.3, 20.0):
-            assert invert_talbot(_tf(fn), t, nodes).hex() == _talbot_loop(fn, t, nodes).hex()
-        # through the estimator, unshifted (moment) and at sigma = 5 * 0.3 (MGF)
-        monkeypatch.setattr(laplace, "_TALBOT_NODES", nodes)
-        for spec in (FunctionalSpec(Kind.MOMENT, p=0.5), FunctionalSpec(Kind.MGF, t=0.3)):
-            phi = generic_phi(builtin_transfer_function(spec), 5, _TALBOT)
-            got = [_outcome(lambda: phi(x)) for x in (0.05, 0.7, 1.3, 20.0)]
-            with monkeypatch.context() as m:
-                m.setattr(laplace, "_talbot_sum", _talbot_loop)
-                want = [_outcome(lambda: phi(x)) for x in (0.05, 0.7, 1.3, 20.0)]
-            assert got == want
+    def test_talbot_table_matches_node_loop(self, nodes):
+        for fn in (lambda s: 1.0 / (s * s + 1.0), lambda s: 1.0 / (s + 0.3) ** 2):
+            for t in (0.05, 0.7, 1.3, 20.0):
+                assert invert_talbot(_tf(fn), t, nodes).hex() == _talbot_loop(fn, t, nodes).hex()
 
     def test_talbot_non_finite_node_raises(self):
         fn = lambda s: complex(math.nan, 0.0) if s.imag > 1.0 else 1.0 / s

@@ -47,6 +47,14 @@ that ``verify_unbiasedness`` (every closed-form kind, n >= 1) and
 certify each cell below the 1e-9 tolerance or raise ``ExpunbiasError``,
 without a warning.
 
+The contour sweep (``test_sweep_contour_engine``) draws n log-uniformly in
+[1, 1e4], a mean in [1e-3, 1e3], one of the five smooth kinds (the MGF with
+t mean in [-3, 3]) or the user transform lambda/(lambda + 1), and checks
+that ``generic_phi`` on the saddle-centred contour returns within 1e-12 of
+the closed form in 60-digit mpmath (for the user transform
+1F1(1; n; -n mean)) or raises ``InversionError``, without a warning;
+``test_contour_regressions`` keeps the cells where a check was missing.
+
 ``test_atoms_sum_to_target`` checks each finite-atom row's two statements
 of xi against each other: its atoms c lam^r e^{-a lam} summed in double
 against ``target_value``, to the rounding bound in its docstring.
@@ -74,11 +82,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expunbias import cli
-from expunbias.errors import DomainError, ExpunbiasError, RangeError
+from expunbias.errors import DomainError, ExpunbiasError, InversionError, RangeError
 from expunbias.estimators import (_CATALOGUE, FunctionalSpec, Kind, Sample, _lam_xi_slope,
                                   closed_form_variance_mle, closed_form_variance_unbiased,
                                   mle_estimate, phi_function, target_value,
                                   tate_expected_value, tate_phi_function)
+from expunbias.laplace import (InversionConfig, InversionMethod, TransferFunction,
+                               builtin_transfer_function, generic_phi)
 from expunbias.oracle import verify_tate_bias, verify_unbiasedness
 
 EPS = 2.0 ** -52
@@ -415,6 +425,69 @@ def test_rate_power_factors_out_of_range_apart_certify(p, n, lam):
     assert report.rel_bias < 1e-9
 
 
+def _user_xi(lam):
+    return lam / (lam + 1.0)
+
+
+@st.composite
+def _contour_cells(draw):
+    """(spec or None for the user transform lambda/(lambda + 1), n, mean)."""
+    n = round(10 ** (4 * draw(st.integers(0, 100)) / 100))
+    x = draw(_log_uniform(1e-3, 1e3))
+    kind = draw(st.sampled_from(sorted(_SMOOTH_REL, key=lambda k: k.value) + [None]))
+    if kind is Kind.RATE_POWER:
+        p = draw(st.floats(-3.0, min(3.0, n - 0.01)).filter(lambda v: v != 0.0))
+        return FunctionalSpec(kind, p=p, allow_negative_integer_p=True), n, x
+    if kind is Kind.MOMENT:
+        return FunctionalSpec(kind, p=draw(st.floats(-0.9, 4.0))), n, x
+    if kind is Kind.QUANTILE:
+        return FunctionalSpec(kind, q=draw(st.floats(0.01, 0.99))), n, x
+    if kind is Kind.EXPECTED_SHORTFALL:
+        return FunctionalSpec(kind, p=draw(st.floats(0.01, 0.99))), n, x
+    if kind is Kind.MGF:
+        return FunctionalSpec(kind, t=draw(st.floats(-3.0, 3.0)) / x), n, x
+    return None, n, x
+
+
+def _check_contour(spec, n, x):
+    # the contour engine returns within 1e-12 of the closed form in 60-digit
+    # mpmath, or raises InversionError; never a warning
+    xi = (TransferFunction(_user_xi, _user_xi) if spec is None
+          else builtin_transfer_function(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = generic_phi(xi, n, InversionConfig(InversionMethod.TALBOT))(x)
+        except InversionError:
+            return
+    with mp.workdps(60):
+        if spec is None:
+            ref = mp.hyp1f1(1, n, -n * mp.mpf(x), maxterms=10 ** 6)
+        else:
+            ref = _reference(spec, n, x)[0](mp.mpf(x))
+        assert abs(got - ref) <= 1e-12 * abs(ref), (spec, n, x, got, float(ref))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(cell=_contour_cells())
+def test_sweep_contour_engine(cell):
+    _check_contour(*cell)
+
+
+@pytest.mark.parametrize("spec,n,x", [
+    # t mean = 1.5 puts the apex past the saddle: the terms cancel by a
+    # factor 3e6, and without the rounding-floor check the sum came back
+    # 1.1e-9 off with fine and coarse agreeing
+    pytest.param(FunctionalSpec(Kind.MGF, t=0.5), 200, 3.0, id="mgf-floor"),
+    # the kernel's phase 2 sqrt(n) (w0 - 1) v aliased alike on both grids of
+    # too few intervals: 2e35 times the value, with no error
+    pytest.param(FunctionalSpec(Kind.MGF, t=438.87719448457784), 821, 0.006079667312686928,
+                 id="mgf-alias"),
+])
+def test_contour_regressions(spec, n, x):
+    _check_contour(spec, n, x)
+
+
 _CLI_COMMANDS = ("estimate closed", "estimate talbot", "estimate gaver-stehfest",
                  "verify", "verify --tate", "compare", "clt")
 
@@ -523,9 +596,10 @@ _CLI_REGRESSIONS = [
     # its value is checked in test_cli_mean_past_lifetime_tiny_t
     pytest.param(["estimate", "--kind", "mean-past-lifetime", "--t", "1.4e-45",
                   "--data", "DATA"], 0, id="estimate-mpl-tiny-t"),
-    # s^n underflowed to 0 on the Talbot contour: ZeroDivisionError
+    # s^n underflowed to 0 on the fixed Talbot contour: ZeroDivisionError,
+    # then exit 4; the saddle-centred contour returns xi = 1's estimate, 1
     pytest.param(["estimate", "--kind", "mgf", "--t", "0", "--data", "DATA200",
-                  "--engine", "talbot"], 4, id="estimate-mgf-talbot"),
+                  "--engine", "talbot"], 0, id="estimate-mgf-talbot"),
     # the oracle's Gamma(n) window ended before the mass of x^11.5 times the
     # density: rel_bias 2.5e-7, exit 1 on correct code
     pytest.param(["verify", "--tate", "--kinds", "rate-power", "--p=-11.5", "--n", "2"], 0,

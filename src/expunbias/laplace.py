@@ -303,34 +303,64 @@ _CONTOUR_V = 8.0
 _CONTOUR_FIRST, _CONTOUR_CAP = 32, 4096  # coarse intervals; the fine grid has twice as many
 _CONTOUR_TOL = 1e-12
 _APEX_STEPS = 32  # apexes per octave
-# raise where the rounding floor passes this share of the sum: on MGF sweeps the
-# error reached 4.4 times the floor, so 1e-13 keeps a returned value within 1e-12
-_CONTOUR_CANCEL = 1e-13
+# raise where the rounding floor passes this share of the sum: on sweeps of the
+# MGF and of lam/(lam + 1) the error reached 1.4 times the floor, so 5e-13 keeps
+# a returned value within 1e-12
+_CONTOUR_CANCEL = 5e-13
+# v of the probe node, close enough to the apex that xi's phase turns by less
+# than pi up to phase rates far past what 4096 intervals resolve
+_PROBE_V = 2.0 ** -16
 
 
 @lru_cache(maxsize=512)
-def _contour(n: int, apex: int, intervals: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes w_j and weights c_j of the fine grid (2 ``intervals`` on [0, 8]) at
+def _contour(n: int, apex: int, intervals: int) -> tuple[np.ndarray, ...]:
+    """Nodes w_j, weights c_j, rounding scales and the two rows that pick the
+    fine and the coarse sum, of the fine grid (2 ``intervals`` on [0, 8]) at
     the apex w0 = 2^(apex/32), read-only, so that phi(mean) = Re sum c_j xi(w_j/mean).
 
     c_j = exp(ln(2 pi n)/2 + R(n) + n (z - log1p z)) (dw/dv) h_j / (pi i), z = w - 1,
     with R the Stirling remainder: the factor Gamma(n) n^(1-n) and the kernel in
     one exponent, whose real and imaginary parts are written out so that neither
-    cancels.  An even node carries half the weight the coarse grid gives it, so
-    the coarse sum is twice the sum over the even nodes.
+    cancels.  Its value at the apex is one factor, so its rounding is common to
+    every node; the part e_j that varies along the contour is rounded to
+    eps |e_j|, so c_j carries (1 + |e_j|) eps of its own: scale_j =
+    |c_j| (1 + |e_j|).  An even node carries half the weight the coarse grid
+    gives it, so the coarse sum is twice the sum over the even nodes (the
+    second row of ``rows``).  One more node, the probe at v = 2^-16, has
+    weight 0.
     """
     w0 = 2.0 ** (apex / _APEX_STEPS)
-    u = np.linspace(0.0, _CONTOUR_V, 2 * intervals + 1) / math.sqrt(n)
-    real = (n * (w0 - 1.0 - math.log(w0)) - n * w0 * u * u - n * np.log1p(u * u)
-            + 0.5 * math.log(2.0 * math.pi * n) + _stirling_remainder(n))
-    imag = 2.0 * n * ((w0 - 1.0) * u + (u - np.arctan(u)))
+    v = np.append(np.linspace(0.0, _CONTOUR_V, 2 * intervals + 1), _PROBE_V)
+    u = v / math.sqrt(n)
+    varying = (-n * w0 * u * u - n * np.log1p(u * u)
+               + 2j * n * ((w0 - 1.0) * u + (u - np.arctan(u))))
+    fixed = n * (w0 - 1.0 - math.log(w0)) + 0.5 * math.log(2.0 * math.pi * n) + _stirling_remainder(n)
     h = _CONTOUR_V / (2 * intervals)
     with np.errstate(all="ignore"):  # weights past double range make the sum non-finite
-        weights = np.exp(real + 1j * imag) * (1.0 + 1j * u) * (2.0 * w0 * h / (math.pi * math.sqrt(n)))
-        weights[[0, -1]] *= 0.5
+        weights = np.exp(varying) * (1.0 + 1j * u) * (
+            np.exp(fixed) * 2.0 * w0 * h / (math.pi * math.sqrt(n)))
+        weights[[0, -2]] *= 0.5
+        weights[-1] = 0.0
+        scale = np.abs(weights) * (1.0 + np.abs(varying))
     nodes = w0 * (1.0 + 1j * u) ** 2
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+    rows = np.zeros((2, v.size))
+    rows[0] = 1.0
+    rows[1, :-1:2] = 2.0
+    for a in (nodes, weights, scale, rows):
+        a.flags.writeable = False
+    return nodes, weights, scale, rows
+
+
+def _resolution(n: int, w0: float, strip: float, rate: float) -> float:
+    # the coarse intervals whose step h = 8/N resolves the integrand's phase rate
+    # at the apex beyond its Gaussian width (2 pi/h at least 12 widths past it, so
+    # that the N and 2N grids cannot alias it alike), and keeps 2 pi d/h >= 36 on
+    # the strip |Im v| < d where it is analytic.  The kernel turns at
+    # 2 sqrt(n) (w0 - 1) per unit v; xi ~ lam^r turns at rate = 2r/sqrt(n) and
+    # narrows the width from 1/sqrt(w0) to 1/sqrt(w0 - r/n).
+    phase = abs(2.0 * math.sqrt(n) * (w0 - 1.0) + rate)
+    width = math.sqrt(w0 + abs(rate) / (2.0 * math.sqrt(n)))
+    return _CONTOUR_V / (2.0 * math.pi) * max(phase + 12.0 * width, 36.0 / strip)
 
 
 def _contour_phi(fn: Callable, n: int, xbar: float, shift: float) -> float:
@@ -338,13 +368,15 @@ def _contour_phi(fn: Callable, n: int, xbar: float, shift: float) -> float:
 
     The apex is w0 >= shift mean + 3/sqrt(n) (at least 1, the saddle), rounded
     up to the lattice 2^(k/32) so that shifted contours are cached too.  The
-    coarse step h = 8/N resolves the kernel's phase rate 2 sqrt(n) (w0 - 1)
-    beyond its Gaussian width, so that the two grids cannot alias it alike,
-    and keeps 2 pi d/h >= 36 on the strip |Im v| < d where the integrand is
-    analytic (w = 0 at v = i sqrt(n), the pole at v = i sqrt(n) (1 -
-    sqrt(shift mean/w0))).  Each pass evaluates xi once on the fine grid and
+    intervals, a power of 2, resolve the integrand (``_resolution``), whose
+    strip is bounded by the pole hint at v = i sqrt(n) (1 - sqrt(shift mean/w0))
+    and by w = 0 at v = i sqrt(n); xi's phase rate is read at the probe node,
+    and a pass that finds xi turning faster than its grid resolves runs again
+    on a finer one.  Each pass evaluates xi once, on the fine grid, and
     returns its sum where it agrees with the coarse sum to 1e-12 or within the
-    rounding floor eps sum |c_j xi_j|; otherwise N doubles, up to 4096.
+    rounding floor eps (sum s_j max s_j)^(1/2), s_j = |xi_j| scale_j, a bound
+    on the nodes' own roundings added at random, (sum s_j^2)^(1/2), that cannot
+    overflow; otherwise N doubles, up to 4096.
     """
     diag = {"method": "talbot", "n": n, "t": xbar}
     target = max(1.0, shift * xbar + 3.0 / math.sqrt(n)) if shift > 0.0 else 1.0
@@ -354,32 +386,44 @@ def _contour_phi(fn: Callable, n: int, xbar: float, shift: float) -> float:
     apex = math.ceil(_APEX_STEPS * math.log2(target))
     w0 = 2.0 ** (apex / _APEX_STEPS)
     strip = math.sqrt(n) * (1.0 - math.sqrt(shift * xbar / w0) if shift > 0.0 else 1.0)
-    need = _CONTOUR_V / (2.0 * math.pi) * max(
-        2.0 * math.sqrt(n) * (w0 - 1.0) + 12.0 * math.sqrt(w0), 36.0 / strip)
-    intervals = max(_CONTOUR_FIRST, 1 << math.ceil(math.log2(need)))
-    while intervals <= _CONTOUR_CAP:
-        nodes, weights = _contour(n, apex, intervals)
-        lam = nodes / xbar
+    need = _resolution(n, w0, strip, 0.0)
+    intervals = _CONTOUR_FIRST
+    while True:
+        if need > intervals:
+            intervals = 1 << math.ceil(math.log2(need))
+        if intervals > _CONTOUR_CAP:
+            raise InversionError(f"the contour needs more than {_CONTOUR_CAP} intervals", diag)
+        nodes, weights, scale, rows = _contour(n, apex, intervals)
         try:
-            with np.errstate(all="ignore"):
+            with np.errstate(all="ignore"):  # a sum past double range raises below
+                lam = nodes / xbar
                 try:
                     values = np.asarray(fn(lam), dtype=complex)
                 except (TypeError, ValueError):  # a callable of scalars only
                     values = np.array([complex(fn(z)) for z in lam.tolist()])
                 terms = weights * values
+                fine, coarse = (rows @ terms.real).tolist()
+                spread = np.abs(values) * scale
+                floor = _EPS * math.sqrt(float(spread.sum())) * math.sqrt(float(spread.max()))
         except (OverflowError, ZeroDivisionError) as exc:
             raise InversionError("transform left double range on the contour", diag) from exc
-        fine, coarse = float(terms.real.sum()), 2.0 * float(terms.real[::2].sum())
-        floor = _EPS * float(np.abs(terms).sum())
         diag.update(intervals=intervals, fine=fine, coarse=coarse, floor=floor)
         if not (math.isfinite(fine) and math.isfinite(floor)):
             raise InversionError("contour sum is not finite", diag)
+        # xi's phase rate at the apex, from the probe (flat: xi may answer one constant)
+        rate = math.remainder(cmath.phase(values.flat[-1]) - cmath.phase(values.flat[0]),
+                              2.0 * math.pi) / _PROBE_V
+        need = _resolution(n, w0, strip, rate)
+        if need > intervals:
+            continue
+        if abs(terms[-2]) > floor:
+            raise InversionError("the transform grows faster than the contour's kernel decays",
+                                 diag)
         if floor > _CONTOUR_CANCEL * abs(fine):
             raise InversionError("contour terms cancel past double precision", diag)
         if abs(fine - coarse) <= _CONTOUR_TOL * abs(fine) + floor:
             return fine
         intervals *= 2
-    raise InversionError(f"the contour needs more than {_CONTOUR_CAP} intervals", diag)
 
 
 # ---------------------------------------------------------------------------

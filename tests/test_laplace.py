@@ -360,15 +360,15 @@ class TestGaverStehfestLadder:
 
 
 # (spec, result of generic_phi at n = 7, mean 1.3 on the saddle-centred
-# contour, as float.hex), one per built-in smooth kind; each within 2.3e-15
-# of the closed form and 4e-16 of 50-digit mpmath when recorded
+# contour, as float.hex), one per built-in smooth kind; each within 2.1e-15
+# of the closed form and 5.5e-16 of 50-digit mpmath when recorded
 _TALBOT_CASES = {
-    "rate-power": (FunctionalSpec(Kind.RATE_POWER, p=0.5), "0x1.a87c2634aa173p-1"),
-    "quantile": (FunctionalSpec(Kind.QUANTILE, q=0.5), "0x1.cd5bd7eabb1b8p-1"),
-    "moment": (FunctionalSpec(Kind.MOMENT, p=2.0), "0x1.7a8f5c28f5c2cp+1"),
-    "mgf": (FunctionalSpec(Kind.MGF, t=0.5), "0x1.2c6921fa6a243p+1"),
+    "rate-power": (FunctionalSpec(Kind.RATE_POWER, p=0.5), "0x1.a87c2634aa174p-1"),
+    "quantile": (FunctionalSpec(Kind.QUANTILE, q=0.5), "0x1.cd5bd7eabb1bap-1"),
+    "moment": (FunctionalSpec(Kind.MOMENT, p=2.0), "0x1.7a8f5c28f5c2dp+1"),
+    "mgf": (FunctionalSpec(Kind.MGF, t=0.5), "0x1.2c6921fa6a246p+1"),
     "expected-shortfall": (FunctionalSpec(Kind.EXPECTED_SHORTFALL, p=0.5),
-                           "0x1.19bd5c61152d6p+1"),
+                           "0x1.19bd5c61152d7p+1"),
 }
 
 
@@ -434,11 +434,22 @@ class TestContourEveryN:
                     assert generic_phi(_tf(fn), n)(xbar) == pytest.approx(want, rel=1e-14)
 
     def test_weights_are_cached_and_read_only(self):
-        nodes, weights = laplace._contour(5, 0, 32)
+        # 65 fine-grid nodes and the probe, which has weight 0
+        nodes, weights, scale, rows = laplace._contour(5, 0, 32)
         assert laplace._contour(5, 0, 32)[1] is weights
-        assert nodes.shape == weights.shape == (65,)
-        with pytest.raises(ValueError):
-            weights[0] = 0.0
+        assert nodes.shape == weights.shape == scale.shape == (66,) and weights[-1] == 0.0
+        assert rows.shape == (2, 66)
+        for array in (nodes, weights, scale, rows):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_growth_past_the_kernel_is_an_inversion_error(self):
+        # lam^20 at n = 1 outgrows e^(-v^2) on v in [0, 8]: the sum so truncated
+        # would not be the integral
+        grows = _tf(lambda s: s ** 20)
+        with pytest.raises(InversionError, match="grows faster"):
+            generic_phi(grows, 1)(1.0)
 
     @pytest.mark.filterwarnings("error")
     def test_cancellation_is_an_inversion_error_with_both_sums(self):
@@ -449,7 +460,19 @@ class TestContourEveryN:
             generic_phi(xi, 200, _TALBOT)(3.0)
         diag = info.value.diagnostics
         assert {"fine", "coarse", "floor", "intervals"} <= set(diag)
-        assert diag["floor"] > 1e-13 * abs(diag["fine"])
+        assert diag["floor"] > laplace._CONTOUR_CANCEL * abs(diag["fine"])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec,xbar", [
+        (FunctionalSpec(Kind.MOMENT, p=0.5), 5e-324),
+        (FunctionalSpec(Kind.RATE_POWER, p=-1000.0, allow_negative_integer_p=True), 1e10),
+        (FunctionalSpec(Kind.RATE_POWER, p=999.5), 1.0),
+        (FunctionalSpec(Kind.QUANTILE, q=0.999999), 1.7e308),
+    ], ids=["subnormal-mean", "power-overflow", "power-overflow-n1", "huge-mean"])
+    def test_nodes_past_double_range_are_an_inversion_error(self, spec, xbar):
+        # nodes/mean, xi or the sums left double range with a RuntimeWarning
+        with pytest.raises(InversionError):
+            generic_phi(builtin_transfer_function(spec), 1, _TALBOT)(xbar)
 
     @pytest.mark.filterwarnings("error")
     def test_kernel_past_double_range_is_an_inversion_error(self):

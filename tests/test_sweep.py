@@ -477,12 +477,22 @@ def test_sweep_contour_engine(cell):
 @pytest.mark.parametrize("spec,n,x", [
     # t mean = 1.5 puts the apex past the saddle: the terms cancel by a
     # factor 3e6, and without the rounding-floor check the sum came back
-    # 1.1e-9 off with fine and coarse agreeing
+    # 1.8e-11 off with fine and coarse agreeing
     pytest.param(FunctionalSpec(Kind.MGF, t=0.5), 200, 3.0, id="mgf-floor"),
+    # e^-mean at n = 1: the floor is 9e-11 of the sum, which a threshold of
+    # 1e-10 would pass, and the sum is 3.4e-11 off
+    pytest.param(None, 1, 15.94667741033006, id="user-n1-floor"),
     # the kernel's phase 2 sqrt(n) (w0 - 1) v aliased alike on both grids of
     # too few intervals: 2e35 times the value, with no error
     pytest.param(FunctionalSpec(Kind.MGF, t=438.87719448457784), 821, 0.006079667312686928,
                  id="mgf-alias"),
+    # xi = lam^r with |r| >> n turns the integrand 2|r|/sqrt(n) radians per
+    # unit v, past what the grids resolve, and both aliased alike: 4e303 for
+    # 1, and 1.3e181 for 1e-3, until the probe node read xi's phase rate
+    pytest.param(FunctionalSpec(Kind.MOMENT, p=170.0), 1, 1.0, id="moment-p170"),
+    pytest.param(FunctionalSpec(Kind.RATE_POWER, p=-326.0017183665089,
+                                allow_negative_integer_p=True), 51, 3.6305770052232273,
+                 id="rate-power-p-326"),
 ])
 def test_contour_regressions(spec, n, x):
     _check_contour(spec, n, x)

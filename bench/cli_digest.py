@@ -148,6 +148,11 @@ def manifests() -> list[tuple[str, list[str]]]:
         ("estimate pdf n=1", ["estimate", "--kind", "pdf", "--t", "0.5", "--data", "huge.txt"]),
         ("estimate rate-power p=9 n=7",
          ["estimate", "--kind", "rate-power", "--p", "9", "--data", "data.txt"]),
+        # the same two builds refused by the row's rule in n on the inversion engines
+        *((f"estimate rate-power p={p} n={n} {engine}",
+           ["estimate", "--kind", "rate-power", "--p", p, "--data", data, "--engine", engine])
+          for p, n, data in (("1.5", 1, "kink.txt"), ("9", 7, "data.txt"))
+          for engine in ("talbot", "gaver-stehfest")),
         ("verify mgf --t 0.5 --lambda 0.25,0.5,1",
          ["verify", "--kinds", "mgf", "--t", "0.5", "--lambda", "0.25,0.5,1"]),
         # power estimators whose integrand's mass lies past the Gamma(n) window

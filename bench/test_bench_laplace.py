@@ -20,10 +20,15 @@ n = 5 through ``generic_unbiased_estimate``, the user transform with a
 complex evaluator (the default engine for it) at n = 20, and one contour
 point, a built estimator called on one mean, at n = 2, 20 and 200 (past
 n = 32 the fixed Talbot contour of earlier versions raised
-``InversionError``, so n = 200 fails there).  The last case is the
-mean-past-lifetime estimator on one point, as the CLI ``estimate`` command
-calls it.  The
-checks after each timed call keep a wrong answer from passing as a fast one.
+``InversionError``, so n = 200 fails there).  ``test_generic_estimate_op``
+times one whole op of the ``inversion`` workload of ``perfbench``, the
+moment p = 2 at n = 5 on either engine: the spec, its transfer function,
+the config, the ``Sample`` and the estimate, all built per call as
+``perfbench/workloads.run_op`` builds them; ``test_sample`` times the
+sample's validation and mean alone, at n = 5 and 2,000.  The last case is
+the mean-past-lifetime estimator on one point, as the CLI ``estimate``
+command calls it.  The checks after each timed call keep a wrong answer
+from passing as a fast one.
 """
 
 import mpmath as mp
@@ -107,6 +112,28 @@ def test_talbot_user_complex(benchmark):
     xi = TransferFunction(eval_real=user, eval_complex=user)
     res = benchmark(generic_unbiased_estimate, xi, sample)
     assert res.value == pytest.approx(_user_real_reference(sample.mean, n), rel=1e-9)
+
+
+@pytest.mark.parametrize("method", ["talbot", "gaver-stehfest"])
+def test_generic_estimate_op(benchmark, method):
+    n = 5
+    sample = _sample(n)
+    obs = sample.observations
+
+    def op():
+        spec = FunctionalSpec(Kind.MOMENT, p=2.0)
+        return generic_unbiased_estimate(builtin_transfer_function(spec), Sample(obs),
+                                         InversionConfig(method=InversionMethod(method)),
+                                         spec=spec)
+    res = benchmark(op)
+    assert res.value == pytest.approx(moment(sample.mean, n, 2.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [5, 2000])
+def test_sample(benchmark, n):
+    obs = list(_sample(n).observations)
+    sample = benchmark(Sample, obs)
+    assert sample.n == n and sample.mean == float(np.mean(obs))
 
 
 def test_mean_past_lifetime_one_point(benchmark):

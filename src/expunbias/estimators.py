@@ -14,10 +14,11 @@ tables with their exact expectations (``tate_phi_function``,
 ``tate_estimate``, ``tate_expected_value``) are provided for comparison.
 
 Every per-kind fact -- parameters and their checks, the target xi (which
-the inversion engines also read as the transfer function) and the
-estimator -- is one row of the ``_CATALOGUE`` table at the end of this
-module; the public estimator functions and the dispatching functions here
-and in the other modules look rows up instead of branching on the kind.
+the inversion engines also read as the transfer function, built once per
+spec by ``_xi_of``) and the estimator -- is one row of the ``_CATALOGUE``
+table at the end of this module; the public estimator functions and the
+dispatching functions here and in the other modules look rows up instead
+of branching on the kind.
 ``_estimator(spec, n, family)`` builds both families from the rows.  Eight
 rows state xi as atoms c lam^r e^{-a lam}, each of which ``_mapped`` sends
 to c Gamma(N)/(n^r Gamma(N-r)) mean^-r (1 - a/(n mean))_+^(N-1-r): the
@@ -27,7 +28,8 @@ no 1959 form.  A ``_Phi``'s value, kinks and the facts the oracle reads are
 one statement, c mean^-r or an ``_indicator_sum`` through the one kernel
 ``_indicator_power``; the CLT scale and the Tate law read lam xi' off xi
 (``_lam_xi_slope``).  A build also states a family's domain in n (for the
-map, N >= 1 and N - r > 0): ``verify`` keeps the cells that build.  Rates,
+map, N >= 1 and N - r > 0, ``_rule_in_n``, which the generic inversion
+estimator applies too): ``verify`` keeps the cells that build.  Rates,
 means and observations pass the input rule ``errors._check_positive``;
 ``_mean_checked`` computes every estimator value under the output-range
 rule ``errors._in_range``, and the targets and exact variances go through
@@ -41,6 +43,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -134,10 +137,15 @@ class Sample:
         obs = tuple(float(v) for v in observations)
         if not obs:
             raise DomainError("a sample needs at least one observation")
-        arr = _check_positive("observations", np.array(obs), arrays=True)
+        # the input rule in one pass each for min and max (a nan fails both), and
+        # np.mean's own sum and divide
+        arr = np.array(obs)
+        if not (arr.min() > 0.0 and arr.max() < math.inf):
+            raise DomainError("observations must be finite and strictly positive")
+        mean = _in_range("the mean", lambda: float(arr.sum() / arr.size))
         object.__setattr__(self, "observations", obs)
         object.__setattr__(self, "n", len(obs))
-        object.__setattr__(self, "mean", _in_range("the mean", lambda: float(np.mean(arr))))
+        object.__setattr__(self, "mean", mean)
 
 
 @dataclass(frozen=True)
@@ -172,7 +180,7 @@ def target_value(spec: FunctionalSpec, lam):
     pole = row.pole(spec)
     if pole > 0.0 and np.any(lam <= pole):
         raise DomainError(f"{spec.kind.value} target requires lambda > {pole:g}")
-    return _in_range(f"{spec.kind.value} target", lambda: row.xi(spec)(lam, xp))
+    return _in_range(f"{spec.kind.value} target", lambda: _xi_of(spec)(lam, xp))
 
 
 def _lam_xi_slope(spec: FunctionalSpec, lam: float) -> float:
@@ -186,8 +194,22 @@ def _lam_xi_slope(spec: FunctionalSpec, lam: float) -> float:
     if spec.kind is Kind.CUSTOM:
         raise SpecError("the custom kind has no complex-step slope")
     h, what = lam * 2.0 ** -60, f"the {spec.kind.value} target's slope"
-    z = _in_range(what, lambda: _CATALOGUE[spec.kind].xi(spec)(np.array([complex(lam, h)]), np)[0])
+    z = _in_range(what, lambda: _xi_of(spec)(np.array([complex(lam, h)]), np)[0])
     return _in_range(what, lambda: lam / h * float(z.imag))
+
+
+def _xi_of(spec: FunctionalSpec) -> Callable:
+    # the row's xi, built once per built-in spec: equal specs bind the same float
+    # constants, so they share one; the custom spec holds an unhashable
+    # TransferFunction, and a build that raises is not kept
+    if spec.kind is Kind.CUSTOM:
+        return _custom_xi(spec)
+    return _built_xi(spec)
+
+
+@lru_cache(maxsize=256)
+def _built_xi(spec: FunctionalSpec) -> Callable:
+    return _CATALOGUE[spec.kind].xi(spec)
 
 
 # below this lam*t the mean-past-lifetime target uses its series form
@@ -559,8 +581,8 @@ def _indicator_sum(terms, e: int, c0: float = 0.0, over_x: bool = False) -> _Phi
                 min(a for _, a in terms) if c0 == 0.0 else 0.0)
 
 
-def _mapped(spec: FunctionalSpec, n: int, N: int) -> _Phi:
-    # the module docstring's map at N; its rule N >= 1, N - r > 0 said as it
+def _rule_in_n(spec: FunctionalSpec, n: int, N: int) -> tuple:
+    # the atoms of the map at N past its rule N >= 1, N - r > 0, said as it
     # fails: the 1959 forms at n = 1, the rate power (r = p), the density (r = 1)
     r, atoms, *log_c = _CATALOGUE[spec.kind].atoms(spec)
     tate = "" if N == n else "Tate "
@@ -570,6 +592,13 @@ def _mapped(spec: FunctionalSpec, n: int, N: int) -> _Phi:
         raise DomainError(f"{tate}{spec.kind.value} needs p < {'n' if N == n else 'n-1'}"
                           f" (got p={spec.p}, n={n})" if log_c else
                           f"the {tate}density estimator requires n >= {n - N + r + 1}")
+    return r, atoms, log_c
+
+
+def _mapped(spec: FunctionalSpec, n: int, N: int) -> _Phi:
+    # the module docstring's map at N
+    r, atoms, log_c = _rule_in_n(spec, n, N)
+    tate = "" if N == n else "Tate "
     if log_c:
         # the coefficient underflows as r nears N, its log does not
         what = f"the {tate}{spec.kind.value} estimator coefficient at n={n}"

@@ -16,8 +16,10 @@ Two engines realise the inversion:
   orders agree, since the composed transform's original grows like x^{n-1}
   and needs high orders for large n.  The abscissae do not depend on the
   order, so the ladder evaluates each one once, at the precision of its
-  top order, and every order sums a prefix of the same values, exactly in
-  integers and rounded once.  Unshifted, s_k^{-n} is mean^n (k ln2)^{-n},
+  top order, and every order sums a prefix of the same values: the weights
+  are cached as integers over one exponent, each value is aligned to the
+  lowest exponent yet as it arrives, and an order's sum is one exact integer
+  dot product, rounded once.  Unshifted, s_k^{-n} is mean^n (k ln2)^{-n},
   and the (k ln2)^{-n} sit in cached weights, so an abscissa costs one
   multiply and one call xi(k ln2/(n mean)).  A transform that answers the
   first call in mpmath climbs the whole ladder; one that answers in double
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -55,7 +58,7 @@ import numpy as np
 from .errors import (ConfigurationError, InversionError, RangeError,
                      UnsupportedTransformError, _check_n, _check_positive, _in_range)
 from .estimators import (_CATALOGUE, EstimateResult, Family, FunctionalSpec, Kind,
-                         Sample)
+                         Sample, _rule_in_n, _xi_of)
 from .special import _stirling_remainder, log_gamma
 
 __all__ = [
@@ -161,23 +164,17 @@ def _man_exp(x) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=256)
-def _stehfest_weights_mp(order: int, dps: int, n: int = 0) -> tuple:
-    # w_k (k ln2)^-n rounded to ``dps`` digits, as _man_exp pairs, n = 0
-    # giving the plain Salzer weights; bounded, since n takes any value
+def _stehfest_weights_mp(order: int, dps: int, n: int = 0) -> tuple[tuple[int, ...], int]:
+    # w_k (k ln2)^-n rounded to ``dps`` digits, n = 0 giving the plain Salzer
+    # weights, as integers W_k over one exponent, w_k = W_k 2^low; bounded,
+    # since n takes any value
     import mpmath as mp
     with mp.workdps(dps):
         ln2 = mp.ln(2)
-        return tuple(_man_exp(mp.mpf(w.numerator) / mp.mpf(w.denominator) / (k * ln2) ** n)
-                     for k, w in enumerate(_stehfest_weight_fractions(order), 1))
-
-
-def _dot(weights: Sequence[tuple], values: Sequence[tuple]):
-    """Sum of w_k v_k over _man_exp pairs: the products summed exactly in
-    ints and rounded once at the working precision, as mp.fdot rounds."""
-    import mpmath as mp
-    terms = [(wm * vm, we + ve) for (wm, we), (vm, ve) in zip(weights, values)]
-    low = min(e for _, e in terms)
-    return mp.mpf((sum(m << (e - low) for m, e in terms), low))
+        pairs = [_man_exp(mp.mpf(w.numerator) / mp.mpf(w.denominator) / (k * ln2) ** n)
+                 for k, w in enumerate(_stehfest_weight_fractions(order), 1)]
+    low = min(e for _, e in pairs)
+    return tuple(m << (e - low) for m, e in pairs), low
 
 
 def _gs_ladder(fn: Callable, t: float, orders: Sequence[int], n: int = 0,
@@ -205,7 +202,9 @@ def _gs_ladder(fn: Callable, t: float, orders: Sequence[int], n: int = 0,
         else:
             factor, folded, step = ln2_t * mp.mpf(t) ** n, n, ln2_t / max(n, 1)
         top = orders[-1]
-        fvals = []
+        # the values as integers V_k over the lowest exponent yet, f_k = V_k 2^vlow
+        # (a 0 has exponent 0, so vlow never passes 0 and a 0 never moves it)
+        fvals, vlow = [], 0
         values = []
         for order in orders:
             if order > top:
@@ -225,8 +224,13 @@ def _gs_ladder(fn: Callable, t: float, orders: Sequence[int], n: int = 0,
                          "abscissa": float(sig + k * ln2_t)})
                 if k == 1 and not extended:  # past 20, weights over 1e12 amplify 1e-16 noise
                     top = 20
-                fvals.append((man, exp))
-            val = float(_dot(_stehfest_weights_mp(order, dps, folded), fvals) * factor)
+                if exp < vlow:
+                    fvals = [v << (vlow - exp) for v in fvals]
+                    vlow = exp
+                fvals.append(man << (exp - vlow))
+            # the exact sum of the products, rounded once at the working precision
+            weights, wlow = _stehfest_weights_mp(order, dps, folded)
+            val = float(mp.mpf((sum(map(operator.mul, weights, fvals)), wlow + vlow)) * factor)
             if values:
                 prev = values[-1]
                 if abs(val - prev) <= 5e-9 * max(abs(val), abs(prev), 1e-300):
@@ -442,7 +446,9 @@ def generic_phi(xi: TransferFunction, n: int,
     abscissa.  An mpf answer at the first abscissa climbs to order 40, a
     float one stops at 20.  The complex engine ("talbot") evaluates
     ``eval_complex`` once per mean on an array of contour nodes w_j/mean,
-    with weights cached per n, and serves every n.
+    with weights cached per n, and serves every n.  A bare transform carries
+    no domain in n, so none is checked here: ``generic_unbiased_estimate``
+    applies a built-in spec's rule.
     """
     if xi.delta_content:
         raise UnsupportedTransformError(
@@ -482,10 +488,17 @@ def generic_phi(xi: TransferFunction, n: int,
 def generic_unbiased_estimate(xi: TransferFunction, sample: Sample,
                               config: InversionConfig | None = None,
                               spec: FunctionalSpec | None = None) -> EstimateResult:
-    """Unbiased estimate of a user-supplied functional via numeric inversion."""
+    """Unbiased estimate of a user-supplied functional via numeric inversion.
+
+    A built-in ``spec`` whose row states xi as atoms brings that row's rule in
+    n, as ``phi_function`` applies it: where no unbiased estimator exists (the
+    rate power at p >= n) the estimate raises :class:`DomainError`.
+    """
     phi = generic_phi(xi, sample.n, config)
     if spec is None:
         spec = FunctionalSpec(Kind.CUSTOM, custom_transform=xi)
+    elif _CATALOGUE[spec.kind].atoms is not None:
+        _rule_in_n(spec, sample.n, sample.n)
     return EstimateResult(phi(sample.mean), spec, sample.n, Family.GENERIC_LAPLACE)
 
 
@@ -506,7 +519,7 @@ def builtin_transfer_function(spec: FunctionalSpec) -> TransferFunction:
     if spec.kind is Kind.CUSTOM:
         return spec.custom_transform
     row = _CATALOGUE[spec.kind]
-    fn = row.xi(spec)
+    fn = _xi_of(spec)
     return TransferFunction(fn, None if row.delta_content else fn,
                             delta_content=row.delta_content,
                             largest_real_singularity=row.pole(spec))

@@ -17,13 +17,15 @@ import scipy.special as sp
 
 from expunbias.errors import DomainError, RangeError, SpecError
 from expunbias.estimators import (_BERNOULLI_EVEN, EstimateResult, Family, FunctionalSpec,
-                                  Kind, Sample, _estimator, closed_form_variance_mle,
+                                  Kind, Sample, _built_xi, _estimator, _xi_of,
+                                  closed_form_variance_mle,
                                   closed_form_variance_unbiased, estimate,
                                   expected_shortfall, max_cdf_power,
                                   mean_past_lifetime, mgf, min_survival,
                                   mle_estimate, moment, pdf_at, phi_function,
                                   quantile, rate_power, survival,
                                   target_value, tate_phi_function)
+from expunbias.laplace import TransferFunction
 from expunbias.oracle import gamma_mean_density, tate_estimate
 from expunbias.special import log_gamma
 
@@ -49,6 +51,54 @@ class TestSample:
         obs = rng.random(10001) + 0.5
         s = Sample(obs.tolist())
         assert s.mean == pytest.approx(math.fsum(obs) / len(obs), rel=1e-12)
+
+    def test_mean_is_numpys_mean_bit_for_bit(self):
+        rng = np.random.default_rng(30)
+        for n in range(1, 301):
+            for scale in (1.0, 1e300, 1e-300):
+                obs = (rng.exponential(1.0, n) * scale).tolist()
+                if min(obs) > 0.0:
+                    assert Sample(obs).mean.hex() == float(np.mean(np.array(obs))).hex()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("obs,error,message", [
+        ([], DomainError, "a sample needs at least one observation"),
+        *(([1.0, bad], DomainError, "observations must be finite and strictly positive")
+          for bad in (0.0, -1.0, math.nan, math.inf, -math.inf)),
+        ([1.0, "x"], ValueError, "could not convert string to float: 'x'"),
+        ([1e308, 1e308], RangeError, "the mean leaves double range"),
+    ])
+    def test_errors(self, obs, error, message):
+        with pytest.raises(Exception) as info:
+            Sample(obs)
+        assert type(info.value) is error and str(info.value) == message
+
+
+class TestXiOf:
+    """Each built-in spec's xi is built once; equal specs share it."""
+
+    def test_equal_specs_share_one_xi(self):
+        a = FunctionalSpec(Kind.RATE_POWER, p=2)
+        b = FunctionalSpec(Kind.RATE_POWER, p=2.0)
+        assert _xi_of(a) is _xi_of(b)
+        assert _xi_of(a)(1.7).hex() == (1.7 ** 2.0).hex()
+        assert target_value(a, 1.7) == target_value(b, 1.7)
+
+    def test_custom_spec_is_built_per_call_and_not_cached(self):
+        spec = FunctionalSpec(Kind.CUSTOM, custom_transform=TransferFunction(
+            eval_real=lambda lam: lam / (lam + 1.0)))
+        before = _built_xi.cache_info()
+        first, second = _xi_of(spec), _xi_of(spec)
+        assert first is not second and first(1.0) == 0.5
+        assert _built_xi.cache_info() == before
+
+    def test_a_build_that_raises_is_not_kept(self):
+        spec = FunctionalSpec(Kind.MOMENT, p=200.0)  # Gamma(201) leaves double range
+        misses = _built_xi.cache_info().misses
+        for _ in range(2):
+            with pytest.raises(RangeError, match="moment target coefficient"):
+                target_value(spec, 1.0)
+        assert _built_xi.cache_info().misses == misses + 2
 
 
 class TestFunctionalSpec:

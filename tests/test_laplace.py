@@ -187,6 +187,27 @@ class TestGenericEstimator:
         for cfg in (_GS, _TALBOT):
             assert generic_phi(xi, 5, cfg)(2.0) == pytest.approx(ref, rel=1e-6)
 
+    @pytest.mark.parametrize("cfg", [_GS, _TALBOT])
+    @pytest.mark.parametrize("p,obs", [
+        # p = 1.5 at n = 1 read -0.28209 on both engines; p = 9 at n = 7 was an InversionError
+        (1.5, [1.0]), (9.0, [0.43, 1.12, 0.71, 2.04, 0.09, 0.88, 1.57])])
+    def test_builtin_outside_its_domain_in_n_is_refused(self, cfg, p, obs):
+        spec = FunctionalSpec(Kind.RATE_POWER, p=p)
+        with pytest.raises(DomainError) as want:
+            phi_function(spec, len(obs))
+        with pytest.raises(DomainError) as got:
+            generic_unbiased_estimate(builtin_transfer_function(spec), Sample(obs), cfg, spec)
+        assert type(got.value) is DomainError and str(got.value) == str(want.value)
+
+    def test_the_rule_in_n_leaves_the_domain_and_bare_transforms(self):
+        spec = FunctionalSpec(Kind.RATE_POWER, p=1.5)
+        xi, sample = builtin_transfer_function(spec), Sample([0.8, 1.2])
+        for cfg in (_GS, _TALBOT):
+            got = generic_unbiased_estimate(xi, sample, cfg, spec).value
+            assert got == pytest.approx(phi_function(spec, 2)(sample.mean), rel=1e-9)
+            # a bare transform carries no n-rule: generic_phi inverts it as it is
+            assert math.isfinite(generic_phi(xi, 1, cfg)(1.0))
+
 
 class TestGenericPathUnbiasedness:
     """The generic estimates must themselves pass the quadrature oracle."""
@@ -651,6 +672,20 @@ class TestSameBits:
             for t in (0.1, 1.0, 3.0):
                 got = invert_gaver_stehfest(_tf(fn), t, order)
                 assert got.hex() == _fdot_ladder(fn, t, [order]).hex()
+
+    @pytest.mark.parametrize("order", [8, 12, 16, 20])
+    def test_values_across_exponents_match_fdot_ladder(self, order):
+        # values from 2^-600 to 2^600 in no order, so that held values are
+        # re-aligned as lower exponents arrive, and an exact 0 at s = 5 ln2
+        # (t = 1) and 15 ln2/3 (t = 3)
+        def spread(s):
+            return 0 if 3.46 < s < 3.47 else mp.mpf(2) ** (600 * mp.cos(3 * s))
+        for t in (0.1, 1.0, 3.0):
+            got = invert_gaver_stehfest(_tf(spread), t, order)
+            assert got.hex() == _fdot_ladder(spread, t, [order]).hex()
+        for n in (1, 4):
+            assert (_outcome(lambda: laplace._gs_ladder(spread, 1.0, laplace._GS_LADDER, n))
+                    == _outcome(lambda: _fdot_ladder(spread, 1.0, laplace._GS_LADDER, n)))
 
     @pytest.mark.parametrize("order", [20, 40])
     def test_precision_covers_the_cancellation(self, order):

@@ -118,7 +118,7 @@ def test_talbot_user_complex(benchmark):
 def test_generic_estimate_op(benchmark, method):
     n = 5
     sample = _sample(n)
-    obs = sample.observations
+    obs = list(sample.observations)
 
     def op():
         spec = FunctionalSpec(Kind.MOMENT, p=2.0)

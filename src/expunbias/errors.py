@@ -55,7 +55,8 @@ def _check_positive(name: str, value, arrays: bool = False):
             ok = 0.0 < v < math.inf
         else:
             v = np.asarray(value, dtype=float)
-            ok = bool(((v > 0.0) & (v < math.inf)).all())
+            # one pass each for min and max, no temporaries; a nan fails both
+            ok = v.size == 0 or bool(v.min() > 0.0 and v.max() < math.inf)
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be a number, got {value!r}") from None
     if not ok:

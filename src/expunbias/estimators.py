@@ -137,11 +137,8 @@ class Sample:
         obs = tuple(float(v) for v in observations)
         if not obs:
             raise DomainError("a sample needs at least one observation")
-        # the input rule in one pass each for min and max (a nan fails both), and
-        # np.mean's own sum and divide
-        arr = np.array(obs)
-        if not (arr.min() > 0.0 and arr.max() < math.inf):
-            raise DomainError("observations must be finite and strictly positive")
+        arr = _check_positive("observations", np.array(obs), arrays=True)
+        # np.mean's own sum and divide, without its per-call set-up
         mean = _in_range("the mean", lambda: float(arr.sum() / arr.size))
         object.__setattr__(self, "observations", obs)
         object.__setattr__(self, "n", len(obs))

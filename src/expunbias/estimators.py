@@ -197,11 +197,15 @@ def _lam_xi_slope(spec: FunctionalSpec, lam: float) -> float:
 
 def _xi_of(spec: FunctionalSpec) -> Callable:
     # the row's xi, built once per built-in spec: equal specs bind the same float
-    # constants, so they share one; the custom spec holds an unhashable
-    # TransferFunction, and a build that raises is not kept
-    if spec.kind is Kind.CUSTOM:
-        return _custom_xi(spec)
-    return _built_xi(spec)
+    # constants, so they share one; a spec that cannot be hashed (the custom
+    # spec's TransferFunction, a numpy array parameter) is built per call, and a
+    # build that raises is not kept
+    if spec.kind is not Kind.CUSTOM:
+        try:
+            return _built_xi(spec)
+        except TypeError:
+            pass
+    return _CATALOGUE[spec.kind].xi(spec)
 
 
 @lru_cache(maxsize=256)

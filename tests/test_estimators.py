@@ -92,6 +92,11 @@ class TestXiOf:
         assert first is not second and first(1.0) == 0.5
         assert _built_xi.cache_info() == before
 
+    def test_unhashable_parameter_is_built_per_call(self):
+        spec = FunctionalSpec(Kind.MOMENT, p=np.array(2.0))
+        assert _xi_of(spec) is not _xi_of(spec)
+        assert target_value(spec, 1.5) == target_value(FunctionalSpec(Kind.MOMENT, p=2.0), 1.5)
+
     def test_a_build_that_raises_is_not_kept(self):
         spec = FunctionalSpec(Kind.MOMENT, p=200.0)  # Gamma(201) leaves double range
         misses = _built_xi.cache_info().misses

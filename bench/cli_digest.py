@@ -8,7 +8,7 @@ manifests and prints ``<sha256>  <label>`` per run.  Given a second tree, it
 runs each manifest on both and prints only the labels whose digests differ,
 exiting 1 if any do.  Each digest covers the exit code, stdout, stderr and
 the ``--hist`` file where there is one.  Runs happen one after another in a
-fresh temporary directory holding two data files the script writes itself,
+fresh temporary directory holding the data files the script writes itself,
 and every path passed to the CLI is relative, so the outputs of two source
 trees can be compared digest by digest.  A run that ends in a traceback
 prints the source path on stderr, so its digest differs between trees
@@ -48,6 +48,9 @@ DATA_BIG_30 = "1e11\n" * 30
 # one observation on the mean-past-lifetime kink 2t at t = 0.5, and 2000 exp(1) quantiles
 DATA_KINK = "1.0\n"
 DATA_2000 = "".join(f"{-math.log1p(-(k + 0.5) / 2000):.6f}\n" for k in range(2000))
+# n of DATA_200's observations, one from the middle of each of n equal strata
+LADDER_N = (1, 2, 5, 10)
+DATA_STRATA = {n: "".join(DATA_200.splitlines(True)[100 // n::200 // n]) for n in LADDER_N}
 HIST = "hist.csv"
 
 
@@ -81,6 +84,14 @@ def manifests() -> list[tuple[str, list[str]]]:
             runs.append((f"estimate {kind} {engine} n=200",
                          ["estimate", "--kind", kind, *KIND_ARGS[kind],
                           "--data", "data200.txt", "--engine", engine]))
+    # the Gaver-Stehfest ladder on the strata samples: among these runs it stops
+    # at orders 20, 26, 32 and 40, and at n = 10 it ends in its 1e-3 fallback
+    for kind, args in (*((kind, KIND_ARGS[kind]) for kind in SMOOTH_KINDS),
+                       ("moment", ["--p", "2.5"]), ("rate-power", ["--p=-0.5"])):
+        for n in LADDER_N:
+            runs.append((f"estimate {kind} {' '.join(args)} gaver-stehfest n={n}",
+                         ["estimate", "--kind", kind, *args, "--data", f"data{n}.txt",
+                          "--engine", "gaver-stehfest"]))
     runs += [
         ("malformed verify --n 2,x", ["verify", "--kinds", "quantile", "--n", "2,x"]),
         ("malformed verify --n ''", ["verify", "--kinds", "quantile", "--n", ""]),
@@ -249,7 +260,8 @@ def main() -> int:
         for name, text in (("data.txt", DATA), ("data200.txt", DATA_200),
                            ("data50.txt", "".join(DATA_200.splitlines(True)[::4])),
                            ("huge.txt", DATA_HUGE), ("big30.txt", DATA_BIG_30),
-                           ("kink.txt", DATA_KINK), ("data2000.txt", DATA_2000)):
+                           ("kink.txt", DATA_KINK), ("data2000.txt", DATA_2000),
+                           *((f"data{n}.txt", text) for n, text in DATA_STRATA.items())):
             with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
         for label, argv in manifests():

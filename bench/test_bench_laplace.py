@@ -11,7 +11,9 @@ commit of the package:
 not collect these cases.  The Gaver-Stehfest cases run the escalating order
 ladder of the generic estimator: the moment stops at order 26 at n = 2 and
 climbs to the top order, 40, at n = 10; the real-only user transform has no
-complex evaluator and stops at 32 at n = 5.  The MGF case sums on the
+complex evaluator and stops at 32 at n = 5.  ``test_gaver_stehfest_point``
+runs the rate power, the quantile and the expected shortfall at n = 5, so
+that each smooth built-in has a Gaver-Stehfest case.  The MGF case sums on the
 abscissae shifted right of its pole (sigma > 0), the one path that still
 divides by s^n at every abscissa.  The float-only transform answers in
 double precision, so its ladder stops at order 20.  The Talbot cases run
@@ -35,8 +37,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from expunbias.estimators import (FunctionalSpec, Kind, Sample, mean_past_lifetime, mgf,
-                                  moment)
+from expunbias.estimators import (FunctionalSpec, Kind, Sample, expected_shortfall,
+                                  mean_past_lifetime, mgf, moment, quantile, rate_power)
 from expunbias.laplace import (InversionConfig, InversionMethod, TransferFunction,
                                builtin_transfer_function, generic_phi,
                                generic_unbiased_estimate)
@@ -64,6 +66,25 @@ def test_gaver_stehfest_moment(benchmark, n):
     xi = builtin_transfer_function(MOMENT)
     res = benchmark(generic_unbiased_estimate, xi, sample, GS, MOMENT)
     assert res.value == pytest.approx(moment(sample.mean, n, 0.5), rel=1e-9)
+
+
+# the other unshifted built-ins, each one point at n = 5, against its closed form
+GS_POINTS = {
+    "rate-power": (FunctionalSpec(Kind.RATE_POWER, p=0.5), lambda x, n: rate_power(x, n, 0.5)),
+    "quantile": (FunctionalSpec(Kind.QUANTILE, q=0.5), lambda x, n: quantile(x, 0.5)),
+    "expected-shortfall": (FunctionalSpec(Kind.EXPECTED_SHORTFALL, p=0.5),
+                           lambda x, n: expected_shortfall(x, 0.5)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GS_POINTS))
+def test_gaver_stehfest_point(benchmark, kind):
+    n = 5
+    spec, closed = GS_POINTS[kind]
+    sample = _sample(n)
+    xi = builtin_transfer_function(spec)
+    res = benchmark(generic_unbiased_estimate, xi, sample, GS, spec)
+    assert res.value == pytest.approx(closed(sample.mean, n), rel=1e-9)
 
 
 def test_gaver_stehfest_user_real(benchmark):

@@ -29,7 +29,8 @@ one statement, c mean^-r or an ``_indicator_sum`` through the one kernel
 ``_indicator_power``; the CLT scale and the Tate law read lam xi' off xi
 (``_lam_xi_slope``).  A build also states a family's domain in n (for the
 map, N >= 1 and N - r > 0, ``_rule_in_n``, which the generic inversion
-estimator applies too): ``verify`` keeps the cells that build.  Rates,
+estimator applies too, reading the atoms built once per spec by
+``_atoms_of``): ``verify`` keeps the cells that build.  Rates,
 means and observations pass the input rule ``errors._check_positive``;
 ``_mean_checked`` computes every estimator value under the output-range
 rule ``errors._in_range``, and the targets and exact variances go through
@@ -43,7 +44,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -196,16 +197,24 @@ def _lam_xi_slope(spec: FunctionalSpec, lam: float) -> float:
 
 
 def _xi_of(spec: FunctionalSpec) -> Callable:
-    # the row's xi, built once per built-in spec: equal specs bind the same float
-    # constants, so they share one; a spec that cannot be hashed (the custom
-    # spec's TransferFunction, a numpy array parameter) is built per call, and a
-    # build that raises is not kept
+    return _per_spec(_built_xi, "xi", spec)
+
+
+def _atoms_of(spec: FunctionalSpec):
+    return _per_spec(_built_atoms, "atoms", spec)
+
+
+def _per_spec(built: Callable, column: str, spec: FunctionalSpec):
+    # the row's xi or atoms, built once per built-in spec: equal specs bind the
+    # same float constants, so they share one; a spec that cannot be hashed (the
+    # custom spec's TransferFunction, a numpy array parameter) is built per call,
+    # and a build that raises is not kept
     if spec.kind is not Kind.CUSTOM:
         try:
-            return _built_xi(spec)
+            return built(spec)
         except TypeError:
             pass
-    return _CATALOGUE[spec.kind].xi(spec)
+    return getattr(_CATALOGUE[spec.kind], column)(spec)
 
 
 @lru_cache(maxsize=256)
@@ -213,11 +222,16 @@ def _built_xi(spec: FunctionalSpec) -> Callable:
     return _CATALOGUE[spec.kind].xi(spec)
 
 
+@lru_cache(maxsize=256)
+def _built_atoms(spec: FunctionalSpec):
+    return _CATALOGUE[spec.kind].atoms(spec)
+
+
 # below this lam*t the mean-past-lifetime target uses its series form
 _MPL_SERIES_CUTOFF = 0.1
 
 
-def _mean_past_lifetime_target(t: float, lam, xp):
+def _mean_past_lifetime_target(t: float, lam, xp=math):
     # t/(1 - e^{-u}) - 1/lam with u = lam t cancels as u -> 0 (relative error
     # about 2 eps/u).  Below the cutoff use the Bernoulli series
     # (1/lam)(u/2 + u^2/12 - u^4/720 + u^6/30240 - u^8/1209600) = t(1/2 + ...);
@@ -507,7 +521,13 @@ class _KindRow:
     constants bound once as default arguments, ``xp`` being ``math`` for a
     scalar rate and numpy for an array.  ``target_value`` and both inversion
     engines read this one expression; the smooth kinds' are plain arithmetic
-    in ``lam``, so complexes and mpmath floats pass through unchanged;
+    in ``lam``, so complexes and mpmath floats pass through unchanged.  The
+    Gaver-Stehfest ladder relies on the defaults: it calls a copy of a
+    catalogue ``lambda`` with its float defaults bound as mpf
+    (``laplace._ladder_xi``), which keeps the bits only because each such
+    constant meets ``lam`` in mpmath arithmetic; mean-past-lifetime's t also
+    divides ``math.expm1``'s float, so that row binds it with ``partial``,
+    which the ladder calls as it is;
     ``pole(spec)``: xi's largest real singularity, a positive one bounding
     the rates ``target_value`` accepts; ``delta_content``: the estimator
     arises from Dirac sifting, so the inversion engines refuse the kind and
@@ -585,7 +605,7 @@ def _indicator_sum(terms, e: int, c0: float = 0.0, over_x: bool = False) -> _Phi
 def _rule_in_n(spec: FunctionalSpec, n: int, N: int) -> tuple:
     # the atoms of the map at N past its rule N >= 1, N - r > 0, said as it
     # fails: the 1959 forms at n = 1, the rate power (r = p), the density (r = 1)
-    r, atoms, *log_c = _CATALOGUE[spec.kind].atoms(spec)
+    r, atoms, *log_c = _atoms_of(spec)
     tate = "" if N == n else "Tate "
     if N < 1:
         raise DomainError("the Tate estimators require n >= 2")
@@ -799,7 +819,7 @@ _CATALOGUE: dict[Kind, _KindRow] = {
     Kind.MEAN_PAST_LIFETIME: _KindRow(
         params=("t",),
         checks=(_POSITIVE_T,),
-        xi=lambda s: lambda lam, xp=math, t=float(s.t): _mean_past_lifetime_target(t, lam, xp),
+        xi=lambda s: partial(_mean_past_lifetime_target, float(s.t)),
         phi=_mean_past_lifetime_phi,
         delta_content=True),
     Kind.MGF: _KindRow(

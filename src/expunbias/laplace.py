@@ -17,13 +17,18 @@ Two engines realise the inversion:
   and needs high orders for large n.  The abscissae do not depend on the
   order, so the ladder evaluates each one once, at the precision of its
   top order, and every order sums a prefix of the same values: the weights
-  are cached as integers over one exponent, each value is aligned to the
-  lowest exponent yet as it arrives, and an order's sum is one exact integer
-  dot product, rounded once.  Unshifted, s_k^{-n} is mean^n (k ln2)^{-n},
-  and the (k ln2)^{-n} sit in cached weights, so an abscissa costs one
-  multiply and one call xi(k ln2/(n mean)).  A transform that answers the
-  first call in mpmath climbs the whole ladder; one that answers in double
-  precision (or only takes floats) stops at order 20.
+  are cached as integers over one exponent, each value is aligned to one
+  exponent at or below its own as it arrives, and an order's sum is one
+  exact integer dot product, rounded once.  Unshifted, s_k^{-n} is mean^n
+  (k ln2)^{-n}, and the (k ln2)^{-n} sit in cached weights, so an abscissa
+  costs one multiply and one call xi(k ln2/(n mean)).  A built-in xi binds
+  its constants as float default arguments; the ladder calls a copy whose
+  defaults are mpf, made once per xi (``_ladder_xi``).  float -> mpf is
+  exact and mpmath converts a float operand to that same mpf before it
+  computes, so the copy answers with the bits of the float closure.  A
+  transform that answers the first call in mpmath climbs the whole ladder;
+  one that answers in double precision (or only takes floats) stops at
+  order 20.
 * The saddle-centred contour (the "talbot" method, by its first engine's
   name): s = n w/mean turns the estimator into Gamma(n) n^(1-n) (1/2 pi i)
   int e^(nw) w^(-n) xi(w/mean) dw, whose kernel has its saddle at w = 1 for
@@ -51,6 +56,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from types import FunctionType
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -145,11 +151,13 @@ def _stehfest_weight_fractions(order: int) -> tuple[Fraction, ...]:
 def _eval_mp(fn: Callable, x) -> tuple:
     """``fn`` at an mpmath abscissa as an mpf, and whether it answered in mpf;
     a callable that cannot digest mpf input is evaluated in double precision."""
-    import mpmath as mp
     try:
         val = fn(x)
     except (TypeError, ValueError, OverflowError):
         val = fn(float(x))
+    if type(val) is type(x):  # an mpf, as the ladder's transforms answer
+        return val, True
+    import mpmath as mp
     if isinstance(val, mp.mpf):
         return val, True
     if isinstance(val, int):  # exact at any precision
@@ -157,10 +165,23 @@ def _eval_mp(fn: Callable, x) -> tuple:
     return mp.mpf(float(val)), False
 
 
-def _man_exp(x) -> tuple[int, int]:
-    # an mpf x as (signed mantissa, exponent): x = man * 2^exp, man = 0 for 0, inf, nan
-    sign, man, exp, _ = x._mpf_
-    return (-man if sign else man), exp
+def _ladder_xi(fn: Callable) -> Callable:
+    # a catalogue xi (a function of the estimators module) with its float
+    # constants as mpf, any other callable as it is
+    if type(fn) is FunctionType and fn.__module__ == _xi_of.__module__ and fn.__defaults__:
+        return _mpf_constants(fn)
+    return fn
+
+
+@lru_cache(maxsize=256)
+def _mpf_constants(fn: FunctionType) -> FunctionType:
+    # fn with its float default arguments as mpf: the conversion is exact, and mpmath
+    # converts a float operand to that same mpf before it computes, so the copy
+    # answers an mpf with the bits fn does; bounded, as the catalogue's _built_xi
+    import mpmath as mp
+    return FunctionType(fn.__code__, fn.__globals__, fn.__name__,
+                        tuple(mp.mpf(d) if isinstance(d, float) else d for d in fn.__defaults__),
+                        fn.__closure__)
 
 
 @lru_cache(maxsize=256)
@@ -171,10 +192,10 @@ def _stehfest_weights_mp(order: int, dps: int, n: int = 0) -> tuple[tuple[int, .
     import mpmath as mp
     with mp.workdps(dps):
         ln2 = mp.ln(2)
-        pairs = [_man_exp(mp.mpf(w.numerator) / mp.mpf(w.denominator) / (k * ln2) ** n)
-                 for k, w in enumerate(_stehfest_weight_fractions(order), 1)]
-    low = min(e for _, e in pairs)
-    return tuple(m << (e - low) for m, e in pairs), low
+        raw = [(mp.mpf(w.numerator) / mp.mpf(w.denominator) / (k * ln2) ** n)._mpf_
+               for k, w in enumerate(_stehfest_weight_fractions(order), 1)]
+    low = min(e for _, _, e, _ in raw)
+    return tuple((-m if sign else m) << (e - low) for sign, m, e, _ in raw), low
 
 
 def _gs_ladder(fn: Callable, t: float, orders: Sequence[int], n: int = 0,
@@ -191,19 +212,37 @@ def _gs_ladder(fn: Callable, t: float, orders: Sequence[int], n: int = 0,
     first order that agrees with the one before to 5e-9 relative; if the
     last two still differ by more than 1e-3 it raises.  A single order is
     the plain fixed-order sum.
+
+    A catalogue xi is called with its float constants bound as mpf
+    (``_ladder_xi``), so it does not convert them at every abscissa; the
+    conversion is exact, so its values keep their bits.  The shifted
+    abscissae, s_k/m, s_k^n and the per-order roundings use mpmath's raw
+    functions (``mpmath.libmp``) with the calls and roundings that the mpf
+    operators make, and so keep their bits too.
     """
     import mpmath as mp
+    from mpmath.libmp import (from_int, from_man_exp, mpf_add, mpf_div, mpf_mul, mpf_mul_int,
+                              mpf_pow_int, round_nearest, to_float)
+    fn = _ladder_xi(fn)
     dps = int(1.1 * orders[-1]) + 15
     with mp.workdps(dps):
-        ln2_t = mp.ln(2) / mp.mpf(t)
-        sig = mp.mpf(sigma)
+        # the shifted abscissae and the sums in mpmath's raw arithmetic, the calls
+        # and the roundings that mpf operators make, without their objects
+        prec, rnd = mp.mp.prec, round_nearest
+        tm = mp.mpf(t)
+        ln2_t = mp.ln(2) / tm
         if sigma:
-            factor, folded = ln2_t * mp.e ** (sig * mp.mpf(t)), 0
+            sig = mp.mpf(sigma)
+            factor, folded = ln2_t * mp.e ** (sig * tm), 0
+            sig_, ln2_t_, n_ = sig._mpf_, ln2_t._mpf_, from_int(n)
         else:
-            factor, folded, step = ln2_t * mp.mpf(t) ** n, n, ln2_t / max(n, 1)
+            factor, folded, step = ln2_t * tm ** n, n, ln2_t / max(n, 1)
+        factor = factor._mpf_
         top = orders[-1]
-        # the values as integers V_k over the lowest exponent yet, f_k = V_k 2^vlow
-        # (a 0 has exponent 0, so vlow never passes 0 and a 0 never moves it)
+        # the values as integers V_k over one exponent vlow, f_k = V_k 2^vlow; a value
+        # below vlow moves it 30 bits past its own exponent, so that the held values
+        # are shifted again only now and then (a 0 has exponent 0, so vlow never
+        # passes 0 and a 0 never moves it)
         fvals, vlow = [], 0
         values = []
         for order in orders:
@@ -211,26 +250,27 @@ def _gs_ladder(fn: Callable, t: float, orders: Sequence[int], n: int = 0,
                 break
             for k in range(len(fvals) + 1, order + 1):
                 if sigma:
-                    s = sig + k * ln2_t
-                    fk, extended = _eval_mp(fn, s / n)
-                    fk /= s ** n
+                    s = mpf_add(sig_, mpf_mul_int(ln2_t_, k, prec, rnd), prec, rnd)
+                    fk, extended = _eval_mp(fn, mp.make_mpf(mpf_div(s, n_, prec, rnd)))
+                    sign, man, exp, _ = mpf_div(fk._mpf_, mpf_pow_int(s, n, prec, rnd), prec, rnd)
                 else:
                     fk, extended = _eval_mp(fn, k * step)
-                man, exp = _man_exp(fk)
+                    sign, man, exp, _ = fk._mpf_
                 if not man and exp:  # inf or nan
                     raise InversionError(
                         "transform evaluated non-finite on the Gaver-Stehfest abscissae",
                         {"method": "gaver-stehfest", "order": order, "t": t,
-                         "abscissa": float(sig + k * ln2_t)})
+                         "abscissa": float(sigma + k * ln2_t)})
                 if k == 1 and not extended:  # past 20, weights over 1e12 amplify 1e-16 noise
                     top = 20
                 if exp < vlow:
-                    fvals = [v << (vlow - exp) for v in fvals]
-                    vlow = exp
-                fvals.append(man << (exp - vlow))
+                    fvals = [v << (vlow - exp + 30) for v in fvals]
+                    vlow = exp - 30
+                fvals.append((-man if sign else man) << (exp - vlow))
             # the exact sum of the products, rounded once at the working precision
             weights, wlow = _stehfest_weights_mp(order, dps, folded)
-            val = float(mp.mpf((sum(map(operator.mul, weights, fvals)), wlow + vlow)) * factor)
+            val = to_float(mpf_mul(from_man_exp(sum(map(operator.mul, weights, fvals)), wlow + vlow,
+                                                prec, rnd), factor, prec, rnd), rnd=rnd)
             if values:
                 prev = values[-1]
                 if abs(val - prev) <= 5e-9 * max(abs(val), abs(prev), 1e-300):

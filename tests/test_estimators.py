@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from expunbias import estimators
 from expunbias.errors import DomainError, RangeError, SpecError
 from expunbias.estimators import (_BERNOULLI_EVEN, EstimateResult, Family, FunctionalSpec,
-                                  Kind, Sample, _built_xi, _estimator, _xi_of,
+                                  Kind, Sample, _atoms_of, _built_atoms, _built_xi,
+                                  _estimator, _rule_in_n, _xi_of,
                                   closed_form_variance_mle,
                                   closed_form_variance_unbiased, estimate,
                                   expected_shortfall, max_cdf_power,
@@ -104,6 +106,30 @@ class TestXiOf:
             with pytest.raises(RangeError, match="moment target coefficient"):
                 target_value(spec, 1.0)
         assert _built_xi.cache_info().misses == misses + 2
+
+    def test_the_rule_in_n_reads_atoms_built_once(self, monkeypatch):
+        # the moment's atoms hold ln Gamma(p + 1): equal specs share one build,
+        # so the rule in n computes it once, not once per call
+        calls = []
+        monkeypatch.setattr(estimators, "log_gamma",
+                            lambda x: calls.append(x) or log_gamma(x))
+        _built_atoms.cache_clear()
+        a, b = FunctionalSpec(Kind.MOMENT, p=2), FunctionalSpec(Kind.MOMENT, p=2.0)
+        assert _rule_in_n(a, 5, 5) == _rule_in_n(b, 5, 5) == (-2.0, (), [log_gamma(3.0)])
+        assert _atoms_of(a) is _atoms_of(b) and calls == [3.0]
+        with pytest.raises(DomainError, match=r"^rate-power needs p < n \(got p=9, n=7\)$"):
+            _rule_in_n(FunctionalSpec(Kind.RATE_POWER, p=9), 7, 7)
+
+    def test_atoms_of_an_unhashable_or_raising_build_are_not_kept(self):
+        spec = FunctionalSpec(Kind.MOMENT, p=np.array(2.0))
+        assert _atoms_of(spec) is not _atoms_of(spec)
+        assert _atoms_of(spec) == _atoms_of(FunctionalSpec(Kind.MOMENT, p=2.0))
+        spec = FunctionalSpec(Kind.MAX_CDF_POWER, t=0.5, m=2000)  # C(2000, 1000) > 1.8e308
+        misses = _built_atoms.cache_info().misses
+        for _ in range(2):
+            with pytest.raises(RangeError, match="binomial"):
+                _rule_in_n(spec, 5, 5)
+        assert _built_atoms.cache_info().misses == misses + 2
 
 
 class TestFunctionalSpec:

@@ -15,7 +15,7 @@ import expunbias
 from expunbias import laplace
 from expunbias.errors import (ConfigurationError, DomainError, ExpunbiasError,
                               InversionError, RangeError, UnsupportedTransformError)
-from expunbias.estimators import (FunctionalSpec, Family, Kind, Sample, mgf,
+from expunbias.estimators import (FunctionalSpec, Family, Kind, Sample, _xi_of, mgf,
                                   moment, phi_function, quantile, target_value)
 from expunbias.laplace import (InversionConfig, InversionMethod,
                                TransferFunction, builtin_transfer_function,
@@ -650,6 +650,17 @@ _GRID_XI = {
     "float-answer": TransferFunction(eval_real=lambda lam: float(lam / (lam + 1.0))),
     "float-input": TransferFunction(eval_real=_floats_only),
 }
+# the smooth built-ins whose constants the ladder binds as mpf; the MGF at
+# t = -1 has no pole right of 0, so its abscissae are not shifted
+_MPF_CONSTANT_SPECS = {
+    "moment-p2.5": FunctionalSpec(Kind.MOMENT, p=2.5),
+    "rate-power-p0.5": FunctionalSpec(Kind.RATE_POWER, p=0.5),
+    "rate-power-p-0.5": FunctionalSpec(Kind.RATE_POWER, p=-0.5),
+    "quantile-q0.9": FunctionalSpec(Kind.QUANTILE, q=0.9),
+    "expected-shortfall-p0.9": FunctionalSpec(Kind.EXPECTED_SHORTFALL, p=0.9),
+    "mgf-t0.5": FunctionalSpec(Kind.MGF, t=0.5),
+    "mgf-t-1": FunctionalSpec(Kind.MGF, t=-1.0),
+}
 _GRID_N = (1, 2, 3, 5, 8, 10, 13)
 _GRID_XBAR = (0.01, 0.1, 0.5, 0.9, 1.3, 3.0, 10.0, 100.0)
 
@@ -717,6 +728,55 @@ class TestSameBits:
                         cancel = mp.log10(mp.fsum(terms, absolute=True) / abs(mp.fsum(terms)))
                     worst = max(worst, float(cancel))
         assert worst + 17 <= seen[0]
+
+    @pytest.mark.parametrize("name", sorted(_MPF_CONSTANT_SPECS))
+    def test_mpf_constants_keep_the_float_closures_bits(self, name, monkeypatch):
+        # the xi the ladder calls binds the float closure's constants as mpf; at
+        # each of its 40 abscissae, at its precision, it answers the same _mpf_
+        spec = _MPF_CONSTANT_SPECS[name]
+        fn = _xi_of(spec)
+        pairs, ladder_xi = [], laplace._ladder_xi
+
+        def both(f):
+            mp_fn = ladder_xi(f)
+            assert f is fn and any(isinstance(d, mp.mpf) for d in mp_fn.__defaults__)
+            return lambda lam: pairs.append((mp_fn(lam)._mpf_, fn(lam)._mpf_)) or mp_fn(lam)
+        monkeypatch.setattr(laplace, "_ladder_xi", both)
+        hint = builtin_transfer_function(spec).largest_real_singularity
+        for n in (1, 2, 5, 10, 13):
+            for xbar in (0.01, 1.3, 100.0):
+                try:
+                    laplace._gs_ladder(fn, xbar, [40], n, n * max(hint, 0.0))
+                except ExpunbiasError:
+                    pass  # e^(sigma xbar) leaves double range for the MGF at xbar = 100
+        assert len(pairs) == 15 * 40
+        assert all(got == want for got, want in pairs)
+
+    def test_only_the_catalogues_function_xi_are_rebound(self):
+        # a user transform and the mean past lifetime's partial, whose constant
+        # meets math.expm1's float, reach the ladder as they are
+        user = lambda lam: lam / (lam + 1.0)
+        mpl = _xi_of(FunctionalSpec(Kind.MEAN_PAST_LIFETIME, t=0.5))
+        assert laplace._ladder_xi(user) is user and laplace._ladder_xi(mpl) is mpl
+        moment_xi = _xi_of(FunctionalSpec(Kind.MOMENT, p=2.0))
+        assert laplace._ladder_xi(moment_xi) is laplace._ladder_xi(moment_xi) is not moment_xi
+
+    def test_user_transform_sees_its_float_default(self):
+        seen = []
+
+        def user(lam, c=0.5):
+            seen.append(c)
+            return lam / (lam + c)
+        assert math.isfinite(generic_phi(TransferFunction(eval_real=user), 3, _GS)(1.3))
+        assert seen and all(type(c) is float for c in seen)
+
+    def test_spec_that_cannot_be_hashed_inverts(self):
+        obs = Sample([0.43, 1.12, 0.71, 2.04, 0.09])
+        want = FunctionalSpec(Kind.MOMENT, p=2.0)
+        spec = FunctionalSpec(Kind.MOMENT, p=np.array(2.0))
+        got = generic_unbiased_estimate(builtin_transfer_function(spec), obs, _GS, spec)
+        assert got.value.hex() == generic_unbiased_estimate(
+            builtin_transfer_function(want), obs, _GS, want).value.hex()
 
     @pytest.mark.parametrize("nodes", [16, 24, 32, 64])
     def test_talbot_table_matches_node_loop(self, nodes):

@@ -175,9 +175,7 @@ def _ladder_xi(fn: Callable) -> Callable:
 
 @lru_cache(maxsize=256)
 def _mpf_constants(fn: FunctionType) -> FunctionType:
-    # fn with its float default arguments as mpf: the conversion is exact, and mpmath
-    # converts a float operand to that same mpf before it computes, so the copy
-    # answers an mpf with the bits fn does; bounded, as the catalogue's _built_xi
+    # fn with its float default arguments as mpf; bounded, as the catalogue's _built_xi
     import mpmath as mp
     return FunctionType(fn.__code__, fn.__globals__, fn.__name__,
                         tuple(mp.mpf(d) if isinstance(d, float) else d for d in fn.__defaults__),
@@ -226,8 +224,6 @@ def _gs_ladder(fn: Callable, t: float, orders: Sequence[int], n: int = 0,
     fn = _ladder_xi(fn)
     dps = int(1.1 * orders[-1]) + 15
     with mp.workdps(dps):
-        # the shifted abscissae and the sums in mpmath's raw arithmetic, the calls
-        # and the roundings that mpf operators make, without their objects
         prec, rnd = mp.mp.prec, round_nearest
         tm = mp.mpf(t)
         ln2_t = mp.ln(2) / tm

@@ -26,11 +26,10 @@ from .estimators import (EstimateResult, Family, FunctionalSpec, Kind, Sample,
                          tate_expected_value)
 from .laplace import (InversionConfig, InversionMethod, TransferFunction,
                       builtin_transfer_function, generic_phi,
-                      generic_unbiased_estimate, invert_gaver_stehfest,
-                      invert_talbot)
+                      generic_unbiased_estimate)
 from .montecarlo import (McConfig, McSummary, asymptotic_variance, clt_check,
                          clt_replicates, clt_summary, empirical_bias,
-                         sample_exponential, variance_comparison)
+                         variance_comparison)
 from .oracle import (VerificationReport, expectation, gamma_mean_density,
                      verify_row, verify_tate_bias, verify_unbiasedness)
 from .special import log_gamma
@@ -49,8 +48,7 @@ __all__ = [
     "closed_form_variance_unbiased", "closed_form_variance_mle",
     # laplace
     "TransferFunction", "InversionConfig", "InversionMethod",
-    "invert_gaver_stehfest", "invert_talbot", "generic_unbiased_estimate",
-    "generic_phi", "builtin_transfer_function",
+    "generic_unbiased_estimate", "generic_phi", "builtin_transfer_function",
     # oracle
     "VerificationReport", "gamma_mean_density", "expectation",
     "verify_unbiasedness", "tate_estimate", "tate_expected_value",
@@ -58,7 +56,6 @@ __all__ = [
     # special functions
     "log_gamma",
     # monte carlo
-    "McConfig", "McSummary", "sample_exponential", "empirical_bias",
-    "variance_comparison", "asymptotic_variance", "clt_replicates",
-    "clt_summary", "clt_check",
+    "McConfig", "McSummary", "empirical_bias", "variance_comparison",
+    "asymptotic_variance", "clt_replicates", "clt_summary", "clt_check",
 ]

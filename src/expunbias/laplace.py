@@ -37,14 +37,13 @@ Two engines realise the inversion:
   do not depend on the mean, so they are cached per n, apex and node count,
   and a mean costs one call of ``eval_complex`` on an array of nodes and two
   trapezoid sums, N and 2N intervals, whose agreement is checked.  It serves
-  every n.  The fixed Talbot contour remains as ``invert_talbot``, an
-  inversion at one t.
+  every n.
 
 Transforms whose composed original carries Dirac content or indicator
 kinks (survival-type functionals) are rejected here by declaration and
-served by the closed-form catalogue.  Only the Gaver-Stehfest functions use
-mpmath, and they import it where they run, so importing the package (or
-inverting on either contour) does not load it.
+served by the closed-form catalogue.  Only the Gaver-Stehfest ladder uses
+mpmath, and it imports it where it runs, so importing the package (or
+inverting on the contour) does not load it.
 """
 
 from __future__ import annotations
@@ -69,8 +68,7 @@ from .special import _stirling_remainder, log_gamma
 
 __all__ = [
     "TransferFunction", "InversionConfig", "InversionMethod",
-    "invert_gaver_stehfest", "invert_talbot", "generic_unbiased_estimate",
-    "generic_phi", "builtin_transfer_function",
+    "generic_unbiased_estimate", "generic_phi", "builtin_transfer_function",
 ]
 
 
@@ -82,12 +80,12 @@ class TransferFunction:
     floats by the high-precision Gaver-Stehfest path; plain-Python
     arithmetic handles that transparently, and anything that does not is
     re-evaluated in double precision).  ``eval_complex`` extends xi into the
-    complex plane and is required by the contour engines.  The estimator's
-    contour hands it a numpy array of complex rates and expects an array of
-    the same shape back (numpy arithmetic does this); a callable that raises
-    ``TypeError`` or ``ValueError`` on an array, such as one built on ``cmath``
-    or one that branches on its argument, is called node by node with Python
-    complex numbers.
+    complex plane and is required by the contour engine, which hands it a
+    numpy array of complex rates and expects an array of the same shape back
+    (numpy arithmetic does this); a callable that raises ``TypeError`` or
+    ``ValueError`` on an array, such as one built on ``cmath`` or one that
+    branches on its argument, is called node by node with Python complex
+    numbers.
 
     ``delta_content`` declares that the induced estimator integrand has
     distributional (Dirac) content, which the numeric engine refuses;
@@ -183,10 +181,9 @@ def _mpf_constants(fn: FunctionType) -> FunctionType:
 
 
 @lru_cache(maxsize=256)
-def _stehfest_weights_mp(order: int, dps: int, n: int = 0) -> tuple[tuple[int, ...], int]:
-    # w_k (k ln2)^-n rounded to ``dps`` digits, n = 0 giving the plain Salzer
-    # weights, as integers W_k over one exponent, w_k = W_k 2^low; bounded,
-    # since n takes any value
+def _stehfest_weights_mp(order: int, dps: int, n: int) -> tuple[tuple[int, ...], int]:
+    # w_k (k ln2)^-n rounded to ``dps`` digits, as integers W_k over one
+    # exponent, w_k = W_k 2^low; bounded, since n takes any value
     import mpmath as mp
     with mp.workdps(dps):
         ln2 = mp.ln(2)
@@ -196,12 +193,12 @@ def _stehfest_weights_mp(order: int, dps: int, n: int = 0) -> tuple[tuple[int, .
     return tuple((-m if sign else m) << (e - low) for sign, m, e, _ in raw), low
 
 
-def _gs_ladder(fn: Callable, t: float, orders: Sequence[int], n: int = 0,
+def _gs_ladder(fn: Callable, t: float, orders: Sequence[int], n: int,
                sigma: float = 0.0) -> float:
     """Gaver-Stehfest inversion at extended precision, climbing ``orders``.
 
-    Returns invL{ F(sigma + .) }(t) * e^{sigma t} for F(s) = fn(s/m) s^-n,
-    m = max(n, 1), i.e. the inversion of F shifted so its singularities sit
+    Returns invL{ F(sigma + .) }(t) * e^{sigma t} for F(s) = fn(s/n) s^-n,
+    n >= 1, i.e. the inversion of F shifted so its singularities sit
     left of every sample point.  Each abscissa s_k = sigma + k ln2/t is
     evaluated once, at the precision of the last order (1.1 digits per order
     + 15), and every order sums a prefix of the same values; with sigma = 0
@@ -232,7 +229,7 @@ def _gs_ladder(fn: Callable, t: float, orders: Sequence[int], n: int = 0,
             factor, folded = ln2_t * mp.e ** (sig * tm), 0
             sig_, ln2_t_, n_ = sig._mpf_, ln2_t._mpf_, from_int(n)
         else:
-            factor, folded, step = ln2_t * tm ** n, n, ln2_t / max(n, 1)
+            factor, folded, step = ln2_t * tm ** n, n, ln2_t / n
         factor = factor._mpf_
         top = orders[-1]
         # the values as integers V_k over one exponent vlow, f_k = V_k 2^vlow; a value
@@ -278,59 +275,6 @@ def _gs_ladder(fn: Callable, t: float, orders: Sequence[int], n: int = 0,
             {"method": "gaver-stehfest", "orders": [o for o in orders if o <= top],
              "values": values, "t": t})
     return values[-1]
-
-
-def invert_gaver_stehfest(transform: TransferFunction, t: float, order: int = 16) -> float:
-    """Invert ``transform`` at ``t`` with the Gaver-Stehfest scheme.
-
-    Accurate for smooth, non-oscillatory originals; the order must be an
-    even integer in [8, 20].
-    """
-    t = _check_positive("inversion time t", t)
-    if order % 2 != 0 or not 8 <= order <= 20:
-        raise ConfigurationError("Gaver-Stehfest order must be even and in [8, 20]")
-    return _gs_ladder(transform.eval_real, t, [int(order)])
-
-
-def invert_talbot(transform: TransferFunction, t: float, nodes: int = 32) -> float:
-    """Invert ``transform`` at ``t`` on the fixed Talbot contour.
-
-    Requires a complex evaluator analytic to the right of the transform's
-    singularities.
-    """
-    if transform.eval_complex is None:
-        raise ConfigurationError("Talbot inversion needs an eval_complex callable")
-    t = _check_positive("inversion time t", t)
-    if not 16 <= nodes <= 64:
-        raise ConfigurationError("talbot node count must lie in [16, 64]")
-    return _talbot_sum(transform.eval_complex, t, int(nodes))
-
-
-@lru_cache(maxsize=None)
-def _talbot_table(nodes: int) -> tuple:
-    # per node (theta_k, cot theta_k + i, contour derivative factor), so that
-    # p_k = r * theta_k * (cot theta_k + i); node 0 is p = r, stored as
-    # 1 * (1 + 0i), and carries the factor 1/2
-    table = [(1.0, complex(1.0, 0.0), 0.5)]
-    for k in range(1, nodes):
-        theta = k * math.pi / nodes
-        cot = 1.0 / math.tan(theta)
-        table.append((theta, complex(cot, 1.0), 1.0 + 1j * theta * (1.0 + cot * cot) - 1j * cot))
-    return tuple(table)
-
-
-def _talbot_sum(fn: Callable[[complex], complex], t: float, nodes: int) -> float:
-    r = 2.0 * nodes / (5.0 * t)
-    total = 0.0 + 0.0j
-    for theta, cot_i, factor in _talbot_table(nodes):
-        p = r * theta * cot_i
-        gamma = cmath.exp(t * p) * factor
-        fp = fn(p)
-        if not (math.isfinite(fp.real) and math.isfinite(fp.imag)):
-            raise InversionError("transform evaluated non-finite on the Talbot contour",
-                                 {"method": "talbot", "nodes": nodes, "t": t})
-        total += gamma * fp
-    return (2.0 / (5.0 * t)) * total.real
 
 
 # ---------------------------------------------------------------------------

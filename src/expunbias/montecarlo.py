@@ -35,14 +35,14 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import DegenerateError, DomainError, _check_n, _check_positive, _in_range
-from .estimators import (Family, FunctionalSpec, Kind, Sample, _lam_xi_slope,
+from .estimators import (Family, FunctionalSpec, Kind, _lam_xi_slope,
                          closed_form_variance_mle, closed_form_variance_unbiased,
                          moment, phi_function, target_value, tate_phi_function)
 
 __all__ = [
-    "McConfig", "McSummary", "sample_exponential", "empirical_bias",
-    "variance_comparison", "asymptotic_variance", "clt_replicates",
-    "clt_summary", "clt_check", "BLOCK_SIZE",
+    "McConfig", "McSummary", "empirical_bias", "variance_comparison",
+    "asymptotic_variance", "clt_replicates", "clt_summary", "clt_check",
+    "BLOCK_SIZE",
 ]
 
 BLOCK_SIZE = 1 << 14
@@ -87,13 +87,6 @@ class McSummary:
     replications: int
     ks_statistic: Optional[float] = None
     standardized_moments: Optional[tuple[float, float]] = None
-
-
-def sample_exponential(lam: float, n: int, stream: np.random.Generator) -> Sample:
-    """One sample of size n via the inverse CDF, -ln(U)/lambda with U in (0,1)."""
-    lam, n = _check_positive("lambda", lam), _check_n(n)
-    u = np.maximum(stream.random(n), _U_FLOOR)
-    return Sample((-np.log(u) / lam).tolist())
 
 
 def _block_generator(seed: int, block_index: int) -> np.random.Generator:

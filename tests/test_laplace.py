@@ -61,6 +61,13 @@ class TestClassicalPairs:
             assert phi(t) == pytest.approx(original(t), abs=tol)
 
 
+class TestTalbot:
+    def test_requires_complex_evaluator(self):
+        tf = TransferFunction(eval_real=lambda s: 1.0 / s)
+        with pytest.raises(ConfigurationError, match="eval_complex"):
+            generic_phi(tf, 1, _TALBOT)
+
+
 class TestGenericEstimator:
     def test_rate_identity_example(self):
         # xi(lambda) = lambda, n = 4, mean = 1 -> Gamma(4)/(4 Gamma(3)) = 3/4
@@ -347,6 +354,15 @@ class TestGaverStehfestLadder:
         assert set(diag) == {"method", "order", "t", "abscissa"}
         assert diag["method"] == "gaver-stehfest" and diag["order"] == 20
         assert diag["t"] == 1.0 and diag["abscissa"] == pytest.approx(bad, rel=1e-14)
+
+    def test_fixed_order_non_finite_raises(self):
+        # inf at the 3rd abscissa of a single order-16 rung, at t = 2
+        bad = 3 * math.log(2.0) / 2.0
+        fn = lambda s: math.inf if abs(float(s) - bad) < 1e-9 else 1.0 / s
+        with pytest.raises(InversionError) as info:
+            laplace._gs_ladder(fn, 2.0, [16], 1)
+        assert set(info.value.diagnostics) == {"method", "order", "t", "abscissa"}
+        assert info.value.diagnostics["order"] == 16
 
 
 # (spec, result of generic_phi at n = 7, mean 1.3 on the saddle-centred
@@ -724,6 +740,16 @@ class TestSameBits:
         got = generic_unbiased_estimate(builtin_transfer_function(spec), obs, _GS, spec)
         assert got.value.hex() == generic_unbiased_estimate(
             builtin_transfer_function(want), obs, _GS, want).value.hex()
+
+    def test_talbot_non_finite_node_raises(self):
+        # NaN on the contour's upper nodes; an array has no truth value, so
+        # the transform is called node by node
+        fn = lambda s: complex(math.nan, 0.0) if s.imag > 1.0 else 1.0 / s
+        with pytest.raises(InversionError, match="not finite") as info:
+            generic_phi(_tf(fn), 1, _TALBOT)(0.7)
+        diag = info.value.diagnostics
+        assert (diag["method"], diag["n"], diag["t"]) == ("talbot", 1, 0.7)
+        assert math.isnan(diag["fine"])
 
 
 class TestLazyMpmath:

@@ -41,6 +41,29 @@ class TestSampling:
         # a false alarm on correct code has probability 1e-3 per case
         assert stats.kstest(draws.ravel(), stats.expon(scale=1.0 / lam).cdf).pvalue > 1e-3
 
+    def test_empirical_mean(self):
+        n = 10 ** 5
+        draws = _draw_block(7, 0, 1, n, 2.0)
+        se = 0.5 / math.sqrt(n)
+        assert abs(draws.mean() - 0.5) < 4.0 * se
+
+    def test_empirical_tail_probability(self):
+        n = 10 ** 5
+        draws = _draw_block(8, 0, 1, n, 1.0)
+        p_hat = np.mean(draws > 1.0)
+        target = math.exp(-1.0)
+        se = math.sqrt(target * (1.0 - target) / n)
+        assert abs(p_hat - target) < 4.0 * se
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam,n", [(1.0, 2.5), (1.0, 0), (math.nan, 3), (-1.0, 3),
+                                       ("x", 3)])
+    def test_rejects_bad_arguments(self, lam, n):
+        # McConfig is the gate in front of every draw; n = 2.5 and
+        # lambda = "x" were untyped TypeErrors
+        with pytest.raises(DomainError):
+            McConfig(10, n, lam, 1)
+
 
 class TestConfig:
     @pytest.mark.filterwarnings("error")
